@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -64,6 +63,7 @@ def parse_instance(text: str) -> InstanceSpec:
     arrows: list[tuple[int, int]] = []
     alpha = beta = None
     mu_lines: dict[int, tuple[int, ...]] = {}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,6 +71,10 @@ def parse_instance(text: str) -> InstanceSpec:
         fields = line.split(None, 1)
         key, rest = fields[0], fields[1] if len(fields) > 1 else ""
         try:
+            if key in ("vertices", "alpha", "beta"):
+                if key in seen:
+                    raise ValueError(f"duplicate `{key}` line")
+                seen.add(key)
             if key == "vertices":
                 nvertices = int(rest)
             elif key == "arrow":
@@ -156,14 +160,14 @@ def cmd_count(args, out) -> int:
     gamma = tuple(a - b for a, b in zip(spec.alpha, spec.beta))
     pairing = euler_form(spec.quiver, spec.beta, gamma)
     if spec.mu is None:
-        n, labelings, breakdown = count_subreps_detailed(
+        n, states, breakdown = count_subreps_detailed(
             spec.quiver, spec.beta, spec.alpha, breakdown=args.breakdown
         )
     else:
         # mu lines select one piece of the fiber class; count it on the
-        # arm-enlarged quiver so the same labeled-sum engine applies
+        # arm-enlarged quiver so the same summation engine applies
         hat = build_hat(spec.quiver, spec.beta, spec.alpha, spec.mu)
-        n, labelings, breakdown = count_subreps_detailed(
+        n, states, breakdown = count_subreps_detailed(
             hat.quiver, hat.beta, hat.alpha, breakdown=args.breakdown
         )
     print(f"N = {n}", file=out)
@@ -177,7 +181,7 @@ def cmd_count(args, out) -> int:
             ("command", "count"),
             ("n", n),
             ("euler", pairing),
-            ("labelings", labelings),
+            ("states", states),
             ("seed", args.seed),
             ("version", f"quivercount {__version__}"),
             ("elapsed_ms", int(1000 * (time.monotonic() - t0))),
@@ -192,10 +196,10 @@ def cmd_sidim(args, out) -> int:
     gamma = tuple(a - b for a, b in zip(spec.alpha, spec.beta))
     pairing = euler_form(spec.quiver, spec.beta, gamma)
     if spec.mu is None:
-        m, labelings, _ = si_dimension_detailed(spec.quiver, spec.beta, spec.alpha)
+        m, states, _ = si_dimension_detailed(spec.quiver, spec.beta, spec.alpha)
     else:
         m = covariant_multiplicity(spec.quiver, spec.beta, spec.alpha, spec.mu)
-        labelings = None
+        states = None
     sigma = weight_of(spec.quiver, spec.beta)
     sigma_text = "(" + ",".join(str(x) for x in sigma) + ")"
     print(f"M = {m}, sigma = {sigma_text}", file=out)
@@ -205,8 +209,8 @@ def cmd_sidim(args, out) -> int:
         ("sigma", sigma_text),
         ("euler", pairing),
     ]
-    if labelings is not None:
-        pairs.append(("labelings", labelings))
+    if states is not None:
+        pairs.append(("states", states))
     pairs += [
         ("seed", args.seed),
         ("version", f"quivercount {__version__}"),
@@ -295,7 +299,7 @@ def _suite_random(args, engine):
             spec,
         )
 
-    return _parallel_map(check, specs, args.jobs)
+    return [check(spec) for spec in specs]
 
 
 def _suite_tripleflag(args, engine):
@@ -320,7 +324,7 @@ def _suite_tripleflag(args, engine):
         )
         return (label, got.n_value, got.m_value, f"lr={expected}", ok, InstanceSpec(Q, alpha, beta))
 
-    return _parallel_map(check, specs, args.jobs)
+    return [check(parts) for parts in specs]
 
 
 def _suite_covariants(args, engine):
@@ -367,7 +371,7 @@ def _suite_covariants(args, engine):
             InstanceSpec(Q, alpha, beta),
         )
 
-    return _parallel_map(check, jobs, args.jobs)
+    return [check(job) for job in jobs]
 
 
 def _suite_multiplicativity(args, engine):
@@ -402,7 +406,7 @@ def _suite_multiplicativity(args, engine):
             InstanceSpec(Q, a2, b),
         )
 
-    return _parallel_map(check, triples, args.jobs)
+    return [check(triple) for triple in triples]
 
 
 def _suite_oracles(args, engine):
@@ -450,7 +454,7 @@ def _suite_oracles(args, engine):
             InstanceSpec(Q, alpha, beta),
         )
 
-    return _parallel_map(check, instances, args.jobs)
+    return [check(inst) for inst in instances]
 
 
 def _suite_basis(args, engine):
@@ -466,13 +470,6 @@ def _suite_basis(args, engine):
         )
         rows.append((label, rep.n_expected, rep.m_expected, note, ok, InstanceSpec(Q, alpha, beta)))
     return rows
-
-
-def _parallel_map(fn, items, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def cmd_verify(args, out) -> int:
@@ -650,7 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-verts", type=int, default=4)
     p_verify.add_argument("--max-arrows", type=int, default=4)
     p_verify.add_argument("--max-dim", type=int, default=3)
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker threads for suites")
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 

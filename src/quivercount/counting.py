@@ -5,18 +5,26 @@ carries a partition inside the beta(ta) x gamma(ha) rectangle, and each
 vertex contributes a Schur-functor multiplicity.  The subrepresentation
 count N uses symmetric-side functors with target the full gamma(x)^beta(x)
 rectangle; the weight-space dimension M uses exterior powers, evaluated
-here through conjugate partitions so the two computations share nothing
-but the LR kernel.  A third, labeling-free route expands the product of
-Grassmannian classes directly (fiber_class) and decomposes the locus of
-subrepresentations of a general representation by cohomology class.
+here through conjugate partitions, so the two differ only in the targets
+and factors they feed to the shared LR kernel and summation loop.
+
+The sum is never enumerated labeling by labeling.  One frontier DP
+(_labeled_sum) folds the arrows in turn into a map from per-vertex
+partial Schur shapes to coefficients, so labelings that reach the same
+shapes merge.  A vertex closes after its last arrow; for N and M its
+shape must then equal its target.  The fiber class runs the same DP with
+<beta, gamma> boxes of slack: a closed vertex may fall short of its
+rectangle, and the missing boxes (the complement of its shape) key the
+decomposition of the locus of subrepresentations by cohomology class.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
-from .lr import LREngine, SchubertElement, rectangle_partition
+from .lr import LREngine, rectangle_partition
 from .partitions import Rectangle, complement, conjugate, fits, partition, partitions_in_rectangle, size
 from .quiver import Quiver, check_dimvector, euler_form
 
@@ -40,13 +48,19 @@ def weight_of(Q: Quiver, beta) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _check_counting_pre(Q: Quiver, beta, alpha) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _check_instance(Q: Quiver, beta, alpha):
+    """Validate beta inside alpha; return (beta, alpha, gamma, <beta, gamma>)."""
     beta = check_dimvector(Q, beta)
     alpha = check_dimvector(Q, alpha)
     gamma = tuple(a - b for a, b in zip(alpha, beta))
     if any(g < 0 for g in gamma):
         raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
-    pairing = euler_form(Q, beta, gamma)
+    return beta, alpha, gamma, euler_form(Q, beta, gamma)
+
+
+def _check_counting_pre(Q: Quiver, beta, alpha):
+    """_check_instance, plus the zero-pairing requirement of N and M."""
+    beta, alpha, gamma, pairing = _check_instance(Q, beta, alpha)
     if pairing < 0:
         raise NegativePairingError(
             f"negative Euler pairing {pairing}: a general representation has no"
@@ -56,38 +70,31 @@ def _check_counting_pre(Q: Quiver, beta, alpha) -> tuple[tuple[int, ...], tuple[
         raise NonzeroPairingError(
             f"nonzero Euler pairing {pairing}; use fiber-class for the full decomposition"
         )
-    return beta, alpha, gamma
+    return beta, alpha, gamma, pairing
 
 
-# -- labeled sums -------------------------------------------------------------
+# -- the frontier DP ------------------------------------------------------------
 
 
-def _vertex_factor_n(engine: LREngine, beta_x: int, gamma_x: int, out_parts, in_parts, extra) -> int:
-    """Multiplicity of the full rectangle Schur functor at one vertex.
+@cache
+def _label_table(rect: Rectangle, conjugated: bool) -> tuple[tuple, ...]:
+    """(lambda, tail factor, head factor, |lambda|) for every label lambda
+    of an arrow with rectangle `rect`, in graded-lex order.
 
-    Tail arrows contribute their own partitions, head arrows the
-    complements inside beta(ta) x gamma(x); `extra` adds fixed partitions
-    (used by the covariant generalization, symmetric-side convention)."""
-    target = (gamma_x,) * beta_x if gamma_x else ()
-    factors = sorted(out_parts + in_parts + extra)
-    return engine.tensor_multiplicity(target, factors)
-
-
-def _vertex_factor_m(engine: LREngine, beta_x: int, gamma_x: int, out_parts, in_parts, extra) -> int:
-    """Exterior-power analogue, evaluated through conjugate partitions.
-
-    mult(wedge^(gamma^beta); (x) wedge^lambda) equals the symmetric-side
-    multiplicity after conjugating the target and every factor, which is
-    what makes the weight-space dimension share only the LR kernel with
-    the subrepresentation count."""
-    target = (beta_x,) * gamma_x if beta_x else ()
-    factors = sorted([conjugate(p) for p in out_parts + in_parts + extra])
-    return engine.tensor_multiplicity(target, factors)
+    The tail vertex sees lambda, the head vertex its complement; on the
+    exterior side (`conjugated`) both factors are conjugated."""
+    rows = []
+    for lam in partitions_in_rectangle(rect):
+        tail, head = lam, complement(lam, rect)
+        if conjugated:
+            tail, head = conjugate(tail), conjugate(head)
+        rows.append((lam, tail, head, size(lam)))
+    return tuple(rows)
 
 
 def _greedy_arrow_order(Q: Quiver, rect_sizes: list[int]) -> list[int]:
-    # prefer arrows that finish off a vertex (so its factor prunes early),
-    # then arrows with fewer candidate partitions
+    # prefer arrows that finish off a vertex (so its shape is checked
+    # early), then arrows with fewer candidate partitions
     remaining = [0] * Q.nvertices
     for t, h in Q.arrows:
         remaining[t] += 1
@@ -114,133 +121,107 @@ def _labeled_sum(
     beta,
     gamma,
     engine: LREngine,
-    vertex_factor,
-    extra=None,
+    conjugated: bool = False,
+    start=None,
+    slack: int = 0,
     collect: bool = False,
-):
-    """Sum over arrow labelings of the product of per-vertex multiplicities.
+) -> tuple[dict[tuple, int], int]:
+    """Sum over arrow labelings of the product of per-vertex multiplicities,
+    folded one arrow at a time.
 
-    Returns (total, labelings_examined, breakdown).  `extra` optionally
-    assigns one additional fixed partition per vertex (the covariant
-    labeling); its size is subtracted from the vertex degree target.
-    Breakdown entries, when collected, list nonzero summands in canonical
-    order: arrows by index, partitions in graded-lex order per arrow.
+    Vertex x multiplies the factors its arrows hand it into a Schur shape
+    inside its target, the full gamma(x)^beta(x) rectangle, or its
+    conjugate on the exterior side (`conjugated`).  `start` gives each
+    vertex's shape before any arrow (the covariant factor); by default
+    all shapes start empty.  A state maps the tuple of per-vertex shapes
+    to a coefficient.  A vertex falls short of its target by the boxes
+    that its unprocessed arrows can no longer supply; states whose
+    shortfalls add up to more than `slack` are dropped.  With slack 0
+    every vertex closes on its target after its last arrow.
+
+    With `collect`, each arrow's label index joins the key, so labelings
+    never merge and every final state is one nonzero summand.
+
+    Returns (final states, states created).  Final keys are per-vertex
+    shape tuples, followed when collecting by the label indices in arrow
+    order; coefficients are positive.
     """
     n = Q.nvertices
-    narrows = len(Q.arrows)
-    extra = extra or [() for _ in range(n)]
+    bounds = [
+        rectangle_partition(Rectangle(gamma[x], beta[x]) if conjugated else Rectangle(beta[x], gamma[x]))
+        for x in range(n)
+    ]
+    full = [beta[x] * gamma[x] for x in range(n)]
+    tables = [_label_table(Rectangle(beta[t], gamma[h]), conjugated) for t, h in Q.arrows]
+    left = [0] * n  # boxes the unprocessed arrows can still bring to each vertex
+    for t, h in Q.arrows:
+        left[t] += beta[t] * gamma[h]
+        left[h] += beta[t] * gamma[h]
 
-    arrow_rects = [Rectangle(beta[t], gamma[h]) for t, h in Q.arrows]
-    arrow_parts = [partitions_in_rectangle(r) for r in arrow_rects]
-
-    # degree targets: the vertex factor can only be nonzero when the arrow
-    # contributions fill the rectangle minus the extra partition exactly
-    target = [beta[x] * gamma[x] - size(extra[x]) for x in range(n)]
-    if any(t < 0 for t in target):
-        return 0, 0, ()
-
-    incident_left = [0] * n
-    max_add = [0] * n  # largest possible remaining contribution per vertex
-    for a, (t, h) in enumerate(Q.arrows):
-        incident_left[t] += 1
-        incident_left[h] += 1
-        cap = arrow_rects[a].rows * arrow_rects[a].cols
-        max_add[t] += cap
-        max_add[h] += cap
-
-    base = 1
-    for x in range(n):
-        if incident_left[x] == 0:
-            f = vertex_factor(engine, beta[x], gamma[x], [], [], [extra[x]] if extra[x] else [])
-            if target[x] != 0 or f == 0:
-                return 0, 0, ()
-            base *= f
-
-    order = _greedy_arrow_order(Q, [len(p) for p in arrow_parts])
-    assigned: list[tuple[int, ...] | None] = [None] * narrows
-    cur = [0] * n  # accumulated degree at each vertex
-    examined = 0
-    total = 0
-    breakdown = [] if collect else None
-
-    def factor_at(x: int) -> int:
-        outs = [assigned[a] for a in range(narrows) if Q.arrows[a][0] == x]
-        ins = [
-            complement(assigned[a], arrow_rects[a])
-            for a in range(narrows)
-            if Q.arrows[a][1] == x
-        ]
-        return vertex_factor(engine, beta[x], gamma[x], outs, ins, [extra[x]] if extra[x] else [])
-
-    def rec(i: int, product: int) -> None:
-        nonlocal examined, total
-        if i == narrows:
-            examined += 1
-            total += product
-            if collect and product:
-                breakdown.append((tuple(assigned), product))
-            return
-        a = order[i]
+    shapes = tuple(start) if start else ((),) * n
+    if sum(max(0, full[x] - size(shapes[x]) - left[x]) for x in range(n)) > slack:
+        return {}, 0
+    # when collecting, slot n + a of the key holds arrow a's label index
+    state = {shapes + (None,) * len(Q.arrows) if collect else shapes: 1}
+    created = 1
+    for a in _greedy_arrow_order(Q, [len(tab) for tab in tables]):
         t, h = Q.arrows[a]
-        rect = arrow_rects[a]
-        cap = rect.rows * rect.cols
-        for lam in arrow_parts[a]:
-            s = size(lam)
-            dt = s  # tail sees the partition itself
-            dh = cap - s  # head sees the complement
-            ok = True
-            cur[t] += dt
-            cur[h] += dh
-            incident_left[t] -= 1
-            incident_left[h] -= 1
-            max_add[t] -= cap
-            max_add[h] -= cap
-            assigned[a] = lam
-            prod2 = product
-            for x in (t, h):
-                if cur[x] > target[x] or cur[x] + max_add[x] < target[x]:
-                    ok = False
-                    break
-            if ok:
-                for x in (t, h):
-                    if incident_left[x] == 0:
-                        if cur[x] != target[x]:
-                            ok = False
-                            break
-                        f = factor_at(x)
-                        if f == 0:
-                            ok = False
-                            break
-                        prod2 *= f
-            if ok:
-                rec(i + 1, prod2)
-            assigned[a] = None
-            cur[t] -= dt
-            cur[h] -= dh
-            incident_left[t] += 1
-            incident_left[h] += 1
-            max_add[t] += cap
-            max_add[h] += cap
-        return
+        cap = beta[t] * gamma[h]
+        left[t] -= cap
+        left[h] -= cap
+        need_t, need_h = full[t] - left[t], full[h] - left[h]
+        # without slack every state's other vertices have no shortfall
+        others = [x for x in range(n) if x != t and x != h] if slack else ()
+        nxt: dict[tuple, int] = {}
+        for key, coeff in state.items():
+            cur_t, cur_h = key[t], key[h]
+            st, sh = size(cur_t), size(cur_h)
+            spare = slack - sum(max(0, full[x] - size(key[x]) - left[x]) for x in others)
+            for i, (_, ft, fh, s) in enumerate(tables[a]):
+                nt, nh = st + s, sh + cap - s
+                if nt > full[t] or nh > full[h]:
+                    continue
+                if max(0, need_t - nt) + max(0, need_h - nh) > spare:
+                    continue
+                for nu_t, c_t in engine.expand(cur_t, ft, bounds[t]):
+                    for nu_h, c_h in engine.expand(cur_h, fh, bounds[h]):
+                        k = list(key)
+                        k[t] = nu_t
+                        k[h] = nu_h
+                        if collect:
+                            k[n + a] = i
+                        k = tuple(k)
+                        nxt[k] = nxt.get(k, 0) + coeff * c_t * c_h
+        state = nxt
+        created += len(state)
+        if not state:
+            break
+    return state, created
 
-    rec(0, base)
 
-    if collect:
-        index_of = [
-            {lam: i for i, lam in enumerate(parts)} for parts in arrow_parts
-        ]
-        breakdown.sort(key=lambda entry: tuple(index_of[a][entry[0][a]] for a in range(narrows)))
-        return total, examined, tuple(breakdown)
-    return total, examined, ()
+def _count(Q: Quiver, beta, gamma, engine: LREngine, conjugated: bool, breakdown: bool):
+    """(total, states created, breakdown) of N, or of M when `conjugated`.
+
+    Breakdown entries list the nonzero summands in canonical order:
+    arrows by index, partitions in graded-lex order per arrow."""
+    final, states = _labeled_sum(Q, beta, gamma, engine, conjugated, collect=breakdown)
+    rows = ()
+    if breakdown:
+        n = Q.nvertices
+        tables = [_label_table(Rectangle(beta[t], gamma[h]), conjugated) for t, h in Q.arrows]
+        rows = tuple(
+            (tuple(tables[a][i][0] for a, i in enumerate(key[n:])), c)
+            for key, c in sorted(final.items(), key=lambda item: item[0][n:])
+        )
+    return sum(final.values()), states, rows
 
 
 def count_subreps_detailed(
     Q: Quiver, beta, alpha, engine: LREngine | None = None, breakdown: bool = False
 ) -> tuple[int, int, tuple]:
-    """(N, labelings examined, optional nonzero-summand breakdown)."""
-    beta, alpha, gamma = _check_counting_pre(Q, beta, alpha)
-    engine = engine or LREngine()
-    return _labeled_sum(Q, beta, gamma, engine, _vertex_factor_n, collect=breakdown)
+    """(N, DP states created, optional nonzero-summand breakdown)."""
+    beta, _, gamma, _ = _check_counting_pre(Q, beta, alpha)
+    return _count(Q, beta, gamma, engine or LREngine(), False, breakdown)
 
 
 def count_subreps(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> int:
@@ -253,9 +234,9 @@ def count_subreps(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> int
 def si_dimension_detailed(
     Q: Quiver, beta, alpha, engine: LREngine | None = None, breakdown: bool = False
 ) -> tuple[int, int, tuple]:
-    beta, alpha, gamma = _check_counting_pre(Q, beta, alpha)
-    engine = engine or LREngine()
-    return _labeled_sum(Q, beta, gamma, engine, _vertex_factor_m, collect=breakdown)
+    """(M, DP states created, optional nonzero-summand breakdown)."""
+    beta, _, gamma, _ = _check_counting_pre(Q, beta, alpha)
+    return _count(Q, beta, gamma, engine or LREngine(), True, breakdown)
 
 
 def si_dimension(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> int:
@@ -302,43 +283,16 @@ def fiber_class(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> Fiber
     (in the vertex rectangle) to the partition whose class appears, so a
     zero pairing leaves the single all-empty key with coefficient N.
     """
-    beta = check_dimvector(Q, beta)
-    alpha = check_dimvector(Q, alpha)
-    gamma = tuple(a - b for a, b in zip(alpha, beta))
-    if any(g < 0 for g in gamma):
-        raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
-    pairing = euler_form(Q, beta, gamma)
+    beta, _, gamma, pairing = _check_instance(Q, beta, alpha)
     if pairing < 0:
         raise NegativePairingError(
             f"Euler pairing {pairing} < 0: generic fiber is empty, no class to decompose"
         )
-    engine = engine or LREngine()
-    n = Q.nvertices
-    ambients = tuple(Rectangle(beta[x], gamma[x]) for x in range(n))
-    bounds = [rectangle_partition(r) for r in ambients]
-
-    empty_key = tuple(() for _ in range(n))
-    state: dict[tuple[tuple[int, ...], ...], int] = {empty_key: 1}
-    for a, (t, h) in enumerate(Q.arrows):
-        rect = Rectangle(beta[t], gamma[h])
-        nxt: dict[tuple[tuple[int, ...], ...], int] = {}
-        for key, coeff in state.items():
-            for lam in partitions_in_rectangle(rect):
-                lbar = complement(lam, rect)
-                for nu_t, c_t in engine.expand(key[t], lam, bounds[t]):
-                    for nu_h, c_h in engine.expand(key[h], lbar, bounds[h]):
-                        k2 = list(key)
-                        k2[t] = nu_t
-                        k2[h] = nu_h
-                        k2 = tuple(k2)
-                        nxt[k2] = nxt.get(k2, 0) + coeff * c_t * c_h
-        state = {k: v for k, v in nxt.items() if v}
-        if not state:
-            break
-
+    ambients = tuple(Rectangle(b, g) for b, g in zip(beta, gamma))
+    final, _ = _labeled_sum(Q, beta, gamma, engine or LREngine(), slack=pairing)
     coeffs: dict[tuple[tuple[int, ...], ...], int] = {}
-    for key, c in state.items():
-        mu = tuple(complement(key[x], ambients[x]) for x in range(n))
+    for shapes, c in final.items():
+        mu = tuple(complement(s, r) for s, r in zip(shapes, ambients))
         if sum(size(p) for p in mu) != pairing:
             raise AssertionError("fiber class term of wrong codimension")
         coeffs[mu] = c
@@ -350,7 +304,9 @@ def fiber_class(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> Fiber
 
 @dataclass(frozen=True)
 class CountReport:
-    """Both counts computed by their separate routes, plus context."""
+    """Both counts computed by their separate routes, plus context.
+
+    n_labelings and m_labelings count the DP states each route created."""
 
     beta: tuple[int, ...]
     alpha: tuple[int, ...]
@@ -371,18 +327,18 @@ def verify_counts(
 ) -> CountReport:
     """Compute the subrepresentation count and the weight-space dimension
     independently and report whether they agree."""
-    beta, alpha, gamma = _check_counting_pre(Q, beta, alpha)
+    beta, alpha, gamma, pairing = _check_counting_pre(Q, beta, alpha)
     engine = engine or LREngine()
-    n, nlab, nbr = _labeled_sum(Q, beta, gamma, engine, _vertex_factor_n, collect=breakdown)
-    m, mlab, _ = _labeled_sum(Q, beta, gamma, engine, _vertex_factor_m)
+    n, nstates, nbr = _count(Q, beta, gamma, engine, False, breakdown)
+    m, mstates, _ = _count(Q, beta, gamma, engine, True, False)
     return CountReport(
         beta=beta,
         alpha=alpha,
-        euler_pairing=euler_form(Q, beta, gamma),
+        euler_pairing=pairing,
         n_value=n,
         m_value=m,
-        n_labelings=nlab,
-        m_labelings=mlab,
+        n_labelings=nstates,
+        m_labelings=mstates,
         n_breakdown=nbr,
     )
 

@@ -6,7 +6,7 @@ is no longer finite but decomposes into pieces indexed by per-vertex
 partition tuples mu (the keys of fiber_class).  Each piece is counted two
 ways here: by rebuilding it as an honest finite counting problem on an
 enlarged quiver with one flag arm per vertex (covariant_count), and by
-the labeled sum over the original quiver with one extra exterior-power
+the frontier DP over the original quiver with one extra exterior-power
 factor per vertex (covariant_multiplicity).  The two must agree with each
 other and with the fiber_class coefficient.
 """
@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import _labeled_sum, _vertex_factor_m
+from .counting import _check_instance, _labeled_sum
 from .lr import LREngine
-from .partitions import Rectangle, complement, fits, partition, size
-from .quiver import Quiver, check_dimvector, euler_form
+from .partitions import Rectangle, complement, conjugate, fits, partition, size
+from .quiver import Quiver, euler_form
 
 
 def exponent_profile(mu_x, beta_x: int, gamma_x: int) -> tuple[int, ...]:
@@ -32,7 +32,10 @@ def exponent_profile(mu_x, beta_x: int, gamma_x: int) -> tuple[int, ...]:
     return tuple(sum(1 for p in comp if p == gamma_x - j + 1) for j in range(1, gamma_x + 1))
 
 
-def _normalize_mu(Q: Quiver, beta, gamma, mu) -> tuple[tuple[int, ...], ...]:
+def _check_piece(Q: Quiver, beta, alpha, mu):
+    """Validate an instance and its piece mu; return (beta, gamma, mu)
+    with mu normalized."""
+    beta, _, gamma, pairing = _check_instance(Q, beta, alpha)
     if len(mu) != Q.nvertices:
         raise ValueError(f"mu has {len(mu)} entries, quiver has {Q.nvertices} vertices")
     out = []
@@ -43,7 +46,12 @@ def _normalize_mu(Q: Quiver, beta, gamma, mu) -> tuple[tuple[int, ...], ...]:
                 f"mu({x}) = {p} does not fit in {beta[x]}x{gamma[x]}"
             )
         out.append(p)
-    return tuple(out)
+    total = sum(size(p) for p in out)
+    if total != pairing:
+        raise ValueError(
+            f"mu sizes sum to {total}, Euler pairing is {pairing}; the piece is empty or ill-posed"
+        )
+    return beta, gamma, tuple(out)
 
 
 @dataclass(frozen=True)
@@ -71,19 +79,7 @@ def build_hat(Q: Quiver, beta, alpha, mu) -> HatInstance:
     of mu(x).  The pairing of the enlarged beta with its gamma drops to
     zero exactly because the mu sizes exhaust the original pairing.
     """
-    beta = check_dimvector(Q, beta)
-    alpha = check_dimvector(Q, alpha)
-    gamma = tuple(a - b for a, b in zip(alpha, beta))
-    if any(g < 0 for g in gamma):
-        raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
-    mu = _normalize_mu(Q, beta, gamma, mu)
-    pairing = euler_form(Q, beta, gamma)
-    total = sum(size(p) for p in mu)
-    if total != pairing:
-        raise ValueError(
-            f"mu sizes sum to {total}, Euler pairing is {pairing}; the piece is empty or ill-posed"
-        )
-
+    beta, gamma, mu = _check_piece(Q, beta, alpha, mu)
     n = Q.nvertices
     arrows = list(Q.arrows)
     hat_beta = list(beta)
@@ -122,19 +118,9 @@ def covariant_count(Q: Quiver, beta, alpha, mu, engine: LREngine | None = None) 
 
 def covariant_multiplicity(Q: Quiver, beta, alpha, mu, engine: LREngine | None = None) -> int:
     """Dimension of the weight space with one extra exterior power per
-    vertex, computed by the labeled sum over the original quiver."""
-    beta = check_dimvector(Q, beta)
-    alpha = check_dimvector(Q, alpha)
-    gamma = tuple(a - b for a, b in zip(alpha, beta))
-    if any(g < 0 for g in gamma):
-        raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
-    mu = _normalize_mu(Q, beta, gamma, mu)
-    pairing = euler_form(Q, beta, gamma)
-    total = sum(size(p) for p in mu)
-    if total != pairing:
-        raise ValueError(
-            f"mu sizes sum to {total}, Euler pairing is {pairing}; the piece is empty or ill-posed"
-        )
-    engine = engine or LREngine()
-    value, _, _ = _labeled_sum(Q, beta, gamma, engine, _vertex_factor_m, extra=list(mu))
-    return value
+    vertex, computed by the frontier DP over the original quiver: on the
+    exterior side vertex x starts at the conjugate of mu(x)."""
+    beta, gamma, mu = _check_piece(Q, beta, alpha, mu)
+    start = [conjugate(p) for p in mu]
+    final, _ = _labeled_sum(Q, beta, gamma, engine or LREngine(), conjugated=True, start=start)
+    return sum(final.values())

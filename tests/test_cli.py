@@ -114,6 +114,9 @@ def test_render_parse_round_trip():
             "duplicate",
         ),
         ("vertices 2\narrow 0 1\nalpha 1 1\nbeta 0 0\nmu 0:1,2\n", ""),
+        ("vertices 2\nvertices 3\narrow 0 1\nalpha 1 1\nbeta 0 0\n", "line 2: duplicate `vertices`"),
+        ("vertices 2\narrow 0 1\nalpha 2 2\nalpha 1 1\nbeta 0 0\n", "line 4: duplicate `alpha`"),
+        ("vertices 2\narrow 0 1\nalpha 2 2\nbeta 1 1\nbeta 0 0\n", "line 5: duplicate `beta`"),
     ],
 )
 def test_parse_instance_errors(text, fragment):
@@ -133,7 +136,7 @@ def test_count_golden(theta4_file):
         ("command", "count"),
         ("n", "6"),
         ("euler", "0"),
-        ("labelings", "6"),
+        ("states", "9"),
         ("seed", "0"),
         ("version", "quivercount 0.1.0"),
     ]
@@ -159,7 +162,7 @@ def test_sidim_golden(theta4_file):
     assert code == 0
     assert out.splitlines()[0] == "M = 6, sigma = (1,-2)"
     assert ("m", "6") in machine_block(out)
-    assert ("labelings", "6") in machine_block(out)
+    assert ("states", "9") in machine_block(out)
 
 
 def test_fiber_class_golden(theta4_file):
@@ -194,7 +197,7 @@ def test_sidim_with_mu_drops_labelings(a2_mu_file):
     code, out, _ = run_cli(["sidim", a2_mu_file])
     assert code == 0
     assert out.splitlines()[0] == "M = 1, sigma = (1,0)"
-    assert "labelings" not in dict(machine_block(out))
+    assert "states" not in dict(machine_block(out))
 
 
 def test_verify_single_instance_with_mu(a2_mu_file):
@@ -244,16 +247,6 @@ def test_verify_covariants_and_multiplicativity():
     block = dict(machine_block(out))
     assert block["suites"] == "covariants,multiplicativity"
     assert block["failures"] == "0"
-
-
-def test_verify_jobs_do_not_change_output():
-    argv = ["verify", "--kronecker", "--covariants", "--count", "8"]
-    _, out1, _ = run_cli(argv + ["--jobs", "1"])
-    _, out3, _ = run_cli(argv + ["--jobs", "3"])
-    strip = lambda text: [
-        l for l in text.splitlines() if not l.startswith("elapsed_ms")
-    ]
-    assert strip(out1) == strip(out3)
 
 
 def test_verify_failure_exits_one_and_prints_instance(theta4_file):

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -31,10 +31,30 @@ A2 = Quiver(2, ((0, 1),))
 
 
 def test_kronecker_family_counts(engine):
-    for r in (1, 2, 3):
+    # up to theta(24), N = M = 2,704,156: far beyond any sum that visits
+    # its labelings one by one
+    for r in range(1, 13):
         Q = theta(2 * r)
         assert count_subreps(Q, (1, r), (r + 1, r + 1), engine) == comb(2 * r, r)
         assert si_dimension(Q, (1, r), (r + 1, r + 1), engine) == comb(2 * r, r)
+
+
+@pytest.mark.parametrize(
+    "r, n, degree", [(2, 4, 2), (2, 5, 5), (2, 6, 14), (3, 6, 42), (2, 7, 42), (3, 7, 462)]
+)
+def test_star_counts_grassmannian_degree(engine, r, n, degree):
+    # r-planes in C^n meeting r(n-r) general (n-r)-planes: a star whose
+    # r(n-r) arms of dimension n-r point into a centre of dimension n, so
+    # one vertex is fed by many distinct tails.  N = M = deg G(r, n).
+    arms = r * (n - r)
+    Q = Quiver(arms + 1, tuple((i, arms) for i in range(arms)))
+    beta, alpha = (1,) * arms + (r,), (n - r,) * arms + (n,)
+    closed_form = factorial(arms) * prod(factorial(i - 1) for i in range(1, r + 1)) // prod(
+        factorial(n - r + i - 1) for i in range(1, r + 1)
+    )
+    assert closed_form == degree
+    assert count_subreps(Q, beta, alpha, engine) == degree
+    assert si_dimension(Q, beta, alpha, engine) == degree
 
 
 def test_trivial_dimension_vectors(engine):
@@ -76,9 +96,10 @@ def test_labelings_examined_theta4(engine):
         theta(4), (1, 2), (3, 3), breakdown=True, engine=engine
     )
     assert n == 6
-    # four arrows, each labeled by a partition in a 1x1 box; the per-vertex
-    # degree prune leaves exactly the (4 choose 2) ways to pick two boxes
-    assert labelings == 6
+    # four arrows, each labeled by a partition in a 1x1 box; with the labels
+    # in the state key the DP creates 1 + 2 + 4 + 6 + 6 states, and the
+    # final six are the (4 choose 2) ways to pick two boxes
+    assert labelings == 19
     assert len(breakdown) == 6
     assert sum(c for _, c in breakdown) == 6
     assert all(c == 1 for _, c in breakdown)
@@ -118,7 +139,7 @@ def test_report_fields(engine):
     rep = verify_counts(theta(2), (1, 1), (2, 2), engine)
     assert rep.n_value == rep.m_value == 2
     assert rep.euler_pairing == 0
-    assert rep.n_labelings == rep.m_labelings == 2
+    assert rep.n_labelings == rep.m_labelings == 4
     assert rep.beta == (1, 1) and rep.alpha == (2, 2)
 
 
