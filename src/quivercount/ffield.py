@@ -7,15 +7,22 @@ Constants 0..p-1 therefore mean the same thing in F_p and in every
 extension F_{p^k}, which is what lets a representation sampled over F_p be
 re-read over an extension without translation.
 
+`GF` does its arithmetic in one of three regimes: integers mod p for the
+prime field; log/exp tables for extensions with at most `GF.TABLE_LIMIT`
+elements; and, above that, digit arithmetic that reduces products with
+precomputed residues of x^k .. x^(2k-2) and inverts by the extended
+Euclidean algorithm in F_p[x].
+
 The matrix and polynomial helpers are generic over a small field protocol
-(attributes `zero`, `one`; methods add/sub/neg/mul/inv/sample): they work
-for GF instances and for PolyExt towers alike.  Matrices are lists of row
-lists; polynomials are tuples of coefficients in ascending degree order
-with no trailing zeros, () being the zero polynomial.
+(attributes `zero`, `one`; methods add/sub/neg/mul/inv/sample).  Matrices
+are lists of row lists; polynomials are tuples of coefficients in
+ascending degree order with no trailing zeros, () being the zero
+polynomial.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Sequence
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -50,8 +57,21 @@ class GF:
 
     For k > 1 the modulus is the minimal monic irreducible of degree k
     over F_p, "minimal" meaning smallest integer encoding sum(c_i p^i) of
-    the non-leading coefficients -- a deterministic choice recomputed at
-    construction, so equal (p, k) always gives the same field tables.
+    the non-leading coefficients -- a deterministic choice, so equal (p, k)
+    always gives the same field.  Arithmetic runs in one of three regimes:
+
+    - k = 1: integer arithmetic mod p.
+    - q <= TABLE_LIMIT: mul and inv look up log/exp tables of a
+      multiplicative generator.
+    - q > TABLE_LIMIT: mul convolves the base-p digits and folds the
+      coefficients of x^k .. x^(2k-2) back with their precomputed residues
+      mod the modulus; inv runs the extended Euclidean algorithm in F_p[x]
+      against the modulus.
+
+    For k > 1, add, neg and sub work on the encoded ints directly: the
+    integer sum or difference, corrected by one carry p^(i+1) at each
+    digit i that left 0..p-1.  The modulus, the residues and the tables
+    are built once per (p, k) in a process (`_field_data`).
     """
 
     TABLE_LIMIT = 1 << 16
@@ -69,12 +89,14 @@ class GF:
         self.zero = 0
         self.one = 1 % self.q
         self.modulus: tuple[int, ...] | None = None
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
+        self._width = 0
+        self._rows: tuple[int, ...] = ()
+        self._exp: tuple[int, ...] | None = None
+        self._log: tuple[int, ...] | None = None
+        # p, p^2, .., p^k: one carry out of each digit
+        self._carries = tuple(p ** (i + 1) for i in range(k))
         if k > 1:
-            self.modulus = _min_irreducible(p, k)
-            if self.q <= self.TABLE_LIMIT:
-                self._build_tables()
+            self.modulus, self._width, self._rows, self._exp, self._log = _field_data(p, k)
 
     # -- element arithmetic --------------------------------------------------
 
@@ -82,29 +104,36 @@ class GF:
         p = self.p
         if self.k == 1:
             return (a + b) % p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
+        out = a + b
+        for carry in self._carries:
+            if a % p + b % p >= p:
+                out -= carry
             a //= p
             b //= p
-            mult *= p
         return out
 
     def neg(self, a: int) -> int:
         p = self.p
         if self.k == 1:
             return (p - a) % p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((p - a) % p) * mult
+        out = -a
+        for carry in self._carries:
+            if a % p:
+                out += carry
             a //= p
-            mult *= p
         return out
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        p = self.p
+        if self.k == 1:
+            return (a - b) % p
+        out = a - b
+        for carry in self._carries:
+            if a % p < b % p:
+                out += carry
+            a //= p
+            b //= p
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -122,7 +151,7 @@ class GF:
             return pow(a, self.p - 2, self.p)
         if self._exp is not None:
             return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self.pow_(a, self.q - 2)
+        return self._inv_poly(a)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -165,52 +194,43 @@ class GF:
     # -- internals -----------------------------------------------------------
 
     def _mul_poly(self, a: int, b: int) -> int:
-        p, k = self.p, self.k
-        da = self.decode(a)
-        db = self.decode(b)
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        # reduce by the monic modulus, highest degree first
-        mod = self.modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            c = conv[i] % p
-            if c:
-                for j in range(k):
-                    conv[i - k + j] -= c * mod[j]
-            conv[i] = 0
-        return self.encode([conv[i] % p for i in range(k)])
+        """Table-free product, valid for every k > 1."""
+        return _mul_mod(self.p, self.k, self._width, self._rows, a, b)
 
-    def _build_tables(self) -> None:
-        g = self._find_generator()
-        exp = [0] * (self.q - 1)
-        log = [0] * self.q
-        x = 1
-        for i in range(self.q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_poly(x, g)
-        if x != 1:
-            raise AssertionError("generator order mismatch")
-        self._exp = exp
-        self._log = log
-
-    def _find_generator(self) -> int:
-        factors = _prime_factors(self.q - 1)
-        for g in range(2, self.q):
-            if all(self._pow_poly(g, (self.q - 1) // f) != 1 for f in factors):
-                return g
-        raise AssertionError("no multiplicative generator found")
-
-    def _pow_poly(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_poly(out, a)
-            a = self._mul_poly(a, a)
-            e >>= 1
+    def _inv_poly(self, a: int) -> int:
+        # Extended Euclid on digit lists (ascending, no trailing zeros),
+        # keeping s * a = r mod the modulus for the last two remainders r.
+        p = self.p
+        r0, r1 = list(self.modulus), []
+        while a:
+            r1.append(a % p)
+            a //= p
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            d = len(r1) - 1
+            lead = pow(r1[-1], -1, p)
+            rem = r0[:]
+            quo = [0] * (len(r0) - d)
+            for i in range(len(r0) - 1, d - 1, -1):
+                c = rem[i] * lead % p
+                if c:
+                    quo[i - d] = c
+                    for j, y in enumerate(r1):
+                        rem[i - d + j] -= c * y
+            rem = [x % p for x in rem[:d]]
+            while rem[-1] == 0:
+                rem.pop()  # never empties: gcd(a, modulus) = 1
+            s = s0 + [0] * (len(quo) + len(s1) - 1 - len(s0))
+            for i, c in enumerate(quo):
+                if c:
+                    for j, y in enumerate(s1):
+                        s[i + j] -= c * y
+            r0, r1 = r1, rem
+            s0, s1 = s1, [x % p for x in s]
+        c = pow(r1[0], -1, p)
+        out = 0
+        for x in reversed(s1):
+            out = out * p + x * c % p
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -223,6 +243,87 @@ class GF:
 
     def __repr__(self) -> str:
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p},{self.k})"
+
+
+@cache
+def _field_data(p: int, k: int):
+    """(modulus, width, rows, exp, log) of GF(p, k), k > 1.
+
+    Products are formed on ints that pack one coefficient into each
+    `width`-bit field; rows[i] is the residue of x^(k+i) mod the modulus,
+    i = 0..k-2, packed the same way.  exp and log are None above
+    GF.TABLE_LIMIT.
+    """
+    modulus = _min_irreducible(p, k)
+    row = [-c % p for c in modulus[:k]]
+    red = [row]
+    for _ in range(k - 2):
+        # times x: shift up and fold the coefficient of x^k back in
+        top = row[-1]
+        row = [(x + top * r) % p for x, r in zip([0] + row[:-1], red[0])]
+        red.append(row)
+    # a reduced product coefficient is below this, so no field carries
+    width = (k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))).bit_length()
+    rows = tuple(sum(r << (width * j) for j, r in enumerate(row)) for row in red)
+    q = p**k
+    if q > GF.TABLE_LIMIT:
+        return modulus, width, rows, None, None
+
+    def mul(a: int, b: int) -> int:
+        return _mul_mod(p, k, width, rows, a, b)
+
+    g = _find_generator(q, mul)
+    exp = [0] * (q - 1)
+    log = [0] * q
+    x = 1
+    for i in range(q - 1):
+        exp[i] = x
+        log[x] = i
+        x = mul(x, g)
+    if x != 1:
+        raise AssertionError("generator order mismatch")
+    return modulus, width, rows, tuple(exp), tuple(log)
+
+
+def _mul_mod(p: int, k: int, width: int, rows: tuple, a: int, b: int) -> int:
+    # Kronecker substitution: one integer product of the packed digits
+    # is the convolution, its top k-1 fields are folded back with rows.
+    top = k * width
+    A = B = 0
+    for shift in range(0, top, width):
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        A |= x << shift
+        B |= y << shift
+    C = A * B
+    low = C & ((1 << top) - 1)
+    C >>= top
+    mask = (1 << width) - 1
+    for row in rows:
+        low += (C & mask) * row
+        C >>= width
+    out = 0
+    for shift in range(top - width, -1, -width):
+        out = out * p + (low >> shift & mask) % p
+    return out
+
+
+def _find_generator(q: int, mul) -> int:
+    factors = _prime_factors(q - 1)
+    for g in range(2, q):
+        if all(_power(mul, g, (q - 1) // f) != 1 for f in factors):
+            return g
+    raise AssertionError("no multiplicative generator found")
+
+
+def _power(mul, a: int, e: int) -> int:
+    out = 1
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        e >>= 1
+    return out
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -269,106 +370,6 @@ def _is_irreducible(F: GF, f: tuple[int, ...]) -> bool:
         if poly_deg(poly_gcd(F, poly_sub(F, h, x), f)) > 0:
             return False
     return True
-
-
-class PolyExt:
-    """Field extension base[x]/(modulus) for an arbitrary base field object.
-
-    Elements are tuples of base-field elements of length deg(modulus).
-    The modulus must be monic and irreducible over the base; callers are
-    trusted on irreducibility (this class exists for residue fields of
-    factors already certified irreducible).  Towers compose: the base may
-    itself be a PolyExt.
-    """
-
-    def __init__(self, base, modulus: tuple) -> None:
-        if len(modulus) < 3 or modulus[-1] != base.one:
-            raise ValueError("modulus must be monic of degree >= 2")
-        self.base = base
-        self.modulus = tuple(modulus)
-        self.k = len(modulus) - 1
-        self.q = base.q**self.k
-        self.zero = (base.zero,) * self.k
-        self.one = (base.one,) + (base.zero,) * (self.k - 1)
-
-    def embed(self, a) -> tuple:
-        """Lift a base-field element into the extension."""
-        return (a,) + (self.base.zero,) * (self.k - 1)
-
-    def embed_int(self, n: int) -> tuple:
-        return self.embed(self.base.embed_int(n))
-
-    def add(self, a: tuple, b: tuple) -> tuple:
-        B = self.base
-        return tuple(B.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        B = self.base
-        return tuple(B.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a: tuple) -> tuple:
-        B = self.base
-        return tuple(B.neg(x) for x in a)
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        B = self.base
-        k = self.k
-        conv = [B.zero] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x != B.zero:
-                for j, y in enumerate(b):
-                    conv[i + j] = B.add(conv[i + j], B.mul(x, y))
-        mod = self.modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            c = conv[i]
-            if c != B.zero:
-                for j in range(k):
-                    conv[i - k + j] = B.sub(conv[i - k + j], B.mul(c, mod[j]))
-                conv[i] = B.zero
-        return tuple(conv[:k])
-
-    def inv(self, a: tuple):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero field element")
-        g, s, _ = poly_extgcd(self.base, poly_trim(self.base, a), self.modulus)
-        # g is a nonzero constant since the modulus is irreducible
-        c = self.base.inv(g[0])
-        lifted = tuple(self.base.mul(c, x) for x in s)
-        return lifted + (self.base.zero,) * (self.k - len(lifted))
-
-    def div(self, a: tuple, b: tuple) -> tuple:
-        return self.mul(a, self.inv(b))
-
-    def pow_(self, a: tuple, e: int) -> tuple:
-        if e < 0:
-            a, e = self.inv(a), -e
-        out = self.one
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
-
-    def sample(self, rng) -> tuple:
-        return tuple(self.base.sample(rng) for _ in range(self.k))
-
-    def generator(self) -> tuple:
-        """The class of x, a root of the modulus."""
-        g = [self.base.zero] * self.k
-        g[1] = self.base.one
-        return tuple(g)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyExt):
-            return NotImplemented
-        return self.base == other.base and self.modulus == other.modulus
-
-    def __hash__(self) -> int:
-        return hash(("PolyExt", self.base, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"PolyExt({self.base!r}, deg {self.k})"
 
 
 # -- matrices over a generic field -------------------------------------------
@@ -625,16 +626,10 @@ def poly_powmod(F, f: tuple, e: int, m: tuple) -> tuple:
     return out
 
 
-def _char_of(F) -> int:
-    while isinstance(F, PolyExt):
-        F = F.base
-    return F.p
-
-
 def _pth_root_poly(F, f: tuple) -> tuple:
     # f = g(x^p) in characteristic p; recover g by inverting Frobenius on
     # the coefficients (a -> a^(q/p) since a^q = a).
-    p = _char_of(F)
+    p = F.p
     out = []
     for i in range(0, len(f), p):
         out.append(F.pow_(f[i], F.q // p))
@@ -701,7 +696,7 @@ def poly_roots(F, f: tuple, rng=None) -> list:
     lin = poly_gcd(F, poly_sub(F, xq, x), f)
     if poly_deg(lin) <= 0:
         return []
-    if _char_of(F) == 2:
+    if F.p == 2:
         raise NotImplementedError("root splitting over large even fields")
     import random as _random
 

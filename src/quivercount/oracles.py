@@ -471,7 +471,7 @@ def _kronecker_lines(F, mats, n_src: int, b: int) -> list[tuple]:
 
     if n_src == 1:
         minors = _minor_polys(F, mats, [const(one)], b)
-        if all(_mp_is_zero(f) for f in minors):
+        if all(not f for f in minors):
             points.append((one,))
         return points
 
@@ -497,10 +497,6 @@ def _kronecker_lines(F, mats, n_src: int, b: int) -> list[tuple]:
     if all(not f for f in minors):
         points.append((zero, zero, one))
     return points
-
-
-def _mp_is_zero(f: dict) -> bool:
-    return not f
 
 
 def _kronecker_count(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> int:
@@ -784,12 +780,14 @@ def verify_determinant_basis(
     m_expected = si_dimension(Q, beta, alpha)
 
     kf = _kronecker_form(Q, beta, alpha)
+    fields = {j: GF(field.p, j) for j in range(2, max_ext_degree + 1)}
+    fields[1] = field
     samples_tried = 0
     for s in range(max_samples):
         samples_tried = s + 1
         V1 = random_rep(Q, alpha, field, seed * 1000003 + s)
         for j in range(1, max_ext_degree + 1):
-            Fj = GF(field.p, j) if j > 1 else field
+            Fj = fields[j]
             Vj = FFRep(Q, Fj, alpha, V1.mats)
             points = _raw_point_count(Q, alpha, beta, Fj.q)
             try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .ffield import GF, mat_det, mat_kernel, mat_rank
+from .ffield import GF, mat_det, mat_rank
 
 
 class NonSquarePairingError(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from quivercount.ffield import (
     GF,
-    PolyExt,
     distinct_degree_factorization,
     echelon_complete,
     is_prime,
@@ -100,6 +99,47 @@ def test_extension_mul_agrees_with_table_free_path():
         a = rng.randrange(F.q)
         b = rng.randrange(F.q)
         assert F.mul(a, b) == F._mul_poly(a, b)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 4), (101, 3), (101, 4)])
+def test_extension_inverse_matches_fermat(p, k):
+    F = GF(p, k)
+    rng = random.Random(p + k)
+    for _ in range(100):
+        a = rng.randrange(1, F.q)
+        assert F.inv(a) == F.pow_(a, F.q - 2)
+        assert F.mul(a, F.inv(a)) == F.one
+
+
+def _digits(a, p, k):
+    return [a // p**i % p for i in range(k)]
+
+
+@pytest.mark.parametrize("p,k", [(101, 3), (101, 4)])
+def test_arithmetic_past_table_limit_matches_reference(p, k):
+    # reference: digit-wise sums, and digit convolution reduced by
+    # polynomial division against the modulus over GF(p)
+    F, base = GF(p, k), GF(p)
+    assert F.q > GF.TABLE_LIMIT and F._exp is None
+    rng = random.Random(k)
+    for _ in range(300):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        da, db = _digits(a, p, k), _digits(b, p, k)
+        total = sum((x + y) % p * p**i for i, (x, y) in enumerate(zip(da, db)))
+        assert F.add(a, b) == total
+        assert F.sub(total, b) == a
+        assert F.add(a, F.neg(a)) == 0
+        conv = [0] * (2 * k - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                conv[i + j] += x * y
+        rem = poly_divmod(base, poly_trim(base, [c % p for c in conv]), F.modulus)[1]
+        assert F.mul(a, b) == sum(c * p**i for i, c in enumerate(rem))
+
+
+def test_field_data_built_once_per_field():
+    assert GF(101, 2)._exp is GF(101, 2)._exp
+    assert GF(101, 4)._rows is GF(101, 4)._rows
 
 
 def test_frobenius_fixes_prime_subfield():
@@ -250,20 +290,6 @@ def test_poly_gcd_pins():
     f = poly_mul(F, (1, 1), (2, 1))
     g = poly_mul(F, (1, 1), (3, 1))
     assert poly_gcd(F, f, g) == poly_monic(F, (1, 1))
-
-
-def test_polyext_tower_axioms():
-    F = GF(5)
-    E = PolyExt(F, (3, 0, 1))  # x^2 + 3, irreducible over F_5
-    rng = random.Random(4)
-    for _ in range(40):
-        a, b, c = E.sample(rng), E.sample(rng), E.sample(rng)
-        assert E.add(a, b) == E.add(b, a)
-        assert E.mul(a, b) == E.mul(b, a)
-        assert E.mul(E.mul(a, b), c) == E.mul(a, E.mul(b, c))
-        assert E.mul(a, E.add(b, c)) == E.add(E.mul(a, b), E.mul(a, c))
-        if a != E.zero:
-            assert E.mul(a, E.inv(a)) == E.one
 
 
 def test_poly_eval_horner():

@@ -172,6 +172,22 @@ def test_sampled_count_enumerate_and_solve_agree():
     assert slow.modal == fast.modal == 2
 
 
+@pytest.mark.parametrize(
+    "seed,per_trial",
+    [
+        (0, ((0, 0, 0, 0), (1, 3, 4, 3), (0, 2, 0, 6), (1, 3, 4, 3))),
+        (1, ((3, 3, 6, 3), (1, 3, 4, 3), (1, 1, 1, 1), (0, 0, 0, 0))),
+        (2, ((2, 2, 2, 6), (1, 3, 4, 3), (2, 2, 2, 6), (0, 0, 0, 0))),
+    ],
+)
+def test_solve_path_theta4_per_trial_pins(seed, per_trial):
+    # the solve path over GF(101^j), j <= 4, runs the table-free extension
+    # arithmetic at j = 3 and 4
+    got = sampled_subrep_count(THETA4, (1, 2), (3, 3), 101, max_ext_degree=4, trials=4, seed=seed)
+    assert got.method == "solve"
+    assert got.per_trial == per_trial
+
+
 def test_sampled_count_budget_error_when_no_path_fits():
     with pytest.raises(BudgetExceededError):
         sampled_subrep_count(THETA2, (2, 2), (4, 4), 5, trials=2, seed=0, budget=100)
