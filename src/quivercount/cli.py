@@ -440,7 +440,8 @@ def _suite_oracles(args, engine):
                 InstanceSpec(Q, alpha, beta),
             )
         sampled = sampled_subrep_count(
-            Q, beta, alpha, args.q, max_ext_degree=args.ext, trials=args.trials, seed=args.seed
+            Q, beta, alpha, args.q, max_ext_degree=args.ext, trials=args.trials, seed=args.seed,
+            budget=args.oracle_budget,
         )
         gamma = tuple(a - b for a, b in zip(alpha, beta))
         rank = si_rank_oracle(Q, beta, gamma, field=GF(args.q), seed=args.seed)

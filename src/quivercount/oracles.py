@@ -9,6 +9,14 @@ basis verifier ties them together: it extracts the subrepresentations of
 one sample with explicit bases, forms the quotients, and checks that the
 evaluation matrix of the attached semi-invariants is diagonal.
 
+Enumeration walks the vertices in topological order and enumerates, at
+each, only the subspaces containing the images of what is already fixed;
+the sources are therefore enumerated in full.  W -> W^perp matches the
+beta-subrepresentations of V with the (alpha - beta)-subrepresentations
+of the dual V* on the opposite quiver, whose walk starts at the sinks of
+Q instead, so each call walks V or V*, whichever starts with fewer free
+subspaces.  Listed subrepresentations come in the order of that walk.
+
 Instances whose Grassmannian point count exceeds the enumeration budget
 are refused, with one carve-out: two-vertex instances whose source
 carries a single line admit exact counting by elimination (resultants
@@ -26,6 +34,7 @@ from .ffield import (
     GF,
     echelon_complete,
     mat_inv,
+    mat_kernel,
     mat_rref,
     mat_vec,
     poly_deg,
@@ -128,32 +137,33 @@ def _raw_point_count(Q: Quiver, alpha, beta, q: int) -> int:
     return total
 
 
-def _dfs_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
+def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
+    """One depth-first walk in topological order: at each vertex the span
+    of the incoming images is computed and only the beta-subspaces
+    containing it are enumerated.  Returns (count, listed bases, nodes),
+    where nodes counts the calls of the recursion, root and leaves
+    included."""
     F = V.field
     alpha = V.dim
     topo = Q.topo_order
-    in_arrows = [[] for _ in range(Q.nvertices)]
+    incoming: list = [[] for _ in range(Q.nvertices)]
     for a, (t, h) in enumerate(Q.arrows):
-        in_arrows[h].append(a)
+        incoming[h].append((t, V.mat(a)))
 
     bases: list = [None] * Q.nvertices
     found: list = []
-    count = 0
+    count = nodes = 0
 
     def rec(i: int) -> None:
-        nonlocal count
+        nonlocal count, nodes
+        nodes += 1
         if i == len(topo):
             count += 1
             if collect:
                 found.append(tuple(tuple(tuple(r) for r in bases[x]) for x in range(Q.nvertices)))
             return
         x = topo[i]
-        images = []
-        for a in in_arrows[x]:
-            t = Q.arrows[a][0]
-            A = V.mat(a)
-            for w in bases[t]:
-                images.append(mat_vec(F, A, list(w)))
+        images = [mat_vec(F, A, w) for t, A in incoming[x] for w in bases[t]]
         srows, pivots = _span_rows(F, images)
         if len(srows) > beta[x]:
             return
@@ -163,14 +173,45 @@ def _dfs_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
         bases[x] = None
 
     rec(0)
-    return count, found
+    return count, found, nodes
 
 
-def enumerate_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> int:
-    """Count beta-dimensional subrepresentations of the explicit V by
-    direct traversal: at each vertex (in topological order) the span of
-    the incoming images is computed and only subspaces containing it are
-    enumerated."""
+def _dfs_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
+    """Walk V from the sources of Q, or the dual V* from the sinks of Q,
+    whichever starts with fewer free subspaces; ties walk V.
+
+    W -> (W_x^perp) is a bijection from the beta-subrepresentations of V
+    to the (alpha - beta)-subrepresentations of V* (Q^op, transposed
+    matrices), so both walks count the same.  A listed dual result U is
+    mapped back to W_x = ker U_x in reduced echelon form."""
+    F = V.field
+    alpha = V.dim
+    gamma = tuple(a - b for a, b in zip(alpha, beta))
+    tails = {t for t, _ in Q.arrows}
+    heads = {h for _, h in Q.arrows}
+    f_src = f_snk = 1
+    for x in range(Q.nvertices):
+        if x not in heads:
+            f_src *= gaussian_binomial(alpha[x], beta[x], F.q)
+        if x not in tails:
+            f_snk *= gaussian_binomial(alpha[x], gamma[x], F.q)
+    if f_snk >= f_src:
+        return _walk_subreps(Q, V, beta, collect)
+    D = V.dual()
+    count, found, nodes = _walk_subreps(D.quiver, D, gamma, collect)
+    subs = [
+        tuple(
+            tuple(tuple(r) for r in _span_rows(F, mat_kernel(F, U, alpha[x]))[0])
+            for x, U in enumerate(sub)
+        )
+        for sub in found
+    ]
+    return count, subs, nodes
+
+
+def _enumerate(Q: Quiver, V: FFRep, beta, budget: int, collect: bool):
+    """Input checks and budget gate shared by enumerate_subreps and
+    list_subreps, then the walk."""
     beta = check_dimvector(Q, beta)
     alpha = V.dim
     if any(b > a for b, a in zip(beta, alpha)):
@@ -178,20 +219,37 @@ def enumerate_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> int:
     points = _raw_point_count(Q, alpha, beta, V.field.q)
     if points > budget:
         raise BudgetExceededError(points, budget)
-    return _dfs_subreps(Q, V, beta, collect=False)[0]
+    return _dfs_subreps(Q, V, beta, collect)
+
+
+def enumerate_subreps(
+    Q: Quiver, V: FFRep, beta, budget: int = 10**7, stats: dict | None = None
+) -> int:
+    """Count beta-dimensional subrepresentations of the explicit V by
+    direct traversal: at each vertex (in topological order) the span of
+    the incoming images is computed and only subspaces containing it are
+    enumerated.
+
+    The walk runs on V from the sources of Q, or on the dual V* from the
+    sinks of Q, whichever has fewer free subspaces at its start (the
+    product of the Gaussian binomials at those vertices; ties walk V).
+    Subrepresentations of V and (alpha - beta)-subrepresentations of V*
+    correspond one to one, so the count is the same either way.  When
+    stats is given, stats['nodes'] is increased by the nodes visited."""
+    count, _, nodes = _enumerate(Q, V, beta, budget, collect=False)
+    if stats is not None:
+        stats["nodes"] = stats.get("nodes", 0) + nodes
+    return count
 
 
 def list_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> tuple:
     """Like enumerate_subreps but returns the subrepresentations themselves
-    as tuples of per-vertex row bases, in traversal order."""
-    beta = check_dimvector(Q, beta)
-    alpha = V.dim
-    if any(b > a for b, a in zip(beta, alpha)):
-        raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
-    points = _raw_point_count(Q, alpha, beta, V.field.q)
-    if points > budget:
-        raise BudgetExceededError(points, budget)
-    return tuple(_dfs_subreps(Q, V, beta, collect=True)[1])
+    as tuples of per-vertex row bases.  The walk is chosen as in
+    enumerate_subreps (V from the sources, or V* from the sinks when that
+    starts with fewer free subspaces), and the list comes in its order;
+    after a dual walk each basis is the kernel of the dual subspace, in
+    reduced echelon form."""
+    return tuple(_enumerate(Q, V, beta, budget, collect=True)[1])
 
 
 # -- elimination fast path -----------------------------------------------------
@@ -545,6 +603,7 @@ class SubrepCount:
     degenerate: int
     modal: int | None
     inconclusive: bool
+    nodes: int = 0  # enumeration nodes over all trials and extensions; 0 when solving
 
     @property
     def count(self) -> int | None:
@@ -586,16 +645,17 @@ def sampled_subrep_count(
     base = GF(q)  # validates primality
 
     points = _raw_point_count(Q, alpha, beta, q**max_ext_degree)
+    kf = _kronecker_form(Q, beta, alpha)
     if points <= budget:
         method = "enumerate"
+    elif kf is None:
+        raise BudgetExceededError(points, budget)
     else:
-        kf = _kronecker_form(Q, beta, alpha)
-        if kf is None:
-            raise BudgetExceededError(points, budget)
         method = "solve"
 
     fields = {j: GF(q, j) for j in range(1, max_ext_degree + 1)}
     fields[1] = base
+    stats = {"nodes": 0}
     per_trial = []
     for i in range(trials):
         V1 = random_rep(Q, alpha, base, seed * 1000003 + i)
@@ -605,10 +665,9 @@ def sampled_subrep_count(
             Vj = FFRep(Q, Fj, alpha, V1.mats)
             try:
                 if method == "enumerate":
-                    counts.append(enumerate_subreps(Q, Vj, beta, budget))
+                    counts.append(enumerate_subreps(Q, Vj, beta, budget, stats))
                 else:
-                    src, tgt = _kronecker_form(Q, beta, alpha)
-                    counts.append(_kronecker_count(Q, Vj, beta, src, tgt))
+                    counts.append(_kronecker_count(Q, Vj, beta, *kf))
             except DegenerateSampleError:
                 counts.append(None)
         per_trial.append(tuple(counts))
@@ -641,6 +700,7 @@ def sampled_subrep_count(
         degenerate=degenerate,
         modal=modal,
         inconclusive=inconclusive,
+        nodes=stats["nodes"],
     )
 
 

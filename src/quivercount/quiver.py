@@ -121,6 +121,20 @@ class FFRep:
     def mat(self, arrow: int) -> list[list[int]]:
         return [list(row) for row in self.mats[arrow]]
 
+    def dual(self) -> FFRep:
+        """The dual representation V* on the opposite quiver: arrow i keeps
+        its index, runs from ha to ta and carries the transpose of V(i).
+
+        Transposes are built by index, so an arrow into a zero-dimensional
+        vertex (no rows) becomes dim[ta] empty rows."""
+        Q = self.quiver
+        op = Quiver(Q.nvertices, tuple((h, t) for t, h in Q.arrows))
+        mats = tuple(
+            tuple(tuple(m[r][c] for r in range(self.dim[h])) for c in range(self.dim[t]))
+            for m, (t, h) in zip(self.mats, Q.arrows)
+        )
+        return FFRep(op, self.field, self.dim, mats)
+
 
 def random_rep(Q: Quiver, dim, field: GF, seed: int) -> FFRep:
     """Uniformly random representation from a seeded generator.

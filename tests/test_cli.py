@@ -314,6 +314,15 @@ def test_exit_budget_when_enumeration_starved(tmp_path):
     assert "budget" in err
 
 
+def test_verify_oracles_enumerates_up_to_the_oracle_budget():
+    # theta(2) (2,0)/(4,1) is drawn at seed 0 with 820,614,822 points:
+    # admitted by --oracle-budget, so the sampler must use the same budget
+    code, out, _ = run_cli(["verify", "--oracles", "--count", "6", "--oracle-budget", "1000000000"])
+    assert code == 0
+    assert "beta=(2, 0) alpha=(4, 1)  N=1 M=1  modal=1 rank=1" in out
+    assert "failures = 0" in out
+
+
 def test_version_and_help_exit_zero():
     assert run_cli(["--help"])[0] == 0
     code, out, err = run_cli(["--version"])

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from quivercount.ffield import GF
+from quivercount.ffield import GF, mat_rank, mat_rref, mat_vec
 from quivercount.oracles import (
     BudgetExceededError,
     DegenerateSampleError,
     _kronecker_count,
     _kronecker_form,
+    _raw_point_count,
+    _walk_subreps,
     enumerate_subreps,
     gaussian_binomial,
     list_subreps,
@@ -84,6 +86,89 @@ def test_listed_subreps_are_closed_under_arrows():
                     img = mat_vec(F5, A, list(row))
                     stacked = [list(r) for r in bases[h]] + [img]
                     assert mat_rank(F5, stacked) == len(bases[h])
+
+
+def _random_acyclic_instance(rng, F):
+    """Up to four vertices in a shuffled order, arrows going forward in
+    it, dimensions 0..3, a random beta inside alpha and at most 20,000
+    subspace tuples."""
+    while True:
+        n = rng.randint(1, 4)
+        order = list(range(n))
+        rng.shuffle(order)
+        arrows = []
+        for _ in range(rng.randint(0, 5) if n > 1 else 0):
+            i, j = sorted(rng.sample(range(n), 2))
+            arrows.append((order[i], order[j]))
+        Q = Quiver(n, tuple(arrows))
+        alpha = tuple(rng.randint(0, 3) for _ in range(n))
+        beta = tuple(rng.randint(0, a) for a in alpha)
+        if _raw_point_count(Q, alpha, beta, F.q) <= 20000:
+            return Q, random_rep(Q, alpha, F, rng.randrange(1 << 30)), beta
+
+
+def _reduced(sub):
+    """Per-vertex reduced echelon form of a listed tuple of bases."""
+    return tuple(tuple(map(tuple, mat_rref(F5, [list(r) for r in b])[0])) for b in sub)
+
+
+def _assert_closed(Q, V, sub):
+    for i, (t, h) in enumerate(Q.arrows):
+        A = V.mat(i)
+        for row in sub[t]:
+            stacked = [list(r) for r in sub[h]] + [mat_vec(V.field, A, list(row))]
+            assert mat_rank(V.field, stacked) == len(sub[h])
+
+
+@pytest.mark.parametrize("F", [F5, GF(3, 2)], ids=["F5", "GF9"])
+def test_dual_walk_counts_match_forward_walk(F):
+    # both directions run explicitly, whichever one the rule would pick
+    rng = random.Random(11)
+    nontrivial = 0
+    for _ in range(60):
+        Q, V, beta = _random_acyclic_instance(rng, F)
+        gamma = tuple(a - b for a, b in zip(V.dim, beta))
+        D = V.dual()
+        forward = _walk_subreps(Q, V, beta, False)[0]
+        assert forward == _walk_subreps(D.quiver, D, gamma, False)[0], (Q.arrows, V.dim, beta)
+        assert forward == enumerate_subreps(Q, V, beta)
+        nontrivial += forward > 1
+    assert nontrivial >= 10
+
+
+def test_dual_walk_lists_the_forward_subreps():
+    # theta(2) (1,0)/(3,1): the sink is fixed, so the rule walks V*
+    Q, beta = THETA2, (1, 0)
+    for seed in range(4):
+        V = random_rep(Q, (3, 1), F5, seed)
+        stats = {}
+        listed = list_subreps(Q, V, beta)
+        assert len(listed) == enumerate_subreps(Q, V, beta, stats=stats)
+        count, forward, forward_nodes = _walk_subreps(Q, V, beta, True)
+        assert stats["nodes"] < forward_nodes  # the dual walk ran
+        assert set(listed) == set(forward) and count == len(listed)
+        for sub in listed:
+            assert sub == _reduced(sub)
+            _assert_closed(Q, V, sub)
+    # random instances, zero-dimensional vertices included: same tuples up
+    # to the choice of basis, every one closed under the arrows
+    rng = random.Random(12)
+    for _ in range(40):
+        Q, V, beta = _random_acyclic_instance(rng, F5)
+        listed = list_subreps(Q, V, beta)
+        forward = _walk_subreps(Q, V, beta, True)[1]
+        assert sorted(map(_reduced, listed)) == sorted(map(_reduced, forward))
+        for sub in listed:
+            _assert_closed(Q, V, sub)
+
+
+def test_sampled_count_reports_nodes():
+    got = sampled_subrep_count(THETA2, (1, 0), (3, 1), 13, max_ext_degree=2, trials=3, seed=0)
+    assert got.method == "enumerate"
+    assert got.modal == 1
+    assert 0 < got.nodes <= 50
+    solved = sampled_subrep_count(THETA2, (1, 1), (2, 2), 13, max_ext_degree=1, trials=2, seed=0, budget=10)
+    assert solved.method == "solve" and solved.nodes == 0
 
 
 def test_budget_gate_names_the_point_count():

@@ -108,6 +108,22 @@ def test_ffrep_shape_validation():
         FFRep(A2, F, (2, 2), ())
 
 
+def test_dual_transposes_onto_the_opposite_quiver():
+    F = GF(5)
+    V = random_rep(Quiver(3, ((0, 1), (0, 1), (1, 2))), (2, 3, 1), F, 4)
+    D = V.dual()
+    assert D.quiver.arrows == ((1, 0), (1, 0), (2, 1))
+    assert D.dim == V.dim
+    for i in range(3):
+        assert D.mats[i] == tuple(zip(*V.mats[i]))
+    assert D.dual() == V
+    # an arrow into a zero-dimensional vertex has no rows; its transpose
+    # still has one (empty) row per dimension of the tail
+    Z = FFRep(A2, F, (2, 0), ((),))
+    assert Z.dual().mats == (((), ()),)
+    assert Z.dual().dual() == Z
+
+
 def test_dvw_block_structure_single_arrow():
     # for A2 with dims (1,1) the map sends f = (f_0, f_1) to w f_0 - f_1 v,
     # so the matrix row holds w and -v in the two f-coordinate columns
