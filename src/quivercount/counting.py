@@ -12,7 +12,8 @@ The sum is never enumerated labeling by labeling.  One frontier DP
 (_labeled_sum) folds the arrows in turn into a map from per-vertex
 partial Schur shapes to coefficients, so labelings that reach the same
 shapes merge.  A vertex closes after its last arrow; for N and M its
-shape must then equal its target.  The fiber class runs the same DP with
+shape must then equal its target, so the closing arrow takes its one
+label by lookup, not by a scan.  The fiber class runs the same DP with
 <beta, gamma> boxes of slack: a closed vertex may fall short of its
 rectangle, and the missing boxes (the complement of its shape) key the
 decomposition of the locus of subrepresentations by cohomology class.
@@ -20,11 +21,12 @@ decomposition of the locus of subrepresentations by cohomology class.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from functools import cache
 
-from .lr import LREngine, rectangle_partition
+from .lr import LREngine
 from .partitions import Rectangle, complement, conjugate, fits, partition, partitions_in_rectangle, size
 from .quiver import Quiver, check_dimvector, euler_form
 
@@ -92,27 +94,55 @@ def _label_table(rect: Rectangle, conjugated: bool) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
+@cache
+def _label_index(rect: Rectangle, conjugated: bool) -> tuple[dict, dict]:
+    """Maps from tail factor and from head factor to the row index in
+    `_label_table(rect, conjugated)`; both are one-to-one."""
+    table = _label_table(rect, conjugated)
+    return {row[1]: i for i, row in enumerate(table)}, {row[2]: i for i, row in enumerate(table)}
+
+
+def _complement_in(lam: tuple[int, ...], bound: tuple[int, ...]) -> tuple[int, ...]:
+    """Complement of lam inside the full rectangle `bound` (a partition),
+    for a lam that fits; `complement` without its checks."""
+    if not bound:
+        return ()
+    cols = bound[0]
+    return bound[len(lam):] + tuple(cols - p for p in reversed(lam) if p < cols)
+
+
 def _greedy_arrow_order(Q: Quiver, rect_sizes: list[int]) -> list[int]:
     # prefer arrows that finish off a vertex (so its shape is checked
-    # early), then arrows with fewer candidate partitions
+    # early), then arrows with fewer candidate partitions.  A key only
+    # falls, when an endpoint gets down to its last open arrow; the fresh
+    # key pushed then pops before the stale one, which is skipped.
     remaining = [0] * Q.nvertices
-    for t, h in Q.arrows:
+    open_sum = [0] * Q.nvertices  # sum of the indices of a vertex's open arrows
+    for a, (t, h) in enumerate(Q.arrows):
         remaining[t] += 1
         remaining[h] += 1
-    left = set(range(len(Q.arrows)))
-    order = []
-    while left:
-        def key(a: int):
-            t, h = Q.arrows[a]
-            completes = (remaining[t] == 1) + (remaining[h] == 1)
-            return (-completes, rect_sizes[a], a)
+        open_sum[t] += a
+        open_sum[h] += a
 
-        best = min(left, key=key)
-        left.remove(best)
+    def key(a: int):
+        t, h = Q.arrows[a]
+        return (-((remaining[t] == 1) + (remaining[h] == 1)), rect_sizes[a], a)
+
+    heap = [key(a) for a in range(len(Q.arrows))]
+    heapq.heapify(heap)
+    done = [False] * len(Q.arrows)
+    order = []
+    while heap:
+        best = heapq.heappop(heap)[2]
+        if done[best]:
+            continue
+        done[best] = True
         order.append(best)
-        t, h = Q.arrows[best]
-        remaining[t] -= 1
-        remaining[h] -= 1
+        for x in Q.arrows[best]:
+            remaining[x] -= 1
+            open_sum[x] -= best
+            if remaining[x] == 1:
+                heapq.heappush(heap, key(open_sum[x]))  # x's last open arrow
     return order
 
 
@@ -137,7 +167,11 @@ def _labeled_sum(
     to a coefficient.  A vertex falls short of its target by the boxes
     that its unprocessed arrows can no longer supply; states whose
     shortfalls add up to more than `slack` are dropped.  With slack 0
-    every vertex closes on its target after its last arrow.
+    every vertex closes on its target after its last arrow.  Since
+    c^R_{lam,mu} is 1 for mu the complement of lam in the rectangle R and
+    0 otherwise, an arrow that closes a vertex takes its one label by
+    lookup: the label whose factor there is the complement of the
+    vertex's current shape.
 
     With `collect`, each arrow's label index joins the key, so labelings
     never merge and every final state is one nonzero summand.
@@ -147,44 +181,60 @@ def _labeled_sum(
     order; coefficients are positive.
     """
     n = Q.nvertices
-    bounds = [
-        rectangle_partition(Rectangle(gamma[x], beta[x]) if conjugated else Rectangle(beta[x], gamma[x]))
-        for x in range(n)
-    ]
-    full = [beta[x] * gamma[x] for x in range(n)]
-    tables = [_label_table(Rectangle(beta[t], gamma[h]), conjugated) for t, h in Q.arrows]
+    rows, cols = (gamma, beta) if conjugated else (beta, gamma)
+    bounds = [(c,) * r if c else () for r, c in zip(rows, cols)]  # full r x c rectangles
+    full = [r * c for r, c in zip(rows, cols)]
+    arrow_rects = [Rectangle(beta[t], gamma[h]) for t, h in Q.arrows]
+    tables = [_label_table(r, conjugated) for r in arrow_rects]
     left = [0] * n  # boxes the unprocessed arrows can still bring to each vertex
     for t, h in Q.arrows:
         left[t] += beta[t] * gamma[h]
         left[h] += beta[t] * gamma[h]
 
     shapes = tuple(start) if start else ((),) * n
-    if sum(max(0, full[x] - size(shapes[x]) - left[x]) for x in range(n)) > slack:
+    if sum(max(0, f - sum(s) - l) for f, s, l in zip(full, shapes, left)) > slack:
         return {}, 0
     # when collecting, slot n + a of the key holds arrow a's label index
     state = {shapes + (None,) * len(Q.arrows) if collect else shapes: 1}
     created = 1
     for a in _greedy_arrow_order(Q, [len(tab) for tab in tables]):
         t, h = Q.arrows[a]
+        table = tables[a]
         cap = beta[t] * gamma[h]
         left[t] -= cap
         left[h] -= cap
         need_t, need_h = full[t] - left[t], full[h] - left[h]
         # without slack every state's other vertices have no shortfall
         others = [x for x in range(n) if x != t and x != h] if slack else ()
+        # without slack a vertex closes on its bound R after its last arrow,
+        # and c^R_{lam,mu} is 1 for mu the complement of lam in R, else 0
+        close_t, close_h = not (slack or left[t]), not (slack or left[h])
+        if close_t or close_h:
+            by_tail, by_head = _label_index(arrow_rects[a], conjugated)
         nxt: dict[tuple, int] = {}
         for key, coeff in state.items():
             cur_t, cur_h = key[t], key[h]
-            st, sh = size(cur_t), size(cur_h)
-            spare = slack - sum(max(0, full[x] - size(key[x]) - left[x]) for x in others)
-            for i, (_, ft, fh, s) in enumerate(tables[a]):
+            if close_t or close_h:
+                # the one label whose factor completes a closing vertex;
+                # when both ends close, the two lookups must agree
+                i = by_tail.get(_complement_in(cur_t, bounds[t])) if close_t else None
+                if close_h:
+                    j = by_head.get(_complement_in(cur_h, bounds[h]))
+                    i = j if not close_t or i == j else None
+                candidates = () if i is None else (i,)
+            else:
+                candidates = range(len(table))
+            st, sh = sum(cur_t), sum(cur_h)
+            spare = slack - sum(max(0, full[x] - sum(key[x]) - left[x]) for x in others) if slack else 0
+            for i in candidates:
+                _, ft, fh, s = table[i]
                 nt, nh = st + s, sh + cap - s
                 if nt > full[t] or nh > full[h]:
                     continue
                 if max(0, need_t - nt) + max(0, need_h - nh) > spare:
                     continue
-                for nu_t, c_t in engine.expand(cur_t, ft, bounds[t]):
-                    for nu_h, c_h in engine.expand(cur_h, fh, bounds[h]):
+                for nu_t, c_t in ((bounds[t], 1),) if close_t else engine.expand(cur_t, ft, bounds[t]):
+                    for nu_h, c_h in ((bounds[h], 1),) if close_h else engine.expand(cur_h, fh, bounds[h]):
                         k = list(key)
                         k[t] = nu_t
                         k[h] = nu_h

@@ -588,19 +588,6 @@ def poly_gcd(F, f: tuple, g: tuple) -> tuple:
     return poly_monic(F, f)
 
 
-def poly_extgcd(F, f: tuple, g: tuple) -> tuple[tuple, tuple, tuple]:
-    """(d, s, t) with s f + t g = d; d is not normalized to monic."""
-    r0, r1 = f, g
-    s0, s1 = (F.one,), ()
-    t0, t1 = (), (F.one,)
-    while r1:
-        q, r = poly_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(F, s0, poly_mul(F, q, s1))
-        t0, t1 = t1, poly_sub(F, t0, poly_mul(F, q, t1))
-    return r0, s0, t0
-
-
 def poly_eval(F, f: tuple, x):
     out = F.zero
     for c in reversed(f):

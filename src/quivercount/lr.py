@@ -5,10 +5,8 @@ iterated tensor multiplicities of Schur functors with containment pruning,
 and products of Schubert classes truncated to a rectangle.  All counts are
 plain Python ints (arbitrary precision).
 
-Memoization tables live on an engine instance, not in module globals.
-Instances may be shared between threads: under CPython the tables are
-plain dicts updated atomically, so concurrent read-compute is safe (the
-worst case is duplicated work, never a wrong value).
+Memoization tables live on an engine instance, not in module globals:
+callers that pass one engine share its tables, and nothing else does.
 """
 
 from __future__ import annotations

@@ -160,7 +160,8 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
         if i == len(topo):
             count += 1
             if collect:
-                found.append(tuple(tuple(tuple(r) for r in bases[x]) for x in range(Q.nvertices)))
+                # _lift_bases leaves span-row entries in the quotient's pivot columns
+                found.append(tuple(tuple(tuple(r) for r in _span_rows(F, bases[x])[0]) for x in range(Q.nvertices)))
             return
         x = topo[i]
         images = [mat_vec(F, A, w) for t, A in incoming[x] for w in bases[t]]
@@ -246,9 +247,9 @@ def list_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> tuple:
     """Like enumerate_subreps but returns the subrepresentations themselves
     as tuples of per-vertex row bases.  The walk is chosen as in
     enumerate_subreps (V from the sources, or V* from the sinks when that
-    starts with fewer free subspaces), and the list comes in its order;
-    after a dual walk each basis is the kernel of the dual subspace, in
-    reduced echelon form."""
+    starts with fewer free subspaces), and the list comes in its order.
+    Every basis is in reduced echelon form, whichever way the walk ran;
+    after a dual walk it is that of the kernel of the dual subspace."""
     return tuple(_enumerate(Q, V, beta, budget, collect=True)[1])
 
 

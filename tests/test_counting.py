@@ -7,6 +7,7 @@ import pytest
 from quivercount.counting import (
     NegativePairingError,
     NonzeroPairingError,
+    _greedy_arrow_order,
     count_subreps,
     count_subreps_detailed,
     fiber_class,
@@ -152,6 +153,60 @@ def test_m_examines_the_same_labelings_as_n(engine):
         _, n_tried, _ = count_subreps_detailed(Q, beta, alpha, engine=engine)
         _, m_tried, _ = si_dimension_detailed(Q, beta, alpha, engine=engine)
         assert n_tried == m_tried
+
+
+def test_state_totals_on_a_seeded_pool(engine):
+    # a closing arrow takes its label by lookup; it must create exactly the
+    # states that scanning every label of the arrow's table creates
+    totals = [0, 0, 0, 0]
+    for seed in range(300):
+        Q, beta, alpha = random_instance(random.Random(seed), max_verts=5, max_arrows=6, min_arrows=2)
+        n, n_states, _ = count_subreps_detailed(Q, beta, alpha, engine=engine)
+        m, m_states, _ = si_dimension_detailed(Q, beta, alpha, engine=engine)
+        for i, v in enumerate((n, m, n_states, m_states)):
+            totals[i] += v
+    assert totals == [516, 516, 1470, 1470]
+
+
+def _quadratic_arrow_order(Q, rect_sizes):
+    """Reference greedy: repeatedly take the open arrow of least
+    (-(vertices it completes), rectangle size, index), by a full scan."""
+    remaining = [0] * Q.nvertices
+    for t, h in Q.arrows:
+        remaining[t] += 1
+        remaining[h] += 1
+    left = set(range(len(Q.arrows)))
+    order = []
+    while left:
+        def key(a):
+            t, h = Q.arrows[a]
+            return (-((remaining[t] == 1) + (remaining[h] == 1)), rect_sizes[a], a)
+
+        best = min(left, key=key)
+        left.remove(best)
+        order.append(best)
+        t, h = Q.arrows[best]
+        remaining[t] -= 1
+        remaining[h] -= 1
+    return order
+
+
+def test_arrow_order_matches_quadratic_greedy():
+    rng = random.Random(6)
+    parallel = 0
+    for _ in range(2000):
+        nv = rng.randint(2, 12)
+        arrows = []
+        for _ in range(rng.randint(0, 25)):
+            if arrows and rng.random() < 0.25:
+                arrows.append(rng.choice(arrows))
+            else:
+                arrows.append(tuple(sorted(rng.sample(range(nv), 2))))
+        parallel += len(set(arrows)) < len(arrows)
+        Q = Quiver(nv, tuple(arrows))
+        sizes = [rng.randint(1, 8) for _ in arrows]
+        assert _greedy_arrow_order(Q, sizes) == _quadratic_arrow_order(Q, sizes), (nv, arrows, sizes)
+    assert parallel >= 1000
 
 
 def test_random_instances_agree(engine):

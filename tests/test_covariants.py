@@ -151,3 +151,21 @@ def test_off_class_mu_counts_zero(engine):
     assert fc2.coefficient(absent) == 0
     assert covariant_count(Q2, beta2, alpha2, absent, engine) == 0
     assert covariant_multiplicity(Q2, beta2, alpha2, absent, engine) == 0
+
+
+@pytest.mark.parametrize(
+    "arrows, beta, alpha, mu, expected",
+    [
+        (((0, 1), (0, 1)), (1, 1), (4, 2), ((2,), ()), 2),
+        (((0, 1), (0, 1), (0, 1)), (2, 2), (5, 3), ((1,), (1,)), 3),
+        (((0, 2), (0, 2), (0, 2)), (3, 3, 2), (6, 3, 3), ((1,), (), (1,)), 3),
+        (((1, 2), (0, 2), (0, 2)), (1, 3, 1), (4, 6, 3), ((), (1, 1, 1), (1,)), 2),
+        (((0, 2), (0, 2), (1, 2), (1, 2)), (2, 2, 1), (4, 5, 2), ((), (2, 1), ()), 2),
+        (((0, 1), (0, 1), (0, 1)), (1, 2), (4, 4), ((), (1,)), 8),
+    ],
+)
+def test_multiplicity_from_nonempty_start_shapes(engine, arrows, beta, alpha, mu, expected):
+    # vertex x starts at mu(x)', so a closing arrow must complete that shape
+    Q = Quiver(max(max(a) for a in arrows) + 1, arrows)
+    assert covariant_multiplicity(Q, beta, alpha, mu, engine) == expected
+    assert covariant_count(Q, beta, alpha, mu, engine) == expected

@@ -162,6 +162,27 @@ def test_dual_walk_lists_the_forward_subreps():
             _assert_closed(Q, V, sub)
 
 
+def test_listed_bases_are_reduced_after_either_walk():
+    # A2 (1,3)/(1,2) walks forward and lifts the image line to planes;
+    # theta(2) (1,0)/(3,1) walks the dual
+    A2 = Quiver(2, ((0, 1),))
+    cases = [(A2, random_rep(A2, (1, 3), F5, 0), (1, 2)), (THETA2, random_rep(THETA2, (3, 1), F5, 0), (1, 0))]
+    rng = random.Random(12)
+    cases += [_random_acyclic_instance(rng, F5) for _ in range(40)]
+    walked = {"forward": 0, "dual": 0}
+    for Q, V, beta in cases:
+        gamma = tuple(a - b for a, b in zip(V.dim, beta))
+        forward_nodes = _walk_subreps(Q, V, beta, False)[2]
+        dual_nodes = _walk_subreps(V.dual().quiver, V.dual(), gamma, False)[2]
+        stats = {}
+        enumerate_subreps(Q, V, beta, stats=stats)
+        if forward_nodes != dual_nodes:
+            walked["forward" if stats["nodes"] == forward_nodes else "dual"] += 1
+        for sub in list_subreps(Q, V, beta):
+            assert sub == _reduced(sub), (Q.arrows, V.dim, beta, sub)
+    assert walked["forward"] >= 5 and walked["dual"] >= 5, walked
+
+
 def test_sampled_count_reports_nodes():
     got = sampled_subrep_count(THETA2, (1, 0), (3, 1), 13, max_ext_degree=2, trials=3, seed=0)
     assert got.method == "enumerate"
