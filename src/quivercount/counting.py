@@ -11,10 +11,14 @@ and factors they feed to the shared LR kernel and summation loop.
 The sum is never enumerated labeling by labeling.  One frontier DP
 (_labeled_sum) folds the arrows in turn into a map from per-vertex
 partial Schur shapes to coefficients, so labelings that reach the same
-shapes merge.  A vertex closes after its last arrow; for N and M its
-shape must then equal its target, so the closing arrow takes its one
-label by lookup, not by a scan.  The fiber class runs the same DP with
-<beta, gamma> boxes of slack: a closed vertex may fall short of its
+shapes merge.  What does not depend on the side, the arrow order and the
+boxes each arrow brings, is planned once per instance (_plan), and N
+and M fold the same plan.  An arrow with no boxes (beta(t) gamma(h) = 0)
+has only the empty label, so its step does no work.  A vertex closes
+after its last arrow; for N and M its shape must then equal its target,
+so the closing arrow takes its one label by a lookup keyed by the
+vertex's current shape, not by a scan.  The fiber class runs the same DP
+with <beta, gamma> boxes of slack: a closed vertex may fall short of its
 rectangle, and the missing boxes (the complement of its shape) key the
 decomposition of the locus of subrepresentations by cohomology class.
 """
@@ -25,6 +29,8 @@ import heapq
 import random
 from dataclasses import dataclass
 from functools import cache
+from math import comb
+from typing import NamedTuple
 
 from .lr import LREngine
 from .partitions import Rectangle, complement, conjugate, fits, partition, partitions_in_rectangle, size
@@ -57,7 +63,9 @@ def _check_instance(Q: Quiver, beta, alpha):
     gamma = tuple(a - b for a, b in zip(alpha, beta))
     if any(g < 0 for g in gamma):
         raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
-    return beta, alpha, gamma, euler_form(Q, beta, gamma)
+    # the Euler form, on tuples already checked
+    pairing = sum(b * g for b, g in zip(beta, gamma)) - sum(beta[t] * gamma[h] for t, h in Q.arrows)
+    return beta, alpha, gamma, pairing
 
 
 def _check_counting_pre(Q: Quiver, beta, alpha):
@@ -95,20 +103,17 @@ def _label_table(rect: Rectangle, conjugated: bool) -> tuple[tuple, ...]:
 
 
 @cache
-def _label_index(rect: Rectangle, conjugated: bool) -> tuple[dict, dict]:
-    """Maps from tail factor and from head factor to the row index in
-    `_label_table(rect, conjugated)`; both are one-to-one."""
+def _closing_labels(rect: Rectangle, conjugated: bool, side: int, bound: tuple[int, ...]) -> dict:
+    """Map from the shape of a vertex that closes on the full rectangle
+    `bound` to the index, in `_label_table(rect, conjugated)`, of the one
+    label whose factor there (column `side`: 1 tail, 2 head) completes it.
+
+    c^R_{lam,mu} is 1 for mu the complement of lam in the rectangle R and
+    0 otherwise, so the map is one-to-one; a shape with no entry closes
+    with no label."""
+    R = Rectangle(len(bound), bound[0] if bound else 0)
     table = _label_table(rect, conjugated)
-    return {row[1]: i for i, row in enumerate(table)}, {row[2]: i for i, row in enumerate(table)}
-
-
-def _complement_in(lam: tuple[int, ...], bound: tuple[int, ...]) -> tuple[int, ...]:
-    """Complement of lam inside the full rectangle `bound` (a partition),
-    for a lam that fits; `complement` without its checks."""
-    if not bound:
-        return ()
-    cols = bound[0]
-    return bound[len(lam):] + tuple(cols - p for p in reversed(lam) if p < cols)
+    return {complement(row[side], R): i for i, row in enumerate(table) if fits(row[side], R)}
 
 
 def _greedy_arrow_order(Q: Quiver, rect_sizes: list[int]) -> list[int]:
@@ -146,10 +151,43 @@ def _greedy_arrow_order(Q: Quiver, rect_sizes: list[int]) -> list[int]:
     return order
 
 
+class _Plan(NamedTuple):
+    """The part of the frontier DP that N, M and the fiber class share.
+
+    `steps` lists the arrows in fold order as (a, t, h, cap, left[t]
+    after, left[h] after, rectangle), where cap = beta(t) gamma(h) is the
+    number of boxes arrow a brings to each end and left[x] counts the
+    boxes that the arrows not yet folded can still bring to vertex x."""
+
+    beta: tuple[int, ...]
+    gamma: tuple[int, ...]
+    full: tuple[int, ...]  # beta(x) gamma(x), the boxes of vertex x's target
+    left: tuple[int, ...]  # left[x] before the first arrow
+    steps: tuple[tuple, ...]
+
+
+def _plan(Q: Quiver, beta, gamma) -> _Plan:
+    """Plan the fold of a checked instance.  The arrow order depends only
+    on the label counts binom(beta(t) + gamma(h), beta(t)), which are the
+    same on both sides, so one plan serves both routes."""
+    caps = [beta[t] * gamma[h] for t, h in Q.arrows]
+    left = [0] * Q.nvertices
+    for (t, h), cap in zip(Q.arrows, caps):
+        left[t] += cap
+        left[h] += cap
+    before = tuple(left)
+    steps = []
+    for a in _greedy_arrow_order(Q, [comb(beta[t] + gamma[h], beta[t]) for t, h in Q.arrows]):
+        t, h = Q.arrows[a]
+        left[t] -= caps[a]
+        left[h] -= caps[a]
+        steps.append((a, t, h, caps[a], left[t], left[h], Rectangle(beta[t], gamma[h])))
+    full = tuple(b * g for b, g in zip(beta, gamma))
+    return _Plan(beta, gamma, full, before, tuple(steps))
+
+
 def _labeled_sum(
-    Q: Quiver,
-    beta,
-    gamma,
+    plan: _Plan,
     engine: LREngine,
     conjugated: bool = False,
     start=None,
@@ -157,7 +195,7 @@ def _labeled_sum(
     collect: bool = False,
 ) -> tuple[dict[tuple, int], int]:
     """Sum over arrow labelings of the product of per-vertex multiplicities,
-    folded one arrow at a time.
+    folded one arrow at a time in the order of `plan`.
 
     Vertex x multiplies the factors its arrows hand it into a Schur shape
     inside its target, the full gamma(x)^beta(x) rectangle, or its
@@ -166,12 +204,15 @@ def _labeled_sum(
     all shapes start empty.  A state maps the tuple of per-vertex shapes
     to a coefficient.  A vertex falls short of its target by the boxes
     that its unprocessed arrows can no longer supply; states whose
-    shortfalls add up to more than `slack` are dropped.  With slack 0
-    every vertex closes on its target after its last arrow.  Since
-    c^R_{lam,mu} is 1 for mu the complement of lam in the rectangle R and
-    0 otherwise, an arrow that closes a vertex takes its one label by
-    lookup: the label whose factor there is the complement of the
-    vertex's current shape.
+    shortfalls add up to more than `slack` are dropped.
+
+    An arrow with cap 0 has the empty label only, which changes no
+    shape, so its step does no work.  With slack 0 every vertex closes on
+    its target after its last arrow, and c^R_{lam,mu} is 1 for mu the
+    complement of lam in the rectangle R and 0 otherwise: an arrow that
+    closes a vertex looks its one label up by the vertex's current shape
+    (`_closing_labels`), and the closed vertex takes its target with no
+    `expand`.
 
     With `collect`, each arrow's label index joins the key, so labelings
     never merge and every final state is one nonzero summand.
@@ -180,46 +221,45 @@ def _labeled_sum(
     shape tuples, followed when collecting by the label indices in arrow
     order; coefficients are positive.
     """
-    n = Q.nvertices
-    rows, cols = (gamma, beta) if conjugated else (beta, gamma)
+    n = len(plan.beta)
+    rows, cols = (plan.gamma, plan.beta) if conjugated else (plan.beta, plan.gamma)
     bounds = [(c,) * r if c else () for r, c in zip(rows, cols)]  # full r x c rectangles
-    full = [r * c for r, c in zip(rows, cols)]
-    arrow_rects = [Rectangle(beta[t], gamma[h]) for t, h in Q.arrows]
-    tables = [_label_table(r, conjugated) for r in arrow_rects]
-    left = [0] * n  # boxes the unprocessed arrows can still bring to each vertex
-    for t, h in Q.arrows:
-        left[t] += beta[t] * gamma[h]
-        left[h] += beta[t] * gamma[h]
+    full = plan.full
+    left = list(plan.left)
 
     shapes = tuple(start) if start else ((),) * n
     if sum(max(0, f - sum(s) - l) for f, s, l in zip(full, shapes, left)) > slack:
         return {}, 0
-    # when collecting, slot n + a of the key holds arrow a's label index
-    state = {shapes + (None,) * len(Q.arrows) if collect else shapes: 1}
+    if collect:
+        # slot n + a of the key holds arrow a's label index (sorted, the
+        # steps are in arrow order); an arrow with cap 0 is never folded
+        # in, and its one label is at index 0
+        shapes += tuple(None if cap else 0 for _, _, _, cap, *_ in sorted(plan.steps))
+    state = {shapes: 1}
     created = 1
-    for a in _greedy_arrow_order(Q, [len(tab) for tab in tables]):
-        t, h = Q.arrows[a]
-        table = tables[a]
-        cap = beta[t] * gamma[h]
-        left[t] -= cap
-        left[h] -= cap
+    for a, t, h, cap, left_t, left_h, rect in plan.steps:
+        if not cap:
+            created += len(state)
+            continue
+        left[t], left[h] = left_t, left_h
+        table = _label_table(rect, conjugated)
         need_t, need_h = full[t] - left[t], full[h] - left[h]
         # without slack every state's other vertices have no shortfall
         others = [x for x in range(n) if x != t and x != h] if slack else ()
-        # without slack a vertex closes on its bound R after its last arrow,
-        # and c^R_{lam,mu} is 1 for mu the complement of lam in R, else 0
         close_t, close_h = not (slack or left[t]), not (slack or left[h])
-        if close_t or close_h:
-            by_tail, by_head = _label_index(arrow_rects[a], conjugated)
+        if close_t:
+            by_t = _closing_labels(rect, conjugated, 1, bounds[t])
+        if close_h:
+            by_h = _closing_labels(rect, conjugated, 2, bounds[h])
         nxt: dict[tuple, int] = {}
         for key, coeff in state.items():
             cur_t, cur_h = key[t], key[h]
             if close_t or close_h:
-                # the one label whose factor completes a closing vertex;
-                # when both ends close, the two lookups must agree
-                i = by_tail.get(_complement_in(cur_t, bounds[t])) if close_t else None
+                # the one label that completes a closing vertex; when both
+                # ends close, the two lookups must agree
+                i = by_t.get(cur_t) if close_t else None
                 if close_h:
-                    j = by_head.get(_complement_in(cur_h, bounds[h]))
+                    j = by_h.get(cur_h)
                     i = j if not close_t or i == j else None
                 candidates = () if i is None else (i,)
             else:
@@ -249,16 +289,16 @@ def _labeled_sum(
     return state, created
 
 
-def _count(Q: Quiver, beta, gamma, engine: LREngine, conjugated: bool, breakdown: bool):
+def _count(plan: _Plan, engine: LREngine, conjugated: bool, breakdown: bool):
     """(total, states created, breakdown) of N, or of M when `conjugated`.
 
     Breakdown entries list the nonzero summands in canonical order:
     arrows by index, partitions in graded-lex order per arrow."""
-    final, states = _labeled_sum(Q, beta, gamma, engine, conjugated, collect=breakdown)
+    final, states = _labeled_sum(plan, engine, conjugated, collect=breakdown)
     rows = ()
     if breakdown:
-        n = Q.nvertices
-        tables = [_label_table(Rectangle(beta[t], gamma[h]), conjugated) for t, h in Q.arrows]
+        n = len(plan.beta)
+        tables = {a: _label_table(rect, conjugated) for a, *_, rect in plan.steps}
         rows = tuple(
             (tuple(tables[a][i][0] for a, i in enumerate(key[n:])), c)
             for key, c in sorted(final.items(), key=lambda item: item[0][n:])
@@ -271,7 +311,7 @@ def count_subreps_detailed(
 ) -> tuple[int, int, tuple]:
     """(N, DP states created, optional nonzero-summand breakdown)."""
     beta, _, gamma, _ = _check_counting_pre(Q, beta, alpha)
-    return _count(Q, beta, gamma, engine or LREngine(), False, breakdown)
+    return _count(_plan(Q, beta, gamma), engine or LREngine(), False, breakdown)
 
 
 def count_subreps(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> int:
@@ -286,7 +326,7 @@ def si_dimension_detailed(
 ) -> tuple[int, int, tuple]:
     """(M, DP states created, optional nonzero-summand breakdown)."""
     beta, _, gamma, _ = _check_counting_pre(Q, beta, alpha)
-    return _count(Q, beta, gamma, engine or LREngine(), True, breakdown)
+    return _count(_plan(Q, beta, gamma), engine or LREngine(), True, breakdown)
 
 
 def si_dimension(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> int:
@@ -339,7 +379,7 @@ def fiber_class(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> Fiber
             f"Euler pairing {pairing} < 0: generic fiber is empty, no class to decompose"
         )
     ambients = tuple(Rectangle(b, g) for b, g in zip(beta, gamma))
-    final, _ = _labeled_sum(Q, beta, gamma, engine or LREngine(), slack=pairing)
+    final, _ = _labeled_sum(_plan(Q, beta, gamma), engine or LREngine(), slack=pairing)
     coeffs: dict[tuple[tuple[int, ...], ...], int] = {}
     for shapes, c in final.items():
         mu = tuple(complement(s, r) for s, r in zip(shapes, ambients))
@@ -379,8 +419,9 @@ def verify_counts(
     independently and report whether they agree."""
     beta, alpha, gamma, pairing = _check_counting_pre(Q, beta, alpha)
     engine = engine or LREngine()
-    n, nstates, nbr = _count(Q, beta, gamma, engine, False, breakdown)
-    m, mstates, _ = _count(Q, beta, gamma, engine, True, False)
+    plan = _plan(Q, beta, gamma)
+    n, nstates, nbr = _count(plan, engine, False, breakdown)
+    m, mstates, _ = _count(plan, engine, True, False)
     return CountReport(
         beta=beta,
         alpha=alpha,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import _check_instance, _labeled_sum
+from .counting import _check_instance, _labeled_sum, _plan
 from .lr import LREngine
 from .partitions import Rectangle, complement, conjugate, fits, partition, size
 from .quiver import Quiver, euler_form
@@ -122,5 +122,5 @@ def covariant_multiplicity(Q: Quiver, beta, alpha, mu, engine: LREngine | None =
     exterior side vertex x starts at the conjugate of mu(x)."""
     beta, gamma, mu = _check_piece(Q, beta, alpha, mu)
     start = [conjugate(p) for p in mu]
-    final, _ = _labeled_sum(Q, beta, gamma, engine or LREngine(), conjugated=True, start=start)
+    final, _ = _labeled_sum(_plan(Q, beta, gamma), engine or LREngine(), conjugated=True, start=start)
     return sum(final.values())

@@ -1,0 +1,181 @@
+"""The frontier DP's plan: one arrow order per instance, arrows of
+capacity 0 folded in without work, and the shape-keyed closing lookup."""
+
+import hashlib
+import random
+
+from quivercount import counting
+from quivercount.counting import (
+    _closing_labels,
+    _label_table,
+    _plan,
+    count_subreps,
+    fiber_class,
+    random_instance,
+    triple_flag_instance,
+    verify_counts,
+)
+from quivercount.covariants import covariant_count, covariant_multiplicity
+from quivercount.partitions import Rectangle, fits, partitions_in_rectangle
+from quivercount.quiver import Quiver, euler_form
+
+
+def test_verify_counts_orders_the_arrows_once(monkeypatch, engine):
+    calls = []
+    order = counting._greedy_arrow_order
+
+    def counted(Q, rect_sizes):
+        calls.append(Q)
+        return order(Q, rect_sizes)
+
+    monkeypatch.setattr(counting, "_greedy_arrow_order", counted)
+    Q, beta, alpha, expected = triple_flag_instance((2, 1), (2, 1), (2, 1), 3, 6, engine)
+    rep = verify_counts(Q, beta, alpha, engine, breakdown=True)
+    assert rep.n_value == rep.m_value == expected == 2
+    assert calls == [Q]
+
+
+def test_plan_orders_arrows_by_label_count():
+    # binom(beta(t) + gamma(h), beta(t)) is the length of the label table
+    # on either side; dimensions up to 5 give rectangles such as 1x4 and
+    # 2x2 with equal box counts but different label counts
+    rng = random.Random(3)
+    for _ in range(300):
+        Q, beta, alpha = random_instance(rng, max_verts=5, max_arrows=8, max_dim=5, require_zero_pairing=False)
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        order = [a for a, *_ in _plan(Q, beta, gamma).steps]
+        for conjugated in (False, True):
+            sizes = [len(_label_table(Rectangle(beta[t], gamma[h]), conjugated)) for t, h in Q.arrows]
+            assert order == counting._greedy_arrow_order(Q, sizes)
+
+
+# -- arrows of capacity 0 ---------------------------------------------------------
+
+
+def _with_empty_arrows(rng, Q, beta, alpha):
+    """Q with 1-4 more arrows t -> h of capacity beta(t) gamma(h) = 0, and
+    half the time a new last vertex with gamma 0 to receive them.  The
+    Euler pairing and every count stay the same."""
+    beta = list(beta)
+    gamma = [a - b for a, b in zip(alpha, beta)]
+    nv = Q.nvertices
+    if rng.random() < 0.5:
+        beta.append(rng.randint(0, 2))
+        gamma.append(0)
+        nv += 1
+    empty = [(t, h) for t in range(nv) for h in range(t + 1, nv) if beta[t] == 0 or gamma[h] == 0]
+    arrows = list(Q.arrows)
+    for _ in range(rng.randint(1, 4) if empty else 0):
+        arrows.insert(rng.randint(0, len(arrows)), rng.choice(empty))
+    return Quiver(nv, tuple(arrows)), tuple(beta), tuple(b + g for b, g in zip(beta, gamma))
+
+
+def _zero_cap_pool(engine, size: int):
+    """(base instance, instance with empty arrows added), seeded; most
+    bases have N >= 2."""
+    rng = random.Random(7)
+    pool = []
+    while len(pool) < size:
+        base = random_instance(rng, max_verts=4, max_arrows=5, min_arrows=2)
+        if count_subreps(*base, engine) < 2 and rng.random() < 0.7:
+            continue
+        inst = _with_empty_arrows(rng, *base)
+        if len(inst[0].arrows) > len(base[0].arrows):
+            pool.append((base, inst))
+    return pool
+
+
+# (N, M, N states, M states, breakdown rows) for each instance of
+# _zero_cap_pool(engine, 40), and a digest of all the breakdown rows, as
+# the DP gave them before arrows of capacity 0 were skipped
+ZERO_CAP_PINS = [
+    (1, 1, 9, 9, 1), (1, 1, 8, 8, 1), (1, 1, 6, 6, 1), (10, 10, 35, 13, 10),
+    (1, 1, 7, 7, 1), (1, 1, 5, 5, 1), (6, 6, 21, 13, 6), (1, 1, 6, 6, 1),
+    (2, 2, 9, 8, 2), (1, 1, 7, 7, 1), (3, 3, 13, 11, 3), (1, 1, 7, 7, 1),
+    (1, 1, 5, 5, 1), (1, 1, 6, 6, 1), (1, 1, 7, 7, 1), (1, 1, 4, 4, 1),
+    (1, 1, 9, 9, 1), (2, 2, 11, 10, 2), (2, 2, 10, 9, 2), (20, 20, 42, 23, 20),
+    (1, 1, 4, 4, 1), (0, 0, 2, 2, 0), (10, 10, 25, 16, 10), (3, 3, 10, 8, 3),
+    (1, 1, 7, 7, 1), (0, 0, 7, 7, 0), (1, 1, 7, 7, 1), (1, 1, 10, 10, 1),
+    (20, 20, 70, 20, 20), (1, 1, 7, 7, 1), (1, 1, 9, 9, 1), (1, 1, 6, 6, 1),
+    (1, 1, 10, 10, 1), (1, 1, 5, 5, 1), (1, 1, 7, 7, 1), (0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0), (1, 1, 7, 7, 1), (6, 6, 18, 10, 6), (1, 1, 10, 10, 1),
+]
+ZERO_CAP_BREAKDOWN_SHA256 = "cd520ae14a4b06b29ecef11915f4619cf15591fd10c07480fef7a94c6543c63a"
+
+
+def test_zero_capacity_pool_matches_pins(engine):
+    digest = hashlib.sha256()
+    got = []
+    at_closed = at_open = 0
+    for base, (Q, beta, alpha) in _zero_cap_pool(engine, len(ZERO_CAP_PINS)):
+        rep = verify_counts(Q, beta, alpha, engine, breakdown=True)
+        plain = verify_counts(*base, engine)
+        assert (rep.n_value, rep.m_value) == (plain.n_value, plain.m_value)
+        assert sum(c for _, c in rep.n_breakdown) == rep.n_value
+        digest.update(repr(rep.n_breakdown).encode())
+        got.append((rep.n_value, rep.m_value, rep.n_labelings, rep.m_labelings, len(rep.n_breakdown)))
+        # where the empty arrows fall: at a vertex with boxes whose
+        # other arrows are all folded in already, or at one still open
+        plan = _plan(Q, beta, tuple(a - b for a, b in zip(alpha, beta)))
+        left = list(plan.left)
+        for _, t, h, cap, left_t, left_h, _ in plan.steps:
+            if not cap:
+                at_closed += sum(plan.full[x] > 0 and left[x] == 0 for x in (t, h))
+                at_open += sum(left[x] > 0 for x in (t, h))
+            left[t], left[h] = left_t, left_h
+    assert got == ZERO_CAP_PINS
+    assert digest.hexdigest() == ZERO_CAP_BREAKDOWN_SHA256
+    assert at_closed >= 5 and at_open >= 20
+    assert sum(n > 1 for n, *_ in got) >= 10
+
+
+def test_covariant_routes_agree_across_empty_arrows(engine):
+    rng = random.Random(11)
+    pieces = started = 0
+    while pieces < 40:
+        Q, beta, alpha = random_instance(rng, max_arrows=5, min_arrows=2, require_zero_pairing=False)
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        if not 1 <= euler_form(Q, beta, gamma) <= 2:
+            continue
+        Q, beta, alpha = _with_empty_arrows(rng, Q, beta, alpha)
+        for mu, c in fiber_class(Q, beta, alpha, engine).sorted_items():
+            assert covariant_multiplicity(Q, beta, alpha, mu, engine) == c
+            assert covariant_count(Q, beta, alpha, mu, engine) == c
+            pieces += 1
+            started += any(mu)
+    # most pieces start the exterior-side DP from nonempty shapes
+    assert started >= 20
+
+
+# -- the closing lookup -----------------------------------------------------------
+
+
+def _label_index(rect, conjugated):
+    """The lookup the shape-keyed one replaced: maps from tail factor and
+    from head factor to the row index in the label table."""
+    table = _label_table(rect, conjugated)
+    return {row[1]: i for i, row in enumerate(table)}, {row[2]: i for i, row in enumerate(table)}
+
+
+def _complement_in(lam, bound):
+    """Complement of lam inside the full rectangle `bound` (a partition)."""
+    if not bound:
+        return ()
+    cols = bound[0]
+    return bound[len(lam):] + tuple(cols - p for p in reversed(lam) if p < cols)
+
+
+def test_closing_lookup_matches_complement_lookup():
+    dims = [Rectangle(r, c) for r in range(6) for c in range(6)]
+    shapes = {R: partitions_in_rectangle(R) for R in dims}
+    for rect in dims:
+        for conjugated in (False, True):
+            by_factor = _label_index(rect, conjugated)
+            for side in (1, 2):
+                for R in dims:
+                    bound = (R.cols,) * R.rows if R.cols else ()
+                    by_shape = _closing_labels(rect, conjugated, side, bound)
+                    assert all(fits(s, R) for s in by_shape)
+                    for shape in shapes[R]:
+                        want = by_factor[side - 1].get(_complement_in(shape, bound))
+                        assert by_shape.get(shape) == want, (rect, conjugated, side, R, shape)
