@@ -164,6 +164,7 @@ class _Plan(NamedTuple):
     full: tuple[int, ...]  # beta(x) gamma(x), the boxes of vertex x's target
     left: tuple[int, ...]  # left[x] before the first arrow
     steps: tuple[tuple, ...]
+    shortfall: int  # boxes the arrows cannot supply to vertices that start empty
 
 
 def _plan(Q: Quiver, beta, gamma) -> _Plan:
@@ -183,7 +184,8 @@ def _plan(Q: Quiver, beta, gamma) -> _Plan:
         left[h] -= caps[a]
         steps.append((a, t, h, caps[a], left[t], left[h], Rectangle(beta[t], gamma[h])))
     full = tuple(b * g for b, g in zip(beta, gamma))
-    return _Plan(beta, gamma, full, before, tuple(steps))
+    shortfall = sum(max(0, f - l) for f, l in zip(full, before))
+    return _Plan(beta, gamma, full, before, tuple(steps), shortfall)
 
 
 def _labeled_sum(
@@ -227,8 +229,13 @@ def _labeled_sum(
     full = plan.full
     left = list(plan.left)
 
-    shapes = tuple(start) if start else ((),) * n
-    if sum(max(0, f - sum(s) - l) for f, s, l in zip(full, shapes, left)) > slack:
+    if start:
+        shapes = tuple(start)
+        shortfall = sum(max(0, f - sum(s) - l) for f, s, l in zip(full, shapes, left))
+    else:
+        shapes = ((),) * n
+        shortfall = plan.shortfall
+    if shortfall > slack:
         return {}, 0
     if collect:
         # slot n + a of the key holds arrow a's label index (sorted, the

@@ -11,7 +11,9 @@ re-read over an extension without translation.
 prime field; log/exp tables for extensions with at most `GF.TABLE_LIMIT`
 elements; and, above that, digit arithmetic that reduces products with
 precomputed residues of x^k .. x^(2k-2) and inverts by the extended
-Euclidean algorithm in F_p[x].
+Euclidean algorithm in F_p[x].  In every regime, operands in the prime
+subfield (ints below p) take integer arithmetic mod p: F_p is closed
+under the field operations, so the result is the same int.
 
 The matrix and polynomial helpers are generic over a small field protocol
 (attributes `zero`, `one`; methods add/sub/neg/mul/inv/sample).  Matrices
@@ -68,10 +70,13 @@ class GF:
       mod the modulus; inv runs the extended Euclidean algorithm in F_p[x]
       against the modulus.
 
-    For k > 1, add, neg and sub work on the encoded ints directly: the
-    integer sum or difference, corrected by one carry p^(i+1) at each
-    digit i that left 0..p-1.  The modulus, the residues and the tables
-    are built once per (p, k) in a process (`_field_data`).
+    For k > 1, add, neg, sub, mul and inv take integer arithmetic mod p
+    whenever every operand is below p, i.e. lies in the prime subfield,
+    in both the table and the table-free regime.  Otherwise add, neg and
+    sub work on the encoded ints directly: the integer sum or difference,
+    corrected by one carry p^(i+1) at each digit i that left 0..p-1.  The
+    modulus, the residues and the tables are built once per (p, k) in a
+    process (`_field_data`).
     """
 
     TABLE_LIMIT = 1 << 16
@@ -102,7 +107,7 @@ class GF:
 
     def add(self, a: int, b: int) -> int:
         p = self.p
-        if self.k == 1:
+        if self.k == 1 or (a < p and b < p):
             return (a + b) % p
         out = a + b
         for carry in self._carries:
@@ -114,7 +119,7 @@ class GF:
 
     def neg(self, a: int) -> int:
         p = self.p
-        if self.k == 1:
+        if self.k == 1 or a < p:
             return (p - a) % p
         out = -a
         for carry in self._carries:
@@ -125,7 +130,7 @@ class GF:
 
     def sub(self, a: int, b: int) -> int:
         p = self.p
-        if self.k == 1:
+        if self.k == 1 or (a < p and b < p):
             return (a - b) % p
         out = a - b
         for carry in self._carries:
@@ -136,8 +141,9 @@ class GF:
         return out
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return a * b % self.p
+        p = self.p
+        if self.k == 1 or (a < p and b < p):
+            return a * b % p
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
@@ -147,8 +153,9 @@ class GF:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
+        p = self.p
+        if self.k == 1 or a < p:
+            return pow(a, p - 2, p)
         if self._exp is not None:
             return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
         return self._inv_poly(a)
@@ -272,7 +279,7 @@ def _field_data(p: int, k: int):
     def mul(a: int, b: int) -> int:
         return _mul_mod(p, k, width, rows, a, b)
 
-    g = _find_generator(q, mul)
+    g = _find_generator(q, mul, p)  # constants have order dividing p - 1 < q - 1
     exp = [0] * (q - 1)
     log = [0] * q
     x = 1
@@ -308,9 +315,9 @@ def _mul_mod(p: int, k: int, width: int, rows: tuple, a: int, b: int) -> int:
     return out
 
 
-def _find_generator(q: int, mul) -> int:
+def _find_generator(q: int, mul, start: int) -> int:
     factors = _prime_factors(q - 1)
-    for g in range(2, q):
+    for g in range(start, q):
         if all(_power(mul, g, (q - 1) // f) != 1 for f in factors):
             return g
     raise AssertionError("no multiplicative generator found")

@@ -837,17 +837,20 @@ def verify_determinant_basis(
     alpha = check_dimvector(Q, alpha)
     if not isinstance(field, GF) or field.k != 1:
         raise ValueError("base field must be a prime field (extensions are built internally)")
+    if not 1 <= max_ext_degree <= 4:
+        raise ValueError("extension degree must be between 1 and 4")
     n_expected = count_subreps(Q, beta, alpha)
     m_expected = si_dimension(Q, beta, alpha)
 
     kf = _kronecker_form(Q, beta, alpha)
-    fields = {j: GF(field.p, j) for j in range(2, max_ext_degree + 1)}
-    fields[1] = field
+    fields = {1: field}  # extensions are built when the loop first reaches them
     samples_tried = 0
     for s in range(max_samples):
         samples_tried = s + 1
         V1 = random_rep(Q, alpha, field, seed * 1000003 + s)
         for j in range(1, max_ext_degree + 1):
+            if j not in fields:
+                fields[j] = GF(field.p, j)
             Fj = fields[j]
             Vj = FFRep(Q, Fj, alpha, V1.mats)
             points = _raw_point_count(Q, alpha, beta, Fj.q)

@@ -21,9 +21,11 @@ from quivercount.ffield import (
     poly_gcd,
     poly_monic,
     poly_mul,
+    poly_powmod,
     poly_radical,
     poly_roots,
     poly_trim,
+    _power,
 )
 
 
@@ -135,6 +137,57 @@ def test_arithmetic_past_table_limit_matches_reference(p, k):
                 conv[i + j] += x * y
         rem = poly_divmod(base, poly_trim(base, [c % p for c in conv]), F.modulus)[1]
         assert F.mul(a, b) == sum(c * p**i for i, c in enumerate(rem))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 3), (101, 2), (101, 3), (101, 4)])
+def test_prime_subfield_arithmetic_matches_digit_path(p, k):
+    # reference: digit-wise sums and differences, the table-free product,
+    # and Fermat inverses formed with the table-free product
+    F = GF(p, k)
+
+    def digitwise(a, b, op):
+        pairs = zip(_digits(a, p, k), _digits(b, p, k))
+        return sum(op(x, y) % p * p**i for i, (x, y) in enumerate(pairs))
+
+    def check(a, b):
+        assert F.add(a, b) == digitwise(a, b, int.__add__)
+        assert F.sub(a, b) == digitwise(a, b, int.__sub__)
+        assert F.mul(a, b) == F._mul_poly(a, b)
+
+    for a in range(p):
+        assert F.neg(a) == digitwise(0, a, int.__sub__)
+        if a:
+            assert F.inv(a) == _power(F._mul_poly, a, F.q - 2)
+    for a, b in itertools.product(range(p), repeat=2):
+        check(a, b)
+    rng = random.Random(p * 10 + k)
+    for _ in range(500):
+        small, big = rng.randrange(p), rng.randrange(p, F.q)
+        check(small, big)
+        check(big, small)
+        assert F.neg(big) == digitwise(0, big, int.__sub__)
+
+
+def test_powmod_with_prime_field_coefficients_ignores_the_extension():
+    # x^(p^4) mod f, for f over F_p, is the same tuple whether the
+    # coefficients are read in F_p or in F_{p^4}
+    f = (3, 0, 7, 1, 1)
+    assert poly_powmod(GF(101, 4), (0, 1), 101**4, f) == poly_powmod(GF(101, 1), (0, 1), 101**4, f)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3), (5, 2), (13, 2), (101, 2)])
+def test_generator_is_the_smallest_counted_from_two(p, k):
+    # reference: the first g >= 2 whose powers reach every unit
+    F = GF(p, k)
+
+    def order(g):
+        x, n = g, 1
+        while x != 1:
+            x, n = F._mul_poly(x, g), n + 1
+        return n
+
+    expected = next(g for g in range(2, F.q) if order(g) == F.q - 1)
+    assert F._exp[1] == expected
 
 
 def test_field_data_built_once_per_field():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quivercount import ffield
 from quivercount.ffield import GF, mat_rank, mat_rref, mat_vec
 from quivercount.oracles import (
     BudgetExceededError,
@@ -333,6 +334,13 @@ def test_basis_theta2_over_f101():
     for i, row in enumerate(rep.matrix):
         for j, v in enumerate(row):
             assert (v != 0) == (i == j)
+
+
+def test_basis_builds_no_extension_field_it_does_not_reach():
+    ffield._field_data.cache_clear()
+    rep = verify_determinant_basis(THETA2, (1, 1), (2, 2), GF(101), seed=0)
+    assert rep.extension_degree == 1
+    assert ffield._field_data.cache_info().misses == 0
 
 
 def test_basis_rejects_extension_base_field():
