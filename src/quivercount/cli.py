@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import time
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from . import __version__
 from .counting import (
     NegativePairingError,
     NonzeroPairingError,
+    count_subreps,
     count_subreps_detailed,
     fiber_class,
     random_instance,
@@ -34,9 +36,15 @@ from .counting import (
 from .covariants import build_hat, covariant_count, covariant_multiplicity
 from .ffield import GF
 from .lr import LREngine
-from .oracles import BudgetExceededError, sampled_subrep_count, si_rank_oracle, verify_determinant_basis
+from .oracles import (
+    BudgetExceededError,
+    _raw_point_count,
+    sampled_subrep_count,
+    si_rank_oracle,
+    verify_determinant_basis,
+)
 from .partitions import Rectangle, format_partition, parse_partition, partitions_in_rectangle, size
-from .quiver import Quiver, euler_form
+from .quiver import Quiver, check_instance
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -98,14 +106,15 @@ def parse_instance(text: str) -> InstanceSpec:
         raise InstanceParseError("missing `vertices` line")
     if alpha is None or beta is None:
         raise InstanceParseError("missing `alpha` or `beta` line")
+    # before the quiver, whose construction is linear in `vertices`
+    if nvertices >= 0 and (len(alpha) != nvertices or len(beta) != nvertices):
+        raise InstanceParseError(
+            f"dimension vectors must have {nvertices} entries"
+        )
     try:
         Q = Quiver(nvertices, tuple(arrows))
     except ValueError as e:
         raise InstanceParseError(str(e)) from None
-    if len(alpha) != nvertices or len(beta) != nvertices:
-        raise InstanceParseError(
-            f"dimension vectors must have {nvertices} entries"
-        )
     mu = None
     if mu_lines:
         bad = [i for i in mu_lines if not 0 <= i < nvertices]
@@ -141,7 +150,15 @@ def _load_spec(path: str) -> InstanceSpec:
         return parse_instance(fh.read())
 
 
-def _machine_block(out, pairs) -> None:
+def _machine_block(out, args, t0: float, pairs) -> None:
+    """The `key = value` block after `---`; it always ends with the seed,
+    the version and the time since t0."""
+    pairs = [
+        *pairs,
+        ("seed", args.seed),
+        ("version", f"quivercount {__version__}"),
+        ("elapsed_ms", int(1000 * (time.monotonic() - t0))),
+    ]
     print("---", file=out)
     for k, v in pairs:
         print(f"{k} = {v}", file=out)
@@ -157,8 +174,7 @@ def _theta(m: int) -> Quiver:
 def cmd_count(args, out) -> int:
     t0 = time.monotonic()
     spec = _load_spec(args.instance)
-    gamma = tuple(a - b for a, b in zip(spec.alpha, spec.beta))
-    pairing = euler_form(spec.quiver, spec.beta, gamma)
+    pairing = check_instance(spec.quiver, spec.beta, spec.alpha)[3]
     if spec.mu is None:
         n, states, breakdown = count_subreps_detailed(
             spec.quiver, spec.beta, spec.alpha, breakdown=args.breakdown
@@ -175,26 +191,14 @@ def cmd_count(args, out) -> int:
         for labeling, contribution in breakdown:
             text = " ".join(format_partition(p) for p in labeling)
             print(f"  {text}: {contribution}", file=out)
-    _machine_block(
-        out,
-        [
-            ("command", "count"),
-            ("n", n),
-            ("euler", pairing),
-            ("states", states),
-            ("seed", args.seed),
-            ("version", f"quivercount {__version__}"),
-            ("elapsed_ms", int(1000 * (time.monotonic() - t0))),
-        ],
-    )
+    _machine_block(out, args, t0, [("command", "count"), ("n", n), ("euler", pairing), ("states", states)])
     return EXIT_OK
 
 
 def cmd_sidim(args, out) -> int:
     t0 = time.monotonic()
     spec = _load_spec(args.instance)
-    gamma = tuple(a - b for a, b in zip(spec.alpha, spec.beta))
-    pairing = euler_form(spec.quiver, spec.beta, gamma)
+    pairing = check_instance(spec.quiver, spec.beta, spec.alpha)[3]
     if spec.mu is None:
         m, states, _ = si_dimension_detailed(spec.quiver, spec.beta, spec.alpha)
     else:
@@ -211,12 +215,7 @@ def cmd_sidim(args, out) -> int:
     ]
     if states is not None:
         pairs.append(("states", states))
-    pairs += [
-        ("seed", args.seed),
-        ("version", f"quivercount {__version__}"),
-        ("elapsed_ms", int(1000 * (time.monotonic() - t0))),
-    ]
-    _machine_block(out, pairs)
+    _machine_block(out, args, t0, pairs)
     return EXIT_OK
 
 
@@ -224,26 +223,47 @@ def cmd_fiber_class(args, out) -> int:
     t0 = time.monotonic()
     spec = _load_spec(args.instance)
     fc = fiber_class(spec.quiver, spec.beta, spec.alpha)
-    gamma = tuple(a - b for a, b in zip(spec.alpha, spec.beta))
-    pairing = euler_form(spec.quiver, spec.beta, gamma)
+    pairing = check_instance(spec.quiver, spec.beta, spec.alpha)[3]
     for mu, coeff in fc.sorted_items():
         text = ";".join(f"{i}:{format_partition(p)}" for i, p in enumerate(mu))
         print(f"{text} -> {coeff}", file=out)
-    _machine_block(
-        out,
-        [
-            ("command", "fiber-class"),
-            ("euler", pairing),
-            ("terms", len(fc.coeffs)),
-            ("seed", args.seed),
-            ("version", f"quivercount {__version__}"),
-            ("elapsed_ms", int(1000 * (time.monotonic() - t0))),
-        ],
-    )
+    _machine_block(out, args, t0, [("command", "fiber-class"), ("euler", pairing), ("terms", len(fc.coeffs))])
     return EXIT_OK
 
 
 # -- verify suites -------------------------------------------------------------
+#
+# A suite returns rows (label, N, M, note, ok, spec); `spec` is printed
+# when the row fails.
+
+
+def _count_row(spec: InstanceSpec, engine):
+    """N = M on one instance."""
+    rep = verify_counts(spec.quiver, spec.beta, spec.alpha, engine)
+    return (_brief(spec.quiver, spec.beta, spec.alpha), rep.n_value, rep.m_value, "", rep.passed, spec)
+
+
+def _oracle_row(spec: InstanceSpec, args, engine):
+    """N and M against the modal sampled count and the rank oracle.
+
+    In the suite (no instance file) an instance above --oracle-budget
+    points is skipped; a single instance raises BudgetExceededError."""
+    Q = spec.quiver
+    beta, alpha, gamma, _ = check_instance(Q, spec.beta, spec.alpha)
+    rep = verify_counts(Q, beta, alpha, engine)
+    brief = _brief(Q, beta, alpha)
+    if not args.instance:
+        points = _raw_point_count(Q, alpha, beta, args.q**args.ext)
+        if points > args.oracle_budget:
+            return (brief, rep.n_value, rep.m_value, f"skipped ({points} points)", True, spec)
+    sampled = sampled_subrep_count(
+        Q, beta, alpha, args.q, max_ext_degree=args.ext, trials=args.trials, seed=args.seed,
+        budget=args.oracle_budget,
+    )
+    rank = si_rank_oracle(Q, beta, gamma, field=GF(args.q), seed=args.seed)
+    ok = sampled.modal == rep.n_value and rank == rep.m_value
+    tally = "" if ok else f" tally={sampled.tally}"
+    return (brief, rep.n_value, rep.m_value, f"modal={sampled.modal}{tally} rank={rank}", ok, spec)
 
 
 def _suite_kronecker(args, engine):
@@ -268,11 +288,9 @@ def _suite_kronecker(args, engine):
 
 
 def _suite_random(args, engine):
-    import random as _random
-
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     specs = []
-    for i in range(args.count):
+    for i in range(args.random):
         if i % 3 == 2:
             # every third instance from the dense profile: parallel arrows
             # between few vertices, where the labeled sums get interesting
@@ -287,19 +305,7 @@ def _suite_random(args, engine):
                 max_dim=args.max_dim,
             )
         specs.append(InstanceSpec(Q, alpha, beta))
-
-    def check(spec):
-        rep = verify_counts(spec.quiver, spec.beta, spec.alpha, engine)
-        return (
-            _brief(spec.quiver, spec.beta, spec.alpha),
-            rep.n_value,
-            rep.m_value,
-            "",
-            rep.passed,
-            spec,
-        )
-
-    return [check(spec) for spec in specs]
+    return [_count_row(spec, engine) for spec in specs]
 
 
 def _suite_tripleflag(args, engine):
@@ -328,9 +334,7 @@ def _suite_tripleflag(args, engine):
 
 
 def _suite_covariants(args, engine):
-    import random as _random
-
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     jobs = []
     # the worked two-vertex example first
     A2 = Quiver(2, ((0, 1),))
@@ -345,9 +349,7 @@ def _suite_covariants(args, engine):
             min_arrows=2 if dense else 0,
             require_zero_pairing=False,
         )
-        gamma = tuple(a - b for a, b in zip(alpha, beta))
-        pairing = euler_form(Q, beta, gamma)
-        if not 0 <= pairing <= 3:
+        if not 0 <= check_instance(Q, beta, alpha)[3] <= 3:
             continue
         jobs.append((Q, beta, alpha))
 
@@ -375,9 +377,7 @@ def _suite_covariants(args, engine):
 
 
 def _suite_multiplicativity(args, engine):
-    import random as _random
-
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     triples = []
     pinned = [
         (_theta(2), (1, 1), (1, 1), (1, 1)),
@@ -390,8 +390,6 @@ def _suite_multiplicativity(args, engine):
 
     def check(triple):
         Q, b, c, d = triple
-        from .counting import count_subreps
-
         a1 = tuple(x + y for x, y in zip(b, c))
         a2 = tuple(x + y for x, y in zip(a1, d))
         cd = tuple(x + y for x, y in zip(c, d))
@@ -416,46 +414,10 @@ def _suite_oracles(args, engine):
         (Quiver(3, ((0, 1), (0, 1), (1, 2))), (1, 1, 2), (2, 2, 2)),
         (Quiver(3, ((0, 2), (0, 2), (1, 2))), (1, 0, 1), (2, 2, 2)),
     ]
-    import random as _random
-
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     for _ in range(args.count):
         instances.append(random_instance(rng))
-
-    def check(inst):
-        Q, beta, alpha = inst
-        from .counting import count_subreps, si_dimension
-        from .oracles import _raw_point_count
-
-        n = count_subreps(Q, beta, alpha, engine)
-        m = si_dimension(Q, beta, alpha, engine)
-        points = _raw_point_count(Q, alpha, beta, args.q**args.ext)
-        if points > args.oracle_budget:
-            return (
-                _brief(Q, beta, alpha),
-                n,
-                m,
-                f"skipped ({points} points)",
-                True,
-                InstanceSpec(Q, alpha, beta),
-            )
-        sampled = sampled_subrep_count(
-            Q, beta, alpha, args.q, max_ext_degree=args.ext, trials=args.trials, seed=args.seed,
-            budget=args.oracle_budget,
-        )
-        gamma = tuple(a - b for a, b in zip(alpha, beta))
-        rank = si_rank_oracle(Q, beta, gamma, field=GF(args.q), seed=args.seed)
-        ok = sampled.modal == n and rank == m
-        return (
-            _brief(Q, beta, alpha),
-            n,
-            m,
-            f"modal={sampled.modal} rank={rank}",
-            ok,
-            InstanceSpec(Q, alpha, beta),
-        )
-
-    return [check(inst) for inst in instances]
+    return [_oracle_row(InstanceSpec(Q, alpha, beta), args, engine) for Q, beta, alpha in instances]
 
 
 def _suite_basis(args, engine):
@@ -476,54 +438,28 @@ def _suite_basis(args, engine):
 def cmd_verify(args, out) -> int:
     t0 = time.monotonic()
     engine = LREngine()
+    if args.oracles:
+        GF(args.q, args.ext)  # names a bad --q or --ext before any suite runs
     suites = []
     if args.instance:
         spec = _load_spec(args.instance)
         if args.oracles:
-            ns = argparse.Namespace(**vars(args))
-            ns.count = 0
-
-            def single(args=ns, spec=spec):
-                return _suite_oracles_single(spec, args, engine)
-
-            suites.append(("instance-oracles", single))
+            suites.append(("instance-oracles", lambda: [_oracle_row(spec, args, engine)]))
         elif spec.mu is not None:
-            def single(spec=spec):
+            def single():
                 fc = fiber_class(spec.quiver, spec.beta, spec.alpha, engine)
                 coeff = fc.coefficient(spec.mu)
                 cc = covariant_count(spec.quiver, spec.beta, spec.alpha, spec.mu, engine)
                 cm = covariant_multiplicity(spec.quiver, spec.beta, spec.alpha, spec.mu, engine)
-                return [
-                    (
-                        _brief(spec.quiver, spec.beta, spec.alpha),
-                        cc,
-                        cm,
-                        f"fiber={coeff}",
-                        cc == cm == coeff,
-                        spec,
-                    )
-                ]
+                brief = _brief(spec.quiver, spec.beta, spec.alpha)
+                return [(brief, cc, cm, f"fiber={coeff}", cc == cm == coeff, spec)]
 
             suites.append(("instance-covariant", single))
         else:
-            def single(spec=spec):
-                rep = verify_counts(spec.quiver, spec.beta, spec.alpha, engine)
-                return [
-                    (
-                        _brief(spec.quiver, spec.beta, spec.alpha),
-                        rep.n_value,
-                        rep.m_value,
-                        "",
-                        rep.passed,
-                        spec,
-                    )
-                ]
-
-            suites.append(("instance", single))
+            suites.append(("instance", lambda: [_count_row(spec, engine)]))
     if args.kronecker:
         suites.append(("kronecker", lambda: _suite_kronecker(args, engine)))
     if args.random is not None:
-        args.count = args.random
         suites.append(("random", lambda: _suite_random(args, engine)))
     if args.tripleflag:
         suites.append(("tripleflag", lambda: _suite_tripleflag(args, engine)))
@@ -546,7 +482,7 @@ def cmd_verify(args, out) -> int:
     for name, suite in suites:
         rows = suite()
         print(f"suite {name}:", file=out)
-        for label, n, m, note, ok, spec in rows:
+        for label, n, m, note, ok, row_spec in rows:
             total += 1
             verdict = "ok" if ok else "FAIL"
             note_text = f"  {note}" if note else ""
@@ -554,52 +490,20 @@ def cmd_verify(args, out) -> int:
             if not ok:
                 failures += 1
                 print("    offending instance:", file=out)
-                for line in render_instance(spec).splitlines():
+                for line in render_instance(row_spec).splitlines():
                     print(f"      {line}", file=out)
     _machine_block(
         out,
+        args,
+        t0,
         [
             ("command", "verify"),
             ("suites", ",".join(name for name, _ in suites)),
             ("instances", total),
             ("failures", failures),
-            ("seed", args.seed),
-            ("version", f"quivercount {__version__}"),
-            ("elapsed_ms", int(1000 * (time.monotonic() - t0))),
         ],
     )
     return EXIT_OK if failures == 0 else EXIT_FAIL
-
-
-def _suite_oracles_single(spec: InstanceSpec, args, engine):
-    from .counting import count_subreps, si_dimension
-
-    Q, beta, alpha = spec.quiver, spec.beta, spec.alpha
-    n = count_subreps(Q, beta, alpha, engine)
-    m = si_dimension(Q, beta, alpha, engine)
-    sampled = sampled_subrep_count(
-        Q,
-        beta,
-        alpha,
-        args.q,
-        max_ext_degree=args.ext,
-        trials=args.trials,
-        seed=args.seed,
-        budget=args.oracle_budget,
-    )
-    gamma = tuple(a - b for a, b in zip(alpha, beta))
-    rank = si_rank_oracle(Q, beta, gamma, field=GF(args.q), seed=args.seed)
-    ok = sampled.modal == n and rank == m
-    return [
-        (
-            _brief(Q, beta, alpha),
-            n,
-            m,
-            f"modal={sampled.modal} tally={sampled.tally} rank={rank}",
-            ok,
-            spec,
-        )
-    ]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .lr import LREngine
 from .partitions import Rectangle, complement, conjugate, fits, partition, partitions_in_rectangle, size
-from .quiver import Quiver, check_dimvector, euler_form
+from .quiver import Quiver, check_dimvector, check_instance, euler_form
 
 
 class NonzeroPairingError(ValueError):
@@ -56,21 +56,9 @@ def weight_of(Q: Quiver, beta) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _check_instance(Q: Quiver, beta, alpha):
-    """Validate beta inside alpha; return (beta, alpha, gamma, <beta, gamma>)."""
-    beta = check_dimvector(Q, beta)
-    alpha = check_dimvector(Q, alpha)
-    gamma = tuple(a - b for a, b in zip(alpha, beta))
-    if any(g < 0 for g in gamma):
-        raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
-    # the Euler form, on tuples already checked
-    pairing = sum(b * g for b, g in zip(beta, gamma)) - sum(beta[t] * gamma[h] for t, h in Q.arrows)
-    return beta, alpha, gamma, pairing
-
-
 def _check_counting_pre(Q: Quiver, beta, alpha):
-    """_check_instance, plus the zero-pairing requirement of N and M."""
-    beta, alpha, gamma, pairing = _check_instance(Q, beta, alpha)
+    """check_instance, plus the zero-pairing requirement of N and M."""
+    beta, alpha, gamma, pairing = check_instance(Q, beta, alpha)
     if pairing < 0:
         raise NegativePairingError(
             f"negative Euler pairing {pairing}: a general representation has no"
@@ -380,7 +368,7 @@ def fiber_class(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> Fiber
     (in the vertex rectangle) to the partition whose class appears, so a
     zero pairing leaves the single all-empty key with coefficient N.
     """
-    beta, _, gamma, pairing = _check_instance(Q, beta, alpha)
+    beta, _, gamma, pairing = check_instance(Q, beta, alpha)
     if pairing < 0:
         raise NegativePairingError(
             f"Euler pairing {pairing} < 0: generic fiber is empty, no class to decompose"

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import _check_instance, _labeled_sum, _plan
+from .counting import _labeled_sum, _plan
 from .lr import LREngine
 from .partitions import Rectangle, complement, conjugate, fits, partition, size
-from .quiver import Quiver, euler_form
+from .quiver import Quiver, check_instance, euler_form
 
 
 def exponent_profile(mu_x, beta_x: int, gamma_x: int) -> tuple[int, ...]:
@@ -35,7 +35,7 @@ def exponent_profile(mu_x, beta_x: int, gamma_x: int) -> tuple[int, ...]:
 def _check_piece(Q: Quiver, beta, alpha, mu):
     """Validate an instance and its piece mu; return (beta, gamma, mu)
     with mu normalized."""
-    beta, _, gamma, pairing = _check_instance(Q, beta, alpha)
+    beta, _, gamma, pairing = check_instance(Q, beta, alpha)
     if len(mu) != Q.nvertices:
         raise ValueError(f"mu has {len(mu)} entries, quiver has {Q.nvertices} vertices")
     out = []
@@ -59,15 +59,14 @@ class HatInstance:
     """Flag-arm enlargement of a counting instance.
 
     Original vertices keep their ids; vertex x grows an arm of gamma(x)
-    new vertices chained away from it, listed in arm_vertices[x].  The
-    instance always has zero Euler pairing, so its subrepresentation
-    count is finite.
+    new vertices chained away from it, numbered after those of the arms
+    of the vertices before x.  The instance always has zero Euler
+    pairing, so its subrepresentation count is finite.
     """
 
     quiver: Quiver
     beta: tuple[int, ...]
     alpha: tuple[int, ...]
-    arm_vertices: tuple[tuple[int, ...], ...]
 
 
 def build_hat(Q: Quiver, beta, alpha, mu) -> HatInstance:
@@ -84,27 +83,23 @@ def build_hat(Q: Quiver, beta, alpha, mu) -> HatInstance:
     arrows = list(Q.arrows)
     hat_beta = list(beta)
     hat_gamma = list(gamma)
-    arm_vertices = []
     nxt = n
     for x in range(n):
         profile = exponent_profile(mu[x], beta[x], gamma[x])
-        arm = []
         prev = x
         for i in range(1, gamma[x] + 1):
-            arm.append(nxt)
             arrows.append((prev, nxt))
             hat_beta.append(sum(profile[: gamma[x] - i + 1]))
             hat_gamma.append(gamma[x] - i + 1)
             prev = nxt
             nxt += 1
-        arm_vertices.append(tuple(arm))
 
     hatQ = Quiver(nxt, tuple(arrows))
     hat_beta = tuple(hat_beta)
     hat_alpha = tuple(b + g for b, g in zip(hat_beta, hat_gamma))
     if euler_form(hatQ, hat_beta, tuple(hat_gamma)) != 0:
         raise AssertionError("arm enlargement failed to cancel the pairing")
-    return HatInstance(hatQ, hat_beta, hat_alpha, tuple(arm_vertices))
+    return HatInstance(hatQ, hat_beta, hat_alpha)
 
 
 def covariant_count(Q: Quiver, beta, alpha, mu, engine: LREngine | None = None) -> int:

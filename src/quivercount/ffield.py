@@ -25,7 +25,7 @@ polynomial.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -160,9 +160,6 @@ class GF:
             return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
         return self._inv_poly(a)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e
@@ -177,20 +174,6 @@ class GF:
     def embed_int(self, n: int) -> int:
         """The image of the integer n, landing in the prime subfield."""
         return n % self.p
-
-    def decode(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of a, least significant first, length k."""
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def encode(self, digits: Sequence[int]) -> int:
-        out = 0
-        for d in reversed(digits):
-            out = out * self.p + d % self.p
-        return out
 
     def elements(self) -> range:
         return range(self.q)

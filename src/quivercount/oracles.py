@@ -29,12 +29,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .counting import NonzeroPairingError, count_subreps, si_dimension
+from .counting import NonzeroPairingError, si_dimension, verify_counts
 from .ffield import (
     GF,
     echelon_complete,
     mat_inv,
     mat_kernel,
+    mat_mul,
     mat_rref,
     mat_vec,
     poly_deg,
@@ -49,7 +50,7 @@ from .ffield import (
     poly_sub,
     poly_trim,
 )
-from .quiver import FFRep, Quiver, check_dimvector, euler_form, random_rep, semiinvariant_cv
+from .quiver import FFRep, Quiver, check_dimvector, check_instance, random_rep, semiinvariant_cv
 
 
 class BudgetExceededError(RuntimeError):
@@ -177,7 +178,7 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
     return count, found, nodes
 
 
-def _dfs_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
+def _dfs_subreps(Q: Quiver, V: FFRep, beta, gamma, collect: bool):
     """Walk V from the sources of Q, or the dual V* from the sinks of Q,
     whichever starts with fewer free subspaces; ties walk V.
 
@@ -187,7 +188,6 @@ def _dfs_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
     mapped back to W_x = ker U_x in reduced echelon form."""
     F = V.field
     alpha = V.dim
-    gamma = tuple(a - b for a, b in zip(alpha, beta))
     tails = {t for t, _ in Q.arrows}
     heads = {h for _, h in Q.arrows}
     f_src = f_snk = 1
@@ -213,14 +213,11 @@ def _dfs_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
 def _enumerate(Q: Quiver, V: FFRep, beta, budget: int, collect: bool):
     """Input checks and budget gate shared by enumerate_subreps and
     list_subreps, then the walk."""
-    beta = check_dimvector(Q, beta)
-    alpha = V.dim
-    if any(b > a for b, a in zip(beta, alpha)):
-        raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
+    beta, alpha, gamma, _ = check_instance(Q, beta, V.dim)
     points = _raw_point_count(Q, alpha, beta, V.field.q)
     if points > budget:
         raise BudgetExceededError(points, budget)
-    return _dfs_subreps(Q, V, beta, collect)
+    return _dfs_subreps(Q, V, beta, gamma, collect)
 
 
 def enumerate_subreps(
@@ -524,37 +521,23 @@ def _kronecker_lines(F, mats, n_src: int, b: int) -> list[tuple]:
             return [(one,)]
         raise DegenerateSampleError("rank condition vacuous on the whole line space")
     points: list[tuple] = []
-    const = lambda c: {(0, 0): c} if c != zero else {}
     var_s = {(1, 0): one}
     var_t = {(0, 1): one}
-
-    if n_src == 1:
-        minors = _minor_polys(F, mats, [const(one)], b)
-        if all(not f for f in minors):
-            points.append((one,))
-        return points
-
-    if n_src == 2:
-        minors = _minor_polys(F, mats, [const(one), var_t], b)
-        if all(not f for f in minors):
-            raise DegenerateSampleError("every minor vanishes identically on a chart line")
-        points.extend(_solve_univariate(F, minors, [one, None], 1))
-        minors = _minor_polys(F, mats, [const(zero), const(one)], b)
-        if all(not f for f in minors):
-            points.append((zero, one))
-        return points
-
-    # n_src == 3
-    minors = _minor_polys(F, mats, [const(one), var_s, var_t], b)
-    for s0, t0 in _solve_bivariate(F, minors):
-        points.append((one, s0, t0))
-    minors = _minor_polys(F, mats, [const(zero), const(one), var_t], b)
-    if all(not f for f in minors):
-        raise DegenerateSampleError("every minor vanishes identically on a chart line")
-    points.extend(_solve_univariate(F, minors, [zero, one, None], 2))
-    minors = _minor_polys(F, mats, [const(zero), const(zero), const(one)], b)
-    if all(not f for f in minors):
-        points.append((zero, zero, one))
+    # chart i: coordinates before i vanish, coordinate i is 1, the rest
+    # (at most two, s then t) are free
+    for i in range(n_src):
+        fixed = [zero] * i + [one]
+        nfree = n_src - 1 - i
+        chart = [{}] * i + [{(0, 0): one}] + [var_s, var_t][2 - nfree :]
+        minors = _minor_polys(F, mats, chart, b)
+        if nfree == 2:
+            points.extend((*fixed, s0, t0) for s0, t0 in _solve_bivariate(F, minors))
+        elif nfree == 1:
+            if all(not f for f in minors):
+                raise DegenerateSampleError("every minor vanishes identically on a chart line")
+            points.extend(_solve_univariate(F, minors, fixed + [None], i + 1))
+        elif all(not f for f in minors):
+            points.append(tuple(fixed))
     return points
 
 
@@ -606,10 +589,6 @@ class SubrepCount:
     inconclusive: bool
     nodes: int = 0  # enumeration nodes over all trials and extensions; 0 when solving
 
-    @property
-    def count(self) -> int | None:
-        return self.modal
-
 
 def sampled_subrep_count(
     Q: Quiver,
@@ -629,12 +608,7 @@ def sampled_subrep_count(
     fiber cardinality.  A tie for the mode is reported as inconclusive
     rather than resolved arbitrarily.
     """
-    beta = check_dimvector(Q, beta)
-    alpha = check_dimvector(Q, alpha)
-    gamma = tuple(a - b for a, b in zip(alpha, beta))
-    if any(g < 0 for g in gamma):
-        raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
-    pairing = euler_form(Q, beta, gamma)
+    beta, alpha, _, pairing = check_instance(Q, beta, alpha)
     if pairing != 0:
         raise NonzeroPairingError(
             f"nonzero Euler pairing {pairing}: the sampling oracle needs a finite fiber"
@@ -724,16 +698,14 @@ def si_rank_oracle(
     sizes add a margin above the claimed dimension (which is used for
     sizing only, never for the rank itself).
     """
-    beta = check_dimvector(Q, beta)
-    gamma = check_dimvector(Q, gamma)
-    if euler_form(Q, beta, gamma) != 0:
-        raise NonzeroPairingError(
-            f"nonzero Euler pairing {euler_form(Q, beta, gamma)}: c^V is not defined"
-        )
+    gamma = check_dimvector(Q, gamma)  # so that a negative entry is named as such
+    beta, alpha, gamma, pairing = check_instance(Q, beta, [b + g for b, g in zip(beta, gamma)])
+    if pairing != 0:
+        raise NonzeroPairingError(f"nonzero Euler pairing {pairing}: c^V is not defined")
     if field is None:
         field = GF(101)
     if nv is None or nw is None:
-        suggested = si_dimension(Q, beta, tuple(b + g for b, g in zip(beta, gamma))) + 4
+        suggested = si_dimension(Q, beta, alpha) + 4
         nv = nv or suggested
         nw = nw or suggested
     vs = [random_rep(Q, beta, field, seed * 1000003 + i) for i in range(nv)]
@@ -762,7 +734,7 @@ class BasisReport:
     matrix: tuple | None = None
 
 
-def _subrep_quotient_pair(Q: Quiver, V: FFRep, beta, sub_bases):
+def _subrep_quotient_pair(Q: Quiver, V: FFRep, beta, gamma, sub_bases):
     """Restrict V to a subrepresentation and form the quotient, by
     completing each subspace basis to a basis of the ambient space.
 
@@ -771,7 +743,6 @@ def _subrep_quotient_pair(Q: Quiver, V: FFRep, beta, sub_bases):
     left block is asserted, being the subrepresentation condition."""
     F = V.field
     alpha = V.dim
-    gamma = tuple(a - b for a, b in zip(alpha, beta))
     T = []
     Tinv = []
     for x in range(Q.nvertices):
@@ -783,22 +754,8 @@ def _subrep_quotient_pair(Q: Quiver, V: FFRep, beta, sub_bases):
     sub_mats = []
     quot_mats = []
     for a, (t, h) in enumerate(Q.arrows):
-        A = V.mat(a)
         # change of basis: columns of T are the new basis vectors
-        AT = [[None] * alpha[t] for _ in range(alpha[h])]
-        for r in range(alpha[h]):
-            for c in range(alpha[t]):
-                acc = F.zero
-                for k in range(alpha[t]):
-                    acc = F.add(acc, F.mul(A[r][k], T[t][k][c]))
-                AT[r][c] = acc
-        Ap = [[None] * alpha[t] for _ in range(alpha[h])]
-        for r in range(alpha[h]):
-            for c in range(alpha[t]):
-                acc = F.zero
-                for k in range(alpha[h]):
-                    acc = F.add(acc, F.mul(Tinv[h][r][k], AT[k][c]))
-                Ap[r][c] = acc
+        Ap = mat_mul(F, Tinv[h], mat_mul(F, V.mat(a), T[t]))
         for r in range(beta[h], alpha[h]):
             for c in range(beta[t]):
                 assert Ap[r][c] == F.zero, "not actually a subrepresentation"
@@ -833,18 +790,31 @@ def verify_determinant_basis(
     vanish for every sample (V_i maps nontrivially to V/V_j); a zero
     diagonal entry marks a non-generic sample, which is retried.
     """
-    beta = check_dimvector(Q, beta)
-    alpha = check_dimvector(Q, alpha)
+    beta, alpha, gamma, _ = check_instance(Q, beta, alpha)
     if not isinstance(field, GF) or field.k != 1:
         raise ValueError("base field must be a prime field (extensions are built internally)")
     if not 1 <= max_ext_degree <= 4:
         raise ValueError("extension degree must be between 1 and 4")
-    n_expected = count_subreps(Q, beta, alpha)
-    m_expected = si_dimension(Q, beta, alpha)
+    counts = verify_counts(Q, beta, alpha)
+    samples_tried = 0
+
+    def report(reason: str = "", k: int | None = None, j: int | None = None, E=None) -> BasisReport:
+        # no k: no sample got as far as an evaluation matrix
+        return BasisReport(
+            passed=not reason,
+            inconclusive=k is None,
+            reason=reason,
+            k=k,
+            n_expected=counts.n_value,
+            m_expected=counts.m_value,
+            extension_degree=j,
+            samples_tried=samples_tried,
+            seed=seed,
+            matrix=None if E is None else tuple(tuple(row) for row in E),
+        )
 
     kf = _kronecker_form(Q, beta, alpha)
     fields = {1: field}  # extensions are built when the loop first reaches them
-    samples_tried = 0
     for s in range(max_samples):
         samples_tried = s + 1
         V1 = random_rep(Q, alpha, field, seed * 1000003 + s)
@@ -860,79 +830,22 @@ def verify_determinant_basis(
                 elif kf is not None:
                     subs = tuple(_kronecker_list(Q, Vj, beta, *kf))
                 else:
-                    return BasisReport(
-                        passed=False,
-                        inconclusive=True,
-                        reason=f"enumeration budget exceeded ({points} points) and no solver applies",
-                        k=None,
-                        n_expected=n_expected,
-                        m_expected=m_expected,
-                        extension_degree=None,
-                        samples_tried=samples_tried,
-                        seed=seed,
-                    )
+                    return report(f"enumeration budget exceeded ({points} points) and no solver applies")
             except DegenerateSampleError:
                 continue
-            if len(subs) != n_expected:
+            if len(subs) != counts.n_value:
                 continue
-            pairs = [_subrep_quotient_pair(Q, Vj, beta, sb) for sb in subs]
+            pairs = [_subrep_quotient_pair(Q, Vj, beta, gamma, sb) for sb in subs]
             k = len(pairs)
             E = [
                 [semiinvariant_cv(Q, pairs[i][0], pairs[jj][1]) for jj in range(k)]
                 for i in range(k)
             ]
-            off_ok = all(
-                E[i][jj] == Fj.zero for i in range(k) for jj in range(k) if i != jj
-            )
-            diag_ok = all(E[i][i] != Fj.zero for i in range(k))
-            if not off_ok:
-                return BasisReport(
-                    passed=False,
-                    inconclusive=False,
-                    reason="nonzero off-diagonal evaluation (orthogonality violated)",
-                    k=k,
-                    n_expected=n_expected,
-                    m_expected=m_expected,
-                    extension_degree=j,
-                    samples_tried=samples_tried,
-                    seed=seed,
-                    matrix=tuple(tuple(row) for row in E),
-                )
-            if not diag_ok:
+            if any(E[i][jj] != Fj.zero for i in range(k) for jj in range(k) if i != jj):
+                return report("nonzero off-diagonal evaluation (orthogonality violated)", k, j, E)
+            if any(E[i][i] == Fj.zero for i in range(k)):
                 break  # non-generic sample; try the next seed
-            if k != m_expected:
-                return BasisReport(
-                    passed=False,
-                    inconclusive=False,
-                    reason=f"{k} subrepresentations but weight space has dimension {m_expected}",
-                    k=k,
-                    n_expected=n_expected,
-                    m_expected=m_expected,
-                    extension_degree=j,
-                    samples_tried=samples_tried,
-                    seed=seed,
-                    matrix=tuple(tuple(row) for row in E),
-                )
-            return BasisReport(
-                passed=True,
-                inconclusive=False,
-                reason="",
-                k=k,
-                n_expected=n_expected,
-                m_expected=m_expected,
-                extension_degree=j,
-                samples_tried=samples_tried,
-                seed=seed,
-                matrix=tuple(tuple(row) for row in E),
-            )
-    return BasisReport(
-        passed=False,
-        inconclusive=True,
-        reason="no sample with exactly N rational subrepresentations and nonzero diagonal",
-        k=None,
-        n_expected=n_expected,
-        m_expected=m_expected,
-        extension_degree=None,
-        samples_tried=samples_tried,
-        seed=seed,
-    )
+            if k != counts.m_value:
+                return report(f"{k} subrepresentations but weight space has dimension {counts.m_value}", k, j, E)
+            return report("", k, j, E)
+    return report("no sample with exactly N rational subrepresentations and nonzero diagonal")

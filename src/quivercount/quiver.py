@@ -64,12 +64,6 @@ class Quiver:
     def topo_order(self) -> tuple[int, ...]:
         return self._topo  # type: ignore[attr-defined]
 
-    def arrows_out(self, x: int) -> list[int]:
-        return [i for i, (t, _) in enumerate(self.arrows) if t == x]
-
-    def arrows_in(self, x: int) -> list[int]:
-        return [i for i, (_, h) in enumerate(self.arrows) if h == x]
-
 
 def check_dimvector(Q: Quiver, vec, signed: bool = False) -> tuple[int, ...]:
     v = tuple(int(x) for x in vec)
@@ -78,6 +72,22 @@ def check_dimvector(Q: Quiver, vec, signed: bool = False) -> tuple[int, ...]:
     if not signed and any(x < 0 for x in v):
         raise ValueError(f"negative entry in dimension vector {v}")
     return v
+
+
+def check_instance(Q: Quiver, beta, alpha):
+    """Validate beta inside alpha; return (beta, alpha, gamma, <beta, gamma>)
+    with gamma = alpha - beta.
+
+    This is the one place that decides whether (Q, beta, alpha) is an
+    instance.  Callers add their own requirements on the pairing."""
+    beta = check_dimvector(Q, beta)
+    alpha = check_dimvector(Q, alpha)
+    gamma = tuple(a - b for a, b in zip(alpha, beta))
+    if any(g < 0 for g in gamma):
+        raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
+    # the Euler form, on tuples already checked
+    pairing = sum(b * g for b, g in zip(beta, gamma)) - sum(beta[t] * gamma[h] for t, h in Q.arrows)
+    return beta, alpha, gamma, pairing
 
 
 def euler_form(Q: Quiver, a, b) -> int:

@@ -1,6 +1,8 @@
 import io
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -20,6 +22,26 @@ THETA4_TEXT = (
     "beta 1 2\n"
 )
 A2_MU_TEXT = "vertices 2\narrow 0 1\nalpha 2 2\nbeta 1 1\nmu 0:(1)\n"
+HUGE_VERTICES_TEXT = "vertices 100000000\nalpha 1\nbeta 1\n"
+
+
+def run_module(argv, stdin_text=None):
+    """Run `python -m quivercount.cli` in a fresh process, with the
+    package's parent directory on PYTHONPATH so that a checkout that was
+    not pip-installed imports it too."""
+    import quivercount
+
+    src = os.path.dirname(os.path.dirname(quivercount.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "quivercount.cli", *argv],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
 
 
 def run_cli(argv, stdin_text=None):
@@ -117,6 +139,7 @@ def test_render_parse_round_trip():
         ("vertices 2\nvertices 3\narrow 0 1\nalpha 1 1\nbeta 0 0\n", "line 2: duplicate `vertices`"),
         ("vertices 2\narrow 0 1\nalpha 2 2\nalpha 1 1\nbeta 0 0\n", "line 4: duplicate `alpha`"),
         ("vertices 2\narrow 0 1\nalpha 2 2\nbeta 1 1\nbeta 0 0\n", "line 5: duplicate `beta`"),
+        (HUGE_VERTICES_TEXT, "100000000 entries"),
     ],
 )
 def test_parse_instance_errors(text, fragment):
@@ -233,6 +256,13 @@ def test_verify_random_suite_seeded():
     assert "FAIL" not in out
 
 
+def test_verify_random_does_not_resize_other_suites():
+    # 2 random instances plus the default 30 multiplicativity triples
+    code, out, _ = run_cli(["verify", "--random", "2", "--multiplicativity"])
+    assert code == 0
+    assert ("instances", "32") in machine_block(out)
+
+
 def test_verify_tripleflag_suite_small():
     code, out, _ = run_cli(["verify", "--tripleflag", "--n", "3", "--r", "1"])
     assert code == 0
@@ -292,6 +322,24 @@ def test_exit_usage_on_parse_error(tmp_path):
     assert "parse error" in err
 
 
+def test_exit_usage_on_vertex_count_before_building_the_quiver(tmp_path):
+    path = tmp_path / "huge.qc"
+    path.write_text(HUGE_VERTICES_TEXT)
+    t0 = time.monotonic()
+    code, _, err = run_cli(["count", str(path)])
+    assert time.monotonic() - t0 < 1
+    assert code == 2
+    assert "parse error" in err
+
+
+@pytest.mark.parametrize("flag, value, fragment", [("--q", "1", "characteristic 1"), ("--ext", "0", "degree 0")])
+def test_exit_usage_on_bad_oracle_field(flag, value, fragment):
+    proc = run_module(["verify", "--oracles", "--count", "0", flag, value])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert fragment in proc.stderr
+
+
 def test_exit_usage_on_missing_file():
     code, _, err = run_cli(["count", "/nonexistent/instance.qc"])
     assert code == 2
@@ -331,12 +379,6 @@ def test_version_and_help_exit_zero():
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "quivercount.cli", "count", "-"],
-        input=THETA4_TEXT,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_module(["count", "-"], stdin_text=THETA4_TEXT)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "N = 6"
