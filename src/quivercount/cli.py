@@ -506,6 +506,22 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low; argparse names the option in its
+    error and exits 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quivercount",
@@ -534,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("instance", nargs="?", help="optional single instance file")
     p_verify.add_argument("--kronecker", action="store_true", help="two-vertex m-arrow family, binomial counts")
-    p_verify.add_argument("--random", type=int, metavar="N", help="N = M on N random instances")
+    p_verify.add_argument("--random", type=_int_at_least(0), metavar="N", help="N = M on N random instances")
     p_verify.add_argument("--tripleflag", action="store_true", help="exhaustive three-flag suite")
     p_verify.add_argument("--n", dest="flag_n", type=int, default=4, help="flag suite ambient dimension")
     p_verify.add_argument("--r", dest="flag_r", type=int, default=2, help="flag suite subspace dimension")
@@ -542,11 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--multiplicativity", action="store_true", help="chain count identity")
     p_verify.add_argument("--oracles", action="store_true", help="finite-field and rank oracles")
     p_verify.add_argument("--basis", action="store_true", help="determinant dual-basis check")
-    p_verify.add_argument("--count", type=int, default=30, help="suite size where applicable")
+    p_verify.add_argument("--count", type=_int_at_least(0), default=30, help="suite size where applicable")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--q", type=int, default=13, help="oracle base field size")
     p_verify.add_argument("--ext", type=int, default=2, help="oracle extension degree")
-    p_verify.add_argument("--trials", type=int, default=11, help="oracle trials per instance")
+    p_verify.add_argument("--trials", type=_int_at_least(1), default=11, help="oracle trials per instance")
     p_verify.add_argument("--oracle-budget", type=int, default=200000,
                           help="skip oracle sampling above this point count")
     p_verify.add_argument("--max-verts", type=int, default=4)

@@ -350,16 +350,16 @@ def _min_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 def _is_irreducible(F: GF, f: tuple[int, ...]) -> bool:
     # f monic of degree k >= 1 over the prime field F: irreducible iff
-    # x^(p^k) = x mod f and gcd(x^(p^(k/l)) - x, f) = 1 for prime l | k.
+    # gcd(x^(p^(k/l)) - x, f) = 1 for prime l | k and x^(p^k) = x mod f
+    # (Rabin).  The gcd tests run first: their exponents are smaller, and
+    # they reject most reducible f, e.g. every f with a root in F_p.
     k = len(f) - 1
     x = (0, 1)
-    if poly_powmod(F, x, F.q**k, f) != poly_mod(F, x, f):
-        return False
     for ell in _prime_factors(k):
         h = poly_powmod(F, x, F.q ** (k // ell), f)
         if poly_deg(poly_gcd(F, poly_sub(F, h, x), f)) > 0:
             return False
-    return True
+    return poly_powmod(F, x, F.q**k, f) == poly_mod(F, x, f)
 
 
 # -- matrices over a generic field -------------------------------------------

@@ -21,7 +21,14 @@ Instances whose Grassmannian point count exceeds the enumeration budget
 are refused, with one carve-out: two-vertex instances whose source
 carries a single line admit exact counting by elimination (resultants
 plus root extraction), which is how the six-subrepresentation instance
-stays checkable over large fields.
+stays checkable over large fields.  The solver runs in two phases.  The
+elimination (minors, resultants, gcds, radical) runs once per sample,
+over F_p: the sample has F_p entries, and GF's prime-subfield fast path
+makes every one of those steps return the same ints in F_p and in each
+F_{p^j}, so repeating it per extension would only rebuild the same
+polynomials.  The root phase then runs per extension degree j and finds
+the roots in F_{p^j}.  A degeneracy found by the elimination holds at
+every j; one found while taking roots holds at its j only.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from .ffield import (
     poly_divmod,
     poly_eval,
     poly_gcd,
-    poly_monic,
     poly_mul,
     poly_neg,
     poly_radical,
@@ -259,7 +265,9 @@ def list_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> tuple:
 # [A_1 v | ... | A_m v] vanish.  Charts on the projective space of lines
 # turn this into systems in <= 2 variables, solved by resultants and
 # root extraction; each solution line contributes one choice of target
-# subspace per completion of its image span.
+# subspace per completion of its image span.  `_eliminate` does everything
+# before the first root over the field of the sample's entries;
+# `_kronecker_lines` takes the roots in whatever extension V is read over.
 
 _MAX_MINOR = 4  # permutation expansion of minors up to this size
 
@@ -417,136 +425,136 @@ def _resultant_t(F, f: list[tuple], g: list[tuple]) -> tuple:
     return _bareiss_det_polys(F, rows)
 
 
-def _solve_univariate(F, polys: list[dict], fixed: list, var_index: int):
-    """Points of a chart with one free variable: common roots of the
-    specialized minors.  Returns point list or raises on a free line."""
-    uni = []
-    for f in polys:
-        if not f:
-            continue
-        # the free variable may be stored in either slot; normalize to s
-        g = {(i + j, 0): c for (i, j), c in f.items()}
-        uni.append(_mp_to_s_poly(F, g))
-    if not uni:
-        raise DegenerateSampleError("every minor vanishes on a whole chart line")
-    u = uni[0]
-    for g in uni[1:]:
+def _gcd_all(F, polys: list[tuple]) -> tuple:
+    """gcd of a nonempty list, stopping once it is constant (the first
+    polynomial itself, unnormalized, when the list has one entry)."""
+    u = polys[0]
+    for g in polys[1:]:
         u = poly_gcd(F, u, g)
         if poly_deg(u) <= 0:
-            return []
-    pts = []
-    for root in poly_roots(F, u):
-        v = list(fixed)
-        v[var_index] = root
-        pts.append(tuple(v))
-    return pts
-
-
-def _solve_bivariate(F, minors: list[dict]):
-    """Points (s, t) where all minors vanish; both coordinates free."""
-    nonzero = [f for f in minors if f]
-    if not nonzero:
-        raise DegenerateSampleError("every minor vanishes identically on a chart plane")
-    with_t = [f for f in nonzero if _mp_deg_t(f) >= 1]
-    s_only = [_mp_to_s_poly(F, f) for f in nonzero if _mp_deg_t(f) == 0]
-    if not with_t:
-        # conditions restrict s alone: any common root leaves t free
-        u = s_only[0]
-        for g in s_only[1:]:
-            u = poly_gcd(F, u, g)
-        if poly_deg(u) <= 0:
-            return []
-        raise DegenerateSampleError("solution set contains a vertical line")
-    candidates = None
-    for base in sorted(with_t, key=_mp_deg_t):
-        fb = _mp_to_t_coeffs(F, base)
-        collected = list(s_only)
-        ok = True
-        for other in with_t:
-            if other is base:
-                continue
-            res = _resultant_t(F, fb, _mp_to_t_coeffs(F, other))
-            if not res:
-                ok = False
-                break
-            collected.append(res)
-        if not ok:
-            continue
-        if not collected:
-            # a single bivariate condition cuts out a curve
-            raise DegenerateSampleError("a single minor constraint leaves a curve")
-        u = collected[0]
-        for g in collected[1:]:
-            u = poly_gcd(F, u, g)
-            if poly_deg(u) <= 0:
-                return []
-        if poly_deg(u) >= 1:
-            candidates = u
             break
-        return []
-    if candidates is None:
-        raise DegenerateSampleError("resultants vanish for every base choice")
-    pts = []
-    for s0 in poly_roots(F, poly_radical(F, candidates)):
-        specialized = []
-        any_nonzero = False
-        for f in nonzero:
-            coeffs = _mp_to_t_coeffs(F, f)
-            g = poly_trim(F, [poly_eval(F, c, s0) for c in coeffs])
-            if g:
-                any_nonzero = True
-                specialized.append(g)
-        if not any_nonzero:
-            raise DegenerateSampleError("solution set contains a vertical line")
-        u = specialized[0]
-        for g in specialized[1:]:
-            u = poly_gcd(F, u, g)
-            if poly_deg(u) <= 0:
-                break
-        if poly_deg(u) <= 0:
-            continue
-        for t0 in poly_roots(F, u):
-            pts.append((s0, t0))
-    return pts
+    return u
 
 
-def _kronecker_lines(F, mats, n_src: int, b: int) -> list[tuple]:
-    """All lines (chart-normalized spanning vectors) whose image span has
-    dimension at most b, by chartwise elimination."""
+def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
+    """Elimination phase of the solver: everything it does before the
+    first root is taken, over the field of V's entries.
+
+    Returns one (fixed, u, tpolys) per chart that can hold solution lines,
+    in chart order; fixed is the chart's leading coordinates (zeros, then
+    a one).  With no free coordinate, u and tpolys are None and fixed is
+    the one line.  With one, u is the gcd of the minors in s and tpolys is
+    None.  With two (s, t), u is the radical of the gcd of the resultants
+    in t, and tpolys holds each nonzero minor as its t-coefficients, to be
+    specialized at each root of u.  Raises DegenerateSampleError when the
+    solution set is positive-dimensional before any root is taken.
+
+    Every step stays in the field of V's entries: minors, resultants,
+    gcds and the radical of polynomials with coefficients in F_p are the
+    same ints in F_p and in every F_{p^j} (GF's prime-subfield fast path).
+    So a representation sampled over F_p is eliminated once, and
+    `_kronecker_lines` finds the roots in each extension it is re-read
+    over."""
+    F = V.field
     one, zero = F.one, F.zero
-    n_tgt = len(mats[0])
-    if len(mats) <= b or n_tgt <= b:
+    mats = [V.mat(a) for a in range(len(Q.arrows))]
+    n_src = V.dim[src]
+    b = beta[tgt]
+    if len(mats) <= b or V.dim[tgt] <= b:
         # rank condition holds everywhere
         if n_src == 1:
-            return [(one,)]
+            return [((one,), None, None)]
         raise DegenerateSampleError("rank condition vacuous on the whole line space")
-    points: list[tuple] = []
+    charts: list[tuple] = []
     var_s = {(1, 0): one}
     var_t = {(0, 1): one}
     # chart i: coordinates before i vanish, coordinate i is 1, the rest
     # (at most two, s then t) are free
     for i in range(n_src):
-        fixed = [zero] * i + [one]
+        fixed = (zero,) * i + (one,)
         nfree = n_src - 1 - i
-        chart = [{}] * i + [{(0, 0): one}] + [var_s, var_t][2 - nfree :]
-        minors = _minor_polys(F, mats, chart, b)
-        if nfree == 2:
-            points.extend((*fixed, s0, t0) for s0, t0 in _solve_bivariate(F, minors))
+        chart = [{}] * i + [{(0, 0): one}] + [var_s, var_t][:nfree]
+        nonzero = [f for f in _minor_polys(F, mats, chart, b) if f]
+        if nfree == 0:
+            if not nonzero:
+                charts.append((fixed, None, None))
+        elif not nonzero:
+            raise DegenerateSampleError("every minor vanishes identically on a chart")
         elif nfree == 1:
-            if all(not f for f in minors):
-                raise DegenerateSampleError("every minor vanishes identically on a chart line")
-            points.extend(_solve_univariate(F, minors, fixed + [None], i + 1))
-        elif all(not f for f in minors):
-            points.append(tuple(fixed))
+            u = _gcd_all(F, [_mp_to_s_poly(F, f) for f in nonzero])
+            if poly_deg(u) >= 1:
+                charts.append((fixed, u, None))
+        else:
+            u = _bivariate_eliminant(F, nonzero)
+            if u is not None:
+                charts.append((fixed, poly_radical(F, u), [_mp_to_t_coeffs(F, f) for f in nonzero]))
+    return charts
+
+
+def _bivariate_eliminant(F, nonzero: list[dict]) -> tuple | None:
+    """A polynomial in s, of degree >= 1, vanishing at the s-coordinate of
+    every common zero (s, t) of the nonzero minors; None when they have
+    no common zero."""
+    with_t = [f for f in nonzero if _mp_deg_t(f) >= 1]
+    s_only = [_mp_to_s_poly(F, f) for f in nonzero if _mp_deg_t(f) == 0]
+    if not with_t:
+        # conditions restrict s alone: any common root leaves t free
+        if poly_deg(_gcd_all(F, s_only)) <= 0:
+            return None
+        raise DegenerateSampleError("solution set contains a vertical line")
+    for base in sorted(with_t, key=_mp_deg_t):
+        fb = _mp_to_t_coeffs(F, base)
+        collected = list(s_only)
+        for other in with_t:
+            if other is base:
+                continue
+            res = _resultant_t(F, fb, _mp_to_t_coeffs(F, other))
+            if not res:
+                break
+            collected.append(res)
+        else:
+            if not collected:
+                # a single bivariate condition cuts out a curve
+                raise DegenerateSampleError("a single minor constraint leaves a curve")
+            u = _gcd_all(F, collected)
+            return u if poly_deg(u) >= 1 else None
+    raise DegenerateSampleError("resultants vanish for every base choice")
+
+
+def _kronecker_lines(F, charts: list[tuple]) -> list[tuple]:
+    """Root phase of the solver: the lines over F (chart-normalized
+    spanning vectors) whose image span has dimension at most beta(tgt),
+    from the charts `_eliminate` computed over a subfield of F.  Raises
+    DegenerateSampleError when a root s0 in F leaves t free."""
+    points: list[tuple] = []
+    for fixed, u, tpolys in charts:
+        if u is None:
+            points.append(fixed)
+        elif tpolys is None:
+            points.extend((*fixed, s0) for s0 in poly_roots(F, u))
+        else:
+            for s0 in poly_roots(F, u):
+                specialized = []
+                for f in tpolys:
+                    g = poly_trim(F, [poly_eval(F, c, s0) for c in f])
+                    if g:
+                        specialized.append(g)
+                if not specialized:
+                    raise DegenerateSampleError("solution set contains a vertical line")
+                ut = _gcd_all(F, specialized)
+                if poly_deg(ut) >= 1:
+                    points.extend((*fixed, s0, t0) for t0 in poly_roots(F, ut))
     return points
 
 
-def _kronecker_count(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> int:
+def _kronecker_count(Q: Quiver, V: FFRep, beta, src: int, tgt: int, charts: list[tuple]) -> int:
+    """Subrepresentation count of V over its field, from the charts that
+    `_eliminate` returned for V read over the field of its entries."""
     F = V.field
     mats = [V.mat(a) for a in range(len(Q.arrows))]
     b = beta[tgt]
     total = 0
-    for v in _kronecker_lines(F, mats, V.dim[src], b):
+    for v in _kronecker_lines(F, charts):
         srows, _ = _span_rows(F, [mat_vec(F, A, list(v)) for A in mats])
         s = len(srows)
         assert s <= b
@@ -554,12 +562,13 @@ def _kronecker_count(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> int:
     return total
 
 
-def _kronecker_list(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list:
+def _kronecker_list(Q: Quiver, V: FFRep, beta, src: int, tgt: int, charts: list[tuple]) -> list:
+    """The subrepresentations `_kronecker_count` counts, with bases."""
     F = V.field
     mats = [V.mat(a) for a in range(len(Q.arrows))]
     b = beta[tgt]
     out = []
-    for v in _kronecker_lines(F, mats, V.dim[src], b):
+    for v in _kronecker_lines(F, charts):
         srows, pivots = _span_rows(F, [mat_vec(F, A, list(v)) for A in mats])
         for W in _lift_bases(F, srows, pivots, V.dim[tgt], b):
             per_vertex = [None, None]
@@ -634,6 +643,12 @@ def sampled_subrep_count(
     per_trial = []
     for i in range(trials):
         V1 = random_rep(Q, alpha, base, seed * 1000003 + i)
+        if method == "solve":
+            try:
+                charts = _eliminate(Q, V1, beta, *kf)  # once: V1 has F_p entries
+            except DegenerateSampleError:
+                per_trial.append((None,) * max_ext_degree)
+                continue
         counts: list[int | None] = []
         for j in range(1, max_ext_degree + 1):
             Fj = fields[j]
@@ -642,7 +657,7 @@ def sampled_subrep_count(
                 if method == "enumerate":
                     counts.append(enumerate_subreps(Q, Vj, beta, budget, stats))
                 else:
-                    counts.append(_kronecker_count(Q, Vj, beta, *kf))
+                    counts.append(_kronecker_count(Q, Vj, beta, *kf, charts))
             except DegenerateSampleError:
                 counts.append(None)
         per_trial.append(tuple(counts))
@@ -818,21 +833,27 @@ def verify_determinant_basis(
     for s in range(max_samples):
         samples_tried = s + 1
         V1 = random_rep(Q, alpha, field, seed * 1000003 + s)
+        charts = None  # eliminated over F_p when the first j takes the solve path
         for j in range(1, max_ext_degree + 1):
             if j not in fields:
                 fields[j] = GF(field.p, j)
             Fj = fields[j]
             Vj = FFRep(Q, Fj, alpha, V1.mats)
             points = _raw_point_count(Q, alpha, beta, Fj.q)
-            try:
-                if points <= budget:
-                    subs = list_subreps(Q, Vj, beta, budget)
-                elif kf is not None:
-                    subs = tuple(_kronecker_list(Q, Vj, beta, *kf))
-                else:
-                    return report(f"enumeration budget exceeded ({points} points) and no solver applies")
-            except DegenerateSampleError:
-                continue
+            if points <= budget:
+                subs = list_subreps(Q, Vj, beta, budget)
+            elif kf is None:
+                return report(f"enumeration budget exceeded ({points} points) and no solver applies")
+            else:
+                if charts is None:
+                    try:
+                        charts = _eliminate(Q, V1, beta, *kf)
+                    except DegenerateSampleError:
+                        break  # the same at every larger j, which solves too: next sample
+                try:
+                    subs = tuple(_kronecker_list(Q, Vj, beta, *kf, charts))
+                except DegenerateSampleError:
+                    continue
             if len(subs) != counts.n_value:
                 continue
             pairs = [_subrep_quotient_pair(Q, Vj, beta, gamma, sb) for sb in subs]

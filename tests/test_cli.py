@@ -340,6 +340,31 @@ def test_exit_usage_on_bad_oracle_field(flag, value, fragment):
     assert fragment in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--random", "-3", "--count", "-2", "--covariants"], "--random"),
+        (["--random", "-1", "--kronecker"], "--random"),
+        (["--count", "-2", "--covariants"], "--count"),
+        (["--oracles", "--count", "-1"], "--count"),
+        (["--oracles", "--count", "0", "--trials", "0"], "--trials"),
+        (["--oracles", "--count", "0", "--trials", "-4"], "--trials"),
+    ],
+)
+def test_exit_usage_on_negative_suite_size(argv, flag):
+    code, out, err = run_cli(["verify", *argv])
+    assert code == 2
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_zero_suite_sizes_are_accepted():
+    code, out, _ = run_cli(["verify", "--random", "0", "--kronecker", "--count", "0"])
+    assert code == 0
+    assert "failures = 0" in out
+
+
 def test_exit_usage_on_missing_file():
     code, _, err = run_cli(["count", "/nonexistent/instance.qc"])
     assert code == 2

@@ -25,6 +25,8 @@ from quivercount.ffield import (
     poly_radical,
     poly_roots,
     poly_trim,
+    _is_irreducible,
+    _min_irreducible,
     _power,
 )
 
@@ -70,6 +72,42 @@ def test_frozen_moduli():
     assert GF(2, 4).modulus == (1, 1, 0, 0, 1)
     assert GF(3, 4).modulus == (2, 1, 0, 0, 1)
     assert GF(101, 2).modulus == (2, 0, 1)
+
+
+def _has_monic_factor(p: int, f: tuple) -> bool:
+    # reference: trial division by every monic polynomial of degree 1 .. k-1
+    F = GF(p)
+    return any(
+        not poly_divmod(F, f, tail + (1,))[1]
+        for d in range(1, len(f) - 1)
+        for tail in itertools.product(range(p), repeat=d)
+    )
+
+
+def _monics_by_encoding(p: int, k: int):
+    for tail in range(p**k):
+        yield tuple(tail // p**i % p for i in range(k)) + (1,)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_min_irreducible_matches_factor_search(p, k):
+    expected = next(f for f in _monics_by_encoding(p, k) if not _has_monic_factor(p, f))
+    assert _min_irreducible(p, k) == expected
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)])
+def test_irreducibility_test_matches_factor_search(p, k):
+    for f in _monics_by_encoding(p, k):
+        assert _is_irreducible(GF(p), f) == (not _has_monic_factor(p, f)), f
+
+
+def test_min_irreducible_pins():
+    # the moduli of the fields the oracles build; seeded pins elsewhere rest on them
+    assert _min_irreducible(101, 2) == (2, 0, 1)
+    assert _min_irreducible(101, 3) == (1, 1, 0, 1)
+    assert _min_irreducible(101, 4) == (2, 0, 0, 0, 1)
+    assert _min_irreducible(13, 2) == (2, 0, 1)
 
 
 def test_modulus_is_a_root_of_itself():

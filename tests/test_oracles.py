@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from quivercount import ffield
+from quivercount import ffield, oracles
 from quivercount.ffield import GF, mat_rank, mat_rref, mat_vec
 from quivercount.oracles import (
+    BasisReport,
     BudgetExceededError,
     DegenerateSampleError,
+    _eliminate,
     _kronecker_count,
     _kronecker_form,
+    _kronecker_lines,
     _raw_point_count,
     _walk_subreps,
     enumerate_subreps,
@@ -224,7 +227,7 @@ def test_kronecker_solver_matches_enumeration():
         for seed in range(12):
             V = random_rep(Q, alpha, F5, seed)
             try:
-                fast = _kronecker_count(Q, V, beta, src, tgt)
+                fast = _kronecker_count(Q, V, beta, src, tgt, _eliminate(Q, V, beta, src, tgt))
             except DegenerateSampleError:
                 continue
             assert fast == enumerate_subreps(Q, V, beta), (Q.arrows, beta, alpha, seed)
@@ -239,7 +242,7 @@ def test_kronecker_solver_matches_enumeration_extension_field():
     for seed in range(6):
         V = random_rep(THETA4, (3, 3), F9, seed)
         try:
-            fast = _kronecker_count(THETA4, V, (1, 2), src, tgt)
+            fast = _kronecker_count(THETA4, V, (1, 2), src, tgt, _eliminate(THETA4, V, (1, 2), src, tgt))
         except DegenerateSampleError:
             continue
         assert fast == enumerate_subreps(THETA4, V, (1, 2))
@@ -295,6 +298,87 @@ def test_solve_path_theta4_per_trial_pins(seed, per_trial):
     assert got.per_trial == per_trial
 
 
+@pytest.mark.parametrize(
+    "seed,per_trial,tally,modal,degenerate",
+    [
+        (3, ((2, 6, 2, 6), (3, 3, 6, 3), (1, 1, 1, 1), (1, 1, 1, 1)), {1: 2, 3: 1, 6: 1}, 1, 0),
+        (4, ((0, 2, 0, 6), (0, 2, 0, 6), (0, 2, 0, 6), (1, 1, 1, 1)), {1: 1, 6: 3}, 6, 0),
+        (5, ((1, 1, 1, 1), (2, 2, 2, 6), (1, 1, 1, 1), (4, 6, 4, 6)), {1: 2, 6: 2}, None, 0),
+        (6, ((1, 3, 4, 3), (0, 0, 0, 0), (3, 3, 6, 3), (1, 3, 4, 3)), {0: 1, 3: 3}, 3, 0),
+        (7, ((1, 3, 4, 3), (0, 0, 0, 0), (2, 6, 2, 6), (0, 2, 0, 6)), {0: 1, 3: 1, 6: 2}, 6, 0),
+        (8, ((1, 1, 1, 1), (0, 0, 6, 0), (1, 1, 1, 1), (0, 0, 0, 0)), {0: 2, 1: 2}, None, 0),
+        (9, ((1, 1, 4, 1), (1, 3, 4, 3), (3, 3, 6, 3), (0, 2, 0, 6)), {1: 1, 3: 2, 6: 1}, 3, 0),
+    ],
+)
+def test_solve_path_theta4_more_seed_pins(seed, per_trial, tally, modal, degenerate):
+    got = sampled_subrep_count(THETA4, (1, 2), (3, 3), 101, max_ext_degree=4, trials=4, seed=seed)
+    assert got.method == "solve"
+    assert got.per_trial == per_trial
+    assert got.tally == tally
+    assert got.modal == modal
+    assert got.inconclusive == (modal is None)
+    assert got.degenerate == degenerate
+
+
+def _count_eliminations(monkeypatch) -> list:
+    calls = []
+    eliminate = oracles._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(oracles, "_eliminate", counted)
+    return calls
+
+
+def test_sampler_eliminates_once_per_trial(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    got = sampled_subrep_count(THETA4, (1, 2), (3, 3), 101, max_ext_degree=4, trials=4, seed=0)
+    assert got.method == "solve"
+    assert len(calls) == 4
+    # over the base field: the sample itself, before it is re-read over F_{101^j}
+    assert all(V.field == GF(101) for _, V, *_ in calls)
+
+
+def test_basis_eliminates_once_per_sample_that_solves(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    # every theta(4) sample solves from j = 1 on over GF(101)
+    assert _raw_point_count(THETA4, (3, 3), (1, 2), 101) > 10**7
+    rep = verify_determinant_basis(THETA4, (1, 2), (3, 3), GF(101), seed=0)
+    assert rep.extension_degree == 4 and rep.samples_tried == 3
+    assert len(calls) == rep.samples_tried
+    # theta(2) enumerates at j = 1 and solves from j = 2 on
+    for seed, solves in ((0, 0), (2, 1)):
+        calls.clear()
+        rep = verify_determinant_basis(THETA2, (1, 1), (2, 2), GF(101), seed=seed)
+        assert rep.samples_tried == 1
+        assert len(calls) == solves
+
+
+def test_elimination_error_makes_every_extension_degenerate(monkeypatch):
+    zero = tuple(((0, 0, 0),) * 3 for _ in range(4))
+    V = FFRep(THETA4, GF(101), (3, 3), zero)
+    with pytest.raises(DegenerateSampleError):
+        _eliminate(THETA4, V, (1, 2), 0, 1)
+    monkeypatch.setattr(oracles, "random_rep", lambda Q, alpha, F, seed: FFRep(Q, F, alpha, zero))
+    got = sampled_subrep_count(THETA4, (1, 2), (3, 3), 101, max_ext_degree=4, trials=2, seed=0)
+    assert got.method == "solve"
+    assert got.per_trial == ((None, None, None, None),) * 2
+    assert got.degenerate == 2 and got.modal is None and got.inconclusive
+
+
+def test_root_phase_degeneracy_stays_with_its_field():
+    # a two-coordinate chart whose eliminant s^2 - 2 has no root in F_5 and
+    # two in F_25, where both minors, s^2 - 2 and (s^2 - 2) t, vanish for
+    # every t: a vertical line over F_25 only
+    u = (3, 0, 1)
+    charts = [((1,), u, [[u], [(), u]])]
+    assert _kronecker_lines(GF(5), charts) == []
+    with pytest.raises(DegenerateSampleError):
+        _kronecker_lines(GF(5, 2), charts)
+
+
 def test_sampled_count_budget_error_when_no_path_fits():
     with pytest.raises(BudgetExceededError):
         sampled_subrep_count(THETA2, (2, 2), (4, 4), 5, trials=2, seed=0, budget=100)
@@ -334,6 +418,47 @@ def test_basis_theta2_over_f101():
     for i, row in enumerate(rep.matrix):
         for j, v in enumerate(row):
             assert (v != 0) == (i == j)
+
+
+@pytest.mark.parametrize(
+    "Q,beta,alpha,seed,ext,samples,matrix",
+    [
+        (THETA2, (1, 1), (2, 2), 0, 1, 1, ((32, 0), (0, 69))),
+        (THETA2, (1, 1), (2, 2), 1, 1, 1, ((100, 0), (0, 1))),
+        (THETA2, (1, 1), (2, 2), 2, 2, 1, ((2727, 0), (0, 7474))),
+        (THETA2, (1, 1), (2, 2), 3, 2, 1, ((303, 0), (0, 9898))),
+        (THETA4, (1, 2), (3, 3), 0, 4, 3, (
+            (41530886, 0, 0, 0, 0, 0), (0, 479529, 0, 0, 0, 0), (0, 0, 63172358, 0, 0, 0),
+            (0, 0, 0, 550936, 0, 0), (0, 0, 0, 0, 100658710, 0), (0, 0, 0, 0, 0, 4840212),
+        )),
+        (THETA4, (1, 2), (3, 3), 1, 3, 1, (
+            (83, 0, 0, 0, 0, 0), (0, 37, 0, 0, 0, 0), (0, 0, 78, 0, 0, 0),
+            (0, 0, 0, 936822, 0, 0), (0, 0, 0, 0, 807231, 0), (0, 0, 0, 0, 0, 326911),
+        )),
+        (THETA4, (1, 2), (3, 3), 2, 4, 1, (
+            (37, 0, 0, 0, 0, 0), (0, 56733268, 0, 0, 0, 0), (0, 0, 58669539, 0, 0, 0),
+            (0, 0, 0, 47339359, 0, 0), (0, 0, 0, 0, 98, 0), (0, 0, 0, 0, 0, 47459852),
+        )),
+        (THETA4, (1, 2), (3, 3), 3, 2, 1, (
+            (4108, 0, 0, 0, 0, 0), (0, 6229, 0, 0, 0, 0), (0, 0, 17, 0, 0, 0),
+            (0, 0, 0, 84, 0, 0), (0, 0, 0, 0, 5364, 0), (0, 0, 0, 0, 0, 4859),
+        )),
+    ],
+)
+def test_basis_report_pins_over_f101(Q, beta, alpha, seed, ext, samples, matrix):
+    k = len(matrix)
+    assert verify_determinant_basis(Q, beta, alpha, GF(101), seed=seed) == BasisReport(
+        passed=True,
+        inconclusive=False,
+        reason="",
+        k=k,
+        n_expected=k,
+        m_expected=k,
+        extension_degree=ext,
+        samples_tried=samples,
+        seed=seed,
+        matrix=matrix,
+    )
 
 
 def test_basis_builds_no_extension_field_it_does_not_reach():
