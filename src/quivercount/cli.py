@@ -440,6 +440,8 @@ def cmd_verify(args, out) -> int:
     engine = LREngine()
     if args.oracles:
         GF(args.q, args.ext)  # names a bad --q or --ext before any suite runs
+    if args.tripleflag and args.flag_r > args.flag_n:
+        raise ValueError(f"--r {args.flag_r} exceeds --n {args.flag_n}: no flag of that shape")
     suites = []
     if args.instance:
         spec = _load_spec(args.instance)
@@ -552,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--kronecker", action="store_true", help="two-vertex m-arrow family, binomial counts")
     p_verify.add_argument("--random", type=_int_at_least(0), metavar="N", help="N = M on N random instances")
     p_verify.add_argument("--tripleflag", action="store_true", help="exhaustive three-flag suite")
-    p_verify.add_argument("--n", dest="flag_n", type=int, default=4, help="flag suite ambient dimension")
-    p_verify.add_argument("--r", dest="flag_r", type=int, default=2, help="flag suite subspace dimension")
+    p_verify.add_argument("--n", dest="flag_n", type=_int_at_least(1), default=4, help="flag suite ambient dimension")
+    p_verify.add_argument("--r", dest="flag_r", type=_int_at_least(0), default=2, help="flag suite subspace dimension")
     p_verify.add_argument("--covariants", action="store_true", help="fiber-class coefficient agreement")
     p_verify.add_argument("--multiplicativity", action="store_true", help="chain count identity")
     p_verify.add_argument("--oracles", action="store_true", help="finite-field and rank oracles")
@@ -563,11 +565,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--q", type=int, default=13, help="oracle base field size")
     p_verify.add_argument("--ext", type=int, default=2, help="oracle extension degree")
     p_verify.add_argument("--trials", type=_int_at_least(1), default=11, help="oracle trials per instance")
-    p_verify.add_argument("--oracle-budget", type=int, default=200000,
+    p_verify.add_argument("--oracle-budget", type=_int_at_least(0), default=200000,
                           help="skip oracle sampling above this point count")
-    p_verify.add_argument("--max-verts", type=int, default=4)
-    p_verify.add_argument("--max-arrows", type=int, default=4)
-    p_verify.add_argument("--max-dim", type=int, default=3)
+    p_verify.add_argument("--max-verts", type=_int_at_least(1), default=4)
+    p_verify.add_argument("--max-arrows", type=_int_at_least(0), default=4)
+    p_verify.add_argument("--max-dim", type=_int_at_least(1), default=3)
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import _labeled_sum, _plan
+from .counting import _labeled_sum, _plan, count_subreps
 from .lr import LREngine
 from .partitions import Rectangle, complement, conjugate, fits, partition, size
 from .quiver import Quiver, check_instance, euler_form
@@ -105,8 +105,6 @@ def build_hat(Q: Quiver, beta, alpha, mu) -> HatInstance:
 def covariant_count(Q: Quiver, beta, alpha, mu, engine: LREngine | None = None) -> int:
     """Points of the mu-piece, counted as plain subrepresentations of a
     general representation of the arm-enlarged quiver."""
-    from .counting import count_subreps
-
     hat = build_hat(Q, beta, alpha, mu)
     return count_subreps(hat.quiver, hat.beta, hat.alpha, engine)
 

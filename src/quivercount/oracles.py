@@ -21,14 +21,18 @@ Instances whose Grassmannian point count exceeds the enumeration budget
 are refused, with one carve-out: two-vertex instances whose source
 carries a single line admit exact counting by elimination (resultants
 plus root extraction), which is how the six-subrepresentation instance
-stays checkable over large fields.  The solver runs in two phases.  The
-elimination (minors, resultants, gcds, radical) runs once per sample,
-over F_p: the sample has F_p entries, and GF's prime-subfield fast path
-makes every one of those steps return the same ints in F_p and in each
+stays checkable over large fields.  Both samplers read a sample drawn
+over F_p over each F_{p^j} in turn (`_by_degree`), and each degree
+enumerates when its point count fits the budget and solves otherwise.
+The solver runs in two phases.  The elimination (minors, resultants,
+gcds) runs once per sample, over F_p, the first time a degree solves:
+the sample has F_p entries, and GF's prime-subfield fast path makes
+every one of those steps return the same ints in F_p and in each
 F_{p^j}, so repeating it per extension would only rebuild the same
 polynomials.  The root phase then runs per extension degree j and finds
 the roots in F_{p^j}.  A degeneracy found by the elimination holds at
-every j; one found while taking roots holds at its j only.
+that j and every later one; one found while taking roots holds at its j
+only.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .ffield import (
     poly_gcd,
     poly_mul,
     poly_neg,
-    poly_radical,
     poly_roots,
     poly_sub,
     poly_trim,
@@ -444,15 +447,16 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
     in chart order; fixed is the chart's leading coordinates (zeros, then
     a one).  With no free coordinate, u and tpolys are None and fixed is
     the one line.  With one, u is the gcd of the minors in s and tpolys is
-    None.  With two (s, t), u is the radical of the gcd of the resultants
-    in t, and tpolys holds each nonzero minor as its t-coefficients, to be
-    specialized at each root of u.  Raises DegenerateSampleError when the
-    solution set is positive-dimensional before any root is taken.
+    None.  With two (s, t), u is the gcd of the resultants in t, and
+    tpolys holds each nonzero minor as its t-coefficients, to be
+    specialized at each root of u; u may have repeated factors, which
+    poly_roots strips at each degree.  Raises DegenerateSampleError when
+    the solution set is positive-dimensional before any root is taken.
 
-    Every step stays in the field of V's entries: minors, resultants,
-    gcds and the radical of polynomials with coefficients in F_p are the
-    same ints in F_p and in every F_{p^j} (GF's prime-subfield fast path).
-    So a representation sampled over F_p is eliminated once, and
+    Every step stays in the field of V's entries: minors, resultants and
+    gcds of polynomials with coefficients in F_p are the same ints in F_p
+    and in every F_{p^j} (GF's prime-subfield fast path).  So a
+    representation sampled over F_p is eliminated once, and
     `_kronecker_lines` finds the roots in each extension it is re-read
     over."""
     F = V.field
@@ -487,7 +491,7 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
         else:
             u = _bivariate_eliminant(F, nonzero)
             if u is not None:
-                charts.append((fixed, poly_radical(F, u), [_mp_to_t_coeffs(F, f) for f in nonzero]))
+                charts.append((fixed, u, [_mp_to_t_coeffs(F, f) for f in nonzero]))
     return charts
 
 
@@ -547,38 +551,63 @@ def _kronecker_lines(F, charts: list[tuple]) -> list[tuple]:
     return points
 
 
-def _kronecker_count(Q: Quiver, V: FFRep, beta, src: int, tgt: int, charts: list[tuple]) -> int:
-    """Subrepresentation count of V over its field, from the charts that
-    `_eliminate` returned for V read over the field of its entries."""
+def _kronecker_subreps(Q: Quiver, V: FFRep, beta, src: int, tgt: int, charts: list[tuple], collect: bool):
+    """Subrepresentations of V over its field, from the charts that
+    `_eliminate` returned for V read over the field of its entries: their
+    count, or with collect set the subrepresentations themselves, as
+    tuples of per-vertex row bases."""
     F = V.field
     mats = [V.mat(a) for a in range(len(Q.arrows))]
     b = beta[tgt]
     total = 0
-    for v in _kronecker_lines(F, charts):
-        srows, _ = _span_rows(F, [mat_vec(F, A, list(v)) for A in mats])
-        s = len(srows)
-        assert s <= b
-        total += gaussian_binomial(V.dim[tgt] - s, b - s, F.q)
-    return total
-
-
-def _kronecker_list(Q: Quiver, V: FFRep, beta, src: int, tgt: int, charts: list[tuple]) -> list:
-    """The subrepresentations `_kronecker_count` counts, with bases."""
-    F = V.field
-    mats = [V.mat(a) for a in range(len(Q.arrows))]
-    b = beta[tgt]
-    out = []
+    found = []
     for v in _kronecker_lines(F, charts):
         srows, pivots = _span_rows(F, [mat_vec(F, A, list(v)) for A in mats])
+        if not collect:
+            total += gaussian_binomial(V.dim[tgt] - len(srows), b - len(srows), F.q)
+            continue
         for W in _lift_bases(F, srows, pivots, V.dim[tgt], b):
             per_vertex = [None, None]
             per_vertex[src] = (tuple(v),)
             per_vertex[tgt] = tuple(tuple(r) for r in W)
-            out.append(tuple(per_vertex))
-    return out
+            found.append(tuple(per_vertex))
+    return tuple(found) if collect else total
 
 
 # -- sampling oracle -----------------------------------------------------------
+
+
+def _by_degree(Q: Quiver, V1: FFRep, beta, fields, budget: int, collect: bool, stats: dict | None = None):
+    """Read the sample V1 over each of `fields` (V1's field, then its
+    extensions) and yield (Vj, result): the beta-subrepresentation count
+    of Vj, or with collect the subrepresentations with bases, or None
+    where the sample is degenerate at that degree.
+
+    A degree enumerates when its point count fits the budget, solves
+    when the shape has a solver, and raises BudgetExceededError
+    otherwise.  `_eliminate` runs once, over V1's field, when a degree
+    first solves; a degeneracy it finds makes every later degree None."""
+    alpha = V1.dim
+    kf = _kronecker_form(Q, beta, alpha)
+    charts = None  # None before the first solve, False once found degenerate
+    for F in fields:
+        V = FFRep(Q, F, alpha, V1.mats)
+        points = _raw_point_count(Q, alpha, beta, F.q)
+        if points <= budget:
+            result = list_subreps(Q, V, beta, budget) if collect else enumerate_subreps(Q, V, beta, budget, stats)
+        elif kf is None:
+            raise BudgetExceededError(points, budget)
+        else:
+            result = None
+            try:
+                if charts is None:
+                    charts = _eliminate(Q, V1, beta, *kf)
+                if charts is not False:
+                    result = _kronecker_subreps(Q, V, beta, *kf, charts, collect)
+            except DegenerateSampleError:
+                if charts is None:
+                    charts = False
+        yield V, result
 
 
 @dataclass(frozen=True)
@@ -590,13 +619,13 @@ class SubrepCount:
     extension_degree: int
     trials: int
     seed: int
-    method: str  # 'enumerate' or 'solve'
+    method: str  # 'enumerate' or 'solve': how the largest extension is counted
     per_trial: tuple[tuple[int | None, ...], ...]
     tally: dict
     degenerate: int
     modal: int | None
     inconclusive: bool
-    nodes: int = 0  # enumeration nodes over all trials and extensions; 0 when solving
+    nodes: int = 0  # enumeration nodes over all trials and the degrees that enumerate
 
 
 def sampled_subrep_count(
@@ -615,7 +644,8 @@ def sampled_subrep_count(
     The count recorded for a trial is the one at the largest extension;
     the modal count across trials is the oracle's estimate of the general
     fiber cardinality.  A tie for the mode is reported as inconclusive
-    rather than resolved arbitrarily.
+    rather than resolved arbitrarily.  Each degree enumerates or solves
+    as `_by_degree` decides; method is the choice at the largest degree.
     """
     beta, alpha, _, pairing = check_instance(Q, beta, alpha)
     if pairing != 0:
@@ -629,56 +659,29 @@ def sampled_subrep_count(
     base = GF(q)  # validates primality
 
     points = _raw_point_count(Q, alpha, beta, q**max_ext_degree)
-    kf = _kronecker_form(Q, beta, alpha)
     if points <= budget:
         method = "enumerate"
-    elif kf is None:
+    elif _kronecker_form(Q, beta, alpha) is None:
         raise BudgetExceededError(points, budget)
     else:
         method = "solve"
 
-    fields = {j: GF(q, j) for j in range(1, max_ext_degree + 1)}
-    fields[1] = base
+    fields = [base, *(GF(q, j) for j in range(2, max_ext_degree + 1))]
     stats = {"nodes": 0}
     per_trial = []
     for i in range(trials):
         V1 = random_rep(Q, alpha, base, seed * 1000003 + i)
-        if method == "solve":
-            try:
-                charts = _eliminate(Q, V1, beta, *kf)  # once: V1 has F_p entries
-            except DegenerateSampleError:
-                per_trial.append((None,) * max_ext_degree)
-                continue
-        counts: list[int | None] = []
-        for j in range(1, max_ext_degree + 1):
-            Fj = fields[j]
-            Vj = FFRep(Q, Fj, alpha, V1.mats)
-            try:
-                if method == "enumerate":
-                    counts.append(enumerate_subreps(Q, Vj, beta, budget, stats))
-                else:
-                    counts.append(_kronecker_count(Q, Vj, beta, *kf, charts))
-            except DegenerateSampleError:
-                counts.append(None)
-        per_trial.append(tuple(counts))
+        degrees = _by_degree(Q, V1, beta, fields, budget, collect=False, stats=stats)
+        per_trial.append(tuple(c for _, c in degrees))
 
     finals = [t[-1] for t in per_trial]
     tally: dict = {}
     for c in finals:
         if c is not None:
             tally[c] = tally.get(c, 0) + 1
-    degenerate = sum(1 for c in finals if c is None)
-    modal: int | None = None
-    inconclusive = False
-    if tally:
-        best = max(tally.values())
-        leaders = [c for c, n in tally.items() if n == best]
-        if len(leaders) == 1:
-            modal = leaders[0]
-        else:
-            inconclusive = True
-    else:
-        inconclusive = True
+    best = max(tally.values(), default=0)
+    leaders = [c for c, n in tally.items() if n == best]
+    modal = leaders[0] if len(leaders) == 1 else None
     return SubrepCount(
         q=q,
         extension_degree=max_ext_degree,
@@ -687,9 +690,9 @@ def sampled_subrep_count(
         method=method,
         per_trial=tuple(per_trial),
         tally=tally,
-        degenerate=degenerate,
+        degenerate=finals.count(None),
         modal=modal,
-        inconclusive=inconclusive,
+        inconclusive=modal is None,
         nodes=stats["nodes"],
     )
 
@@ -828,45 +831,29 @@ def verify_determinant_basis(
             matrix=None if E is None else tuple(tuple(row) for row in E),
         )
 
-    kf = _kronecker_form(Q, beta, alpha)
-    fields = {1: field}  # extensions are built when the loop first reaches them
-    for s in range(max_samples):
-        samples_tried = s + 1
-        V1 = random_rep(Q, alpha, field, seed * 1000003 + s)
-        charts = None  # eliminated over F_p when the first j takes the solve path
-        for j in range(1, max_ext_degree + 1):
-            if j not in fields:
-                fields[j] = GF(field.p, j)
-            Fj = fields[j]
-            Vj = FFRep(Q, Fj, alpha, V1.mats)
-            points = _raw_point_count(Q, alpha, beta, Fj.q)
-            if points <= budget:
-                subs = list_subreps(Q, Vj, beta, budget)
-            elif kf is None:
-                return report(f"enumeration budget exceeded ({points} points) and no solver applies")
-            else:
-                if charts is None:
-                    try:
-                        charts = _eliminate(Q, V1, beta, *kf)
-                    except DegenerateSampleError:
-                        break  # the same at every larger j, which solves too: next sample
-                try:
-                    subs = tuple(_kronecker_list(Q, Vj, beta, *kf, charts))
-                except DegenerateSampleError:
+    try:
+        for s in range(max_samples):
+            samples_tried = s + 1
+            V1 = random_rep(Q, alpha, field, seed * 1000003 + s)
+            # lazy: an extension is built only when a sample reaches it
+            fields = (GF(field.p, j) for j in range(1, max_ext_degree + 1))
+            for Vj, subs in _by_degree(Q, V1, beta, fields, budget, collect=True):
+                if subs is None or len(subs) != counts.n_value:
                     continue
-            if len(subs) != counts.n_value:
-                continue
-            pairs = [_subrep_quotient_pair(Q, Vj, beta, gamma, sb) for sb in subs]
-            k = len(pairs)
-            E = [
-                [semiinvariant_cv(Q, pairs[i][0], pairs[jj][1]) for jj in range(k)]
-                for i in range(k)
-            ]
-            if any(E[i][jj] != Fj.zero for i in range(k) for jj in range(k) if i != jj):
-                return report("nonzero off-diagonal evaluation (orthogonality violated)", k, j, E)
-            if any(E[i][i] == Fj.zero for i in range(k)):
-                break  # non-generic sample; try the next seed
-            if k != counts.m_value:
-                return report(f"{k} subrepresentations but weight space has dimension {counts.m_value}", k, j, E)
-            return report("", k, j, E)
+                Fj, j = Vj.field, Vj.field.k
+                pairs = [_subrep_quotient_pair(Q, Vj, beta, gamma, sb) for sb in subs]
+                k = len(pairs)
+                E = [
+                    [semiinvariant_cv(Q, pairs[i][0], pairs[jj][1]) for jj in range(k)]
+                    for i in range(k)
+                ]
+                if any(E[i][jj] != Fj.zero for i in range(k) for jj in range(k) if i != jj):
+                    return report("nonzero off-diagonal evaluation (orthogonality violated)", k, j, E)
+                if any(E[i][i] == Fj.zero for i in range(k)):
+                    break  # non-generic sample; try the next seed
+                if k != counts.m_value:
+                    return report(f"{k} subrepresentations but weight space has dimension {counts.m_value}", k, j, E)
+                return report("", k, j, E)
+    except BudgetExceededError as e:
+        return report(f"enumeration budget exceeded ({e.points} points) and no solver applies")
     return report("no sample with exactly N rational subrepresentations and nonzero diagonal")

@@ -8,7 +8,6 @@ as dict keys and memoization keys.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable, NamedTuple
 
 
@@ -90,11 +89,6 @@ def partitions_in_rectangle(rect: Rectangle) -> list[tuple[int, ...]]:
     rec([], rect.cols, rect.rows)
     acc.sort(key=lambda lam: (sum(lam), lam))
     return acc
-
-
-def count_in_rectangle(rect: Rectangle) -> int:
-    """Number of partitions inside rect, binomial(rows+cols, rows)."""
-    return comb(rect.rows + rect.cols, rect.rows)
 
 
 def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:

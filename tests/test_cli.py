@@ -349,6 +349,12 @@ def test_exit_usage_on_bad_oracle_field(flag, value, fragment):
         (["--oracles", "--count", "-1"], "--count"),
         (["--oracles", "--count", "0", "--trials", "0"], "--trials"),
         (["--oracles", "--count", "0", "--trials", "-4"], "--trials"),
+        (["--tripleflag", "--n", "0"], "--n"),
+        (["--tripleflag", "--r", "-1"], "--r"),
+        (["--random", "2", "--max-verts", "0"], "--max-verts"),
+        (["--random", "2", "--max-dim", "0"], "--max-dim"),
+        (["--random", "2", "--max-arrows", "-1"], "--max-arrows"),
+        (["--oracles", "--count", "0", "--oracle-budget", "-5"], "--oracle-budget"),
     ],
 )
 def test_exit_usage_on_negative_suite_size(argv, flag):
@@ -356,6 +362,13 @@ def test_exit_usage_on_negative_suite_size(argv, flag):
     assert code == 2
     assert f"argument {flag}" in err
     assert "Traceback" not in err
+    assert out == ""
+
+
+def test_exit_usage_when_flag_rank_exceeds_dimension():
+    code, out, err = run_cli(["verify", "--tripleflag", "--n", "3", "--r", "5"])
+    assert code == 2
+    assert "--r 5" in err and "--n 3" in err
     assert out == ""
 
 

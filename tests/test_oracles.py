@@ -9,9 +9,9 @@ from quivercount.oracles import (
     BudgetExceededError,
     DegenerateSampleError,
     _eliminate,
-    _kronecker_count,
     _kronecker_form,
     _kronecker_lines,
+    _kronecker_subreps,
     _raw_point_count,
     _walk_subreps,
     enumerate_subreps,
@@ -227,7 +227,7 @@ def test_kronecker_solver_matches_enumeration():
         for seed in range(12):
             V = random_rep(Q, alpha, F5, seed)
             try:
-                fast = _kronecker_count(Q, V, beta, src, tgt, _eliminate(Q, V, beta, src, tgt))
+                fast = _kronecker_subreps(Q, V, beta, src, tgt, _eliminate(Q, V, beta, src, tgt), collect=False)
             except DegenerateSampleError:
                 continue
             assert fast == enumerate_subreps(Q, V, beta), (Q.arrows, beta, alpha, seed)
@@ -242,7 +242,7 @@ def test_kronecker_solver_matches_enumeration_extension_field():
     for seed in range(6):
         V = random_rep(THETA4, (3, 3), F9, seed)
         try:
-            fast = _kronecker_count(THETA4, V, (1, 2), src, tgt, _eliminate(THETA4, V, (1, 2), src, tgt))
+            fast = _kronecker_subreps(THETA4, V, (1, 2), src, tgt, _eliminate(THETA4, V, (1, 2), src, tgt), collect=False)
         except DegenerateSampleError:
             continue
         assert fast == enumerate_subreps(THETA4, V, (1, 2))
@@ -339,6 +339,18 @@ def test_sampler_eliminates_once_per_trial(monkeypatch):
     assert len(calls) == 4
     # over the base field: the sample itself, before it is re-read over F_{101^j}
     assert all(V.field == GF(101) for _, V, *_ in calls)
+
+
+def test_sampler_enumerates_or_solves_per_degree(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    # 102^2 points at degree 1 fit the budget; about 10^8 at degree 2 do not
+    got = sampled_subrep_count(THETA2, (1, 1), (2, 2), 101, max_ext_degree=2, trials=8, seed=1)
+    assert got.method == "solve"
+    assert got.nodes > 0
+    assert len(calls) == 8
+    # the values of the solve-only sampler
+    assert got.per_trial == ((2, 2), (0, 2), (0, 2), (0, 2), (0, 2), (2, 2), (2, 2), (0, 2))
+    assert got.tally == {2: 8} and got.modal == 2 and got.degenerate == 0
 
 
 def test_basis_eliminates_once_per_sample_that_solves(monkeypatch):

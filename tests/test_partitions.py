@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from quivercount.partitions import (
     complement,
     conjugate,
     contains,
-    count_in_rectangle,
     fits,
     format_partition,
     parse_partition,
@@ -59,7 +60,7 @@ def test_enumeration_matches_count():
         for cols in range(5):
             rect = Rectangle(rows, cols)
             listed = partitions_in_rectangle(rect)
-            assert len(listed) == count_in_rectangle(rect)
+            assert len(listed) == comb(rows + cols, rows)
             assert len(set(listed)) == len(listed)
             assert all(fits(lam, rect) for lam in listed)
 
@@ -67,7 +68,7 @@ def test_enumeration_matches_count():
 def test_degenerate_rectangles_hold_only_empty():
     assert partitions_in_rectangle(Rectangle(0, 5)) == [()]
     assert partitions_in_rectangle(Rectangle(5, 0)) == [()]
-    assert count_in_rectangle(Rectangle(0, 0)) == 1
+    assert len(partitions_in_rectangle(Rectangle(0, 0))) == comb(0, 0) == 1
 
 
 def test_contains():
