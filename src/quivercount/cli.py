@@ -440,6 +440,8 @@ def cmd_verify(args, out) -> int:
     engine = LREngine()
     if args.oracles:
         GF(args.q, args.ext)  # names a bad --q or --ext before any suite runs
+    elif args.basis:
+        GF(args.q)
     if args.tripleflag and args.flag_r > args.flag_n:
         raise ValueError(f"--r {args.flag_r} exceeds --n {args.flag_n}: no flag of that shape")
     suites = []

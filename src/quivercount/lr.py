@@ -1,9 +1,10 @@
 """Littlewood-Richardson engine.
 
-Computes LR coefficients by direct backtracking over skew tableaux,
-iterated tensor multiplicities of Schur functors with containment pruning,
-and products of Schubert classes truncated to a rectangle.  All counts are
-plain Python ints (arbitrary precision).
+Products S^lam (x) S^mu inside a bounding shape are built by adding mu's
+rows to lam as horizontal strips; tensor multiplicities of Schur functors
+and Schubert products truncated to a rectangle fold them.  LR coefficients
+are counted by backtracking over skew tableaux, code the products do not
+share.  All counts are plain Python ints (arbitrary precision).
 
 Memoization tables live on an engine instance, not in module globals:
 callers that pass one engine share its tables, and nothing else does.
@@ -48,7 +49,10 @@ def schubert_class(ambient: Rectangle, lam: tuple[int, ...]) -> SchubertElement:
 
 
 class LREngine:
-    """Littlewood-Richardson kernel with per-instance memo tables."""
+    """Littlewood-Richardson kernel with per-instance memo tables.
+
+    `expand` adds horizontal strips; `lr_coefficient` counts tableaux.
+    """
 
     def __init__(self) -> None:
         self._lr_memo: dict[tuple, int] = {}
@@ -147,58 +151,32 @@ class LREngine:
         """Expansion of S^lam (x) S^mu, keeping only shapes inside `bound`.
 
         Returns ((nu, c_{lam,mu}^{nu}), ...) over partitions nu contained in
-        the bounding partition, with nonzero coefficients only.
+        the bounding partition, with nonzero coefficients only, in
+        lexicographic order of nu.  Row i of mu is added to lam as a
+        horizontal strip of i's inside `bound` (Fulton, Young Tableaux, 5).
+        Read right to left, a row puts its (i+1)'s before its i's, so the
+        (i+1)'s in rows <= r may never outnumber the i's in rows < r.  A
+        state is (shape, i's in rows < r for every r); equal states merge.
+        Malformed partitions raise ValueError.
         """
         key = (lam, mu, bound)
         cached = self._expand_memo.get(key)
         if cached is not None:
             return cached
-        total = size(lam) + size(mu)
-        out = []
-        for nu in self._shapes_between(lam, bound, total):
-            c = self.lr_coefficient(lam, mu, nu)
-            if c:
-                out.append((nu, c))
-        result = tuple(out)
+        lam, mu, bound = partition(lam), partition(mu), partition(bound)
+        states = {(lam, (size(mu),) * len(bound)): 1} if contains(bound, lam) else {}
+        for m in mu:
+            nxt: dict[tuple, int] = {}
+            for (shape, allow), c in states.items():
+                for state in _strips(shape, m, bound, allow):
+                    nxt[state] = nxt.get(state, 0) + c
+            states = nxt
+        out: dict[tuple[int, ...], int] = {}
+        for (nu, _), c in states.items():
+            out[nu] = out.get(nu, 0) + c
+        result = tuple(sorted(out.items()))
         self._expand_memo[key] = result
         return result
-
-    @staticmethod
-    def _shapes_between(
-        inner: tuple[int, ...],
-        outer: tuple[int, ...],
-        total: int,
-    ):
-        """Partitions nu with inner <= nu <= outer (as diagrams), |nu| = total."""
-        if not contains(outer, inner) or total > size(outer):
-            return
-        nrows = len(outer)
-        lo = list(inner) + [0] * (nrows - len(inner))
-        # suffix maxima for feasibility pruning
-        suffix_hi = [0] * (nrows + 1)
-        for r in range(nrows - 1, -1, -1):
-            suffix_hi[r] = suffix_hi[r + 1] + outer[r]
-        suffix_lo = [0] * (nrows + 1)
-        for r in range(nrows - 1, -1, -1):
-            suffix_lo[r] = suffix_lo[r + 1] + lo[r]
-
-        row_vals: list[int] = []
-
-        def rec(r: int, remaining: int, prev: int):
-            if r == nrows:
-                if remaining == 0:
-                    yield partition(row_vals)
-                return
-            hi = min(outer[r], prev, remaining - suffix_lo[r + 1])
-            for v in range(lo[r], hi + 1):
-                rest = remaining - v
-                if rest > min(suffix_hi[r + 1], v * (nrows - r - 1)):
-                    continue
-                row_vals.append(v)
-                yield from rec(r + 1, rest, v)
-                row_vals.pop()
-
-        yield from rec(0, total, total)
 
     def tensor_multiplicity(
         self,
@@ -293,6 +271,24 @@ class LREngine:
 
         rec(0)
         return out
+
+
+def _strips(shape, m, bound, allow):
+    """Horizontal strips of m boxes added to `shape` inside `bound` that
+    put at most allow[r] boxes in rows <= r, as (new shape, the strip's
+    boxes in rows < r for every row r of `bound`)."""
+    top = min(len(shape) + 1, len(bound))
+    old = shape + (0,)
+    partial = [((), (), 0)]  # (rows of the new shape, boxes above each, boxes so far)
+    for r in range(top):
+        free = (min(bound[r], old[r - 1]) if r else bound[0]) - old[r]
+        partial = [
+            (rows + (old[r] + k,), above + (c,), c + k)
+            for rows, above, c in partial
+            for k in range(min(free, m - c, allow[r] - c) + 1)
+        ]
+    pad = (m,) * (len(bound) - top)
+    return [(rows if rows[-1] else rows[:-1], above + pad) for rows, above, c in partial if c == m]
 
 
 def rectangle_partition(rect: Rectangle) -> tuple[int, ...]:

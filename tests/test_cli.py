@@ -340,6 +340,13 @@ def test_exit_usage_on_bad_oracle_field(flag, value, fragment):
     assert fragment in proc.stderr
 
 
+def test_basis_names_a_bad_q_before_any_suite_runs():
+    code, out, err = run_cli(["verify", "--kronecker", "--basis", "--q", "4"])
+    assert code == 2
+    assert "characteristic 4" in err
+    assert "suite" not in out
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

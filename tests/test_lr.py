@@ -1,14 +1,20 @@
 import itertools
 import threading
 
+import pytest
+
+from quivercount.counting import fiber_class, triple_flag_instance, verify_counts
+from quivercount.covariants import covariant_multiplicity
 from quivercount.lr import LREngine, SchubertElement, rectangle_partition, schubert_class
 from quivercount.partitions import (
     Rectangle,
     complement,
     conjugate,
+    contains,
     partitions_in_rectangle,
     size,
 )
+from quivercount.quiver import Quiver
 
 
 def partitions_of(n: int, max_rows: int = 6):
@@ -70,6 +76,55 @@ def test_expand_pieri_row(engine):
 def test_expand_respects_bound(engine):
     got = dict(engine.expand((2, 1), (2,), (3, 2)))
     assert got == {(3, 2): 1}
+
+
+def test_expand_matches_tableau_count_reference(engine):
+    # the strip rule against its definition: every nu inside the bound,
+    # counted by the tableau counter, in lexicographic order; (2, 2) and
+    # (3, 1, 1) miss most lam, () misses all but the empty one
+    shapes = [lam for n in range(6) for lam in partitions_of(n)]
+    bounds = [(3, 3, 3, 3), (6, 6), (5, 3, 2, 1), (6, 4, 4, 1, 1), (2, 2), (3, 1, 1), ()]
+    for bound in bounds:
+        rect = Rectangle(len(bound), bound[0] if bound else 0)
+        inside = [nu for nu in partitions_in_rectangle(rect) if contains(bound, nu)]
+        for lam, mu in itertools.product(shapes, repeat=2):
+            want = {}
+            for nu in inside:
+                if size(nu) == size(lam) + size(mu) and engine.lr_coefficient(lam, mu, nu):
+                    want[nu] = engine.lr_coefficient(lam, mu, nu)
+            got = engine.expand(lam, mu, bound)
+            assert dict(got) == want, (lam, mu, bound)
+            assert [nu for nu, _ in got] == sorted(want), (lam, mu, bound)
+
+
+def test_expand_validates_its_input():
+    engine = LREngine()
+    # zeros are stripped, as everywhere else: (0, 1) is the partition (1,)
+    assert engine.expand((0, 1), (1,), (2, 2)) == engine.expand((1,), (1,), (2, 2))
+    assert engine.expand((0, 1), (1,), (2, 2)) == (((1, 1), 1), ((2,), 1))
+    with pytest.raises(ValueError):
+        engine.expand((1,), (1, 2), (3, 3))
+
+
+def test_products_share_no_code_with_the_tableau_counter(monkeypatch):
+    # the triple-flag reference is a tableau count; N, M and the fiber
+    # class must reach it without calling it
+    Q, beta, alpha, expected = triple_flag_instance((2, 1), (2, 1), (3, 2, 1), 3, 7)
+    calls = []
+    counted = LREngine.lr_coefficient
+
+    def counting(self, *args):
+        calls.append(args)
+        return counted(self, *args)
+
+    monkeypatch.setattr(LREngine, "lr_coefficient", counting)
+    engine = LREngine()
+    rep = verify_counts(Q, beta, alpha, engine)
+    assert rep.n_value == rep.m_value == expected == 2
+    assert fiber_class(Q, beta, alpha, engine).coefficient(((),) * len(beta)) == expected
+    a2 = Quiver(2, ((0, 1),))
+    assert covariant_multiplicity(a2, (1, 1), (2, 2), ((1,), ()), engine) == 1
+    assert calls == []
 
 
 def test_tensor_multiplicity_basics(engine):
