@@ -19,11 +19,16 @@ The matrix and polynomial helpers are generic over a small field protocol
 (attributes `zero`, `one`; methods add/sub/neg/mul/inv/sample).  Matrices
 are lists of row lists; polynomials are tuples of coefficients in
 ascending degree order with no trailing zeros, () being the zero
-polynomial.
+polynomial.  The ring-level polynomial helpers (`poly_trim`, `poly_add`,
+`poly_neg`, `poly_sub`, `poly_scale`, `poly_mul`, `poly_deg`,
+`poly_eval`) need only `zero`, `one`, add, neg and mul, so they work over
+any commutative ring: `oracles` uses them over F[s], whose elements are
+themselves such tuples.
 """
 
 from __future__ import annotations
 
+import random
 from functools import cache
 from typing import Iterable
 
@@ -170,10 +175,6 @@ class GF:
             a = self.mul(a, a)
             e >>= 1
         return out
-
-    def embed_int(self, n: int) -> int:
-        """The image of the integer n, landing in the prime subfield."""
-        return n % self.p
 
     def elements(self) -> range:
         return range(self.q)
@@ -585,13 +586,6 @@ def poly_eval(F, f: tuple, x):
     return out
 
 
-def poly_deriv(F, f: tuple) -> tuple:
-    out = []
-    for i in range(1, len(f)):
-        out.append(F.mul(F.embed_int(i), f[i]))
-    return poly_trim(F, out)
-
-
 def poly_powmod(F, f: tuple, e: int, m: tuple) -> tuple:
     out = poly_mod(F, (F.one,), m)
     f = poly_mod(F, f, m)
@@ -601,38 +595,6 @@ def poly_powmod(F, f: tuple, e: int, m: tuple) -> tuple:
         f = poly_mod(F, poly_mul(F, f, f), m)
         e >>= 1
     return out
-
-
-def _pth_root_poly(F, f: tuple) -> tuple:
-    # f = g(x^p) in characteristic p; recover g by inverting Frobenius on
-    # the coefficients (a -> a^(q/p) since a^q = a).
-    p = F.p
-    out = []
-    for i in range(0, len(f), p):
-        out.append(F.pow_(f[i], F.q // p))
-    return poly_trim(F, out)
-
-
-def poly_radical(F, f: tuple) -> tuple:
-    """Product of the distinct monic irreducible factors of f."""
-    f = poly_monic(F, f)
-    if poly_deg(f) <= 0:
-        return (F.one,)
-    d = poly_deriv(F, f)
-    if not d:
-        return poly_radical(F, _pth_root_poly(F, f))
-    g = poly_gcd(F, f, d)
-    w = poly_divmod(F, f, g)[0]  # distinct factors with exponent not 0 mod p
-    r = g
-    while True:
-        c = poly_gcd(F, r, w)
-        if poly_deg(c) <= 0:
-            break
-        r = poly_divmod(F, r, c)[0]
-    # r now holds exactly the factors with exponent divisible by p
-    if poly_deg(r) <= 0:
-        return w
-    return poly_mul(F, w, poly_radical(F, _pth_root_poly(F, r)))
 
 
 def distinct_degree_factorization(F, f: tuple) -> list[tuple[int, tuple]]:
@@ -656,14 +618,15 @@ def distinct_degree_factorization(F, f: tuple) -> list[tuple[int, tuple]]:
     return out
 
 
-def poly_roots(F, f: tuple, rng=None) -> list:
-    """All roots of f in F, with multiplicity stripped.
+def poly_roots(F, f: tuple) -> list:
+    """All roots of f in F, each listed once.
 
-    Small fields are scanned; larger ones use the standard random splitting
-    of the linear-factor part (odd characteristic only, which is all this
-    package samples from).
+    Small fields are scanned, which meets each root once.  Larger ones take
+    gcd(x^q - x, f), the product of f's distinct linear factors, and split
+    it by the standard random method, seeded the same on every call (odd
+    characteristic only, which is all this package samples from).
     """
-    f = poly_monic(F, poly_radical(F, f))
+    f = poly_monic(F, f)
     if poly_deg(f) <= 0:
         return []
     if isinstance(F, GF) and F.q <= 4096:
@@ -675,11 +638,8 @@ def poly_roots(F, f: tuple, rng=None) -> list:
         return []
     if F.p == 2:
         raise NotImplementedError("root splitting over large even fields")
-    import random as _random
-
-    rng = rng or _random.Random(0x5EED)
     roots: list = []
-    _split_linear(F, lin, rng, roots)
+    _split_linear(F, lin, random.Random(0x5EED), roots)
     return roots
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .counting import NonzeroPairingError, si_dimension, verify_counts
 from .ffield import (
@@ -49,6 +50,7 @@ from .ffield import (
     mat_mul,
     mat_rref,
     mat_vec,
+    poly_add,
     poly_deg,
     poly_divmod,
     poly_eval,
@@ -266,9 +268,12 @@ def list_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> tuple:
 # subrepresentation iff the m image vectors A_1 v .. A_m v span at most
 # beta(tgt) dimensions, i.e. all (b+1)-minors of the n_tgt x m matrix
 # [A_1 v | ... | A_m v] vanish.  Charts on the projective space of lines
-# turn this into systems in <= 2 variables, solved by resultants and
-# root extraction; each solution line contributes one choice of target
-# subspace per completion of its image span.  `_eliminate` does everything
+# turn this into systems in <= 2 variables (s, then t), solved by
+# resultants and root extraction; each solution line contributes one
+# choice of target subspace per completion of its image span.  A minor
+# is a polynomial in t over F[s] (a tuple, ascending in t, of
+# s-polynomials), built by ffield's helpers over the ring `_SPolys`; on a
+# one-variable chart it is its t^0 coefficient.  `_eliminate` does everything
 # before the first root over the field of the sample's entries;
 # `_kronecker_lines` takes the roots in whatever extension V is read over.
 
@@ -293,92 +298,55 @@ def _kronecker_form(Q: Quiver, beta, alpha):
     return src, tgt
 
 
-# bivariate polynomials: dict mapping (i, j) -> coefficient, for s^i t^j
+class _SPolys:
+    """F[s] as a ring for ffield's polynomial helpers: an element is an
+    s-polynomial over F, so a polynomial over this ring is a tuple,
+    ascending in t, of s-polynomials."""
+
+    def __init__(self, F) -> None:
+        self.zero = ()
+        self.one = (F.one,)
+        self.add = partial(poly_add, F)
+        self.neg = partial(poly_neg, F)
+        self.mul = partial(poly_mul, F)
 
 
-def _mp_add(F, f: dict, g: dict) -> dict:
-    out = dict(f)
-    for e, c in g.items():
-        v = F.add(out.get(e, F.zero), c)
-        if v == F.zero:
-            out.pop(e, None)
-        else:
-            out[e] = v
-    return out
-
-
-def _mp_mul(F, f: dict, g: dict) -> dict:
-    out: dict = {}
-    for (i1, j1), c1 in f.items():
-        for (i2, j2), c2 in g.items():
-            e = (i1 + i2, j1 + j2)
-            v = F.add(out.get(e, F.zero), F.mul(c1, c2))
-            if v == F.zero:
-                out.pop(e, None)
-            else:
-                out[e] = v
-    return out
-
-
-def _mp_neg(F, f: dict) -> dict:
-    return {e: F.neg(c) for e, c in f.items()}
-
-
-def _minor_polys(F, mats, chart: list[dict], b: int) -> list[dict]:
+def _minor_polys(F, mats, chart: list[tuple], b: int) -> list[tuple]:
     """All (b+1)-minors of [A_1 v | ... | A_m v] with v given by the chart
-    (one bivariate polynomial per coordinate)."""
+    (one polynomial in t over F[s] per coordinate), each as a polynomial
+    in t over F[s]."""
+    R = _SPolys(F)
     m = len(mats)
     n_tgt = len(mats[0])
     cols = []
     for A in mats:
         col = []
         for r in range(n_tgt):
-            entry: dict = {}
+            entry: tuple = ()
             for c, coord in enumerate(chart):
                 a = A[r][c]
                 if a == F.zero:
                     continue
-                entry = _mp_add(F, entry, {e: F.mul(a, cc) for e, cc in coord.items()})
+                entry = poly_add(R, entry, poly_mul(R, ((a,),), coord))
             col.append(entry)
         cols.append(col)
     r = b + 1
     minors = []
     for rows_idx in itertools.combinations(range(n_tgt), r):
         for cols_idx in itertools.combinations(range(m), r):
-            det: dict = {}
+            det: tuple = ()
             for perm in itertools.permutations(range(r)):
-                term = {(0, 0): F.one}
-                for i in range(r):
-                    term = _mp_mul(F, term, cols[cols_idx[perm[i]]][rows_idx[i]])
+                term = cols[cols_idx[perm[0]]][rows_idx[0]]
+                for i in range(1, r):
+                    term = poly_mul(R, term, cols[cols_idx[perm[i]]][rows_idx[i]])
                 inversions = sum(
                     1 for i in range(r) for j in range(i + 1, r) if perm[i] > perm[j]
                 )
                 if inversions % 2:
-                    term = _mp_neg(F, term)
-                det = _mp_add(F, det, term)
+                    term = poly_neg(R, term)
+                det = poly_add(R, det, term)
             minors.append(det)
     return minors
-
-
-def _mp_deg_t(f: dict) -> int:
-    return max((j for (_, j) in f), default=-1)
-
-
-def _mp_to_t_coeffs(F, f: dict) -> list[tuple]:
-    """Coefficients of t^0..t^deg as univariate polynomials in s."""
-    dt = _mp_deg_t(f)
-    out = []
-    for j in range(dt + 1):
-        ds = max((i for (i, jj) in f if jj == j), default=-1)
-        cs = [f.get((i, j), F.zero) for i in range(ds + 1)]
-        out.append(poly_trim(F, cs))
-    return out
-
-
-def _mp_to_s_poly(F, f: dict) -> tuple:
-    assert _mp_deg_t(f) <= 0
-    ds = max((i for (i, _) in f), default=-1)
-    return poly_trim(F, [f.get((i, 0), F.zero) for i in range(ds + 1)])
 
 
 def _bareiss_det_polys(F, M: list[list[tuple]]) -> tuple:
@@ -410,9 +378,9 @@ def _bareiss_det_polys(F, M: list[list[tuple]]) -> tuple:
     return det if sign == 1 else poly_neg(F, det)
 
 
-def _resultant_t(F, f: list[tuple], g: list[tuple]) -> tuple:
+def _resultant_t(F, f: tuple, g: tuple) -> tuple:
     """Resultant of two polynomials in t with coefficients in F[s],
-    given as coefficient lists (ascending in t)."""
+    given as coefficient tuples (ascending in t)."""
     m = len(f) - 1
     n = len(g) - 1
     assert m >= 1 and n >= 1
@@ -448,9 +416,9 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
     a one).  With no free coordinate, u and tpolys are None and fixed is
     the one line.  With one, u is the gcd of the minors in s and tpolys is
     None.  With two (s, t), u is the gcd of the resultants in t, and
-    tpolys holds each nonzero minor as its t-coefficients, to be
-    specialized at each root of u; u may have repeated factors, which
-    poly_roots strips at each degree.  Raises DegenerateSampleError when
+    tpolys holds the nonzero minors, polynomials in t over F[s], to be
+    specialized at each root of u; u may have repeated factors, and
+    poly_roots lists each root once.  Raises DegenerateSampleError when
     the solution set is positive-dimensional before any root is taken.
 
     Every step stays in the field of V's entries: minors, resultants and
@@ -470,14 +438,14 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
             return [((one,), None, None)]
         raise DegenerateSampleError("rank condition vacuous on the whole line space")
     charts: list[tuple] = []
-    var_s = {(1, 0): one}
-    var_t = {(0, 1): one}
+    var_s = ((zero, one),)
+    var_t = ((), (one,))
     # chart i: coordinates before i vanish, coordinate i is 1, the rest
     # (at most two, s then t) are free
     for i in range(n_src):
         fixed = (zero,) * i + (one,)
         nfree = n_src - 1 - i
-        chart = [{}] * i + [{(0, 0): one}] + [var_s, var_t][:nfree]
+        chart = [()] * i + [((one,),)] + [var_s, var_t][:nfree]
         nonzero = [f for f in _minor_polys(F, mats, chart, b) if f]
         if nfree == 0:
             if not nonzero:
@@ -485,34 +453,33 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
         elif not nonzero:
             raise DegenerateSampleError("every minor vanishes identically on a chart")
         elif nfree == 1:
-            u = _gcd_all(F, [_mp_to_s_poly(F, f) for f in nonzero])
+            u = _gcd_all(F, [f[0] for f in nonzero])
             if poly_deg(u) >= 1:
                 charts.append((fixed, u, None))
         else:
             u = _bivariate_eliminant(F, nonzero)
             if u is not None:
-                charts.append((fixed, u, [_mp_to_t_coeffs(F, f) for f in nonzero]))
+                charts.append((fixed, u, nonzero))
     return charts
 
 
-def _bivariate_eliminant(F, nonzero: list[dict]) -> tuple | None:
+def _bivariate_eliminant(F, nonzero: list[tuple]) -> tuple | None:
     """A polynomial in s, of degree >= 1, vanishing at the s-coordinate of
     every common zero (s, t) of the nonzero minors; None when they have
     no common zero."""
-    with_t = [f for f in nonzero if _mp_deg_t(f) >= 1]
-    s_only = [_mp_to_s_poly(F, f) for f in nonzero if _mp_deg_t(f) == 0]
+    with_t = [f for f in nonzero if poly_deg(f) >= 1]
+    s_only = [f[0] for f in nonzero if poly_deg(f) == 0]
     if not with_t:
         # conditions restrict s alone: any common root leaves t free
         if poly_deg(_gcd_all(F, s_only)) <= 0:
             return None
         raise DegenerateSampleError("solution set contains a vertical line")
-    for base in sorted(with_t, key=_mp_deg_t):
-        fb = _mp_to_t_coeffs(F, base)
+    for base in sorted(with_t, key=poly_deg):
         collected = list(s_only)
         for other in with_t:
             if other is base:
                 continue
-            res = _resultant_t(F, fb, _mp_to_t_coeffs(F, other))
+            res = _resultant_t(F, base, other)
             if not res:
                 break
             collected.append(res)
@@ -714,7 +681,8 @@ def si_rank_oracle(
     The determinants c^V span the weight space, so the rank is at most
     its dimension, with equality for generic samples; the default sample
     sizes add a margin above the claimed dimension (which is used for
-    sizing only, never for the rank itself).
+    sizing only, never for the rank itself); given sizes must be at
+    least 1.
     """
     gamma = check_dimvector(Q, gamma)  # so that a negative entry is named as such
     beta, alpha, gamma, pairing = check_instance(Q, beta, [b + g for b, g in zip(beta, gamma)])
@@ -722,10 +690,13 @@ def si_rank_oracle(
         raise NonzeroPairingError(f"nonzero Euler pairing {pairing}: c^V is not defined")
     if field is None:
         field = GF(101)
+    for name, n in (("nv", nv), ("nw", nw)):
+        if n is not None and n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
     if nv is None or nw is None:
         suggested = si_dimension(Q, beta, alpha) + 4
-        nv = nv or suggested
-        nw = nw or suggested
+        nv = suggested if nv is None else nv
+        nw = suggested if nw is None else nw
     vs = [random_rep(Q, beta, field, seed * 1000003 + i) for i in range(nv)]
     ws = [random_rep(Q, gamma, field, seed * 1000003 + nv + i) for i in range(nw)]
     E = [[semiinvariant_cv(Q, v, w) for w in ws] for v in vs]

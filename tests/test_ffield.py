@@ -22,7 +22,6 @@ from quivercount.ffield import (
     poly_monic,
     poly_mul,
     poly_powmod,
-    poly_radical,
     poly_roots,
     poly_trim,
     _is_irreducible,
@@ -351,20 +350,40 @@ def test_poly_roots_extension_field():
         assert F.add(F.mul(r, r), F.one) == F.zero
 
 
-def test_poly_radical_squarefree_part():
-    F = GF(5)
-    x = (0, 1)
-    f = poly_mul(F, poly_mul(F, x, x), (1, 1))  # x^2 (x+1)
-    assert poly_radical(F, f) == poly_monic(F, poly_mul(F, x, (1, 1)))
+def _nonsquare(F):
+    e = (F.q - 1) // 2
+    return next(n for n in range(2, F.q) if F.pow_(n, e) != F.one)
 
 
-def test_poly_radical_char_p_power():
-    F = GF(3)
-    # (x+1)^9 has zero derivative twice over; radical must still be x+1
-    f = (1, 1)
-    for _ in range(2):
-        f = poly_mul(F, poly_mul(F, f, f), f)
-    assert poly_radical(F, f) == (1, 1)
+@pytest.mark.parametrize("field", [(13, 1), (13, 2), (101, 2), (101, 3)])
+def test_poly_roots_lists_repeated_roots_once(field):
+    # GF(13^j) is scanned; GF(101^j) takes gcd(x^q - x, f) and splits it
+    F = GF(*field)
+    p = F.p
+    a, b = F.q - 2, 3  # a lies outside F_p when F is an extension
+
+    def power(g, e):
+        f = (F.one,)
+        for _ in range(e):
+            f = poly_mul(F, f, g)
+        return f
+
+    def x_minus(c):
+        return (F.neg(c), F.one)
+
+    quad = (F.neg(_nonsquare(F)), F.zero, F.one)  # irreducible over F
+    cases = [
+        (poly_mul(F, power(x_minus(a), 3), x_minus(b)), {a, b}),
+        (poly_mul(F, power(quad, 2), x_minus(a)), {a}),
+        # the first factor has zero derivative
+        (poly_mul(F, power(x_minus(1), p), x_minus(2)), {1, 2}),
+    ]
+    for f, roots in cases:
+        if F.q <= 4096:
+            roots = {c for c in F.elements() if poly_eval(F, f, c) == F.zero}
+        found = poly_roots(F, f)
+        assert len(found) == len(set(found))
+        assert set(found) == roots
 
 
 def test_distinct_degree_factorization_partition():

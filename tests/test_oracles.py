@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from quivercount import ffield, oracles
-from quivercount.ffield import GF, mat_rank, mat_rref, mat_vec
+from quivercount.ffield import GF, mat_det, mat_rank, mat_rref, mat_vec, poly_eval
 from quivercount.oracles import (
     BasisReport,
     BudgetExceededError,
@@ -12,6 +13,7 @@ from quivercount.oracles import (
     _kronecker_form,
     _kronecker_lines,
     _kronecker_subreps,
+    _minor_polys,
     _raw_point_count,
     _walk_subreps,
     enumerate_subreps,
@@ -213,6 +215,35 @@ def test_kronecker_eligibility():
     assert _kronecker_form(theta(5), (1, 4), (2, 5)) is None
 
 
+def test_minor_polys_match_numeric_determinants():
+    # each chart's minors, evaluated at (s0, t0), against mat_det (Gaussian
+    # elimination) of the same submatrix of [A_1 v | ... | A_m v]
+    rng = random.Random(11)
+    coords = {"0": (), "1": ((1,),), "s": ((0, 1),), "t": ((), (1,))}
+    checks = 0
+    for F in (GF(13), GF(101)):
+        for _ in range(20):
+            m, n_src, b = rng.randint(1, 4), rng.randint(1, 3), rng.randint(0, 2)
+            n_tgt = rng.randint(b + 1, b + 2)
+            V = random_rep(theta(m), (n_src, n_tgt), F, rng.randrange(10**6))
+            for i in range(n_src):
+                names = ["0"] * i + ["1"] + ["s", "t"][: n_src - 1 - i]
+                minors = _minor_polys(F, V.mats, [coords[c] for c in names], b)
+                for _ in range(3):
+                    s0, t0 = F.sample(rng), F.sample(rng)
+                    v = [{"0": 0, "1": 1, "s": s0, "t": t0}[c] for c in names]
+                    cols = [mat_vec(F, A, v) for A in V.mats]
+                    dets = [
+                        mat_det(F, [[cols[c][r] for c in cs] for r in rs])
+                        for rs in itertools.combinations(range(n_tgt), b + 1)
+                        for cs in itertools.combinations(range(m), b + 1)
+                    ]
+                    values = [poly_eval(F, [poly_eval(F, c, s0) for c in f], t0) for f in minors]
+                    assert values == dets, (F, V.mats, names, s0, t0)
+                    checks += len(dets)
+    assert checks >= 500
+
+
 def test_kronecker_solver_matches_enumeration():
     cases = [
         (THETA2, (1, 1), (2, 2)),
@@ -412,6 +443,17 @@ def test_si_rank_seed_stability():
     a = si_rank_oracle(THETA2, (1, 1), (1, 1), seed=3)
     b = si_rank_oracle(THETA2, (1, 1), (1, 1), seed=3)
     assert a == b == 2
+
+
+@pytest.mark.parametrize("sizes", [{"nv": 0}, {"nw": 0}, {"nv": 0, "nw": 3}, {"nv": -2, "nw": 3}, {"nv": 3, "nw": -1}])
+def test_si_rank_rejects_sample_sizes_below_one(sizes):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        si_rank_oracle(THETA2, (1, 1), (1, 1), **sizes)
+
+
+def test_si_rank_keeps_a_given_size_when_the_other_is_omitted():
+    assert si_rank_oracle(THETA2, (1, 1), (1, 1), nv=1) == 1
+    assert si_rank_oracle(THETA2, (1, 1), (1, 1), nw=1) == 1
 
 
 def test_basis_theta2_over_f5():
