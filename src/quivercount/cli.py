@@ -21,8 +21,6 @@ from math import comb
 
 from . import __version__
 from .counting import (
-    NegativePairingError,
-    NonzeroPairingError,
     count_subreps,
     count_subreps_detailed,
     fiber_class,
@@ -588,16 +586,12 @@ def main(argv=None) -> int:
     except InstanceParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonzeroPairingError, NegativePairingError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (OSError, ValueError) as e:
+        # ValueError covers the pairing errors; OSError an unreadable
+        # instance path (missing, a directory, no permission)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,7 +23,8 @@ polynomial.  The ring-level polynomial helpers (`poly_trim`, `poly_add`,
 `poly_neg`, `poly_sub`, `poly_scale`, `poly_mul`, `poly_deg`,
 `poly_eval`) need only `zero`, `one`, add, neg and mul, so they work over
 any commutative ring: `oracles` uses them over F[s], whose elements are
-themselves such tuples.
+themselves such tuples, and over F[s][t], whose elements are tuples of
+those.
 """
 
 from __future__ import annotations

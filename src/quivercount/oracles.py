@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 from .counting import NonzeroPairingError, si_dimension, verify_counts
 from .ffield import (
@@ -52,13 +52,11 @@ from .ffield import (
     mat_vec,
     poly_add,
     poly_deg,
-    poly_divmod,
     poly_eval,
     poly_gcd,
     poly_mul,
     poly_neg,
     poly_roots,
-    poly_sub,
     poly_trim,
 )
 from .quiver import FFRep, Quiver, check_dimvector, check_instance, random_rep, semiinvariant_cv
@@ -86,6 +84,8 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
     field, as an exact integer."""
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    if q < 2:
+        raise ValueError(f"need a field size q >= 2, got q={q}")
     num = den = 1
     for i in range(1, r + 1):
         num *= q ** (n - i + 1) - 1
@@ -272,12 +272,13 @@ def list_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> tuple:
 # resultants and root extraction; each solution line contributes one
 # choice of target subspace per completion of its image span.  A minor
 # is a polynomial in t over F[s] (a tuple, ascending in t, of
-# s-polynomials), built by ffield's helpers over the ring `_SPolys`; on a
-# one-variable chart it is its t^0 coefficient.  `_eliminate` does everything
+# s-polynomials); on a one-variable chart it is its t^0 coefficient.
+# `_minors` computes the minors, over F[s][t], and each resultant in t,
+# a Sylvester determinant over F[s].  `_eliminate` does everything
 # before the first root over the field of the sample's entries;
 # `_kronecker_lines` takes the roots in whatever extension V is read over.
 
-_MAX_MINOR = 4  # permutation expansion of minors up to this size
+_MAX_MINOR = 4  # minor size b + 1: t-degrees <= 4, Sylvester matrices <= 8 x 8
 
 
 def _kronecker_form(Q: Quiver, beta, alpha):
@@ -298,102 +299,76 @@ def _kronecker_form(Q: Quiver, beta, alpha):
     return src, tgt
 
 
-class _SPolys:
-    """F[s] as a ring for ffield's polynomial helpers: an element is an
-    s-polynomial over F, so a polynomial over this ring is a tuple,
-    ascending in t, of s-polynomials."""
+class _PolyRing:
+    """Polynomials over the ring R, as a ring for ffield's polynomial
+    helpers and `_minors`: F[s] is _PolyRing(F), F[s][t] is
+    _PolyRing(_PolyRing(F))."""
 
-    def __init__(self, F) -> None:
+    def __init__(self, R) -> None:
         self.zero = ()
-        self.one = (F.one,)
-        self.add = partial(poly_add, F)
-        self.neg = partial(poly_neg, F)
-        self.mul = partial(poly_mul, F)
+        self.one = (R.one,)
+        self.add = partial(poly_add, R)
+        self.neg = partial(poly_neg, R)
+        self.mul = partial(poly_mul, R)
+
+
+def _minors(R, M: list[list], r: int) -> dict:
+    """Every r x r minor of M over the ring R, keyed by (rows, columns),
+    ascending index tuples; a missing key is a zero minor.  The rows are
+    taken bottom-up: each is skipped, or made the top row of the minors
+    built below it by Laplace expansion, the latter only while enough
+    rows remain above it to fill a minor.  So shared sub-minors are
+    computed once."""
+    by_size = [{((), ()): R.one}] + [{} for _ in range(r)]
+    for i in reversed(range(len(M))):
+        # descending sizes, so no minor takes row i twice
+        for k in reversed(range(max(0, r - 1 - i), r)):
+            grown = by_size[k + 1]
+            for (rows, cols), d in by_size[k].items():
+                pos = 0  # c's place among the minor's columns
+                for c, a in enumerate(M[i]):
+                    if pos < k and cols[pos] == c:
+                        pos += 1
+                    elif a != R.zero and d != R.zero:
+                        term = R.neg(R.mul(a, d)) if pos % 2 else R.mul(a, d)
+                        key = ((i, *rows), (*cols[:pos], c, *cols[pos:]))
+                        grown[key] = R.add(grown[key], term) if key in grown else term
+    return {key: d for key, d in by_size[r].items() if d != R.zero}
 
 
 def _minor_polys(F, mats, chart: list[tuple], b: int) -> list[tuple]:
     """All (b+1)-minors of [A_1 v | ... | A_m v] with v given by the chart
     (one polynomial in t over F[s] per coordinate), each as a polynomial
-    in t over F[s]."""
-    R = _SPolys(F)
-    m = len(mats)
-    n_tgt = len(mats[0])
-    cols = []
-    for A in mats:
-        col = []
-        for r in range(n_tgt):
-            entry: tuple = ()
-            for c, coord in enumerate(chart):
-                a = A[r][c]
-                if a == F.zero:
-                    continue
-                entry = poly_add(R, entry, poly_mul(R, ((a,),), coord))
-            col.append(entry)
-        cols.append(col)
-    r = b + 1
-    minors = []
-    for rows_idx in itertools.combinations(range(n_tgt), r):
-        for cols_idx in itertools.combinations(range(m), r):
-            det: tuple = ()
-            for perm in itertools.permutations(range(r)):
-                term = cols[cols_idx[perm[0]]][rows_idx[0]]
-                for i in range(1, r):
-                    term = poly_mul(R, term, cols[cols_idx[perm[i]]][rows_idx[i]])
-                inversions = sum(
-                    1 for i in range(r) for j in range(i + 1, r) if perm[i] > perm[j]
-                )
-                if inversions % 2:
-                    term = poly_neg(R, term)
-                det = poly_add(R, det, term)
-            minors.append(det)
-    return minors
-
-
-def _bareiss_det_polys(F, M: list[list[tuple]]) -> tuple:
-    """Determinant of a matrix of univariate polynomials, fraction-free."""
-    n = len(M)
-    if n == 0:
-        return (F.one,)
-    M = [row[:] for row in M]
-    denom = (F.one,)
-    sign = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if poly_deg(M[i][k]) >= 0), None)
-        if piv is None:
-            return ()
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = poly_sub(
-                    F, poly_mul(F, M[i][j], M[k][k]), poly_mul(F, M[i][k], M[k][j])
-                )
-                quo, rem = poly_divmod(F, num, denom)
-                assert not rem, "Bareiss division must be exact"
-                M[i][j] = quo
-            M[i][k] = ()
-        denom = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else poly_neg(F, det)
+    in t over F[s]: row subsets, then column subsets, in combinations
+    order."""
+    R = _PolyRing(_PolyRing(F))
+    M = [
+        [reduce(R.add, (R.mul(((a,),), x) for a, x in zip(A[r], chart) if a != F.zero), ()) for A in mats]
+        for r in range(len(mats[0]))
+    ]
+    minors = _minors(R, M, b + 1)
+    keys = itertools.product(*(itertools.combinations(range(n), b + 1) for n in (len(M), len(mats))))
+    return [minors.get(key, ()) for key in keys]
 
 
 def _resultant_t(F, f: tuple, g: tuple) -> tuple:
     """Resultant of two polynomials in t with coefficients in F[s],
-    given as coefficient tuples (ascending in t)."""
-    m = len(f) - 1
-    n = len(g) - 1
+    given as coefficient tuples (ascending in t): the determinant of
+    their Sylvester matrix, its rows ordered by shift (f t^i next to
+    g t^i, which keeps the minors `_minors` builds on the way few) and
+    its sign that of the usual block order (all of f's rows first)."""
+    m, n = len(f) - 1, len(g) - 1
     assert m >= 1 and n >= 1
-    size = m + n
-    rows = []
-    fd = list(reversed(f))  # descending
-    gd = list(reversed(g))
-    for i in range(n):
-        rows.append([()] * i + fd + [()] * (n - 1 - i))
-    for i in range(m):
-        rows.append([()] * i + gd + [()] * (m - 1 - i))
-    assert all(len(r) == size for r in rows)
-    return _bareiss_det_polys(F, rows)
+    rows = [
+        [()] * i + list(reversed(h)) + [()] * (shifts - 1 - i)
+        for i in range(max(m, n))
+        for h, shifts in ((f, n), (g, m))
+        if i < shifts
+    ]
+    full = tuple(range(m + n))
+    det = _minors(_PolyRing(F), rows, m + n).get((full, full), ())
+    # block order puts f t^i ahead of each g t^j with j < i
+    return poly_neg(F, det) if sum(min(i, m) for i in range(n)) % 2 else det
 
 
 def _gcd_all(F, polys: list[tuple]) -> tuple:

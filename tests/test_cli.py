@@ -390,6 +390,13 @@ def test_exit_usage_on_missing_file():
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["count", "verify"])
+def test_exit_usage_when_the_instance_path_is_a_directory(tmp_path, command):
+    code, _, err = run_cli([command, str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_exit_usage_when_no_suite_selected():
     code, _, err = run_cli(["verify"])
     assert code == 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -13,7 +14,10 @@ from quivercount.oracles import (
     _kronecker_form,
     _kronecker_lines,
     _kronecker_subreps,
+    _PolyRing,
     _minor_polys,
+    _minors,
+    _resultant_t,
     _raw_point_count,
     _walk_subreps,
     enumerate_subreps,
@@ -47,6 +51,11 @@ def test_gaussian_binomial_pins():
     assert gaussian_binomial(3, 3, 7) == 1
     with pytest.raises(ValueError):
         gaussian_binomial(2, 3, 7)
+    # no field has fewer than two elements (q = 1 used to divide by zero,
+    # q = 0 to answer 1 for (3, 1))
+    for q in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"q={q}"):
+            gaussian_binomial(3, 1, q)
 
 
 def test_gaussian_binomial_symmetry_and_recurrence():
@@ -244,6 +253,66 @@ def test_minor_polys_match_numeric_determinants():
     assert checks >= 500
 
 
+def test_minors_match_numeric_determinants():
+    # every r x r minor over a field, against mat_det (Gaussian elimination)
+    # of its submatrix; about a third of the entries are zero, so some
+    # minors vanish and must be missing
+    rng = random.Random(5)
+    present = missing = 0
+    for F in (GF(13), GF(101)):
+        for _ in range(25):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+            M = [[F.sample(rng) if rng.random() < 0.7 else 0 for _ in range(ncols)] for _ in range(nrows)]
+            for r in range(1, 5):
+                got = _minors(F, M, r)
+                for rows in itertools.combinations(range(nrows), r):
+                    for cols in itertools.combinations(range(ncols), r):
+                        det = mat_det(F, [[M[i][j] for j in cols] for i in rows])
+                        assert got.pop((rows, cols), 0) == det, (F, M, rows, cols)
+                        present += det != 0
+                        missing += det == 0
+                assert not got  # no key that is not an r x r minor
+    assert present >= 1000 and missing >= 100
+
+
+def _sylvester(F, f: tuple, g: tuple) -> list[list]:
+    """Numeric Sylvester matrix in block order: deg g shifts of f, then
+    deg f shifts of g, coefficients descending."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + list(reversed(f)) + [0] * (n - 1 - i) for i in range(n)]
+    return rows + [[0] * i + list(reversed(g)) + [0] * (m - 1 - i) for i in range(m)]
+
+
+def test_resultant_t_matches_numeric_sylvester():
+    # f, g in F_p[s][t] of t-degree 1..4 and s-degree <= 2: the resultant
+    # at s0 is the determinant of the Sylvester matrix of f(s0, t) and
+    # g(s0, t) wherever neither leading coefficient vanishes
+    rng = random.Random(9)
+    F13 = GF(13)
+    Fs = _PolyRing(F13)
+
+    def poly(tdeg):
+        while True:
+            cs = [ffield.poly_trim(F13, [F13.sample(rng) for _ in range(rng.randint(0, 3))]) for _ in range(tdeg + 1)]
+            if cs[-1]:
+                return tuple(cs)
+
+    checks = 0
+    for _ in range(30):
+        f, g = poly(rng.randint(1, 4)), poly(rng.randint(1, 4))
+        res = _resultant_t(F13, f, g)
+        for s0 in range(13):
+            fs, gs = ([poly_eval(F13, c, s0) for c in h] for h in (f, g))
+            if fs[-1] and gs[-1]:
+                assert poly_eval(F13, res, s0) == mat_det(F13, _sylvester(F13, fs, gs)), (f, g, s0)
+                checks += 1
+        # a common factor of positive t-degree makes the resultant vanish
+        h = poly(rng.randint(1, 2))
+        f1, g1 = poly(rng.randint(0, 2)), poly(rng.randint(0, 2))
+        assert _resultant_t(F13, ffield.poly_mul(Fs, h, f1), ffield.poly_mul(Fs, h, g1)) == ()
+    assert checks >= 300
+
+
 def test_kronecker_solver_matches_enumeration():
     cases = [
         (THETA2, (1, 1), (2, 2)),
@@ -279,6 +348,44 @@ def test_kronecker_solver_matches_enumeration_extension_field():
         assert fast == enumerate_subreps(THETA4, V, (1, 2))
         agreed += 1
     assert agreed >= 4
+
+
+def _elimination_pool(draws: int):
+    """The solver-eligible draws among `draws` seeded ones: theta(2) ..
+    theta(5), a source of dimension 1..3, b = 1..3, a target of dimension
+    b..b+2, p in {3, 5, 13, 101}; draw i samples its representation with
+    seed i."""
+    rng = random.Random(7)
+    fields = {}
+    for i in range(draws):
+        m, n_src, b = rng.randint(2, 5), rng.randint(1, 3), rng.randint(1, 3)
+        n_tgt = rng.randint(b, b + 2)
+        p = rng.choice((3, 5, 13, 101))
+        Q, beta, alpha = theta(m), (1, b), (n_src, n_tgt)
+        if _kronecker_form(Q, beta, alpha) is not None:
+            yield Q, beta, random_rep(Q, alpha, fields.setdefault(p, GF(p)), i)
+
+
+# a digest of repr(_eliminate(...)), or of the degeneracy message, over the
+# eligible draws of _elimination_pool(150), as the solver gave them when
+# every minor was a permutation expansion and every resultant a Bareiss
+# elimination
+ELIMINANTS_SHA256 = "d2cf68b427fad251546a53ad99f302fa3d734546a011f393caa3746b08f721fd"
+
+
+def test_eliminants_match_pins():
+    digest = hashlib.sha256()
+    outcomes = {"eliminated": 0, "degenerate": 0}
+    for Q, beta, V in _elimination_pool(150):
+        try:
+            out = _eliminate(Q, V, beta, 0, 1)
+            outcomes["eliminated"] += 1
+        except DegenerateSampleError as e:
+            out = str(e)
+            outcomes["degenerate"] += 1
+        digest.update(repr(out).encode())
+    assert outcomes == {"eliminated": 89, "degenerate": 35}
+    assert digest.hexdigest() == ELIMINANTS_SHA256
 
 
 def test_sampled_count_requires_zero_pairing():
