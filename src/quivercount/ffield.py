@@ -25,6 +25,13 @@ polynomial.  The ring-level polynomial helpers (`poly_trim`, `poly_add`,
 any commutative ring: `oracles` uses them over F[s], whose elements are
 themselves such tuples, and over F[s][t], whose elements are tuples of
 those.
+
+`poly_roots` finds the roots in F_{p^k} of a polynomial with coefficients
+in F_p, such as an eliminant of a representation sampled over F_p,
+through its factors over F_p: each irreducible factor of degree d
+dividing k gives one root, found by splitting that factor alone, and its
+d - 1 images under x -> x^p.  The roots come out in the same order as
+from splitting over F_{p^k} directly, which other polynomials take.
 """
 
 from __future__ import annotations
@@ -336,9 +343,14 @@ def _min_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Smallest-encoding monic irreducible of degree k over F_p.
 
     Returned as the full ascending coefficient tuple (c_0..c_{k-1}, 1).
+    The search skips the binomials x^k + c (tails below p) where none is
+    irreducible: for k = 3 and p != 1 mod 3 every element of F_p is a
+    cube, and for k = 4 and p = 3 mod 4, x^4 + c splits into quadratics.
+    For large p those p tails would dominate the search.
     """
     base = GF(p)
-    for tail in range(p**k):
+    binomials_reducible = (k == 3 and p % 3 != 1) or (k == 4 and p % 4 == 3)
+    for tail in range(p if binomials_reducible else 0, p**k):
         digits = []
         t = tail
         for _ in range(k):
@@ -622,14 +634,28 @@ def distinct_degree_factorization(F, f: tuple) -> list[tuple[int, tuple]]:
 def poly_roots(F, f: tuple) -> list:
     """All roots of f in F, each listed once.
 
-    Small fields are scanned, which meets each root once.  Larger ones take
-    gcd(x^q - x, f), the product of f's distinct linear factors, and split
-    it by the standard random method, seeded the same on every call (odd
-    characteristic only, which is all this package samples from).
+    A linear f gives its root directly.  Small fields are scanned, which
+    meets each root once.  Larger ones take lin = gcd(x^q - x, f), the
+    product of f's distinct linear factors, and list its roots in the
+    order that splitting lin by the standard random method gives, seeded
+    the same on every call (odd characteristic only, which is all this
+    package samples from).  Seeded results that list subrepresentations,
+    such as the dual-basis matrix, inherit this order, so it does not
+    depend on the route below.
+
+    Over an extension GF(p^k) whose lin has coefficients in F_p -- as for
+    every f with F_p coefficients, such as an eliminant of a
+    representation sampled over F_p -- the roots are found through F_p
+    instead, and then put in that order.  Each F_p-irreducible factor h
+    of lin has a degree d dividing k; one root r of h in F, found by
+    splitting h alone, gives the others as r^p, .., r^(p^(d-1)).  Any
+    other lin is split over F.
     """
     f = poly_monic(F, f)
     if poly_deg(f) <= 0:
         return []
+    if poly_deg(f) == 1:
+        return [F.neg(f[0])]
     if isinstance(F, GF) and F.q <= 4096:
         return [x for x in F.elements() if poly_eval(F, f, x) == F.zero]
     x = (F.zero, F.one)
@@ -639,26 +665,96 @@ def poly_roots(F, f: tuple) -> list:
         return []
     if F.p == 2:
         raise NotImplementedError("root splitting over large even fields")
+    rng = random.Random(0x5EED)
+    if not (isinstance(F, GF) and F.k > 1 and all(c < F.p for c in lin)):
+        factors: list = []
+        _split_equal_degree(F, lin, 1, rng, factors)
+        return [F.neg(h[0]) for h in factors]
+    Fp = GF(F.p)
+    # (r, r^p, .., r^(p^(k-1))) for each root r
+    conjugates: list = []
+    for d, part in distinct_degree_factorization(Fp, lin):
+        factors = []
+        _split_equal_degree(Fp, part, d, rng, factors)
+        for h in factors:
+            orbit = [_one_root(F, h, rng)]
+            for _ in range(d - 1):
+                orbit.append(F.pow_(orbit[-1], F.p))
+            conjugates.extend((orbit[i:] + orbit[:i]) * (F.k // d) for i in range(d))
     roots: list = []
-    _split_linear(F, lin, random.Random(0x5EED), roots)
+    _split_order(F, conjugates, random.Random(0x5EED), roots)
     return roots
 
 
-def _split_linear(F, f: tuple, rng, out: list) -> None:
-    # f is monic, a product of distinct linear factors
-    d = poly_deg(f)
-    if d == 0:
+def _split_equal_degree(F, f: tuple, d: int, rng, out: list) -> None:
+    # f is monic, a product of distinct irreducibles of degree d over F, q
+    # odd; appends them.  gcd(a^((q^d - 1)/2) - 1, f) for a random a
+    # (a = x + c when d = 1) is a proper factor about half the time
+    # (Cantor-Zassenhaus).
+    n = poly_deg(f)
+    if n == d:
+        out.append(f)
         return
-    if d == 1:
-        out.append(F.neg(f[0]))
-        return
-    e = (F.q - 1) // 2
+    e = (F.q**d - 1) // 2
     while True:
-        shift = F.sample(rng)
-        base = (shift, F.one)  # x + shift
-        h = poly_powmod(F, base, e, f)
-        g = poly_gcd(F, poly_sub(F, h, (F.one,)), f)
-        if 0 < poly_deg(g) < d:
-            _split_linear(F, g, rng, out)
-            _split_linear(F, poly_divmod(F, f, g)[0], rng, out)
+        if d == 1:
+            a = (F.sample(rng), F.one)
+        else:
+            a = poly_trim(F, [F.sample(rng) for _ in range(n)])
+        g = poly_gcd(F, poly_sub(F, poly_powmod(F, a, e, f), (F.one,)), f)
+        if 0 < poly_deg(g) < n:
+            _split_equal_degree(F, g, d, rng, out)
+            _split_equal_degree(F, poly_divmod(F, f, g)[0], d, rng, out)
+            return
+
+
+def _one_root(F, h: tuple, rng):
+    # h is monic over F_p and a product of distinct linear factors over
+    # F = GF(p^k), k > 1.  Each round splits h as _split_equal_degree
+    # does and keeps the smaller part.  (x + c)^((q-1)/2) mod h is formed
+    # as N^((p-1)/2): N = prod over i < k of (x^(p^i) + c^(p^i)) takes the
+    # value N_{F/F_p}(r + c), in F_p, at each root r of h, and the
+    # x^(p^i) mod h need F_p arithmetic only.
+    if poly_deg(h) == 1:
+        return F.neg(h[0])
+    frob = []  # x^(p^i) mod h, 0 < i < k
+    xi = (F.zero, F.one)
+    for _ in range(F.k - 1):
+        xi = poly_powmod(F, xi, F.p, h)
+        frob.append(xi)
+    while poly_deg(h) > 1:
+        c = F.sample(rng)
+        norm = (c, F.one)
+        for xi in frob:
+            c = F.pow_(c, F.p)
+            norm = poly_mod(F, poly_mul(F, norm, poly_add(F, xi, (c,))), h)
+        g = poly_gcd(F, poly_sub(F, poly_powmod(F, norm, (F.p - 1) // 2, h), (F.one,)), h)
+        if 0 < poly_deg(g) < poly_deg(h):
+            h = min(g, poly_divmod(F, h, g)[0], key=len)
+            frob = [poly_mod(F, xi, h) for xi in frob]
+    return F.neg(h[0])
+
+
+def _split_order(F, conjugates: list, rng, out: list) -> None:
+    # Appends the roots r, given with their conjugates (r, .., r^(p^(k-1))),
+    # in the order _split_equal_degree(F, prod(x - r), 1, rng) lists them:
+    # the r with (r + c)^((q-1)/2) = 1 first, i.e. those whose norm
+    # prod_i (r^(p^i) + c^(p^i)) is a nonzero square in F_p.
+    if len(conjugates) == 1:
+        out.append(conjugates[0][0])
+        return
+    p = F.p
+    while True:
+        cs = [F.sample(rng)]
+        for _ in range(F.k - 1):
+            cs.append(F.pow_(cs[-1], p))
+        first, rest = [], []
+        for conj in conjugates:
+            norm = F.one
+            for a, c in zip(conj, cs):
+                norm = F.mul(norm, F.add(a, c))
+            (first if pow(norm, (p - 1) // 2, p) == 1 else rest).append(conj)
+        if first and rest:
+            _split_order(F, first, rng, out)
+            _split_order(F, rest, rng, out)
             return

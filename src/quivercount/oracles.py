@@ -401,7 +401,9 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
     and in every F_{p^j} (GF's prime-subfield fast path).  So a
     representation sampled over F_p is eliminated once, and
     `_kronecker_lines` finds the roots in each extension it is re-read
-    over."""
+    over: u then has F_p coefficients, and poly_roots finds its roots in
+    F_{p^j} through u's irreducible factors over F_p, one root and its
+    Frobenius images per factor of degree dividing j."""
     F = V.field
     one, zero = F.one, F.zero
     mats = [V.mat(a) for a in range(len(Q.arrows))]

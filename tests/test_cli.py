@@ -293,6 +293,15 @@ def test_verify_failure_exits_one_and_prints_instance(theta4_file):
     assert ("failures", "1") in machine_block(out)
 
 
+def test_verify_oracles_over_a_large_prime_quartic_extension(tmp_path):
+    # building GF(p^4) for p = 3 mod 4 once tested all p binomials x^4 + c
+    path = tmp_path / "theta2.qc"
+    path.write_text("vertices 2\narrow 0 1\narrow 0 1\nalpha 2 2\nbeta 1 1\n")
+    code, out, _ = run_cli(["verify", str(path), "--oracles", "--q", "1000000007", "--ext", "4"])
+    assert code == 0
+    assert ("failures", "0") in machine_block(out)
+
+
 # -- exit codes ----------------------------------------------------------------
 
 

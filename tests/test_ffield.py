@@ -1,8 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
+import quivercount.ffield as ffield
 from quivercount.ffield import (
     GF,
     distinct_degree_factorization,
@@ -23,8 +25,11 @@ from quivercount.ffield import (
     poly_mul,
     poly_powmod,
     poly_roots,
+    poly_scale,
+    poly_sub,
     poly_trim,
     _is_irreducible,
+    _split_equal_degree,
     _min_irreducible,
     _power,
 )
@@ -99,6 +104,25 @@ def test_min_irreducible_matches_factor_search(p, k):
 def test_irreducibility_test_matches_factor_search(p, k):
     for f in _monics_by_encoding(p, k):
         assert _is_irreducible(GF(p), f) == (not _has_monic_factor(p, f)), f
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("p", [p for p in range(50) if is_prime(p)])
+def test_min_irreducible_matches_unskipped_search(p, k):
+    # reference: Rabin's test on every tail in encoding order, binomials included
+    expected = next(f for f in _monics_by_encoding(p, k) if _is_irreducible(GF(p), f))
+    assert _min_irreducible(p, k) == expected
+
+
+@pytest.mark.parametrize("p,k", [(1000000007, 4), (65537, 3)])
+def test_min_irreducible_is_fast_where_no_binomial_is_irreducible(p, k):
+    # each of the p binomials x^k + c is reducible here; testing them all
+    # took seconds at p = 65537 and did not finish at p = 10^9 + 7
+    start = time.perf_counter()
+    modulus = _min_irreducible(p, k)
+    assert time.perf_counter() - start < 1.0
+    assert GF(p, k).modulus == modulus
+    assert _is_irreducible(GF(p), modulus)
 
 
 def test_min_irreducible_pins():
@@ -386,6 +410,73 @@ def test_poly_roots_lists_repeated_roots_once(field):
         assert set(found) == roots
 
 
+def _irreducibles(p: int, d: int, count: int, rng) -> list[tuple]:
+    """`count` distinct monic irreducibles of degree d over F_p."""
+    out: list[tuple] = []
+    while len(out) < count:
+        f = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+        if f not in out and _is_irreducible(GF(p), f):
+            out.append(f)
+    return out
+
+
+def _product(F, factors) -> tuple:
+    out = (F.one,)
+    for f in factors:
+        out = poly_mul(F, out, f)
+    return out
+
+
+def _roots_split_over_the_extension(F, f) -> list:
+    # the roots of f in the order of a direct split of gcd(x^q - x, f) over F
+    x = (F.zero, F.one)
+    f = poly_monic(F, f)
+    lin = poly_gcd(F, poly_sub(F, poly_powmod(F, x, F.q, f), x), f)
+    factors: list = []
+    if len(lin) > 1:
+        _split_equal_degree(F, lin, 1, random.Random(0x5EED), factors)
+    return [F.neg(h[0]) for h in factors]
+
+
+@pytest.mark.parametrize("p,j", [(101, 2), (101, 3), (101, 4), (13, 4)])
+def test_poly_roots_of_prime_field_polynomials_in_extensions(p, j, monkeypatch):
+    # f is a product over F_p of irreducibles of degree 1..4, some repeated;
+    # its roots in GF(p^j) are those of the factors whose degree d divides
+    # j, d of each, listed as a direct split over GF(p^j) lists them.
+    # GF(13^4) has 28,561 elements, so it splits too.
+    F = GF(p, j)
+    assert F.q > 4096
+    calls = []
+    ddf = ffield.distinct_degree_factorization
+    monkeypatch.setattr(ffield, "distinct_degree_factorization", lambda *a: calls.append(a) or ddf(*a))
+    rng = random.Random(p * 10 + j)
+    for _ in range(4):
+        counts = {d: rng.randint(0, 2) for d in range(1, 5)}
+        factors = [h for d, n in counts.items() for h in _irreducibles(p, d, n, rng)]
+        repeated = factors[: rng.randint(0, len(factors))]
+        f = poly_scale(F, rng.randrange(1, p), _product(F, factors + repeated))
+        roots = poly_roots(F, f)
+        assert len(roots) == len(set(roots)) == sum(d * n for d, n in counts.items() if j % d == 0)
+        assert all(poly_eval(F, f, r) == F.zero for r in roots)
+        assert roots == _roots_split_over_the_extension(F, f)
+    assert calls
+    # no factor of degree dividing j: no roots
+    odd = 3 if j != 3 else 2
+    assert poly_roots(F, _product(F, _irreducibles(p, odd, 2, rng))) == []
+    # degree 1, over F_p and outside it
+    assert poly_roots(F, (5, 3)) == [F.neg(F.mul(5, F.inv(3)))]
+    assert poly_roots(F, (F.neg(F.q - 1), 1)) == [F.q - 1]
+    # a coefficient outside F_p keeps the split over F
+    calls.clear()
+    a = F.q - 2
+    f = _product(F, [(F.neg(a), F.one), (F.neg(3), F.one), _irreducibles(p, 2, 1, rng)[0]])
+    roots = poly_roots(F, f)
+    assert not calls
+    assert len(roots) == len(set(roots)) == (4 if j % 2 == 0 else 2)
+    assert a in roots and 3 in roots
+    assert all(poly_eval(F, f, r) == F.zero for r in roots)
+
+
 def test_distinct_degree_factorization_partition():
     F = GF(2)
     # x^4 + x = x (x+1) (x^2+x+1): degree-1 part x^2+x, degree-2 part x^2+x+1
@@ -393,6 +484,16 @@ def test_distinct_degree_factorization_partition():
     parts = dict(distinct_degree_factorization(F, poly_monic(F, f)))
     assert parts[1] == (0, 1, 1)
     assert parts[2] == (1, 1, 1)
+
+
+def test_distinct_degree_factorization_over_a_large_prime_field():
+    F = GF(101)
+    rng = random.Random(4)
+    by_degree = {d: _irreducibles(101, d, n, rng) for d, n in ((1, 3), (2, 1), (3, 2), (4, 1))}
+    f = _product(F, [h for hs in by_degree.values() for h in hs])
+    assert distinct_degree_factorization(F, f) == [
+        (d, _product(F, hs)) for d, hs in by_degree.items()
+    ]
 
 
 def test_poly_gcd_pins():
