@@ -485,6 +485,9 @@ def triple_flag_instance(
 
 # -- suite generators ----------------------------------------------------------
 
+_INSTANCE_TRIES = 100000  # rejection budget of random_instance
+_TRIPLE_TRIES = 1000000  # rejection budget of random_zero_triple
+
 
 def random_instance(
     rng: random.Random,
@@ -493,7 +496,6 @@ def random_instance(
     max_dim: int = 3,
     min_arrows: int = 0,
     require_zero_pairing: bool = True,
-    max_tries: int = 100000,
 ):
     """Seeded random (quiver, beta, alpha) with vanishing Euler pairing of
     beta against alpha - beta.
@@ -511,7 +513,7 @@ def random_instance(
         return rng.randint(1, max_dim)
 
     lo_nv = 2 if min_arrows > 0 else 1
-    for _ in range(max_tries):
+    for _ in range(_INSTANCE_TRIES):
         nv = rng.randint(lo_nv, max_verts)
         arrows = []
         for _ in range(rng.randint(min_arrows, max_arrows)):
@@ -563,11 +565,10 @@ def random_zero_triple(
     max_verts: int = 3,
     max_arrows: int = 3,
     max_dim: int = 2,
-    max_tries: int = 1000000,
 ):
     """Seeded (quiver, beta, gamma, delta) with all three pairwise Euler
     pairings zero, for the multiplicativity identity."""
-    for _ in range(max_tries):
+    for _ in range(_TRIPLE_TRIES):
         nv = rng.randint(1, max_verts)
         arrows = []
         for _ in range(rng.randint(0, max_arrows)):

@@ -13,7 +13,9 @@ elements; and, above that, digit arithmetic that reduces products with
 precomputed residues of x^k .. x^(2k-2) and inverts by the extended
 Euclidean algorithm in F_p[x].  In every regime, operands in the prime
 subfield (ints below p) take integer arithmetic mod p: F_p is closed
-under the field operations, so the result is the same int.
+under the field operations, so the result is the same int.  Without
+tables, a product with one operand in F_p scales the other's base-p
+digits mod p.
 
 The matrix and polynomial helpers are generic over a small field protocol
 (attributes `zero`, `one`; methods add/sub/neg/mul/inv/sample).  Matrices
@@ -26,12 +28,11 @@ any commutative ring: `oracles` uses them over F[s], whose elements are
 themselves such tuples, and over F[s][t], whose elements are tuples of
 those.
 
-`poly_roots` finds the roots in F_{p^k} of a polynomial with coefficients
-in F_p, such as an eliminant of a representation sampled over F_p,
-through its factors over F_p: each irreducible factor of degree d
-dividing k gives one root, found by splitting that factor alone, and its
-d - 1 images under x -> x^p.  The roots come out in the same order as
-from splitting over F_{p^k} directly, which other polynomials take.
+`poly_roots` lists the roots in F of any polynomial over F.  It scans
+fields of at most `GF.TABLE_LIMIT` elements, the same threshold as the
+tables; in larger fields one Cantor-Zassenhaus splitter finds them,
+forming (x + c)^((q-1)/2) through the norm to F_p so that its powering
+runs to (p-1)/2 only.
 """
 
 from __future__ import annotations
@@ -87,12 +88,17 @@ class GF:
     whenever every operand is below p, i.e. lies in the prime subfield,
     in both the table and the table-free regime.  Otherwise add, neg and
     sub work on the encoded ints directly: the integer sum or difference,
-    corrected by one carry p^(i+1) at each digit i that left 0..p-1.  The
-    modulus, the residues and the tables are built once per (p, k) in a
-    process (`_field_data`).
+    corrected by one carry p^(i+1) at each digit i that left 0..p-1.  In
+    the table-free regime, mul with one operand below p multiplies each
+    base-p digit of the other by it mod p, the same int as the digit
+    convolution gives.  The modulus, the residues and the tables are built
+    once per (p, k) in a process (`_field_data`).
+
+    TABLE_LIMIT is also where `poly_roots` stops scanning the field and
+    starts splitting.
     """
 
-    TABLE_LIMIT = 1 << 16
+    TABLE_LIMIT = 4096
 
     def __init__(self, p: int, k: int = 1) -> None:
         if not is_prime(p):
@@ -161,6 +167,16 @@ class GF:
             return 0
         if self._exp is not None:
             return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        if b < p:
+            a, b = b, a
+        if a < p:
+            # a scalar in F_p: scale b's base-p digits
+            out, unit = 0, 1
+            while b:
+                b, d = divmod(b, p)
+                out += a * d % p * unit
+                unit *= p
+            return out
         return self._mul_poly(a, b)
 
     def inv(self, a: int) -> int:
@@ -610,151 +626,57 @@ def poly_powmod(F, f: tuple, e: int, m: tuple) -> tuple:
     return out
 
 
-def distinct_degree_factorization(F, f: tuple) -> list[tuple[int, tuple]]:
-    """Split a monic squarefree f into (degree d, product of its degree-d
-    irreducible factors) pairs, ascending in d."""
-    out = []
-    x = (F.zero, F.one)
-    h = poly_mod(F, x, f)
-    d = 0
-    while poly_deg(f) > 0:
-        d += 1
-        if 2 * d > poly_deg(f):
-            out.append((poly_deg(f), f))
-            break
-        h = poly_powmod(F, h, F.q, f)
-        g = poly_gcd(F, poly_sub(F, h, poly_mod(F, x, f)), f)
-        if poly_deg(g) > 0:
-            out.append((d, g))
-            f = poly_divmod(F, f, g)[0]
-            h = poly_mod(F, h, f)
-    return out
-
-
 def poly_roots(F, f: tuple) -> list:
     """All roots of f in F, each listed once.
 
-    A linear f gives its root directly.  Small fields are scanned, which
-    meets each root once.  Larger ones take lin = gcd(x^q - x, f), the
-    product of f's distinct linear factors, and list its roots in the
-    order that splitting lin by the standard random method gives, seeded
-    the same on every call (odd characteristic only, which is all this
-    package samples from).  Seeded results that list subrepresentations,
-    such as the dual-basis matrix, inherit this order, so it does not
-    depend on the route below.
-
-    Over an extension GF(p^k) whose lin has coefficients in F_p -- as for
-    every f with F_p coefficients, such as an eliminant of a
-    representation sampled over F_p -- the roots are found through F_p
-    instead, and then put in that order.  Each F_p-irreducible factor h
-    of lin has a degree d dividing k; one root r of h in F, found by
-    splitting h alone, gives the others as r^p, .., r^(p^(d-1)).  Any
-    other lin is split over F.
+    A linear f gives its root directly, and fields of at most
+    `GF.TABLE_LIMIT` elements are scanned, which meets each root once.
+    Larger ones form x^(p^i) mod f for i = 1..k by repeated p-th powers,
+    take lin = gcd(x^q - x, f), the product of f's distinct linear
+    factors, and list its roots in the order that `_split_linear` splits
+    lin, seeded the same on every call.  Seeded results that list
+    subrepresentations, such as the dual-basis matrix, inherit this order.
     """
     f = poly_monic(F, f)
     if poly_deg(f) <= 0:
         return []
     if poly_deg(f) == 1:
         return [F.neg(f[0])]
-    if isinstance(F, GF) and F.q <= 4096:
+    if F.q <= GF.TABLE_LIMIT:
         return [x for x in F.elements() if poly_eval(F, f, x) == F.zero]
     x = (F.zero, F.one)
-    xq = poly_powmod(F, x, F.q, f)
-    lin = poly_gcd(F, poly_sub(F, xq, x), f)
-    if poly_deg(lin) <= 0:
-        return []
-    if F.p == 2:
-        raise NotImplementedError("root splitting over large even fields")
-    rng = random.Random(0x5EED)
-    if not (isinstance(F, GF) and F.k > 1 and all(c < F.p for c in lin)):
-        factors: list = []
-        _split_equal_degree(F, lin, 1, rng, factors)
-        return [F.neg(h[0]) for h in factors]
-    Fp = GF(F.p)
-    # (r, r^p, .., r^(p^(k-1))) for each root r
-    conjugates: list = []
-    for d, part in distinct_degree_factorization(Fp, lin):
-        factors = []
-        _split_equal_degree(Fp, part, d, rng, factors)
-        for h in factors:
-            orbit = [_one_root(F, h, rng)]
-            for _ in range(d - 1):
-                orbit.append(F.pow_(orbit[-1], F.p))
-            conjugates.extend((orbit[i:] + orbit[:i]) * (F.k // d) for i in range(d))
+    frob = [x]  # x^(p^i) mod f, i = 0..k
+    for _ in range(F.k):
+        frob.append(poly_powmod(F, frob[-1], F.p, f))
+    lin = poly_gcd(F, poly_sub(F, frob.pop(), x), f)
     roots: list = []
-    _split_order(F, conjugates, random.Random(0x5EED), roots)
+    if poly_deg(lin) > 0:
+        _split_linear(F, lin, [poly_mod(F, xi, lin) for xi in frob[1:]], random.Random(0x5EED), roots)
     return roots
 
 
-def _split_equal_degree(F, f: tuple, d: int, rng, out: list) -> None:
-    # f is monic, a product of distinct irreducibles of degree d over F, q
-    # odd; appends them.  gcd(a^((q^d - 1)/2) - 1, f) for a random a
-    # (a = x + c when d = 1) is a proper factor about half the time
-    # (Cantor-Zassenhaus).
-    n = poly_deg(f)
-    if n == d:
-        out.append(f)
+def _split_linear(F, h: tuple, frob: list, rng, out: list) -> None:
+    # h is monic and a product of distinct linear factors over F = GF(p^k);
+    # frob holds x^(p^i) mod h for 0 < i < k.  Appends h's roots, split by
+    # Cantor-Zassenhaus: g = gcd((x + c)^((q-1)/2) - 1, h) for a random c
+    # is a proper factor about half the time, and its roots come first.
+    # (x + c)^((q-1)/2) is formed as N^((p-1)/2) mod h: N = prod over i < k
+    # of (x^(p^i) + c^(p^i)) takes the value N_{F/F_p}(r + c), in F_p, at
+    # each root r of h, and (r + c)^((q-1)/2) = N_{F/F_p}(r + c)^((p-1)/2).
+    # p is odd: k <= 4, so every field of characteristic 2 has q <= 16 and
+    # poly_roots scans it.
+    n = poly_deg(h)
+    if n == 1:
+        out.append(F.neg(h[0]))
         return
-    e = (F.q**d - 1) // 2
     while True:
-        if d == 1:
-            a = (F.sample(rng), F.one)
-        else:
-            a = poly_trim(F, [F.sample(rng) for _ in range(n)])
-        g = poly_gcd(F, poly_sub(F, poly_powmod(F, a, e, f), (F.one,)), f)
-        if 0 < poly_deg(g) < n:
-            _split_equal_degree(F, g, d, rng, out)
-            _split_equal_degree(F, poly_divmod(F, f, g)[0], d, rng, out)
-            return
-
-
-def _one_root(F, h: tuple, rng):
-    # h is monic over F_p and a product of distinct linear factors over
-    # F = GF(p^k), k > 1.  Each round splits h as _split_equal_degree
-    # does and keeps the smaller part.  (x + c)^((q-1)/2) mod h is formed
-    # as N^((p-1)/2): N = prod over i < k of (x^(p^i) + c^(p^i)) takes the
-    # value N_{F/F_p}(r + c), in F_p, at each root r of h, and the
-    # x^(p^i) mod h need F_p arithmetic only.
-    if poly_deg(h) == 1:
-        return F.neg(h[0])
-    frob = []  # x^(p^i) mod h, 0 < i < k
-    xi = (F.zero, F.one)
-    for _ in range(F.k - 1):
-        xi = poly_powmod(F, xi, F.p, h)
-        frob.append(xi)
-    while poly_deg(h) > 1:
         c = F.sample(rng)
         norm = (c, F.one)
         for xi in frob:
             c = F.pow_(c, F.p)
             norm = poly_mod(F, poly_mul(F, norm, poly_add(F, xi, (c,))), h)
         g = poly_gcd(F, poly_sub(F, poly_powmod(F, norm, (F.p - 1) // 2, h), (F.one,)), h)
-        if 0 < poly_deg(g) < poly_deg(h):
-            h = min(g, poly_divmod(F, h, g)[0], key=len)
-            frob = [poly_mod(F, xi, h) for xi in frob]
-    return F.neg(h[0])
-
-
-def _split_order(F, conjugates: list, rng, out: list) -> None:
-    # Appends the roots r, given with their conjugates (r, .., r^(p^(k-1))),
-    # in the order _split_equal_degree(F, prod(x - r), 1, rng) lists them:
-    # the r with (r + c)^((q-1)/2) = 1 first, i.e. those whose norm
-    # prod_i (r^(p^i) + c^(p^i)) is a nonzero square in F_p.
-    if len(conjugates) == 1:
-        out.append(conjugates[0][0])
-        return
-    p = F.p
-    while True:
-        cs = [F.sample(rng)]
-        for _ in range(F.k - 1):
-            cs.append(F.pow_(cs[-1], p))
-        first, rest = [], []
-        for conj in conjugates:
-            norm = F.one
-            for a, c in zip(conj, cs):
-                norm = F.mul(norm, F.add(a, c))
-            (first if pow(norm, (p - 1) // 2, p) == 1 else rest).append(conj)
-        if first and rest:
-            _split_order(F, first, rng, out)
-            _split_order(F, rest, rng, out)
-            return
+        if 0 < poly_deg(g) < n:
+            break
+    for part in (g, poly_divmod(F, h, g)[0]):
+        _split_linear(F, part, [poly_mod(F, xi, part) for xi in frob], rng, out)

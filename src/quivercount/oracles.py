@@ -402,8 +402,7 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
     representation sampled over F_p is eliminated once, and
     `_kronecker_lines` finds the roots in each extension it is re-read
     over: u then has F_p coefficients, and poly_roots finds its roots in
-    F_{p^j} through u's irreducible factors over F_p, one root and its
-    Frobenius images per factor of degree dividing j."""
+    F_{p^j} with the one splitter it uses for every polynomial."""
     F = V.field
     one, zero = F.one, F.zero
     mats = [V.mat(a) for a in range(len(Q.arrows))]
@@ -734,6 +733,9 @@ def _subrep_quotient_pair(Q: Quiver, V: FFRep, beta, gamma, sub_bases):
     return sub, quot
 
 
+_BASIS_SAMPLES = 20  # samples verify_determinant_basis draws before it gives up
+
+
 def verify_determinant_basis(
     Q: Quiver,
     beta,
@@ -741,7 +743,6 @@ def verify_determinant_basis(
     field: GF,
     seed: int = 0,
     max_ext_degree: int = 4,
-    max_samples: int = 20,
     budget: int = 10**7,
 ) -> BasisReport:
     """Check that the semi-invariants attached to the subrepresentations
@@ -780,7 +781,7 @@ def verify_determinant_basis(
         )
 
     try:
-        for s in range(max_samples):
+        for s in range(_BASIS_SAMPLES):
             samples_tried = s + 1
             V1 = random_rep(Q, alpha, field, seed * 1000003 + s)
             # lazy: an extension is built only when a sample reaches it

@@ -4,10 +4,8 @@ import time
 
 import pytest
 
-import quivercount.ffield as ffield
 from quivercount.ffield import (
     GF,
-    distinct_degree_factorization,
     echelon_complete,
     is_prime,
     mat_det,
@@ -18,6 +16,7 @@ from quivercount.ffield import (
     mat_rank,
     mat_rref,
     mat_vec,
+    poly_deg,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -29,7 +28,6 @@ from quivercount.ffield import (
     poly_sub,
     poly_trim,
     _is_irreducible,
-    _split_equal_degree,
     _min_irreducible,
     _power,
 )
@@ -155,7 +153,7 @@ def test_large_prime_arithmetic_without_tables():
 
 
 def test_extension_mul_agrees_with_table_free_path():
-    F = GF(251, 2)  # 63001 elements, within table range
+    F = GF(61, 2)  # 3721 elements, within table range
     assert F._exp is not None
     rng = random.Random(5)
     for _ in range(200):
@@ -178,7 +176,7 @@ def _digits(a, p, k):
     return [a // p**i % p for i in range(k)]
 
 
-@pytest.mark.parametrize("p,k", [(101, 3), (101, 4)])
+@pytest.mark.parametrize("p,k", [(101, 2), (101, 3), (101, 4)])
 def test_arithmetic_past_table_limit_matches_reference(p, k):
     # reference: digit-wise sums, and digit convolution reduced by
     # polynomial division against the modulus over GF(p)
@@ -236,7 +234,7 @@ def test_powmod_with_prime_field_coefficients_ignores_the_extension():
     assert poly_powmod(GF(101, 4), (0, 1), 101**4, f) == poly_powmod(GF(101, 1), (0, 1), 101**4, f)
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3), (5, 2), (13, 2), (101, 2)])
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3), (5, 2), (13, 2), (61, 2)])
 def test_generator_is_the_smallest_counted_from_two(p, k):
     # reference: the first g >= 2 whose powers reach every unit
     F = GF(p, k)
@@ -252,7 +250,7 @@ def test_generator_is_the_smallest_counted_from_two(p, k):
 
 
 def test_field_data_built_once_per_field():
-    assert GF(101, 2)._exp is GF(101, 2)._exp
+    assert GF(13, 2)._exp is GF(13, 2)._exp
     assert GF(101, 4)._rows is GF(101, 4)._rows
 
 
@@ -428,27 +426,40 @@ def _product(F, factors) -> tuple:
 
 
 def _roots_split_over_the_extension(F, f) -> list:
-    # the roots of f in the order of a direct split of gcd(x^q - x, f) over F
+    # the roots of f in the order of the textbook Cantor-Zassenhaus split
+    # of gcd(x^q - x, f) over F: gcd((x + c)^((q-1)/2) - 1, h) for c drawn
+    # from the seeded rng, its roots first
     x = (F.zero, F.one)
     f = poly_monic(F, f)
     lin = poly_gcd(F, poly_sub(F, poly_powmod(F, x, F.q, f), x), f)
-    factors: list = []
-    if len(lin) > 1:
-        _split_equal_degree(F, lin, 1, random.Random(0x5EED), factors)
-    return [F.neg(h[0]) for h in factors]
+    rng = random.Random(0x5EED)
+    roots: list = []
+
+    def split(h):
+        if poly_deg(h) == 1:
+            roots.append(F.neg(h[0]))
+            return
+        while True:
+            a = (F.sample(rng), F.one)
+            g = poly_gcd(F, poly_sub(F, poly_powmod(F, a, (F.q - 1) // 2, h), (F.one,)), h)
+            if 0 < poly_deg(g) < poly_deg(h):
+                split(g)
+                split(poly_divmod(F, h, g)[0])
+                return
+
+    if poly_deg(lin) > 0:
+        split(lin)
+    return roots
 
 
 @pytest.mark.parametrize("p,j", [(101, 2), (101, 3), (101, 4), (13, 4)])
-def test_poly_roots_of_prime_field_polynomials_in_extensions(p, j, monkeypatch):
+def test_poly_roots_of_prime_field_polynomials_in_extensions(p, j):
     # f is a product over F_p of irreducibles of degree 1..4, some repeated;
     # its roots in GF(p^j) are those of the factors whose degree d divides
     # j, d of each, listed as a direct split over GF(p^j) lists them.
     # GF(13^4) has 28,561 elements, so it splits too.
     F = GF(p, j)
-    assert F.q > 4096
-    calls = []
-    ddf = ffield.distinct_degree_factorization
-    monkeypatch.setattr(ffield, "distinct_degree_factorization", lambda *a: calls.append(a) or ddf(*a))
+    assert F.q > GF.TABLE_LIMIT
     rng = random.Random(p * 10 + j)
     for _ in range(4):
         counts = {d: rng.randint(0, 2) for d in range(1, 5)}
@@ -459,7 +470,6 @@ def test_poly_roots_of_prime_field_polynomials_in_extensions(p, j, monkeypatch):
         assert len(roots) == len(set(roots)) == sum(d * n for d, n in counts.items() if j % d == 0)
         assert all(poly_eval(F, f, r) == F.zero for r in roots)
         assert roots == _roots_split_over_the_extension(F, f)
-    assert calls
     # no factor of degree dividing j: no roots
     odd = 3 if j != 3 else 2
     assert poly_roots(F, _product(F, _irreducibles(p, odd, 2, rng))) == []
@@ -467,33 +477,32 @@ def test_poly_roots_of_prime_field_polynomials_in_extensions(p, j, monkeypatch):
     assert poly_roots(F, (5, 3)) == [F.neg(F.mul(5, F.inv(3)))]
     assert poly_roots(F, (F.neg(F.q - 1), 1)) == [F.q - 1]
     # a coefficient outside F_p keeps the split over F
-    calls.clear()
     a = F.q - 2
     f = _product(F, [(F.neg(a), F.one), (F.neg(3), F.one), _irreducibles(p, 2, 1, rng)[0]])
     roots = poly_roots(F, f)
-    assert not calls
     assert len(roots) == len(set(roots)) == (4 if j % 2 == 0 else 2)
     assert a in roots and 3 in roots
     assert all(poly_eval(F, f, r) == F.zero for r in roots)
 
 
-def test_distinct_degree_factorization_partition():
-    F = GF(2)
-    # x^4 + x = x (x+1) (x^2+x+1): degree-1 part x^2+x, degree-2 part x^2+x+1
-    f = (0, 1, 0, 0, 1)
-    parts = dict(distinct_degree_factorization(F, poly_monic(F, f)))
-    assert parts[1] == (0, 1, 1)
-    assert parts[2] == (1, 1, 1)
-
-
-def test_distinct_degree_factorization_over_a_large_prime_field():
-    F = GF(101)
-    rng = random.Random(4)
-    by_degree = {d: _irreducibles(101, d, n, rng) for d, n in ((1, 3), (2, 1), (3, 2), (4, 1))}
-    f = _product(F, [h for hs in by_degree.values() for h in hs])
-    assert distinct_degree_factorization(F, f) == [
-        (d, _product(F, hs)) for d, hs in by_degree.items()
-    ]
+@pytest.mark.parametrize("p,j", [(10007, 1), (65537, 1), (101, 2), (101, 3), (101, 4), (13, 4)])
+def test_poly_roots_split_matches_the_textbook_split(p, j):
+    # products of linear factors x - a, some repeated, times an irreducible
+    # quadratic over F, with a leading unit.  Over an extension every a
+    # lies outside F_p, so no factor of f but the leading unit is over F_p.
+    F = GF(p, j)
+    assert F.q > GF.TABLE_LIMIT
+    rng = random.Random(p * 10 + j)
+    lo = p if j > 1 else 0
+    for _ in range(4):
+        roots = rng.sample(range(lo, F.q), rng.randint(2, 6))
+        linear = [(F.neg(a), F.one) for a in roots]
+        n = next(n for n in iter(lambda: rng.randrange(lo, F.q), None) if F.pow_(n, (F.q - 1) // 2) != F.one)
+        quad = (F.neg(n), F.zero, F.one)
+        f = poly_scale(F, rng.randrange(1, F.q), _product(F, linear + linear[:2] + [quad]))
+        found = poly_roots(F, f)
+        assert sorted(found) == sorted(roots)
+        assert found == _roots_split_over_the_extension(F, f)
 
 
 def test_poly_gcd_pins():
