@@ -32,7 +32,10 @@ those.
 fields of at most `GF.TABLE_LIMIT` elements, the same threshold as the
 tables; in larger fields one Cantor-Zassenhaus splitter finds them,
 forming (x + c)^((q-1)/2) through the norm to F_p so that its powering
-runs to (p-1)/2 only.
+runs to (p-1)/2 only.  `distinct_degree_factorization` and
+`equal_degree_factorization` factor a polynomial into irreducibles
+instead; `oracles` factors an eliminant over F_p once and takes one root
+of each factor in every extension it counts over.
 """
 
 from __future__ import annotations
@@ -117,10 +120,11 @@ class GF:
         self._rows: tuple[int, ...] = ()
         self._exp: tuple[int, ...] | None = None
         self._log: tuple[int, ...] | None = None
+        self._frob: tuple[tuple[int, ...], ...] = ()
         # p, p^2, .., p^k: one carry out of each digit
         self._carries = tuple(p ** (i + 1) for i in range(k))
         if k > 1:
-            self.modulus, self._width, self._rows, self._exp, self._log = _field_data(p, k)
+            self.modulus, self._width, self._rows, self._frob, self._exp, self._log = _field_data(p, k)
 
     # -- element arithmetic --------------------------------------------------
 
@@ -200,6 +204,26 @@ class GF:
             e >>= 1
         return out
 
+    def frobenius(self, a: int) -> int:
+        """a^p, the image of a under the Frobenius automorphism of F/F_p;
+        it fixes exactly the prime subfield, the ints below p.  With tables
+        it is one lookup; without, it is F_p-linear in the base-p digits,
+        with digit i of a scaling the digits of (x^i)^p."""
+        p = self.p
+        if a < p:
+            return a
+        if self._exp is not None:
+            return self._exp[self._log[a] * p % (self.q - 1)]
+        digits = [0] * self.k
+        for image in self._frob:
+            a, d = divmod(a, p)
+            if d:
+                digits = [x + d * y for x, y in zip(digits, image)]
+        out = 0
+        for x in reversed(digits):
+            out = out * p + x % p
+        return out
+
     def elements(self) -> range:
         return range(self.q)
 
@@ -262,12 +286,12 @@ class GF:
 
 @cache
 def _field_data(p: int, k: int):
-    """(modulus, width, rows, exp, log) of GF(p, k), k > 1.
+    """(modulus, width, rows, frob, exp, log) of GF(p, k), k > 1.
 
     Products are formed on ints that pack one coefficient into each
     `width`-bit field; rows[i] is the residue of x^(k+i) mod the modulus,
-    i = 0..k-2, packed the same way.  exp and log are None above
-    GF.TABLE_LIMIT.
+    i = 0..k-2, packed the same way.  frob[i] holds the base-p digits of
+    (x^i)^p, i = 0..k-1.  exp and log are None above GF.TABLE_LIMIT.
     """
     modulus = _min_irreducible(p, k)
     row = [-c % p for c in modulus[:k]]
@@ -280,12 +304,14 @@ def _field_data(p: int, k: int):
     # a reduced product coefficient is below this, so no field carries
     width = (k * (p - 1) ** 2 * (1 + (k - 1) * (p - 1))).bit_length()
     rows = tuple(sum(r << (width * j) for j, r in enumerate(row)) for row in red)
-    q = p**k
-    if q > GF.TABLE_LIMIT:
-        return modulus, width, rows, None, None
 
     def mul(a: int, b: int) -> int:
         return _mul_mod(p, k, width, rows, a, b)
+
+    frob = tuple(tuple(_power(mul, p**i, p) // p**j % p for j in range(k)) for i in range(k))
+    q = p**k
+    if q > GF.TABLE_LIMIT:
+        return modulus, width, rows, frob, None, None
 
     g = _find_generator(q, mul, p)  # constants have order dividing p - 1 < q - 1
     exp = [0] * (q - 1)
@@ -297,7 +323,7 @@ def _field_data(p: int, k: int):
         x = mul(x, g)
     if x != 1:
         raise AssertionError("generator order mismatch")
-    return modulus, width, rows, tuple(exp), tuple(log)
+    return modulus, width, rows, frob, tuple(exp), tuple(log)
 
 
 def _mul_mod(p: int, k: int, width: int, rows: tuple, a: int, b: int) -> int:
@@ -626,6 +652,67 @@ def poly_powmod(F, f: tuple, e: int, m: tuple) -> tuple:
     return out
 
 
+def distinct_degree_factorization(F, f: tuple) -> list[tuple[int, tuple]]:
+    """Group the distinct monic irreducible factors of f by degree: (d,
+    product of those of degree d) pairs, ascending in d.  f need not be
+    squarefree; each factor counts once, whatever its multiplicity."""
+    f = poly_monic(F, f)
+    out = []
+    x = (F.zero, F.one)
+    h = poly_mod(F, x, f)  # x^(q^d) mod f
+    d = 0
+    while poly_deg(f) > 0:
+        d += 1
+        if 2 * d > poly_deg(f):
+            # every factor left has degree >= d: two would exceed deg f
+            out.append((poly_deg(f), f))
+            break
+        h = poly_powmod(F, h, F.q, f)
+        g = poly_gcd(F, poly_sub(F, h, poly_mod(F, x, f)), f)
+        if poly_deg(g) > 0:
+            out.append((d, g))
+            while poly_deg(g) > 0:  # every copy of every factor of g
+                f = poly_divmod(F, f, g)[0]
+                g = poly_gcd(F, f, g)
+            h = poly_mod(F, h, f)
+    return out
+
+
+def equal_degree_factorization(F, f: tuple, d: int) -> list[tuple]:
+    """The monic irreducible factors of f, a monic product of distinct
+    irreducibles of degree d over F, in the order of a seeded
+    Cantor-Zassenhaus split.
+
+    In each round a random a of degree below deg f gives g = gcd(b, f),
+    with b = a^((q^d - 1)/2) - 1 for odd q, and the trace a + a^2 + .. +
+    a^(2^(m-1)) mod f for q^d = 2^m.  b takes one of two values at the
+    roots of each factor (a square or not; trace 0 or 1), so g is a proper
+    factor about half the time."""
+    rng = random.Random(0x5EED)
+    out: list = []
+    todo = [f]
+    while todo:
+        h = todo.pop()
+        n = poly_deg(h)
+        if n == d:
+            out.append(h)
+            continue
+        while True:
+            a = poly_trim(F, [F.sample(rng) for _ in range(n)])
+            if F.p == 2:
+                b = t = a
+                for _ in range(F.k * d - 1):
+                    t = poly_mod(F, poly_mul(F, t, t), h)
+                    b = poly_add(F, b, t)
+            else:
+                b = poly_sub(F, poly_powmod(F, a, (F.q**d - 1) // 2, h), (F.one,))
+            g = poly_gcd(F, b, h)
+            if 0 < poly_deg(g) < n:
+                todo += [poly_divmod(F, h, g)[0], g]
+                break
+    return out
+
+
 def poly_roots(F, f: tuple) -> list:
     """All roots of f in F, each listed once.
 
@@ -645,38 +732,73 @@ def poly_roots(F, f: tuple) -> list:
     if F.q <= GF.TABLE_LIMIT:
         return [x for x in F.elements() if poly_eval(F, f, x) == F.zero]
     x = (F.zero, F.one)
-    frob = [x]  # x^(p^i) mod f, i = 0..k
-    for _ in range(F.k):
-        frob.append(poly_powmod(F, frob[-1], F.p, f))
+    frob = _frobenius_powers(F, f, F.k)
     lin = poly_gcd(F, poly_sub(F, frob.pop(), x), f)
     roots: list = []
     if poly_deg(lin) > 0:
-        _split_linear(F, lin, [poly_mod(F, xi, lin) for xi in frob[1:]], random.Random(0x5EED), roots)
+        _split_linear(F, lin, [poly_mod(F, xi, lin) for xi in frob], random.Random(0x5EED), roots)
     return roots
+
+
+def poly_one_root(F, f: tuple):
+    """One root in F of f, a polynomial of degree >= 1 that is a product
+    of distinct linear factors over F, as an F_p-irreducible of degree
+    dividing k is over GF(p^k).
+
+    Fields of at most `GF.TABLE_LIMIT` elements are scanned up to the
+    first root.  Larger ones split f as `_split_linear` does, but keep
+    only the part of lower degree after each split, so the other roots
+    are never separated."""
+    f = poly_monic(F, f)
+    if poly_deg(f) == 1:
+        return F.neg(f[0])
+    if F.q <= GF.TABLE_LIMIT:
+        return next(x for x in F.elements() if poly_eval(F, f, x) == F.zero)
+    frob = _frobenius_powers(F, f, F.k - 1)
+    rng = random.Random(0x5EED)
+    while poly_deg(f) > 1:
+        g = _split_once(F, f, frob, rng)
+        f = min(g, poly_divmod(F, f, g)[0], key=len)
+        frob = [poly_mod(F, xi, f) for xi in frob]
+    return F.neg(f[0])
+
+
+def _frobenius_powers(F, f: tuple, n: int) -> list:
+    # x^(p^i) mod f for i = 1..n, each the p-th power of the one before
+    out = [(F.zero, F.one)]
+    for _ in range(n):
+        out.append(poly_powmod(F, out[-1], F.p, f))
+    return out[1:]
 
 
 def _split_linear(F, h: tuple, frob: list, rng, out: list) -> None:
     # h is monic and a product of distinct linear factors over F = GF(p^k);
     # frob holds x^(p^i) mod h for 0 < i < k.  Appends h's roots, split by
-    # Cantor-Zassenhaus: g = gcd((x + c)^((q-1)/2) - 1, h) for a random c
-    # is a proper factor about half the time, and its roots come first.
-    # (x + c)^((q-1)/2) is formed as N^((p-1)/2) mod h: N = prod over i < k
-    # of (x^(p^i) + c^(p^i)) takes the value N_{F/F_p}(r + c), in F_p, at
-    # each root r of h, and (r + c)^((q-1)/2) = N_{F/F_p}(r + c)^((p-1)/2).
-    # p is odd: k <= 4, so every field of characteristic 2 has q <= 16 and
-    # poly_roots scans it.
-    n = poly_deg(h)
-    if n == 1:
+    # `_split_once`, the roots of its factor g first.
+    if poly_deg(h) == 1:
         out.append(F.neg(h[0]))
         return
+    g = _split_once(F, h, frob, rng)
+    for part in (g, poly_divmod(F, h, g)[0]):
+        _split_linear(F, part, [poly_mod(F, xi, part) for xi in frob], rng, out)
+
+
+def _split_once(F, h: tuple, frob: list, rng) -> tuple:
+    # A proper factor of h, monic of degree >= 2 and a product of distinct
+    # linear factors over F = GF(p^k), with frob as in _split_linear, by
+    # Cantor-Zassenhaus: g = gcd((x + c)^((q-1)/2) - 1, h) for a random c
+    # is a proper factor about half the time.  (x + c)^((q-1)/2) is formed
+    # as N^((p-1)/2) mod h: N = prod over i < k of (x^(p^i) + c^(p^i))
+    # takes the value N_{F/F_p}(r + c), in F_p, at each root r of h, and
+    # (r + c)^((q-1)/2) = N_{F/F_p}(r + c)^((p-1)/2).  p is odd: k <= 4, so
+    # every field of characteristic 2 has q <= 16, and such fields are
+    # scanned instead.
     while True:
         c = F.sample(rng)
         norm = (c, F.one)
         for xi in frob:
-            c = F.pow_(c, F.p)
+            c = F.frobenius(c)
             norm = poly_mod(F, poly_mul(F, norm, poly_add(F, xi, (c,))), h)
         g = poly_gcd(F, poly_sub(F, poly_powmod(F, norm, (F.p - 1) // 2, h), (F.one,)), h)
-        if 0 < poly_deg(g) < n:
-            break
-    for part in (g, poly_divmod(F, h, g)[0]):
-        _split_linear(F, part, [poly_mod(F, xi, part) for xi in frob], rng, out)
+        if 0 < poly_deg(g) < poly_deg(h):
+            return g

@@ -17,6 +17,16 @@ of the dual V* on the opposite quiver, whose walk starts at the sinks of
 Q instead, so each call walks V or V*, whichever starts with fewer free
 subspaces.  Listed subrepresentations come in the order of that walk.
 
+A sample drawn over F_p and read over F_{p^j} is fixed by Frobenius
+x -> x^p, which therefore permutes its subrepresentations over F_{p^j}
+and preserves everything the oracles look at.  The count paths use this;
+the listing paths, whose order seeded results rest on, do not.  A count
+walk takes one subspace per Frobenius orbit while all it has chosen is
+Frobenius-fixed and weights it by the orbit's size, and the solver's
+count takes one root per Frobenius orbit of each eliminant's roots,
+weighted the same way.  Both are exact: Frobenius maps what lies below
+one member of an orbit onto what lies below each other member.
+
 Instances whose Grassmannian point count exceeds the enumeration budget
 are refused, with one carve-out: two-vertex instances whose source
 carries a single line admit exact counting by elimination (resultants
@@ -29,10 +39,13 @@ gcds) runs once per sample, over F_p, the first time a degree solves:
 the sample has F_p entries, and GF's prime-subfield fast path makes
 every one of those steps return the same ints in F_p and in each
 F_{p^j}, so repeating it per extension would only rebuild the same
-polynomials.  The root phase then runs per extension degree j and finds
-the roots in F_{p^j}.  A degeneracy found by the elimination holds at
-that j and every later one; one found while taking roots holds at its j
-only.
+polynomials.  With it, each eliminant is factored over F_p once per
+sample.  The root phase then runs per extension degree j and takes one
+root in F_{p^j} of each factor whose degree divides j.  A degeneracy
+found by the elimination holds at that j and every later one; one found
+while taking roots holds at its j only.  The dual-basis check counts
+each degree first and lists the subrepresentations only at a degree
+whose count is N.
 """
 
 from __future__ import annotations
@@ -44,7 +57,9 @@ from functools import partial, reduce
 from .counting import NonzeroPairingError, si_dimension, verify_counts
 from .ffield import (
     GF,
+    distinct_degree_factorization,
     echelon_complete,
+    equal_degree_factorization,
     mat_inv,
     mat_kernel,
     mat_mul,
@@ -56,6 +71,7 @@ from .ffield import (
     poly_gcd,
     poly_mul,
     poly_neg,
+    poly_one_root,
     poly_roots,
     poly_trim,
 )
@@ -149,28 +165,54 @@ def _raw_point_count(Q: Quiver, alpha, beta, q: int) -> int:
     return total
 
 
+def _least_conjugate_orbit(F, rows: list) -> int:
+    """The number of distinct Frobenius conjugates of rows (entrywise
+    p-th powers, compared as lists) when rows is the least of them, else
+    0.  Entries in F_p are fixed, so the others alone decide both."""
+    moved = [a for r in rows for a in r if a >= F.p]
+    size, conj = 1, moved
+    while True:
+        conj = [F.frobenius(a) for a in conj]
+        if conj == moved:
+            return size
+        if conj < moved:
+            return 0
+        size += 1
+
+
 def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
     """One depth-first walk in topological order: at each vertex the span
     of the incoming images is computed and only the beta-subspaces
     containing it are enumerated.  Returns (count, listed bases, nodes),
     where nodes counts the calls of the recursion, root and leaves
-    included."""
+    included.
+
+    A count of an F_p-rational V read over F = F_{p^k}, k > 1, walks one
+    subspace per Frobenius orbit while every subspace chosen so far is
+    Frobenius-fixed: the span S of the images is then fixed, its reduced
+    basis lies over F_p, and Frobenius acts on the subspaces containing S
+    as on their lifted rows, entry by entry.  Of each orbit only the
+    least conjugate is walked, and its subtree counts once per member,
+    since Frobenius maps it onto the subtree of each conjugate.  Below a
+    subspace that is not fixed the walk enumerates in full."""
     F = V.field
     alpha = V.dim
     topo = Q.topo_order
     incoming: list = [[] for _ in range(Q.nvertices)]
     for a, (t, h) in enumerate(Q.arrows):
         incoming[h].append((t, V.mat(a)))
+    orbits = not collect and F.k > 1 and all(c < F.p for M in V.mats for row in M for c in row)
 
     bases: list = [None] * Q.nvertices
     found: list = []
     count = nodes = 0
 
-    def rec(i: int) -> None:
+    def rec(i: int, weight: int) -> None:
+        # weight: the subrepresentations that each leaf below stands for
         nonlocal count, nodes
         nodes += 1
         if i == len(topo):
-            count += 1
+            count += weight
             if collect:
                 # _lift_bases leaves span-row entries in the quotient's pivot columns
                 found.append(tuple(tuple(tuple(r) for r in _span_rows(F, bases[x])[0]) for x in range(Q.nvertices)))
@@ -181,11 +223,16 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
         if len(srows) > beta[x]:
             return
         for W in _lift_bases(F, srows, pivots, alpha[x], beta[x]):
+            size = 1
+            if orbits and weight == 1:
+                size = _least_conjugate_orbit(F, W[len(srows):])
+                if not size:
+                    continue
             bases[x] = W
-            rec(i + 1)
+            rec(i + 1, weight * size)
         bases[x] = None
 
-    rec(0)
+    rec(0, 1)
     return count, found, nodes
 
 
@@ -244,7 +291,13 @@ def enumerate_subreps(
     product of the Gaussian binomials at those vertices; ties walk V).
     Subrepresentations of V and (alpha - beta)-subrepresentations of V*
     correspond one to one, so the count is the same either way.  When
-    stats is given, stats['nodes'] is increased by the nodes visited."""
+    stats is given, stats['nodes'] is increased by the nodes visited.
+
+    V with entries in F_p read over F_{p^k}, k > 1, is walked one
+    Frobenius orbit at a time (see `_walk_subreps`): Frobenius fixes V,
+    so it maps the subrepresentations through one subspace onto those
+    through each of its conjugates, and the count weights one
+    representative by the orbit's size.  `list_subreps` walks in full."""
     count, _, nodes = _enumerate(Q, V, beta, budget, collect=False)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + nodes
@@ -276,6 +329,7 @@ def list_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> tuple:
 # `_minors` computes the minors, over F[s][t], and each resultant in t,
 # a Sylvester determinant over F[s].  `_eliminate` does everything
 # before the first root over the field of the sample's entries;
+# `_rational_factors` factors its eliminants over F_p once per sample; and
 # `_kronecker_lines` takes the roots in whatever extension V is read over.
 
 _MAX_MINOR = 4  # minor size b + 1: t-degrees <= 4, Sylvester matrices <= 8 x 8
@@ -401,8 +455,9 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
     and in every F_{p^j} (GF's prime-subfield fast path).  So a
     representation sampled over F_p is eliminated once, and
     `_kronecker_lines` finds the roots in each extension it is re-read
-    over: u then has F_p coefficients, and poly_roots finds its roots in
-    F_{p^j} with the one splitter it uses for every polynomial."""
+    over: u then has F_p coefficients, so a count takes them from u's
+    F_p factors, one root per Frobenius orbit, and a listing takes all of
+    them with poly_roots."""
     F = V.field
     one, zero = F.one, F.zero
     mats = [V.mat(a) for a in range(len(Q.arrows))]
@@ -468,46 +523,77 @@ def _bivariate_eliminant(F, nonzero: list[tuple]) -> tuple | None:
     raise DegenerateSampleError("resultants vanish for every base choice")
 
 
-def _kronecker_lines(F, charts: list[tuple]) -> list[tuple]:
+def _rational_factors(F, u: tuple) -> list[tuple]:
+    """The distinct monic irreducible factors of u over the prime field F
+    whose degree d is at most 4, GF's largest extension degree: the
+    d roots of each are a Frobenius orbit in every F_{p^j} with d | j."""
+    return [
+        h
+        for d, part in distinct_degree_factorization(F, u)
+        if d <= 4
+        for h in equal_degree_factorization(F, part, d)
+    ]
+
+
+def _kronecker_lines(F, charts: list[tuple], factors: list | None = None) -> list[tuple]:
     """Root phase of the solver: the lines over F (chart-normalized
     spanning vectors) whose image span has dimension at most beta(tgt),
-    from the charts `_eliminate` computed over a subfield of F.  Raises
-    DegenerateSampleError when a root s0 in F leaves t free."""
+    from the charts `_eliminate` computed over a subfield of F, as (line,
+    weight) pairs.  Raises DegenerateSampleError when a root s0 in F
+    leaves t free.
+
+    Without factors every line is listed, with weight 1.  With factors,
+    which holds for each chart the `_rational_factors` of its u (charts
+    eliminated over F_p), the s-roots are taken one per Frobenius orbit:
+    one root in F of each factor h with deg h | [F : F_p], weighted by
+    deg h.  That is exact: the minors have F_p coefficients, so Frobenius
+    maps the lines over s0 onto the lines over each conjugate of s0 and
+    keeps their image ranks, and a vertical line over s0 lies over every
+    conjugate as well."""
     points: list[tuple] = []
-    for fixed, u, tpolys in charts:
+    for i, (fixed, u, tpolys) in enumerate(charts):
         if u is None:
-            points.append(fixed)
-        elif tpolys is None:
-            points.extend((*fixed, s0) for s0 in poly_roots(F, u))
+            points.append((fixed, 1))
+            continue
+        if factors is None:
+            s_roots = [(s0, 1) for s0 in poly_roots(F, u)]
         else:
-            for s0 in poly_roots(F, u):
-                specialized = []
-                for f in tpolys:
-                    g = poly_trim(F, [poly_eval(F, c, s0) for c in f])
-                    if g:
-                        specialized.append(g)
-                if not specialized:
-                    raise DegenerateSampleError("solution set contains a vertical line")
-                ut = _gcd_all(F, specialized)
-                if poly_deg(ut) >= 1:
-                    points.extend((*fixed, s0, t0) for t0 in poly_roots(F, ut))
+            s_roots = [(poly_one_root(F, h), poly_deg(h)) for h in factors[i] if F.k % poly_deg(h) == 0]
+        for s0, weight in s_roots:
+            if tpolys is None:
+                points.append(((*fixed, s0), weight))
+                continue
+            specialized = []
+            for f in tpolys:
+                g = poly_trim(F, [poly_eval(F, c, s0) for c in f])
+                if g:
+                    specialized.append(g)
+            if not specialized:
+                raise DegenerateSampleError("solution set contains a vertical line")
+            ut = _gcd_all(F, specialized)
+            if poly_deg(ut) >= 1:
+                points.extend(((*fixed, s0, t0), weight) for t0 in poly_roots(F, ut))
     return points
 
 
-def _kronecker_subreps(Q: Quiver, V: FFRep, beta, src: int, tgt: int, charts: list[tuple], collect: bool):
+def _kronecker_subreps(
+    Q: Quiver, V: FFRep, beta, src: int, tgt: int, charts: list[tuple], collect: bool, factors: list | None = None
+):
     """Subrepresentations of V over its field, from the charts that
     `_eliminate` returned for V read over the field of its entries: their
     count, or with collect set the subrepresentations themselves, as
-    tuples of per-vertex row bases."""
+    tuples of per-vertex row bases.  A count given the charts'
+    `_rational_factors` takes one line per Frobenius orbit, weighted by
+    the orbit's size (`_kronecker_lines`)."""
     F = V.field
     mats = [V.mat(a) for a in range(len(Q.arrows))]
     b = beta[tgt]
     total = 0
     found = []
-    for v in _kronecker_lines(F, charts):
+    for v, weight in _kronecker_lines(F, charts, None if collect else factors):
         srows, pivots = _span_rows(F, [mat_vec(F, A, list(v)) for A in mats])
         if not collect:
-            total += gaussian_binomial(V.dim[tgt] - len(srows), b - len(srows), F.q)
+            total += weight * gaussian_binomial(V.dim[tgt] - len(srows), b - len(srows), F.q)
             continue
         for W in _lift_bases(F, srows, pivots, V.dim[tgt], b):
             per_vertex = [None, None]
@@ -520,37 +606,44 @@ def _kronecker_subreps(Q: Quiver, V: FFRep, beta, src: int, tgt: int, charts: li
 # -- sampling oracle -----------------------------------------------------------
 
 
-def _by_degree(Q: Quiver, V1: FFRep, beta, fields, budget: int, collect: bool, stats: dict | None = None):
+def _by_degree(Q: Quiver, V1: FFRep, beta, fields, budget: int, stats: dict | None = None):
     """Read the sample V1 over each of `fields` (V1's field, then its
-    extensions) and yield (Vj, result): the beta-subrepresentation count
-    of Vj, or with collect the subrepresentations with bases, or None
-    where the sample is degenerate at that degree.
+    extensions) and yield (Vj, count, listing): the
+    beta-subrepresentation count of Vj, None where the sample is
+    degenerate at that degree, and a function of no arguments that lists
+    those subrepresentations with bases.
 
     A degree enumerates when its point count fits the budget, solves
     when the shape has a solver, and raises BudgetExceededError
     otherwise.  `_eliminate` runs once, over V1's field, when a degree
-    first solves; a degeneracy it finds makes every later degree None."""
+    first solves, and so does the F_p factorization of its eliminants
+    that the counts take their Frobenius orbits from; a degeneracy the
+    elimination finds makes every later degree None."""
     alpha = V1.dim
     kf = _kronecker_form(Q, beta, alpha)
     charts = None  # None before the first solve, False once found degenerate
+    factors = None
     for F in fields:
         V = FFRep(Q, F, alpha, V1.mats)
         points = _raw_point_count(Q, alpha, beta, F.q)
         if points <= budget:
-            result = list_subreps(Q, V, beta, budget) if collect else enumerate_subreps(Q, V, beta, budget, stats)
+            count = enumerate_subreps(Q, V, beta, budget, stats)
+            listing = partial(list_subreps, Q, V, beta, budget)
         elif kf is None:
             raise BudgetExceededError(points, budget)
         else:
-            result = None
+            count = None
             try:
                 if charts is None:
                     charts = _eliminate(Q, V1, beta, *kf)
+                    factors = [() if u is None else _rational_factors(V1.field, u) for _, u, _ in charts]
                 if charts is not False:
-                    result = _kronecker_subreps(Q, V, beta, *kf, charts, collect)
+                    count = _kronecker_subreps(Q, V, beta, *kf, charts, False, factors)
             except DegenerateSampleError:
                 if charts is None:
                     charts = False
-        yield V, result
+            listing = partial(_kronecker_subreps, Q, V, beta, *kf, charts, True)
+        yield V, count, listing
 
 
 @dataclass(frozen=True)
@@ -568,7 +661,10 @@ class SubrepCount:
     degenerate: int
     modal: int | None
     inconclusive: bool
-    nodes: int = 0  # enumeration nodes over all trials and the degrees that enumerate
+    # enumeration nodes over all trials and the degrees that enumerate; over
+    # an extension the walk visits one subspace per Frobenius orbit while
+    # every subspace chosen is Frobenius-fixed (`_walk_subreps`)
+    nodes: int = 0
 
 
 def sampled_subrep_count(
@@ -614,8 +710,8 @@ def sampled_subrep_count(
     per_trial = []
     for i in range(trials):
         V1 = random_rep(Q, alpha, base, seed * 1000003 + i)
-        degrees = _by_degree(Q, V1, beta, fields, budget, collect=False, stats=stats)
-        per_trial.append(tuple(c for _, c in degrees))
+        degrees = _by_degree(Q, V1, beta, fields, budget, stats)
+        per_trial.append(tuple(c for _, c, _ in degrees))
 
     finals = [t[-1] for t in per_trial]
     tally: dict = {}
@@ -749,7 +845,9 @@ def verify_determinant_basis(
     of one general sample form a basis of the weight space.
 
     Samples V over the base field until some extension F_{q^j} sees
-    exactly N rational subrepresentations, then forms all quotients
+    exactly N rational subrepresentations (counted first, one Frobenius
+    orbit at a time, and listed only at that degree), then forms all
+    quotients
     V/V_i and the evaluation matrix E[i][j] = c^{V_i}(V/V_j).  Passing
     means E is diagonal with nonzero diagonal and the count k of
     subrepresentations equals the weight-space dimension: k independent
@@ -786,9 +884,10 @@ def verify_determinant_basis(
             V1 = random_rep(Q, alpha, field, seed * 1000003 + s)
             # lazy: an extension is built only when a sample reaches it
             fields = (GF(field.p, j) for j in range(1, max_ext_degree + 1))
-            for Vj, subs in _by_degree(Q, V1, beta, fields, budget, collect=True):
-                if subs is None or len(subs) != counts.n_value:
+            for Vj, count, listing in _by_degree(Q, V1, beta, fields, budget):
+                if count != counts.n_value:
                     continue
+                subs = listing()
                 Fj, j = Vj.field, Vj.field.k
                 pairs = [_subrep_quotient_pair(Q, Vj, beta, gamma, sb) for sb in subs]
                 k = len(pairs)

@@ -43,19 +43,21 @@ class Quiver:
         object.__setattr__(self, "_topo", self._toposort())
 
     def _toposort(self) -> tuple[int, ...]:
+        # Kahn's algorithm on per-vertex out-lists in arrow order: O(V + E)
         indeg = [0] * self.nvertices
-        for _, h in self.arrows:
+        heads: list[list[int]] = [[] for _ in range(self.nvertices)]
+        for t, h in self.arrows:
             indeg[h] += 1
+            heads[t].append(h)
         ready = [x for x in range(self.nvertices) if indeg[x] == 0]
         order: list[int] = []
         while ready:
             x = ready.pop()
             order.append(x)
-            for t, h in self.arrows:
-                if t == x:
-                    indeg[h] -= 1
-                    if indeg[h] == 0:
-                        ready.append(h)
+            for h in heads[x]:
+                indeg[h] -= 1
+                if indeg[h] == 0:
+                    ready.append(h)
         if len(order) != self.nvertices:
             raise ValueError("quiver contains an oriented cycle")
         return tuple(order)

@@ -6,7 +6,9 @@ import pytest
 
 from quivercount.ffield import (
     GF,
+    distinct_degree_factorization,
     echelon_complete,
+    equal_degree_factorization,
     is_prime,
     mat_det,
     mat_identity,
@@ -22,6 +24,7 @@ from quivercount.ffield import (
     poly_gcd,
     poly_monic,
     poly_mul,
+    poly_one_root,
     poly_powmod,
     poly_roots,
     poly_scale,
@@ -260,6 +263,15 @@ def test_frobenius_fixes_prime_subfield():
         assert F.pow_(a, 3) == a
     moved = [a for a in F.elements() if F.pow_(a, 3) != a]
     assert len(moved) == 6
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 3), (13, 2), (61, 2), (101, 2), (101, 4)])
+def test_frobenius_is_the_pth_power(p, k):
+    # tabled fields look a^p up, the others power; both as pow_ does
+    F = GF(p, k)
+    rng = random.Random(p * 10 + k)
+    for a in list(range(min(F.q, 50))) + [rng.randrange(F.q) for _ in range(100)]:
+        assert F.frobenius(a) == F.pow_(a, p)
 
 
 # -- matrices ------------------------------------------------------------------
@@ -503,6 +515,78 @@ def test_poly_roots_split_matches_the_textbook_split(p, j):
         found = poly_roots(F, f)
         assert sorted(found) == sorted(roots)
         assert found == _roots_split_over_the_extension(F, f)
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (13, 2), (101, 2), (101, 3), (101, 4), (13, 4)])
+def test_poly_one_root_of_prime_field_irreducibles(p, k):
+    # an F_p-irreducible of degree d | k splits over GF(p^k): one of its d
+    # roots comes back, scanned up to GF.TABLE_LIMIT and split above it
+    F = GF(p, k)
+    rng = random.Random(p * 10 + k)
+    for d in (d for d in range(1, k + 1) if k % d == 0):
+        for h in _irreducibles(p, d, 1, rng):
+            r = poly_one_root(F, poly_scale(F, rng.randrange(1, p), h))
+            assert r in poly_roots(F, h)
+
+
+def test_distinct_degree_factorization_partition():
+    F = GF(2)
+    # x^4 + x = x (x+1) (x^2+x+1): degree-1 part x^2+x, degree-2 part x^2+x+1
+    f = (0, 1, 0, 0, 1)
+    parts = dict(distinct_degree_factorization(F, poly_monic(F, f)))
+    assert parts[1] == (0, 1, 1)
+    assert parts[2] == (1, 1, 1)
+
+
+def test_distinct_degree_factorization_over_a_large_prime_field():
+    F = GF(101)
+    rng = random.Random(4)
+    by_degree = {d: _irreducibles(101, d, n, rng) for d, n in ((1, 3), (2, 1), (3, 2), (4, 1))}
+    f = _product(F, [h for hs in by_degree.values() for h in hs])
+    assert distinct_degree_factorization(F, f) == [
+        (d, _product(F, hs)) for d, hs in by_degree.items()
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_distinct_degree_factorization_lists_repeated_factors_once(p):
+    # f = leading unit * prod h^m over irreducibles h of degree 1..5, with
+    # multiplicities m up to 3: each h counts once in its degree's part.
+    # F_2 has one irreducible quadratic, and two or more of every other
+    # degree up to 5.
+    F = GF(p)
+    rng = random.Random(p)
+    for _ in range(6):
+        chosen = {d: _irreducibles(p, d, rng.randint(0, 1 if (p, d) == (2, 2) else 2), rng) for d in range(1, 6)}
+        hs = [h for d in chosen for h in chosen[d]]
+        if not hs:
+            continue
+        f = _product(F, [h for h in hs for _ in range(rng.randint(1, 3))])
+        f = poly_scale(F, rng.randrange(1, p), f)
+        assert distinct_degree_factorization(F, f) == [
+            (d, poly_monic(F, _product(F, chosen[d]))) for d in chosen if chosen[d]
+        ]
+
+
+@pytest.mark.parametrize("p,d,n", [(2, 1, 2), (2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 1, 3), (3, 2, 3), (5, 3, 2), (101, 1, 5), (101, 2, 3), (101, 4, 2)])
+def test_equal_degree_factorization_finds_every_factor(p, d, n):
+    # characteristic 2 splits by the trace map, odd p by Cantor-Zassenhaus
+    F = GF(p)
+    rng = random.Random(p * 100 + d * 10 + n)
+    hs = _irreducibles(p, d, n, rng)
+    factors = equal_degree_factorization(F, _product(F, hs), d)
+    assert sorted(factors) == sorted(hs)
+    assert factors == equal_degree_factorization(F, _product(F, hs), d)  # seeded
+
+
+def test_equal_degree_factorization_over_an_extension_of_two():
+    # GF(4) and GF(16): the trace runs to F_2 through q^d = 2^(k d)
+    for k in (2, 4):
+        F = GF(2, k)
+        rng = random.Random(k)
+        roots = rng.sample(range(F.q), 4)
+        linear = [(F.neg(r), F.one) for r in roots]
+        assert sorted(equal_degree_factorization(F, _product(F, linear), 1)) == sorted(linear)
 
 
 def test_poly_gcd_pins():

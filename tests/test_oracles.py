@@ -103,9 +103,9 @@ def test_listed_subreps_are_closed_under_arrows():
                     assert mat_rank(F5, stacked) == len(bases[h])
 
 
-def _random_acyclic_instance(rng, F):
+def _random_acyclic_instance(rng, F, max_points: int = 20000):
     """Up to four vertices in a shuffled order, arrows going forward in
-    it, dimensions 0..3, a random beta inside alpha and at most 20,000
+    it, dimensions 0..3, a random beta inside alpha and at most max_points
     subspace tuples."""
     while True:
         n = rng.randint(1, 4)
@@ -118,7 +118,7 @@ def _random_acyclic_instance(rng, F):
         Q = Quiver(n, tuple(arrows))
         alpha = tuple(rng.randint(0, 3) for _ in range(n))
         beta = tuple(rng.randint(0, a) for a in alpha)
-        if _raw_point_count(Q, alpha, beta, F.q) <= 20000:
+        if _raw_point_count(Q, alpha, beta, F.q) <= max_points:
             return Q, random_rep(Q, alpha, F, rng.randrange(1 << 30)), beta
 
 
@@ -640,3 +640,111 @@ def test_basis_inconclusive_under_tiny_budget():
     rep = verify_determinant_basis(THETA2, (2, 2), (4, 4), GF(5), seed=0, budget=1)
     assert rep.inconclusive and not rep.passed
     assert "budget" in rep.reason
+
+
+# -- Frobenius orbits ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_orbit_walk_count_matches_the_listing(p):
+    # F_p-rational samples read over GF(p^j): the count walk takes one
+    # subspace per Frobenius orbit and weights it, the listing walks all;
+    # V from the sources and V* from the sinks alike
+    rng = random.Random(20 + p)
+    shortened = nontrivial = 0
+    for j in (1, 2, 3, 4):
+        Fj = GF(p, j)
+        for _ in range(12):
+            Q, V, beta = _random_acyclic_instance(rng, Fj, max_points=2000)
+            V1 = random_rep(Q, V.dim, GF(p), rng.randrange(1 << 30))
+            V = FFRep(Q, Fj, V.dim, V1.mats)
+            gamma = tuple(a - b for a, b in zip(V.dim, beta))
+            for R, dim in ((V, beta), (V.dual(), gamma)):
+                count, _, nodes = _walk_subreps(R.quiver, R, dim, False)
+                listed, found, full_nodes = _walk_subreps(R.quiver, R, dim, True)
+                assert count == listed == len(found), (Q.arrows, V.dim, beta, j)
+                assert nodes <= full_nodes
+                shortened += nodes < full_nodes
+                nontrivial += count > 1
+    assert shortened >= 10 and nontrivial >= 10, (shortened, nontrivial)
+
+
+def test_orbit_walk_node_pin():
+    # theta(2) (1,1)/(2,2) over GF(13^2): the 14 rational lines at the
+    # source and one of each of the 78 conjugate pairs are walked, not 170
+    got = sampled_subrep_count(THETA2, (1, 1), (2, 2), 13, max_ext_degree=2, seed=0)
+    assert got.method == "enumerate"
+    assert got.per_trial == ((1, 1), (0, 2), (0, 2), (2, 2), (2, 2), (0, 2), (2, 2), (2, 2), (2, 2), (0, 2))
+    full = 0
+    for i in range(got.trials):
+        V1 = random_rep(THETA2, (2, 2), GF(13), i)
+        for F in (GF(13), GF(13, 2)):
+            full += _walk_subreps(THETA2, FFRep(THETA2, F, (2, 2), V1.mats), (1, 1), True)[2]
+    assert (got.nodes, full) == (1106, 1890)
+
+
+def test_orbit_weighted_solver_count_matches_the_listing():
+    # the eliminations of _elimination_pool(150), each factored over F_p
+    # once and read over GF(p^j), j <= 4: one line per Frobenius orbit,
+    # weighted by its size, counts what the listing lists.  Where the
+    # listing is too long to build, the count over every line stands in.
+    checked = listed = 0
+    for Q, beta, V in _elimination_pool(150):
+        try:
+            charts = _eliminate(Q, V, beta, 0, 1)
+        except DegenerateSampleError:
+            continue
+        factors = [() if u is None else oracles._rational_factors(V.field, u) for _, u, _ in charts]
+        for j in (1, 2, 3, 4):
+            Vj = FFRep(Q, GF(V.field.p, j), V.dim, V.mats)
+            try:
+                every_line = _kronecker_subreps(Q, Vj, beta, 0, 1, charts, False)
+            except DegenerateSampleError:
+                with pytest.raises(DegenerateSampleError):
+                    _kronecker_subreps(Q, Vj, beta, 0, 1, charts, False, factors)
+                continue
+            assert _kronecker_subreps(Q, Vj, beta, 0, 1, charts, False, factors) == every_line
+            if every_line <= 2000:
+                assert len(_kronecker_subreps(Q, Vj, beta, 0, 1, charts, True)) == every_line
+                listed += 1
+            checked += 1
+    assert checked >= 300 and listed >= 250, (checked, listed)
+
+
+def test_sampled_solver_matches_enumeration_in_small_characteristic():
+    # every degree solves under budget 1 and enumerates under a budget
+    # that fits; characteristic 2 factors its eliminants by the trace map
+    # (theta(4) enumerates 6,643 lines of F_81^3 per trial at q = 3)
+    rows = 0
+    for Q, beta, alpha, q, trials in (
+        (THETA4, (1, 2), (3, 3), 2, 6),
+        (THETA4, (1, 2), (3, 3), 3, 2),
+        (THETA2, (1, 1), (2, 2), 2, 6),
+        (THETA2, (1, 1), (2, 2), 3, 6),
+        (THETA2, (1, 1), (2, 2), 5, 6),
+        (theta(3), (1, 1), (3, 2), 2, 6),
+        (theta(3), (1, 1), (3, 2), 3, 6),
+        (theta(3), (1, 1), (3, 2), 5, 6),
+    ):
+        solved = sampled_subrep_count(Q, beta, alpha, q, max_ext_degree=4, trials=trials, seed=0, budget=1)
+        walked = sampled_subrep_count(Q, beta, alpha, q, max_ext_degree=4, trials=trials, seed=0, budget=10**9)
+        assert (solved.method, walked.method) == ("solve", "enumerate")
+        for s, e in zip(solved.per_trial, walked.per_trial):
+            assert all(x is None or x == y for x, y in zip(s, e)), (Q.arrows, q, s, e)
+            rows += any(x is not None for x in s)
+    assert rows >= 36
+
+
+def test_basis_lists_only_where_the_count_is_n(monkeypatch):
+    # theta(4) over GF(101): 3 samples, 12 (sample, degree) counts, one listing
+    collects = []
+    subreps = oracles._kronecker_subreps
+
+    def recorded(*args):
+        collects.append(args[6])
+        return subreps(*args)
+
+    monkeypatch.setattr(oracles, "_kronecker_subreps", recorded)
+    rep = verify_determinant_basis(THETA4, (1, 2), (3, 3), GF(101), seed=0)
+    assert rep.passed and rep.samples_tried == 3 and rep.extension_degree == 4
+    assert collects.count(False) == 12 and collects.count(True) == 1

@@ -49,6 +49,39 @@ def test_toposort_respects_arrows():
         assert pos[t] < pos[h]
 
 
+def _toposort_by_arrow_scan(n: int, arrows) -> tuple[int, ...]:
+    # reference: Kahn's algorithm scanning every arrow for each popped vertex
+    indeg = [0] * n
+    for _, h in arrows:
+        indeg[h] += 1
+    ready = [x for x in range(n) if indeg[x] == 0]
+    order = []
+    while ready:
+        x = ready.pop()
+        order.append(x)
+        for t, h in arrows:
+            if t == x:
+                indeg[h] -= 1
+                if indeg[h] == 0:
+                    ready.append(h)
+    return tuple(order)
+
+
+def test_toposort_order_matches_the_arrow_scan():
+    # random acyclic quivers: arrows go from a lower to a higher rank in a
+    # shuffled ranking, listed in random order, with repeats
+    rng = random.Random(3)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        arrows = []
+        for _ in range(rng.randint(0, 12) if n > 1 else 0):
+            a, b = rng.sample(range(n), 2)
+            arrows.append((a, b) if rank[a] < rank[b] else (b, a))
+        assert Quiver(n, tuple(arrows)).topo_order == _toposort_by_arrow_scan(n, arrows), (n, arrows)
+
+
 def test_check_dimvector():
     assert check_dimvector(THETA2, [1, 2]) == (1, 2)
     with pytest.raises(ValueError):
