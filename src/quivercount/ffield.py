@@ -32,10 +32,12 @@ those.
 fields of at most `GF.TABLE_LIMIT` elements, the same threshold as the
 tables; in larger fields one Cantor-Zassenhaus splitter finds them,
 forming (x + c)^((q-1)/2) through the norm to F_p so that its powering
-runs to (p-1)/2 only.  `distinct_degree_factorization` and
-`equal_degree_factorization` factor a polynomial into irreducibles
-instead; `oracles` factors an eliminant over F_p once and takes one root
-of each factor in every extension it counts over.
+runs to (p-1)/2 only.  `distinct_degree_factorization` groups the
+irreducible factors of a polynomial by degree, and `poly_orbit_roots`
+takes one root of each factor of such a group over F_p in an extension
+where it splits, i.e. one root per Frobenius orbit, with the same scan
+and splitter: `oracles` groups an eliminant's factors over F_p once and
+counts one root per orbit in every extension it reads it over.
 """
 
 from __future__ import annotations
@@ -678,41 +680,6 @@ def distinct_degree_factorization(F, f: tuple) -> list[tuple[int, tuple]]:
     return out
 
 
-def equal_degree_factorization(F, f: tuple, d: int) -> list[tuple]:
-    """The monic irreducible factors of f, a monic product of distinct
-    irreducibles of degree d over F, in the order of a seeded
-    Cantor-Zassenhaus split.
-
-    In each round a random a of degree below deg f gives g = gcd(b, f),
-    with b = a^((q^d - 1)/2) - 1 for odd q, and the trace a + a^2 + .. +
-    a^(2^(m-1)) mod f for q^d = 2^m.  b takes one of two values at the
-    roots of each factor (a square or not; trace 0 or 1), so g is a proper
-    factor about half the time."""
-    rng = random.Random(0x5EED)
-    out: list = []
-    todo = [f]
-    while todo:
-        h = todo.pop()
-        n = poly_deg(h)
-        if n == d:
-            out.append(h)
-            continue
-        while True:
-            a = poly_trim(F, [F.sample(rng) for _ in range(n)])
-            if F.p == 2:
-                b = t = a
-                for _ in range(F.k * d - 1):
-                    t = poly_mod(F, poly_mul(F, t, t), h)
-                    b = poly_add(F, b, t)
-            else:
-                b = poly_sub(F, poly_powmod(F, a, (F.q**d - 1) // 2, h), (F.one,))
-            g = poly_gcd(F, b, h)
-            if 0 < poly_deg(g) < n:
-                todo += [poly_divmod(F, h, g)[0], g]
-                break
-    return out
-
-
 def poly_roots(F, f: tuple) -> list:
     """All roots of f in F, each listed once.
 
@@ -740,27 +707,46 @@ def poly_roots(F, f: tuple) -> list:
     return roots
 
 
-def poly_one_root(F, f: tuple):
-    """One root in F of f, a polynomial of degree >= 1 that is a product
-    of distinct linear factors over F, as an F_p-irreducible of degree
-    dividing k is over GF(p^k).
+def poly_orbit_roots(F, f: tuple, d: int) -> list:
+    """One root in F of each irreducible factor of f, a polynomial with
+    coefficients in F_p that is a product of distinct F_p-irreducibles of
+    degree d, d dividing k: the d roots of each are one Frobenius orbit.
 
-    Fields of at most `GF.TABLE_LIMIT` elements are scanned up to the
-    first root.  Larger ones split f as `_split_linear` does, but keep
+    A factor is prod over i < d of (x - r^(p^i)) for any root r of it, so
+    each root found has its factor divided out of f before the next is
+    sought.  Fields of at most `GF.TABLE_LIMIT` elements are scanned, the
+    next scan starting past the root before it, whose factor held f's
+    least root.  Larger ones split f as `_split_linear` does, but keep
     only the part of lower degree after each split, so the other roots
     are never separated."""
     f = poly_monic(F, f)
-    if poly_deg(f) == 1:
-        return F.neg(f[0])
-    if F.q <= GF.TABLE_LIMIT:
-        return next(x for x in F.elements() if poly_eval(F, f, x) == F.zero)
-    frob = _frobenius_powers(F, f, F.k - 1)
+    roots: list = []
+    frob: list = []
+    start = 0
     rng = random.Random(0x5EED)
-    while poly_deg(f) > 1:
-        g = _split_once(F, f, frob, rng)
-        f = min(g, poly_divmod(F, f, g)[0], key=len)
-        frob = [poly_mod(F, xi, f) for xi in frob]
-    return F.neg(f[0])
+    while True:
+        if poly_deg(f) == 1:
+            r = F.neg(f[0])
+        elif F.q <= GF.TABLE_LIMIT:
+            r = next(x for x in range(start, F.q) if poly_eval(F, f, x) == F.zero)
+            start = r + 1
+        else:
+            # x^(p^i) mod f for 0 < i < k, reduced from those of the first f
+            frob = [poly_mod(F, xi, f) for xi in frob] if frob else _frobenius_powers(F, f, F.k - 1)
+            h, hfrob = f, frob
+            while poly_deg(h) > 1:
+                g = _split_once(F, h, hfrob, rng)
+                h = min(g, poly_divmod(F, h, g)[0], key=len)
+                hfrob = [poly_mod(F, xi, h) for xi in hfrob]
+            r = F.neg(h[0])
+        roots.append(r)
+        if poly_deg(f) == d:
+            return roots
+        orbit = (F.one,)
+        for _ in range(d):
+            orbit = poly_mul(F, orbit, (F.neg(r), F.one))
+            r = F.frobenius(r)
+        f = poly_divmod(F, f, orbit)[0]
 
 
 def _frobenius_powers(F, f: tuple, n: int) -> list:

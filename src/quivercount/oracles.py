@@ -39,9 +39,11 @@ gcds) runs once per sample, over F_p, the first time a degree solves:
 the sample has F_p entries, and GF's prime-subfield fast path makes
 every one of those steps return the same ints in F_p and in each
 F_{p^j}, so repeating it per extension would only rebuild the same
-polynomials.  With it, each eliminant is factored over F_p once per
-sample.  The root phase then runs per extension degree j and takes one
-root in F_{p^j} of each factor whose degree divides j.  A degeneracy
+polynomials.  With it, the irreducible factors of each eliminant over
+F_p are grouped by degree once per sample, and its roots in F_p found.
+The root phase then runs per extension degree j and, in each group whose
+degree d divides j, takes one root in F_{p^j}, divides its factor out of
+the group and repeats: one root per Frobenius orbit.  A degeneracy
 found by the elimination holds at that j and every later one; one found
 while taking roots holds at its j only.  The dual-basis check counts
 each degree first and lists the subrepresentations only at a degree
@@ -59,7 +61,6 @@ from .ffield import (
     GF,
     distinct_degree_factorization,
     echelon_complete,
-    equal_degree_factorization,
     mat_inv,
     mat_kernel,
     mat_mul,
@@ -71,7 +72,7 @@ from .ffield import (
     poly_gcd,
     poly_mul,
     poly_neg,
-    poly_one_root,
+    poly_orbit_roots,
     poly_roots,
     poly_trim,
 )
@@ -184,8 +185,9 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
     """One depth-first walk in topological order: at each vertex the span
     of the incoming images is computed and only the beta-subspaces
     containing it are enumerated.  Returns (count, listed bases, nodes),
-    where nodes counts the calls of the recursion, root and leaves
-    included.
+    where nodes counts the nodes of the walk, root and leaves included.
+    The path to the current node is an explicit stack, one frame per
+    vertex, so the walk's depth is not bounded by Python's recursion.
 
     A count of an F_p-rational V read over F = F_{p^k}, k > 1, walks one
     subspace per Frobenius orbit while every subspace chosen so far is
@@ -206,9 +208,11 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
     bases: list = [None] * Q.nvertices
     found: list = []
     count = nodes = 0
+    # frames (depth, weight, rows of the span, subspaces still to walk);
+    # weight: the subrepresentations that each leaf below stands for
+    stack: list = []
 
-    def rec(i: int, weight: int) -> None:
-        # weight: the subrepresentations that each leaf below stands for
+    def visit(i: int, weight: int) -> None:
         nonlocal count, nodes
         nodes += 1
         if i == len(topo):
@@ -220,19 +224,24 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
         x = topo[i]
         images = [mat_vec(F, A, w) for t, A in incoming[x] for w in bases[t]]
         srows, pivots = _span_rows(F, images)
-        if len(srows) > beta[x]:
-            return
-        for W in _lift_bases(F, srows, pivots, alpha[x], beta[x]):
-            size = 1
-            if orbits and weight == 1:
-                size = _least_conjugate_orbit(F, W[len(srows):])
-                if not size:
-                    continue
-            bases[x] = W
-            rec(i + 1, weight * size)
-        bases[x] = None
+        if len(srows) <= beta[x]:
+            stack.append((i, weight, len(srows), _lift_bases(F, srows, pivots, alpha[x], beta[x])))
 
-    rec(0, 1)
+    visit(0, 1)
+    while stack:
+        i, weight, s, subspaces = stack[-1]
+        W = next(subspaces, None)
+        if W is None:
+            bases[topo[i]] = None
+            stack.pop()
+            continue
+        size = 1
+        if orbits and weight == 1:
+            size = _least_conjugate_orbit(F, W[s:])
+            if not size:
+                continue
+        bases[topo[i]] = W
+        visit(i + 1, weight * size)
     return count, found, nodes
 
 
@@ -329,8 +338,9 @@ def list_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> tuple:
 # `_minors` computes the minors, over F[s][t], and each resultant in t,
 # a Sylvester determinant over F[s].  `_eliminate` does everything
 # before the first root over the field of the sample's entries;
-# `_rational_factors` factors its eliminants over F_p once per sample; and
-# `_kronecker_lines` takes the roots in whatever extension V is read over.
+# `_rational_factors` groups its eliminants' factors over F_p by degree
+# once per sample; and `_kronecker_lines` takes the roots in whatever
+# extension V is read over.
 
 _MAX_MINOR = 4  # minor size b + 1: t-degrees <= 4, Sylvester matrices <= 8 x 8
 
@@ -455,9 +465,9 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
     and in every F_{p^j} (GF's prime-subfield fast path).  So a
     representation sampled over F_p is eliminated once, and
     `_kronecker_lines` finds the roots in each extension it is re-read
-    over: u then has F_p coefficients, so a count takes them from u's
-    F_p factors, one root per Frobenius orbit, and a listing takes all of
-    them with poly_roots."""
+    over: u then has F_p coefficients, so a count takes one root per
+    Frobenius orbit from the parts of u's distinct-degree factorization
+    over F_p, and a listing takes all of them with poly_roots."""
     F = V.field
     one, zero = F.one, F.zero
     mats = [V.mat(a) for a in range(len(Q.arrows))]
@@ -523,16 +533,19 @@ def _bivariate_eliminant(F, nonzero: list[tuple]) -> tuple | None:
     raise DegenerateSampleError("resultants vanish for every base choice")
 
 
-def _rational_factors(F, u: tuple) -> list[tuple]:
-    """The distinct monic irreducible factors of u over the prime field F
-    whose degree d is at most 4, GF's largest extension degree: the
-    d roots of each are a Frobenius orbit in every F_{p^j} with d | j."""
-    return [
-        h
-        for d, part in distinct_degree_factorization(F, u)
-        if d <= 4
-        for h in equal_degree_factorization(F, part, d)
-    ]
+def _rational_factors(F, u: tuple) -> list[tuple[int, tuple]]:
+    """u's distinct-degree factorization over the prime field F, as (d, h)
+    pairs for d <= 4, GF's largest extension degree: the degree-1 part as
+    one pair (1, x - r) per root r in F, and each part of degree d >= 2
+    whole, a product of distinct irreducibles whose d roots are a
+    Frobenius orbit in every F_{p^j} with d | j."""
+    out = []
+    for d, part in distinct_degree_factorization(F, u):
+        if d == 1:
+            out += [(1, (F.neg(r), F.one)) for r in poly_roots(F, part)]
+        elif d <= 4:
+            out.append((d, part))
+    return out
 
 
 def _kronecker_lines(F, charts: list[tuple], factors: list | None = None) -> list[tuple]:
@@ -545,11 +558,11 @@ def _kronecker_lines(F, charts: list[tuple], factors: list | None = None) -> lis
     Without factors every line is listed, with weight 1.  With factors,
     which holds for each chart the `_rational_factors` of its u (charts
     eliminated over F_p), the s-roots are taken one per Frobenius orbit:
-    one root in F of each factor h with deg h | [F : F_p], weighted by
-    deg h.  That is exact: the minors have F_p coefficients, so Frobenius
-    maps the lines over s0 onto the lines over each conjugate of s0 and
-    keeps their image ranks, and a vertical line over s0 lies over every
-    conjugate as well."""
+    for each part (d, h) with d | [F : F_p], one root in F of each
+    irreducible factor of h (`poly_orbit_roots`), weighted by d.  That is
+    exact: the minors have F_p coefficients, so Frobenius maps the lines
+    over s0 onto the lines over each conjugate of s0 and keeps their image
+    ranks, and a vertical line over s0 lies over every conjugate as well."""
     points: list[tuple] = []
     for i, (fixed, u, tpolys) in enumerate(charts):
         if u is None:
@@ -558,7 +571,7 @@ def _kronecker_lines(F, charts: list[tuple], factors: list | None = None) -> lis
         if factors is None:
             s_roots = [(s0, 1) for s0 in poly_roots(F, u)]
         else:
-            s_roots = [(poly_one_root(F, h), poly_deg(h)) for h in factors[i] if F.k % poly_deg(h) == 0]
+            s_roots = [(s0, d) for d, h in factors[i] if F.k % d == 0 for s0 in poly_orbit_roots(F, h, d)]
         for s0, weight in s_roots:
             if tpolys is None:
                 points.append(((*fixed, s0), weight))
@@ -616,9 +629,10 @@ def _by_degree(Q: Quiver, V1: FFRep, beta, fields, budget: int, stats: dict | No
     A degree enumerates when its point count fits the budget, solves
     when the shape has a solver, and raises BudgetExceededError
     otherwise.  `_eliminate` runs once, over V1's field, when a degree
-    first solves, and so does the F_p factorization of its eliminants
-    that the counts take their Frobenius orbits from; a degeneracy the
-    elimination finds makes every later degree None."""
+    first solves, and so does the distinct-degree factorization over F_p
+    of its eliminants, from whose parts the counts take one root per
+    Frobenius orbit; a degeneracy the elimination finds makes every later
+    degree None."""
     alpha = V1.dim
     kf = _kronecker_form(Q, beta, alpha)
     charts = None  # None before the first solve, False once found degenerate
@@ -830,6 +844,7 @@ def _subrep_quotient_pair(Q: Quiver, V: FFRep, beta, gamma, sub_bases):
 
 
 _BASIS_SAMPLES = 20  # samples verify_determinant_basis draws before it gives up
+_BASIS_MAX_EXT = 4  # the largest extension degree it reads a sample over
 
 
 def verify_determinant_basis(
@@ -838,28 +853,25 @@ def verify_determinant_basis(
     alpha,
     field: GF,
     seed: int = 0,
-    max_ext_degree: int = 4,
     budget: int = 10**7,
 ) -> BasisReport:
     """Check that the semi-invariants attached to the subrepresentations
     of one general sample form a basis of the weight space.
 
-    Samples V over the base field until some extension F_{q^j} sees
-    exactly N rational subrepresentations (counted first, one Frobenius
-    orbit at a time, and listed only at that degree), then forms all
-    quotients
-    V/V_i and the evaluation matrix E[i][j] = c^{V_i}(V/V_j).  Passing
-    means E is diagonal with nonzero diagonal and the count k of
-    subrepresentations equals the weight-space dimension: k independent
-    semi-invariants in a k-dimensional space.  Off-diagonal entries
-    vanish for every sample (V_i maps nontrivially to V/V_j); a zero
-    diagonal entry marks a non-generic sample, which is retried.
+    Samples V over the base field until some extension F_{q^j}, j <=
+    `_BASIS_MAX_EXT`, sees exactly N rational subrepresentations (counted
+    first, one Frobenius orbit at a time, and listed only at that degree),
+    then forms all quotients V/V_i and the evaluation matrix E[i][j] =
+    c^{V_i}(V/V_j).  Passing means E is diagonal with nonzero diagonal
+    and the count k of subrepresentations equals the weight-space
+    dimension: k independent semi-invariants in a k-dimensional space.
+    Off-diagonal entries vanish for every sample (V_i maps nontrivially
+    to V/V_j); a zero diagonal entry marks a non-generic sample, which is
+    retried.
     """
     beta, alpha, gamma, _ = check_instance(Q, beta, alpha)
     if not isinstance(field, GF) or field.k != 1:
         raise ValueError("base field must be a prime field (extensions are built internally)")
-    if not 1 <= max_ext_degree <= 4:
-        raise ValueError("extension degree must be between 1 and 4")
     counts = verify_counts(Q, beta, alpha)
     samples_tried = 0
 
@@ -883,7 +895,7 @@ def verify_determinant_basis(
             samples_tried = s + 1
             V1 = random_rep(Q, alpha, field, seed * 1000003 + s)
             # lazy: an extension is built only when a sample reaches it
-            fields = (GF(field.p, j) for j in range(1, max_ext_degree + 1))
+            fields = (GF(field.p, j) for j in range(1, _BASIS_MAX_EXT + 1))
             for Vj, count, listing in _by_degree(Q, V1, beta, fields, budget):
                 if count != counts.n_value:
                     continue

@@ -8,6 +8,7 @@ as dict keys and memoization keys.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Iterable, NamedTuple
 
 
@@ -73,21 +74,14 @@ def partitions_in_rectangle(rect: Rectangle) -> list[tuple[int, ...]]:
     """All partitions inside rect, in graded-lexicographic order.
 
     Sorted by size, then lexicographically; there are
-    binomial(rows+cols, rows) of them.
+    binomial(rows+cols, rows) of them.  Those with n parts are the
+    weakly decreasing n-tuples over cols..1, so no recursion bounds rows;
+    a stable sort by size after the lexicographic one gives the order.
     """
-    acc: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], maxpart: int, rows_left: int) -> None:
-        acc.append(tuple(prefix))
-        if rows_left == 0:
-            return
-        for p in range(1, maxpart + 1):
-            prefix.append(p)
-            rec(prefix, p, rows_left - 1)
-            prefix.pop()
-
-    rec([], rect.cols, rect.rows)
-    acc.sort(key=lambda lam: (sum(lam), lam))
+    parts = range(rect.cols, 0, -1)
+    acc = [lam for n in range(rect.rows + 1) for lam in combinations_with_replacement(parts, n)]
+    acc.sort()
+    acc.sort(key=sum)
     return acc
 
 

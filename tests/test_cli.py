@@ -443,3 +443,18 @@ def test_module_entry_point():
     proc = run_module(["count", "-"], stdin_text=THETA4_TEXT)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "N = 6"
+
+
+def test_deep_instances_exit_zero_without_a_traceback(tmp_path):
+    # a label rectangle of 1,500 rows and a walk over 1,200 vertices, each
+    # deeper than Python's default recursion limit
+    tall = tmp_path / "tall.qc"
+    tall.write_text("vertices 2\narrow 0 1\nalpha 1501 1\nbeta 1500 0\n")
+    wide = tmp_path / "wide.qc"
+    wide.write_text(f"vertices 1200\nalpha {' '.join(['1'] * 1200)}\nbeta {' '.join(['0'] * 1200)}\n")
+    proc = run_module(["count", str(tall)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0] == "N = 1"
+    proc = run_module(["verify", str(wide), "--oracles"])
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr[-2000:]
+    assert ("failures", "0") in machine_block(proc.stdout)

@@ -8,7 +8,6 @@ from quivercount.ffield import (
     GF,
     distinct_degree_factorization,
     echelon_complete,
-    equal_degree_factorization,
     is_prime,
     mat_det,
     mat_identity,
@@ -24,7 +23,7 @@ from quivercount.ffield import (
     poly_gcd,
     poly_monic,
     poly_mul,
-    poly_one_root,
+    poly_orbit_roots,
     poly_powmod,
     poly_roots,
     poly_scale,
@@ -517,16 +516,20 @@ def test_poly_roots_split_matches_the_textbook_split(p, j):
         assert found == _roots_split_over_the_extension(F, f)
 
 
-@pytest.mark.parametrize("p,k", [(2, 4), (13, 2), (101, 2), (101, 3), (101, 4), (13, 4)])
+@pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 4), (13, 2), (101, 2), (101, 3), (101, 4), (13, 4)])
 def test_poly_one_root_of_prime_field_irreducibles(p, k):
-    # an F_p-irreducible of degree d | k splits over GF(p^k): one of its d
-    # roots comes back, scanned up to GF.TABLE_LIMIT and split above it
+    # poly_orbit_roots on a leading unit times n distinct F_p-irreducibles
+    # of one degree d | k (F_2 has 2, 1, 2, 3 of degree 1..4): one root in
+    # GF(p^k) per factor, scanned up to GF.TABLE_LIMIT and split above it,
+    # whose orbit polynomials prod (x - r^(p^i)), i < d, are the factors
     F = GF(p, k)
     rng = random.Random(p * 10 + k)
     for d in (d for d in range(1, k + 1) if k % d == 0):
-        for h in _irreducibles(p, d, 1, rng):
-            r = poly_one_root(F, poly_scale(F, rng.randrange(1, p), h))
-            assert r in poly_roots(F, h)
+        for n in range(1, (2, 1, 2, 3)[d - 1] + 1 if p == 2 else 4):
+            hs = _irreducibles(p, d, n, rng)
+            roots = poly_orbit_roots(F, poly_scale(F, rng.randrange(1, p), _product(F, hs)), d)
+            orbits = [_product(F, [(F.neg(F.pow_(r, p**i)), F.one) for i in range(d)]) for r in roots]
+            assert len(roots) == n and sorted(orbits) == sorted(hs), (d, hs, roots)
 
 
 def test_distinct_degree_factorization_partition():
@@ -566,27 +569,6 @@ def test_distinct_degree_factorization_lists_repeated_factors_once(p):
         assert distinct_degree_factorization(F, f) == [
             (d, poly_monic(F, _product(F, chosen[d]))) for d in chosen if chosen[d]
         ]
-
-
-@pytest.mark.parametrize("p,d,n", [(2, 1, 2), (2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 1, 3), (3, 2, 3), (5, 3, 2), (101, 1, 5), (101, 2, 3), (101, 4, 2)])
-def test_equal_degree_factorization_finds_every_factor(p, d, n):
-    # characteristic 2 splits by the trace map, odd p by Cantor-Zassenhaus
-    F = GF(p)
-    rng = random.Random(p * 100 + d * 10 + n)
-    hs = _irreducibles(p, d, n, rng)
-    factors = equal_degree_factorization(F, _product(F, hs), d)
-    assert sorted(factors) == sorted(hs)
-    assert factors == equal_degree_factorization(F, _product(F, hs), d)  # seeded
-
-
-def test_equal_degree_factorization_over_an_extension_of_two():
-    # GF(4) and GF(16): the trace runs to F_2 through q^d = 2^(k d)
-    for k in (2, 4):
-        F = GF(2, k)
-        rng = random.Random(k)
-        roots = rng.sample(range(F.q), 4)
-        linear = [(F.neg(r), F.one) for r in roots]
-        assert sorted(equal_degree_factorization(F, _product(F, linear), 1)) == sorted(linear)
 
 
 def test_poly_gcd_pins():

@@ -669,6 +669,19 @@ def test_orbit_walk_count_matches_the_listing(p):
     assert shortened >= 10 and nontrivial >= 10, (shortened, nontrivial)
 
 
+def test_walk_deeper_than_the_recursion_limit():
+    # the walk keeps one frame per vertex: 1,200 isolated vertices, and
+    # a 1,100-vertex path sampled over GF(5)
+    n = 1200
+    Q = Quiver(n, ())
+    V = random_rep(Q, (1,) * n, F5, 0)
+    assert enumerate_subreps(Q, V, (0,) * n) == 1
+    assert list_subreps(Q, V, (0,) * n) == (((),) * n,)
+    path = Quiver(1100, tuple((i, i + 1) for i in range(1099)))
+    got = sampled_subrep_count(path, (0,) * 1100, (1,) * 1100, 5, max_ext_degree=1, trials=1)
+    assert got.per_trial == ((1,),) and got.nodes == 1101
+
+
 def test_orbit_walk_node_pin():
     # theta(2) (1,1)/(2,2) over GF(13^2): the 14 rational lines at the
     # source and one of each of the 78 conjugate pairs are walked, not 170

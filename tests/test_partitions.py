@@ -65,6 +65,11 @@ def test_enumeration_matches_count():
             assert all(fits(lam, rect) for lam in listed)
 
 
+def test_enumeration_of_a_rectangle_taller_than_the_recursion_limit():
+    # 1,500 rows, the label rectangle of alpha (1501, 1), beta (1500, 0)
+    assert partitions_in_rectangle(Rectangle(1500, 1)) == [(1,) * n for n in range(1501)]
+
+
 def test_degenerate_rectangles_hold_only_empty():
     assert partitions_in_rectangle(Rectangle(0, 5)) == [()]
     assert partitions_in_rectangle(Rectangle(5, 0)) == [()]
