@@ -198,7 +198,7 @@ def cmd_sidim(args, out) -> int:
     spec = _load_spec(args.instance)
     pairing = check_instance(spec.quiver, spec.beta, spec.alpha)[3]
     if spec.mu is None:
-        m, states, _ = si_dimension_detailed(spec.quiver, spec.beta, spec.alpha)
+        m, states = si_dimension_detailed(spec.quiver, spec.beta, spec.alpha)
     else:
         m = covariant_multiplicity(spec.quiver, spec.beta, spec.alpha, spec.mu)
         states = None

@@ -284,7 +284,7 @@ def _labeled_sum(
     return state, created
 
 
-def _count(plan: _Plan, engine: LREngine, conjugated: bool, breakdown: bool):
+def _count(plan: _Plan, engine: LREngine, conjugated: bool, breakdown: bool = False):
     """(total, states created, breakdown) of N, or of M when `conjugated`.
 
     Breakdown entries list the nonzero summands in canonical order:
@@ -316,12 +316,10 @@ def count_subreps(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> int
     return count_subreps_detailed(Q, beta, alpha, engine)[0]
 
 
-def si_dimension_detailed(
-    Q: Quiver, beta, alpha, engine: LREngine | None = None, breakdown: bool = False
-) -> tuple[int, int, tuple]:
-    """(M, DP states created, optional nonzero-summand breakdown)."""
+def si_dimension_detailed(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> tuple[int, int]:
+    """(M, DP states created)."""
     beta, _, gamma, _ = _check_counting_pre(Q, beta, alpha)
-    return _count(_plan(Q, beta, gamma), engine or LREngine(), True, breakdown)
+    return _count(_plan(Q, beta, gamma), engine or LREngine(), True)[:2]
 
 
 def si_dimension(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> int:
@@ -400,23 +398,20 @@ class CountReport:
     m_value: int
     n_labelings: int
     m_labelings: int
-    n_breakdown: tuple = ()
 
     @property
     def passed(self) -> bool:
         return self.n_value == self.m_value
 
 
-def verify_counts(
-    Q: Quiver, beta, alpha, engine: LREngine | None = None, breakdown: bool = False
-) -> CountReport:
+def verify_counts(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> CountReport:
     """Compute the subrepresentation count and the weight-space dimension
     independently and report whether they agree."""
     beta, alpha, gamma, pairing = _check_counting_pre(Q, beta, alpha)
     engine = engine or LREngine()
     plan = _plan(Q, beta, gamma)
-    n, nstates, nbr = _count(plan, engine, False, breakdown)
-    m, mstates, _ = _count(plan, engine, True, False)
+    n, nstates, _ = _count(plan, engine, False)
+    m, mstates, _ = _count(plan, engine, True)
     return CountReport(
         beta=beta,
         alpha=alpha,
@@ -425,7 +420,6 @@ def verify_counts(
         m_value=m,
         n_labelings=nstates,
         m_labelings=mstates,
-        n_breakdown=nbr,
     )
 
 

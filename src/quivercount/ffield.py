@@ -198,13 +198,7 @@ class GF:
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e
-        out = self.one
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        return _power(self.mul, a, e)
 
     def frobenius(self, a: int) -> int:
         """a^p, the image of a under the Frobenius automorphism of F/F_p;

@@ -2,9 +2,9 @@
 
 Products S^lam (x) S^mu inside a bounding shape are built by adding mu's
 rows to lam as horizontal strips; tensor multiplicities of Schur functors
-and Schubert products truncated to a rectangle fold them.  LR coefficients
-are counted by backtracking over skew tableaux, code the products do not
-share.  All counts are plain Python ints (arbitrary precision).
+fold them.  LR coefficients are counted by backtracking over skew
+tableaux, code the products do not share.  All counts are plain Python
+ints (arbitrary precision).
 
 Memoization tables live on an engine instance, not in module globals:
 callers that pass one engine share its tables, and nothing else does.
@@ -12,40 +12,7 @@ callers that pass one engine share its tables, and nothing else does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .partitions import Rectangle, contains, fits, partition, size
-
-
-@dataclass
-class SchubertElement:
-    """Integer combination of Schubert classes in one Grassmannian factor.
-
-    Keys fit inside `ambient`; zero coefficients are never stored.
-    """
-
-    ambient: Rectangle
-    coeffs: dict[tuple[int, ...], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for lam, c in self.coeffs.items():
-            if not fits(lam, self.ambient):
-                raise ValueError(f"class {lam} outside ambient {self.ambient}")
-            if c == 0:
-                raise ValueError(f"zero coefficient stored for {lam}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchubertElement):
-            return NotImplemented
-        return self.ambient == other.ambient and self.coeffs == other.coeffs
-
-
-def schubert_class(ambient: Rectangle, lam: tuple[int, ...]) -> SchubertElement:
-    """The single class [lam], or the zero element if lam falls outside."""
-    lam = partition(lam)
-    if not fits(lam, ambient):
-        return SchubertElement(ambient, {})
-    return SchubertElement(ambient, {lam: 1})
+from .partitions import contains, partition, size
 
 
 class LREngine:
@@ -209,69 +176,6 @@ class LREngine:
         self._tensor_memo[key] = val
         return val
 
-    def schubert_multiply(self, a: SchubertElement, b: SchubertElement) -> SchubertElement:
-        """Product in the cohomology of one Grassmannian.
-
-        Classes outside the ambient rectangle are discarded.
-        """
-        if a.ambient != b.ambient:
-            raise ValueError(f"ambient mismatch: {a.ambient} vs {b.ambient}")
-        rect = a.ambient
-        bound = rectangle_partition(rect)
-        out: dict[tuple[int, ...], int] = {}
-        for lam, ca in a.coeffs.items():
-            for mu, cb in b.coeffs.items():
-                for nu, c in self.expand(lam, mu, bound):
-                    v = out.get(nu, 0) + ca * cb * c
-                    if v:
-                        out[nu] = v
-                    else:
-                        out.pop(nu, None)
-        return SchubertElement(rect, out)
-
-    # -- independent oracle -------------------------------------------------
-
-    def schur_polynomial(
-        self, lam: tuple[int, ...], nvars: int
-    ) -> dict[tuple[int, ...], int]:
-        """Monomial expansion of the Schur polynomial s_lam(x_1..x_nvars).
-
-        Enumerates semistandard tableaux directly; intended as a slow
-        independent check of the LR expansion, hence the small-variable cap.
-        """
-        lam = partition(lam)
-        if nvars < len(lam):
-            raise ValueError(f"need nvars >= {len(lam)} for shape {lam}")
-        if nvars > 8:
-            raise ValueError("schur_polynomial capped at 8 variables")
-        out: dict[tuple[int, ...], int] = {}
-        if not lam:
-            out[(0,) * nvars] = 1
-            return out
-        nrows = len(lam)
-        grid = [[0] * lam[r] for r in range(nrows)]
-        expo = [0] * nvars
-
-        cells = [(r, c) for r in range(nrows) for c in range(lam[r])]
-
-        def rec(i: int) -> None:
-            if i == len(cells):
-                key = tuple(expo)
-                out[key] = out.get(key, 0) + 1
-                return
-            r, c = cells[i]
-            left = grid[r][c - 1] if c > 0 else 1
-            above = grid[r - 1][c] if r > 0 else 0
-            for v in range(max(left, above + 1), nvars + 1):
-                grid[r][c] = v
-                expo[v - 1] += 1
-                rec(i + 1)
-                expo[v - 1] -= 1
-            grid[r][c] = 0
-
-        rec(0)
-        return out
-
 
 def _strips(shape, m, bound, allow):
     """Horizontal strips of m boxes added to `shape` inside `bound` that
@@ -290,9 +194,3 @@ def _strips(shape, m, bound, allow):
     pad = (m,) * (len(bound) - top)
     return [(rows if rows[-1] else rows[:-1], above + pad) for rows, above, c in partial if c == m]
 
-
-def rectangle_partition(rect: Rectangle) -> tuple[int, ...]:
-    """The full-rectangle partition (cols repeated rows times)."""
-    if rect.cols == 0:
-        return ()
-    return (rect.cols,) * rect.rows

@@ -845,6 +845,7 @@ def _subrep_quotient_pair(Q: Quiver, V: FFRep, beta, gamma, sub_bases):
 
 _BASIS_SAMPLES = 20  # samples verify_determinant_basis draws before it gives up
 _BASIS_MAX_EXT = 4  # the largest extension degree it reads a sample over
+_BASIS_BUDGET = 10**7  # the largest point count it enumerates at one degree
 
 
 def verify_determinant_basis(
@@ -853,7 +854,6 @@ def verify_determinant_basis(
     alpha,
     field: GF,
     seed: int = 0,
-    budget: int = 10**7,
 ) -> BasisReport:
     """Check that the semi-invariants attached to the subrepresentations
     of one general sample form a basis of the weight space.
@@ -896,7 +896,7 @@ def verify_determinant_basis(
             V1 = random_rep(Q, alpha, field, seed * 1000003 + s)
             # lazy: an extension is built only when a sample reaches it
             fields = (GF(field.p, j) for j in range(1, _BASIS_MAX_EXT + 1))
-            for Vj, count, listing in _by_degree(Q, V1, beta, fields, budget):
+            for Vj, count, listing in _by_degree(Q, V1, beta, fields, _BASIS_BUDGET):
                 if count != counts.n_value:
                     continue
                 subs = listing()

@@ -2,13 +2,14 @@ import sys
 
 import pytest
 
-from quivercount.lr import LREngine
+from lr_reference import ReferenceEngine
 
 
 @pytest.fixture(scope="session")
-def engine() -> LREngine:
-    # one shared engine so the memo tables are exercised across tests
-    return LREngine()
+def engine() -> ReferenceEngine:
+    # one shared engine so the memo tables are exercised across tests; an
+    # LREngine that also carries the Schubert and Schur reference methods
+    return ReferenceEngine()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

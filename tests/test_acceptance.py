@@ -12,6 +12,7 @@ import functools
 import random
 import time
 
+from lr_reference import rectangle_partition, schubert_class
 from quivercount.counting import (
     count_subreps,
     fiber_class,
@@ -23,7 +24,6 @@ from quivercount.counting import (
 )
 from quivercount.covariants import covariant_count, covariant_multiplicity
 from quivercount.ffield import GF
-from quivercount.lr import LREngine, rectangle_partition, schubert_class
 from quivercount.oracles import (
     _raw_point_count,
     sampled_subrep_count,

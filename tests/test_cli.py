@@ -1,10 +1,14 @@
 import io
 import os
+import random
+import re
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from quivercount.cli import (
     InstanceParseError,
@@ -13,6 +17,7 @@ from quivercount.cli import (
     parse_instance,
     render_instance,
 )
+from quivercount.counting import random_instance
 from quivercount.quiver import Quiver
 
 THETA4_TEXT = (
@@ -458,3 +463,69 @@ def test_deep_instances_exit_zero_without_a_traceback(tmp_path):
     proc = run_module(["verify", str(wide), "--oracles"])
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr[-2000:]
     assert ("failures", "0") in machine_block(proc.stdout)
+
+
+# -- fuzz --------------------------------------------------------------------
+
+FUZZ_COMMANDS = (
+    ("count",),
+    ("count", "--breakdown"),
+    ("sidim",),
+    ("fiber-class",),
+    ("verify",),
+    ("verify", "--oracles", "--q", "3", "--ext", "2"),
+)
+FUZZ_DIGITS = "0123456789"
+FUZZ_OTHER = " -:(),#\nabelrtuv"
+
+
+def fuzz_instance_text(rng: random.Random) -> str:
+    """Instance text with at most 4 vertices and dimensions up to 3: a
+    seeded `random_instance` (mostly of zero pairing), or free-form lines
+    whose arrows may be loops, close cycles or leave the quiver.  A
+    quarter of them get mu lines, some for a vertex out of range; half
+    get one character deleted, replaced or inserted.  Digits replace
+    characters but are never inserted, so no number grows a second
+    digit: that would be a large instance, whose run time nothing bounds
+    before it starts, rather than a malformed one."""
+    if rng.random() < 0.5:
+        Q, beta, alpha = random_instance(rng, require_zero_pairing=rng.random() < 0.75)
+        n, arrows = Q.nvertices, Q.arrows
+    else:
+        n = rng.randint(0, 4)
+        arrows = [(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randint(0, 5) if n else 0)]
+        alpha = [rng.randint(0, 3) for _ in range(n)]
+        beta = [rng.randint(0, a) for a in alpha]
+    lines = [f"vertices {n}", *(f"arrow {t} {h}" for t, h in arrows)]
+    lines += ["alpha " + " ".join(map(str, alpha)), "beta " + " ".join(map(str, beta))]
+    if n and rng.random() < 0.25:
+        for i in rng.sample(range(n + 1), rng.randint(1, 2)):
+            parts = sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 2))), reverse=True)
+            lines.append(f"mu {i}:(" + ",".join(map(str, parts)) + ")")
+    text = "\n".join(lines) + "\n"
+    if rng.random() < 0.5:
+        i = rng.randint(0, len(text))
+        op = rng.choice("dri")
+        if op == "d":
+            text = text[:i] + text[i + 1 :]
+        elif op == "r":
+            text = text[:i] + rng.choice(FUZZ_DIGITS + FUZZ_OTHER) + text[i + 1 :]
+        else:
+            text = text[:i] + rng.choice(FUZZ_OTHER) + text[i:]
+    return text
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(FUZZ_COMMANDS))
+def test_fuzzed_instances_exit_with_a_documented_code(seed, command):
+    # the text is built from one drawn seed: drawing every line from
+    # Hypothesis strategies took three times as long to generate.
+    # run_cli lets any exception escape main(), which fails the example
+    text = fuzz_instance_text(random.Random(seed))
+    code, out, err = run_cli([command[0], "-", *command[1:]], text)
+    event(f"exit {code}")  # the mix shows under --hypothesis-show-statistics
+    assert code in (0, 1, 2, 3), (text, code, err)
+    if code in (2, 3):
+        assert err.strip(), text
+    # exit 1 is a failed verification, and a failed verification exits 1
+    assert (code == 1) == bool(re.search(r"^  FAIL ", out, re.M)), (text, out)

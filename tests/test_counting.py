@@ -151,7 +151,7 @@ def test_m_examines_the_same_labelings_as_n(engine):
     for _ in range(25):
         Q, beta, alpha = random_instance(rng)
         _, n_tried, _ = count_subreps_detailed(Q, beta, alpha, engine=engine)
-        _, m_tried, _ = si_dimension_detailed(Q, beta, alpha, engine=engine)
+        _, m_tried = si_dimension_detailed(Q, beta, alpha, engine=engine)
         assert n_tried == m_tried
 
 
@@ -162,7 +162,7 @@ def test_state_totals_on_a_seeded_pool(engine):
     for seed in range(300):
         Q, beta, alpha = random_instance(random.Random(seed), max_verts=5, max_arrows=6, min_arrows=2)
         n, n_states, _ = count_subreps_detailed(Q, beta, alpha, engine=engine)
-        m, m_states, _ = si_dimension_detailed(Q, beta, alpha, engine=engine)
+        m, m_states = si_dimension_detailed(Q, beta, alpha, engine=engine)
         for i, v in enumerate((n, m, n_states, m_states)):
             totals[i] += v
     assert totals == [516, 516, 1470, 1470]

@@ -264,6 +264,15 @@ def test_frobenius_fixes_prime_subfield():
     assert len(moved) == 6
 
 
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (101, 2)])
+def test_negative_powers_are_powers_of_the_inverse(p, k):
+    F = GF(p, k)
+    for a in range(1, min(F.q, 60)):
+        for e in (1, 2, 7, F.q):
+            assert F.pow_(a, -e) == F.pow_(F.inv(a), e)
+            assert F.mul(F.pow_(a, -e), F.pow_(a, e)) == F.one
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 3), (13, 2), (61, 2), (101, 2), (101, 4)])
 def test_frobenius_is_the_pth_power(p, k):
     # tabled fields look a^p up, the others power; both as pow_ does

@@ -3,9 +3,10 @@ import threading
 
 import pytest
 
+from lr_reference import SchubertElement, rectangle_partition, schubert_class
 from quivercount.counting import fiber_class, triple_flag_instance, verify_counts
 from quivercount.covariants import covariant_multiplicity
-from quivercount.lr import LREngine, SchubertElement, rectangle_partition, schubert_class
+from quivercount.lr import LREngine
 from quivercount.partitions import (
     Rectangle,
     complement,

@@ -28,6 +28,7 @@ from quivercount.oracles import (
     verify_determinant_basis,
 )
 from quivercount.counting import NonzeroPairingError
+from quivercount.lr import LREngine
 from quivercount.quiver import FFRep, Quiver, random_rep
 
 
@@ -388,6 +389,27 @@ def test_eliminants_match_pins():
     assert digest.hexdigest() == ELIMINANTS_SHA256
 
 
+def test_minors_in_s_alone_drop_the_chart_or_leave_a_vertical_line():
+    # theta(3) with alpha(src) = 3 and a zero last column in every arrow:
+    # on the chart v = (1, s, t) the images A_i v = A_i (1, s, 0) do not
+    # depend on t, so every 2-minor is a polynomial in s alone.  Over F_5
+    # the images are (1, s), (s, 1) and (1, 2): minors 1 - s^2, 2 - s and
+    # 2s - 1 have no common root, and the chart holds no line.  With
+    # (1, 1) as the third image the minors 1 - s^2, 1 - s and s - 1 share
+    # s = 1, where every (1, 1, t) spans one image: a vertical line.
+    Q = theta(3)
+    first, second = ((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 0))
+    for third, common_root in ((((1, 0, 0), (2, 0, 0)), False), (((1, 0, 0), (1, 0, 0)), True)):
+        V = FFRep(Q, F5, (3, 2), (first, second, third))
+        if common_root:
+            with pytest.raises(DegenerateSampleError, match="vertical line"):
+                _eliminate(Q, V, (1, 1), 0, 1)
+        else:
+            # charts (1, s, t) and (0, 1, s) hold no line; (0, 0, 1) is in
+            # every arrow's kernel
+            assert _eliminate(Q, V, (1, 1), 0, 1) == [((0, 0, 1), None, None)]
+
+
 def test_sampled_count_requires_zero_pairing():
     with pytest.raises(ValueError):
         sampled_subrep_count(Quiver(2, ((0, 1),)), (1, 1), (2, 2), 5)
@@ -529,6 +551,47 @@ def test_root_phase_degeneracy_stays_with_its_field():
         _kronecker_lines(GF(5, 2), charts)
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"max_ext_degree": 0}, "extension degree must be between 1 and 4"),
+        ({"max_ext_degree": 5}, "extension degree must be between 1 and 4"),
+        ({"trials": 0}, "at least one trial"),
+    ],
+)
+def test_sampled_count_rejects_degrees_and_trials_out_of_range(options, message):
+    with pytest.raises(ValueError, match=message):
+        sampled_subrep_count(THETA2, (1, 1), (2, 2), 5, **options)
+
+
+def test_oracles_never_reach_the_lr_kernel(monkeypatch):
+    # the oracles check N and M, so they share no code with the LR kernel
+    # that computes both.  Two oracle calls reach it on purpose, and are
+    # not made here: si_rank_oracle without nv or nw sizes its samples as
+    # si_dimension + 4, and verify_determinant_basis takes the N and M it
+    # checks against from verify_counts (which is why the bench's oracles
+    # workload does LR work in its theta(4) basis case)
+    class LRCalled(Exception):
+        pass
+
+    def refuse(self, *args):
+        raise LRCalled
+
+    for name in ("expand", "lr_coefficient", "tensor_multiplicity"):
+        monkeypatch.setattr(LREngine, name, refuse)
+    V = random_rep(THETA2, (2, 2), F5, 0)
+    assert enumerate_subreps(THETA2, V, (1, 1)) == len(list_subreps(THETA2, V, (1, 1)))
+    walked = sampled_subrep_count(THETA2, (1, 1), (2, 2), 5, trials=3, seed=0)
+    solved = sampled_subrep_count(THETA4, (1, 2), (3, 3), 13, max_ext_degree=3, trials=3, seed=0)
+    assert (walked.method, solved.method) == ("enumerate", "solve")
+    assert si_rank_oracle(THETA4, (1, 2), (2, 1), nv=10, nw=10) == 6
+    # the patch is live: both named calls do reach the kernel
+    with pytest.raises(LRCalled):
+        si_rank_oracle(THETA4, (1, 2), (2, 1))
+    with pytest.raises(LRCalled):
+        verify_determinant_basis(THETA4, (1, 2), (3, 3), GF(13))
+
+
 def test_sampled_count_budget_error_when_no_path_fits():
     with pytest.raises(BudgetExceededError):
         sampled_subrep_count(THETA2, (2, 2), (4, 4), 5, trials=2, seed=0, budget=100)
@@ -635,11 +698,48 @@ def test_basis_rejects_extension_base_field():
 
 
 def test_basis_inconclusive_under_tiny_budget():
-    # (2,2) at the source disqualifies the linear solver, so a starved
-    # enumeration budget leaves no route at all
-    rep = verify_determinant_basis(THETA2, (2, 2), (4, 4), GF(5), seed=0, budget=1)
+    # (2,2) at the source disqualifies the linear solver, and over GF(13)
+    # already degree 1 has 31,110^2 = 967,832,100 points, above the
+    # enumeration budget: no route at all
+    rep = verify_determinant_basis(THETA2, (2, 2), (4, 4), GF(13), seed=0)
     assert rep.inconclusive and not rep.passed
     assert "budget" in rep.reason
+
+
+def _evaluated_samples(monkeypatch) -> list:
+    """The sample (read over its extension) of every evaluation matrix
+    verify_determinant_basis forms, in order."""
+    seen = []
+    pair = oracles._subrep_quotient_pair
+
+    def recorded(Q, V, *args):
+        if not seen or seen[-1] is not V:
+            seen.append(V)
+        return pair(Q, V, *args)
+
+    monkeypatch.setattr(oracles, "_subrep_quotient_pair", recorded)
+    return seen
+
+
+def test_basis_retries_a_sample_with_a_zero_diagonal_entry(monkeypatch):
+    # over GF(2), 6 of the 7 points of P^2 can be rational solutions of a
+    # non-generic sample: seed 1's first evaluation matrix, at degree 1,
+    # has a zero on its diagonal, and sample 7 passes at degree 3
+    seen = _evaluated_samples(monkeypatch)
+    rep = verify_determinant_basis(THETA4, (1, 2), (3, 3), GF(2), seed=1)
+    assert rep.passed and rep.k == rep.m_expected == 6
+    assert (rep.samples_tried, rep.extension_degree) == (7, 3)
+    assert [V.field.k for V in seen] == [1, 3]
+
+
+def test_basis_reports_when_no_sample_has_n_subreps_and_a_nonzero_diagonal(monkeypatch):
+    seen = _evaluated_samples(monkeypatch)
+    rep = verify_determinant_basis(THETA4, (1, 2), (3, 3), GF(2), seed=0)
+    assert not rep.passed and rep.inconclusive
+    assert rep.reason == "no sample with exactly N rational subrepresentations and nonzero diagonal"
+    assert rep.samples_tried == 20 and rep.k is None and rep.matrix is None
+    # three samples got as far as an evaluation matrix, each retried
+    assert [V.field.k for V in seen] == [1, 1, 2]
 
 
 # -- Frobenius orbits ------------------------------------------------------------
