@@ -418,19 +418,23 @@ def _suite_oracles(args, engine):
     return [_oracle_row(InstanceSpec(Q, alpha, beta), args, engine) for Q, beta, alpha in instances]
 
 
+def _basis_row(label: str, spec: InstanceSpec, args):
+    """The dual-basis check on one instance."""
+    Q, beta, alpha = spec.quiver, spec.beta, spec.alpha
+    rep = verify_determinant_basis(Q, beta, alpha, GF(args.q), seed=args.seed)
+    ok = rep.passed and rep.k == rep.m_expected
+    note = f"k={rep.k} ext={rep.extension_degree}" + (f" ({rep.reason})" if rep.reason else "")
+    return (label, rep.n_expected, rep.m_expected, note, ok, spec)
+
+
 def _suite_basis(args, engine):
-    rows = []
-    for label, Q, beta, alpha in (
-        ("theta(2)", _theta(2), (1, 1), (2, 2)),
-        ("theta(4)", _theta(4), (1, 2), (3, 3)),
-    ):
-        rep = verify_determinant_basis(Q, beta, alpha, GF(args.q), seed=args.seed)
-        ok = rep.passed and rep.k == rep.m_expected
-        note = f"k={rep.k} ext={rep.extension_degree}" + (
-            f" ({rep.reason})" if rep.reason else ""
+    return [
+        _basis_row(label, InstanceSpec(Q, alpha, beta), args)
+        for label, Q, beta, alpha in (
+            ("theta(2)", _theta(2), (1, 1), (2, 2)),
+            ("theta(4)", _theta(4), (1, 2), (3, 3)),
         )
-        rows.append((label, rep.n_expected, rep.m_expected, note, ok, InstanceSpec(Q, alpha, beta)))
-    return rows
+    ]
 
 
 def cmd_verify(args, out) -> int:
@@ -447,6 +451,11 @@ def cmd_verify(args, out) -> int:
         spec = _load_spec(args.instance)
         if args.oracles:
             suites.append(("instance-oracles", lambda: [_oracle_row(spec, args, engine)]))
+        if args.basis:
+            brief = _brief(spec.quiver, spec.beta, spec.alpha)
+            suites.append(("instance-basis", lambda: [_basis_row(brief, spec, args)]))
+        if args.oracles or args.basis:
+            pass  # the oracle suites check FILE in place of the N = M row
         elif spec.mu is not None:
             def single():
                 fc = fiber_class(spec.quiver, spec.beta, spec.alpha, engine)
@@ -471,7 +480,7 @@ def cmd_verify(args, out) -> int:
         suites.append(("multiplicativity", lambda: _suite_multiplicativity(args, engine)))
     if args.oracles and not args.instance:
         suites.append(("oracles", lambda: _suite_oracles(args, engine)))
-    if args.basis:
+    if args.basis and not args.instance:
         suites.append(("basis", lambda: _suite_basis(args, engine)))
     if not suites:
         print("no suite selected (use --kronecker, --random N, --tripleflag, "

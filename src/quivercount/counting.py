@@ -17,7 +17,8 @@ and M fold the same plan.  An arrow with no boxes (beta(t) gamma(h) = 0)
 has only the empty label, so its step does no work.  A vertex closes
 after its last arrow; for N and M its shape must then equal its target,
 so the closing arrow takes its one label by a lookup keyed by the
-vertex's current shape, not by a scan.  The fiber class runs the same DP
+vertex's current shape, not by a scan, and only its other end, if open,
+expands.  The fiber class runs the same DP
 with <beta, gamma> boxes of slack: a closed vertex may fall short of its
 rectangle, and the missing boxes (the complement of its shape) key the
 decomposition of the locus of subrepresentations by cohomology class.
@@ -25,11 +26,12 @@ decomposition of the locus of subrepresentations by cohomology class.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from functools import cache
+from heapq import heapify, heappop, heappush
 from math import comb
+from operator import mul, sub
 from typing import NamedTuple
 
 from .lr import LREngine
@@ -106,37 +108,62 @@ def _closing_labels(rect: Rectangle, conjugated: bool, side: int, bound: tuple[i
 
 def _greedy_arrow_order(Q: Quiver, rect_sizes: list[int]) -> list[int]:
     # prefer arrows that finish off a vertex (so its shape is checked
-    # early), then arrows with fewer candidate partitions.  A key only
-    # falls, when an endpoint gets down to its last open arrow; the fresh
-    # key pushed then pops before the stale one, which is skipped.
+    # early), then arrows with fewer candidate partitions.  An arrow joins
+    # the heap when an endpoint gets down to its last open arrow, keyed by
+    # (an end not finished off, rect_sizes[a], a) packed into one int; its
+    # other end pushes a smaller key, and the stale one is skipped.  When
+    # the heap is empty no open arrow finishes off a vertex, and the next
+    # is the least by (rect_sizes[a], a).
+    arrows = Q.arrows
+    m = len(arrows)
     remaining = [0] * Q.nvertices
     open_sum = [0] * Q.nvertices  # sum of the indices of a vertex's open arrows
-    for a, (t, h) in enumerate(Q.arrows):
+    for a, (t, h) in enumerate(arrows):
         remaining[t] += 1
         remaining[h] += 1
         open_sum[t] += a
         open_sum[h] += a
-
-    def key(a: int):
-        t, h = Q.arrows[a]
-        return (-((remaining[t] == 1) + (remaining[h] == 1)), rect_sizes[a], a)
-
-    heap = [key(a) for a in range(len(Q.arrows))]
-    heapq.heapify(heap)
-    done = [False] * len(Q.arrows)
+    weights = [s * m + a for a, s in enumerate(rect_sizes)]
+    span = (max(rect_sizes, default=0) + 1) * m
+    heap = [
+        (remaining[t] != 1 or remaining[h] != 1) * span + w
+        for (t, h), w in zip(arrows, weights)
+        if remaining[t] == 1 or remaining[h] == 1
+    ]
+    heapify(heap)
+    by_size = None
+    done = [False] * m
     order = []
-    while heap:
-        best = heapq.heappop(heap)[2]
-        if done[best]:
-            continue
+    pos = 0
+    for _ in range(m):
+        while heap:
+            best = heappop(heap) % m
+            if not done[best]:
+                break
+        else:
+            if by_size is None:
+                by_size = sorted(range(m), key=weights.__getitem__)
+            while done[by_size[pos]]:
+                pos += 1
+            best = by_size[pos]
         done[best] = True
         order.append(best)
-        for x in Q.arrows[best]:
+        for x in arrows[best]:
             remaining[x] -= 1
             open_sum[x] -= best
             if remaining[x] == 1:
-                heapq.heappush(heap, key(open_sum[x]))  # x's last open arrow
+                last = open_sum[x]
+                t, h = arrows[last]
+                heappush(heap, (remaining[t] != 1 or remaining[h] != 1) * span + weights[last])
     return order
+
+
+@cache
+def _arrow_shape(b: int, g: int) -> tuple[Rectangle, int, int]:
+    """(label rectangle, boxes, labels) of an arrow with beta(t) = b and
+    gamma(h) = g: the b x g rectangle, its b g boxes and its binom(b + g, b)
+    partitions."""
+    return Rectangle(b, g), b * g, comb(b + g, b)
 
 
 class _Plan(NamedTuple):
@@ -159,20 +186,22 @@ def _plan(Q: Quiver, beta, gamma) -> _Plan:
     """Plan the fold of a checked instance.  The arrow order depends only
     on the label counts binom(beta(t) + gamma(h), beta(t)), which are the
     same on both sides, so one plan serves both routes."""
-    caps = [beta[t] * gamma[h] for t, h in Q.arrows]
+    arrows = Q.arrows
+    shapes = [_arrow_shape(beta[t], gamma[h]) for t, h in arrows]
     left = [0] * Q.nvertices
-    for (t, h), cap in zip(Q.arrows, caps):
+    for (t, h), (_, cap, _) in zip(arrows, shapes):
         left[t] += cap
         left[h] += cap
     before = tuple(left)
     steps = []
-    for a in _greedy_arrow_order(Q, [comb(beta[t] + gamma[h], beta[t]) for t, h in Q.arrows]):
-        t, h = Q.arrows[a]
-        left[t] -= caps[a]
-        left[h] -= caps[a]
-        steps.append((a, t, h, caps[a], left[t], left[h], Rectangle(beta[t], gamma[h])))
-    full = tuple(b * g for b, g in zip(beta, gamma))
-    shortfall = sum(max(0, f - l) for f, l in zip(full, before))
+    for a in _greedy_arrow_order(Q, [labels for _, _, labels in shapes]):
+        t, h = arrows[a]
+        rect, cap, _ = shapes[a]
+        left[t] -= cap
+        left[h] -= cap
+        steps.append((a, t, h, cap, left[t], left[h], rect))
+    full = tuple(map(mul, beta, gamma))
+    shortfall = sum(map(sub, full, map(min, full, before)))  # sum of max(0, full - left)
     return _Plan(beta, gamma, full, before, tuple(steps), shortfall)
 
 
@@ -199,10 +228,13 @@ def _labeled_sum(
     An arrow with cap 0 has the empty label only, which changes no
     shape, so its step does no work.  With slack 0 every vertex closes on
     its target after its last arrow, and c^R_{lam,mu} is 1 for mu the
-    complement of lam in the rectangle R and 0 otherwise: an arrow that
-    closes a vertex looks its one label up by the vertex's current shape
-    (`_closing_labels`), and the closed vertex takes its target with no
-    `expand`.
+    complement of lam in the rectangle R and 0 otherwise.  So a step
+    whose arrow closes an end only looks up: each state takes the one
+    label that completes the closing end's shape (`_closing_labels`; when
+    both ends close, the two lookups must agree), the closed vertex takes
+    its target with no `expand`, and only the other end, if open, is
+    size-checked and expanded.  Every other step, and every step with
+    slack, scans the label table at both ends.
 
     With `collect`, each arrow's label index joins the key, so labelings
     never merge and every final state is one nonzero summand.
@@ -236,47 +268,68 @@ def _labeled_sum(
         if not cap:
             created += len(state)
             continue
-        left[t], left[h] = left_t, left_h
         table = _label_table(rect, conjugated)
-        need_t, need_h = full[t] - left[t], full[h] - left[h]
-        # without slack every state's other vertices have no shortfall
-        others = [x for x in range(n) if x != t and x != h] if slack else ()
-        close_t, close_h = not (slack or left[t]), not (slack or left[h])
-        if close_t:
-            by_t = _closing_labels(rect, conjugated, 1, bounds[t])
-        if close_h:
-            by_h = _closing_labels(rect, conjugated, 2, bounds[h])
         nxt: dict[tuple, int] = {}
-        for key, coeff in state.items():
-            cur_t, cur_h = key[t], key[h]
-            if close_t or close_h:
-                # the one label that completes a closing vertex; when both
-                # ends close, the two lookups must agree
-                i = by_t.get(cur_t) if close_t else None
-                if close_h:
-                    j = by_h.get(cur_h)
-                    i = j if not close_t or i == j else None
-                candidates = () if i is None else (i,)
+        if not slack and not (left_t and left_h):
+            # a closing step: the end that closes (the tail when both do)
+            # takes its one label by lookup, and only the other end, if
+            # open, expands; when both close, the two lookups must agree
+            if left_t:
+                shut, keep, col, left_keep = h, t, 1, left_t
             else:
-                candidates = range(len(table))
-            st, sh = sum(cur_t), sum(cur_h)
-            spare = slack - sum(max(0, full[x] - sum(key[x]) - left[x]) for x in others) if slack else 0
-            for i in candidates:
-                _, ft, fh, s = table[i]
-                nt, nh = st + s, sh + cap - s
-                if nt > full[t] or nh > full[h]:
+                shut, keep, col, left_keep = t, h, 2, left_h
+            by_shut = _closing_labels(rect, conjugated, 3 - col, bounds[shut])
+            by_keep = None if left_keep else _closing_labels(rect, conjugated, 2, bounds[h])
+            bound_shut, bound_keep = bounds[shut], bounds[keep]
+            need, room = full[keep] - left_keep, full[keep]
+            for key, coeff in state.items():
+                i = by_shut.get(key[shut])
+                if i is None:
                     continue
-                if max(0, need_t - nt) + max(0, need_h - nh) > spare:
+                if by_keep is None:
+                    row = table[i]
+                    cur = key[keep]
+                    grown = sum(cur) + (row[3] if col == 1 else cap - row[3])
+                    if not need <= grown <= room:
+                        continue
+                    terms = engine.expand(cur, row[col], bound_keep)
+                elif by_keep.get(key[keep]) == i:
+                    terms = ((bound_keep, 1),)
+                else:
                     continue
-                for nu_t, c_t in ((bounds[t], 1),) if close_t else engine.expand(cur_t, ft, bounds[t]):
-                    for nu_h, c_h in ((bounds[h], 1),) if close_h else engine.expand(cur_h, fh, bounds[h]):
-                        k = list(key)
-                        k[t] = nu_t
-                        k[h] = nu_h
-                        if collect:
-                            k[n + a] = i
-                        k = tuple(k)
-                        nxt[k] = nxt.get(k, 0) + coeff * c_t * c_h
+                k = list(key)
+                k[shut] = bound_shut
+                if collect:
+                    k[n + a] = i
+                for nu, c in terms:
+                    k[keep] = nu
+                    nk = tuple(k)
+                    nxt[nk] = nxt.get(nk, 0) + coeff * c
+        else:
+            # a scanning step: every label is a candidate at both ends
+            left[t], left[h] = left_t, left_h
+            need_t, need_h = full[t] - left_t, full[h] - left_h
+            # without slack every state's other vertices have no shortfall
+            others = [x for x in range(n) if x != t and x != h] if slack else ()
+            for key, coeff in state.items():
+                cur_t, cur_h = key[t], key[h]
+                st, sh = sum(cur_t), sum(cur_h)
+                spare = slack - sum(max(0, full[x] - sum(key[x]) - left[x]) for x in others) if slack else 0
+                for i, (_, ft, fh, s) in enumerate(table):
+                    nt, nh = st + s, sh + cap - s
+                    if nt > full[t] or nh > full[h]:
+                        continue
+                    if max(0, need_t - nt) + max(0, need_h - nh) > spare:
+                        continue
+                    for nu_t, c_t in engine.expand(cur_t, ft, bounds[t]):
+                        for nu_h, c_h in engine.expand(cur_h, fh, bounds[h]):
+                            k = list(key)
+                            k[t] = nu_t
+                            k[h] = nu_h
+                            if collect:
+                                k[n + a] = i
+                            k = tuple(k)
+                            nxt[k] = nxt.get(k, 0) + coeff * c_t * c_h
         state = nxt
         created += len(state)
         if not state:

@@ -8,7 +8,8 @@ as dict keys and memoization keys.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
+from operator import sub
 from typing import Iterable, NamedTuple
 
 
@@ -66,8 +67,13 @@ def complement(lam: tuple[int, ...], rect: Rectangle) -> tuple[int, ...]:
     """
     if not fits(lam, rect):
         raise ValueError(f"partition {lam} does not fit in {rect.rows}x{rect.cols}")
-    padded = list(lam) + [0] * (rect.rows - len(lam))
-    return partition(rect.cols - padded[rect.rows - 1 - i] for i in range(rect.rows))
+    rows, cols = rect
+    padded = list(lam) + [0] * (rows - len(lam))
+    if padded != sorted(padded, reverse=True):
+        # not weakly decreasing: partition() accepts or rejects the result
+        return partition(map(sub, repeat(cols, rows), reversed(padded)))
+    # the parts equal to cols lead, so their zeros trail and are cut
+    return tuple(map(sub, repeat(cols, rows - padded.count(cols)), reversed(padded)))
 
 
 def partitions_in_rectangle(rect: Rectangle) -> list[tuple[int, ...]]:

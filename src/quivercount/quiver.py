@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul, sub
 
 from .ffield import GF, mat_det, mat_rank
 
@@ -68,10 +69,10 @@ class Quiver:
 
 
 def check_dimvector(Q: Quiver, vec, signed: bool = False) -> tuple[int, ...]:
-    v = tuple(int(x) for x in vec)
+    v = tuple(map(int, vec))
     if len(v) != Q.nvertices:
         raise ValueError(f"dimension vector {v} has length {len(v)}, quiver has {Q.nvertices} vertices")
-    if not signed and any(x < 0 for x in v):
+    if not signed and v and min(v) < 0:
         raise ValueError(f"negative entry in dimension vector {v}")
     return v
 
@@ -84,11 +85,11 @@ def check_instance(Q: Quiver, beta, alpha):
     instance.  Callers add their own requirements on the pairing."""
     beta = check_dimvector(Q, beta)
     alpha = check_dimvector(Q, alpha)
-    gamma = tuple(a - b for a, b in zip(alpha, beta))
-    if any(g < 0 for g in gamma):
+    gamma = tuple(map(sub, alpha, beta))
+    if gamma and min(gamma) < 0:
         raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
     # the Euler form, on tuples already checked
-    pairing = sum(b * g for b, g in zip(beta, gamma)) - sum(beta[t] * gamma[h] for t, h in Q.arrows)
+    pairing = sum(map(mul, beta, gamma)) - sum([beta[t] * gamma[h] for t, h in Q.arrows])
     return beta, alpha, gamma, pairing
 
 

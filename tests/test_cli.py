@@ -307,6 +307,33 @@ def test_verify_oracles_over_a_large_prime_quartic_extension(tmp_path):
     assert ("failures", "0") in machine_block(out)
 
 
+def test_verify_basis_checks_the_instance_file(tmp_path):
+    path = tmp_path / "theta2.qc"
+    path.write_text("vertices 2\narrow 0 1\narrow 0 1\nalpha 2 2\nbeta 1 1\n")
+    code, out, _ = run_cli(["verify", str(path), "--basis", "--q", "5"])
+    assert code == 0
+    assert "suite instance-basis:" in out
+    row = [line for line in out.splitlines() if line.startswith("  ok")]
+    assert len(row) == 1 and "beta=(1, 1) alpha=(2, 2)  N=2 M=2  k=2" in row[0]
+    assert "theta(4)" not in out
+    block = dict(machine_block(out))
+    assert block["suites"] == "instance-basis"
+    assert block["failures"] == "0"
+    # with no file the pinned theta(2) and theta(4) cases still run
+    code, out, _ = run_cli(["verify", "--basis", "--q", "5"])
+    assert code == 0
+    assert dict(machine_block(out))["suites"] == "basis"
+    assert "  ok   theta(2)" in out and "  ok   theta(4)" in out
+
+
+def test_verify_basis_on_a_nonzero_pairing_file_exits_usage(tmp_path):
+    path = tmp_path / "a2.qc"
+    path.write_text("vertices 2\narrow 0 1\nalpha 2 2\nbeta 1 1\n")
+    code, _, err = run_cli(["verify", str(path), "--basis"])
+    assert code == 2
+    assert "nonzero Euler pairing" in err
+
+
 # -- exit codes ----------------------------------------------------------------
 
 

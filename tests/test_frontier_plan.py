@@ -182,3 +182,27 @@ def test_closing_lookup_matches_complement_lookup():
                     for shape in shapes[R]:
                         want = by_factor[side - 1].get(_complement_in(shape, bound))
                         assert by_shape.get(shape) == want, (rect, conjugated, side, R, shape)
+
+
+def test_six_three_triple_flags_close_a_vertex_at_every_step(engine):
+    # the triple-flag quiver is a tree, so every arrow that brings boxes
+    # closes one of its ends; totals pinned from the fold that scanned
+    rect = Rectangle(3, 3)
+    parts = partitions_in_rectangle(rect)
+    total = n_states = m_states = instances = 0
+    for lam in parts:
+        for mu in parts:
+            for nu in parts:
+                if sum(lam) + sum(mu) + sum(nu) != 9:
+                    continue
+                Q, beta, alpha, expected = triple_flag_instance(lam, mu, nu, 3, 6, engine)
+                rep = verify_counts(Q, beta, alpha, engine)
+                assert rep.n_value == rep.m_value == expected, (lam, mu, nu)
+                plan = _plan(Q, beta, tuple(a - b for a, b in zip(alpha, beta)))
+                assert all(not left_t or not left_h for _, _, _, cap, left_t, left_h, _ in plan.steps if cap)
+                total += rep.n_value
+                n_states += rep.n_labelings
+                m_states += rep.m_labelings
+                instances += 1
+    assert instances == 435
+    assert (total, n_states, m_states) == (229, 7021, 7021)

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -48,6 +49,39 @@ def test_complement_requires_fit():
         complement((4,), R33)
     with pytest.raises(ValueError):
         complement((1, 1, 1, 1), R33)
+
+
+def _complement_by_partition(lam, rect):
+    """complement() as first written: the entries cols - lam[rows-1-i],
+    normalized (and validated) by partition()."""
+    if not fits(lam, rect):
+        raise ValueError(f"partition {lam} does not fit in {rect.rows}x{rect.cols}")
+    padded = list(lam) + [0] * (rect.rows - len(lam))
+    return partition(rect.cols - padded[rect.rows - 1 - i] for i in range(rect.rows))
+
+
+def test_complement_matches_the_partition_normalized_definition():
+    # sorted draws are partitions, some with trailing zeros; unsorted and
+    # negative ones are malformed; rectangles include 0 rows and 0 columns
+    rng = random.Random(20)
+    accepted = rejected = degenerate = 0
+    for _ in range(20000):
+        rect = Rectangle(rng.randint(0, 5), rng.randint(0, 5))
+        lam = [rng.randint(-1, 6) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.6:
+            lam.sort(reverse=True)
+        lam = tuple(lam)
+        try:
+            want = _complement_by_partition(lam, rect)
+        except ValueError:
+            with pytest.raises(ValueError):
+                complement(lam, rect)
+            rejected += 1
+            continue
+        assert complement(lam, rect) == want, (lam, rect)
+        accepted += 1
+        degenerate += 0 in rect
+    assert accepted >= 2000 and rejected >= 2000 and degenerate >= 500
 
 
 def test_graded_lex_enumeration_order():
