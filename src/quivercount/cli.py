@@ -6,13 +6,14 @@ report ends with a flat machine-readable `key = value` block after a
 `---` separator so golden tests and other tools can parse output without
 caring about the human-readable part.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 enumeration budget exceeded.
+Exit codes: 0 success, 1 verification failure or a reader that closed
+stdout early, 2 usage or parse error, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -449,6 +450,11 @@ def cmd_verify(args, out) -> int:
     suites = []
     if args.instance:
         spec = _load_spec(args.instance)
+        if spec.mu is not None and (args.oracles or args.basis):
+            raise ValueError(
+                "--oracles and --basis do not support mu lines; "
+                f"run plain `verify {args.instance}` to check the covariant piece"
+            )
         if args.oracles:
             suites.append(("instance-oracles", lambda: [_oracle_row(spec, args, engine)]))
         if args.basis:
@@ -591,7 +597,16 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass through
         return int(e.code or 0)
     try:
-        return args.fn(args, sys.stdout)
+        code = args.fn(args, sys.stdout)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: send what Python flushes at exit to
+        # devnull, and report the cut-off run as not verified
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
     except InstanceParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -474,7 +474,24 @@ def mat_rref(F, A: list[list]) -> tuple[list[list], tuple[int, ...]]:
 
 
 def mat_rank(F, A: list[list]) -> int:
-    return len(mat_rref(F, A)[1])
+    """Rank by forward elimination without inverses: each row is reduced
+    against the echelon rows kept so far, v <- e[c] v - v[c] e at the
+    leading column c of each e, and kept when it stays nonzero.  A kept
+    row is zero at the leading columns of the rows kept before it, so the
+    kept rows are independent and span the rows seen."""
+    zero, sub, mul = F.zero, F.sub, F.mul
+    echelon: list[tuple[int, list]] = []
+    for row in A:
+        v = list(row)
+        for c, e in echelon:
+            b = v[c]
+            if b != zero:
+                a = e[c]
+                v = [sub(mul(a, x), mul(b, y)) for x, y in zip(v, e)]
+        c = next((i for i, x in enumerate(v) if x != zero), None)
+        if c is not None:
+            echelon.append((c, v))
+    return len(echelon)
 
 
 def mat_det(F, A: list[list]):

@@ -15,7 +15,10 @@ the sources are therefore enumerated in full.  W -> W^perp matches the
 beta-subrepresentations of V with the (alpha - beta)-subrepresentations
 of the dual V* on the opposite quiver, whose walk starts at the sinks of
 Q instead, so each call walks V or V*, whichever starts with fewer free
-subspaces.  Listed subrepresentations come in the order of that walk.
+subspaces.  Listed subrepresentations come in the order of that walk.  A
+count walks only the vertices with an outgoing arrow; at each leaf it
+multiplies in the number of subspaces of each sink that contain the span
+of its images, a Gaussian binomial in the span's rank.
 
 A sample drawn over F_p and read over F_{p^j} is fixed by Frobenius
 x -> x^p, which therefore permutes its subrepresentations over F_{p^j}
@@ -64,6 +67,7 @@ from .ffield import (
     mat_inv,
     mat_kernel,
     mat_mul,
+    mat_rank,
     mat_rref,
     mat_vec,
     poly_add,
@@ -189,6 +193,11 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
     The path to the current node is an explicit stack, one frame per
     vertex, so the walk's depth is not bounded by Python's recursion.
 
+    A count walks only the vertices with an outgoing arrow.  A sink x
+    needs only to contain the span of its images, so at each leaf it
+    multiplies the count by [alpha_x - s, beta_x - s]_q, s the rank of
+    that span, or by 0 when s > beta_x; nothing is listed there.
+
     A count of an F_p-rational V read over F = F_{p^k}, k > 1, walks one
     subspace per Frobenius orbit while every subspace chosen so far is
     Frobenius-fixed: the span S of the images is then fixed, its reduced
@@ -196,14 +205,21 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
     as on their lifted rows, entry by entry.  Of each orbit only the
     least conjugate is walked, and its subtree counts once per member,
     since Frobenius maps it onto the subtree of each conjugate.  Below a
-    subspace that is not fixed the walk enumerates in full."""
+    subspace that is not fixed the walk enumerates in full.  The sinks'
+    binomials need no orbits: the orbit sizes at a sink add up to it."""
     F = V.field
     alpha = V.dim
-    topo = Q.topo_order
     incoming: list = [[] for _ in range(Q.nvertices)]
     for a, (t, h) in enumerate(Q.arrows):
         incoming[h].append((t, V.mat(a)))
     orbits = not collect and F.k > 1 and all(c < F.p for M in V.mats for row in M for c in row)
+    walked = Q.topo_order
+    sinks: list = []
+    if not collect:
+        tails = {t for t, _ in Q.arrows}
+        walked = [x for x in walked if x in tails]
+        # a sink with beta_x = alpha_x holds every span, in one way
+        sinks = [x for x in range(Q.nvertices) if x not in tails and beta[x] < alpha[x]]
 
     bases: list = [None] * Q.nvertices
     found: list = []
@@ -212,18 +228,25 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
     # weight: the subrepresentations that each leaf below stands for
     stack: list = []
 
+    def images(x: int) -> list:
+        return [mat_vec(F, A, w) for t, A in incoming[x] for w in bases[t]]
+
     def visit(i: int, weight: int) -> None:
         nonlocal count, nodes
         nodes += 1
-        if i == len(topo):
+        if i == len(walked):
+            for x in sinks:
+                s = mat_rank(F, images(x))
+                if s > beta[x]:
+                    return
+                weight *= gaussian_binomial(alpha[x] - s, beta[x] - s, F.q)
             count += weight
             if collect:
                 # _lift_bases leaves span-row entries in the quotient's pivot columns
                 found.append(tuple(tuple(tuple(r) for r in _span_rows(F, bases[x])[0]) for x in range(Q.nvertices)))
             return
-        x = topo[i]
-        images = [mat_vec(F, A, w) for t, A in incoming[x] for w in bases[t]]
-        srows, pivots = _span_rows(F, images)
+        x = walked[i]
+        srows, pivots = _span_rows(F, images(x))
         if len(srows) <= beta[x]:
             stack.append((i, weight, len(srows), _lift_bases(F, srows, pivots, alpha[x], beta[x])))
 
@@ -232,7 +255,7 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
         i, weight, s, subspaces = stack[-1]
         W = next(subspaces, None)
         if W is None:
-            bases[topo[i]] = None
+            bases[walked[i]] = None
             stack.pop()
             continue
         size = 1
@@ -240,14 +263,16 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
             size = _least_conjugate_orbit(F, W[s:])
             if not size:
                 continue
-        bases[topo[i]] = W
+        bases[walked[i]] = W
         visit(i + 1, weight * size)
     return count, found, nodes
 
 
 def _dfs_subreps(Q: Quiver, V: FFRep, beta, gamma, collect: bool):
     """Walk V from the sources of Q, or the dual V* from the sinks of Q,
-    whichever starts with fewer free subspaces; ties walk V.
+    whichever starts with fewer free subspaces; ties walk V.  An arrow at
+    a zero-dimensional vertex carries nothing, so the sources and sinks
+    are taken without such arrows.
 
     W -> (W_x^perp) is a bijection from the beta-subrepresentations of V
     to the (alpha - beta)-subrepresentations of V* (Q^op, transposed
@@ -255,8 +280,9 @@ def _dfs_subreps(Q: Quiver, V: FFRep, beta, gamma, collect: bool):
     mapped back to W_x = ker U_x in reduced echelon form."""
     F = V.field
     alpha = V.dim
-    tails = {t for t, _ in Q.arrows}
-    heads = {h for _, h in Q.arrows}
+    live = [(t, h) for t, h in Q.arrows if alpha[t] and alpha[h]]
+    tails = {t for t, _ in live}
+    heads = {h for _, h in live}
     f_src = f_snk = 1
     for x in range(Q.nvertices):
         if x not in heads:
@@ -604,10 +630,12 @@ def _kronecker_subreps(
     total = 0
     found = []
     for v, weight in _kronecker_lines(F, charts, None if collect else factors):
-        srows, pivots = _span_rows(F, [mat_vec(F, A, list(v)) for A in mats])
+        images = [mat_vec(F, A, list(v)) for A in mats]
         if not collect:
-            total += weight * gaussian_binomial(V.dim[tgt] - len(srows), b - len(srows), F.q)
+            s = mat_rank(F, images)
+            total += weight * gaussian_binomial(V.dim[tgt] - s, b - s, F.q)
             continue
+        srows, pivots = _span_rows(F, images)
         for W in _lift_bases(F, srows, pivots, V.dim[tgt], b):
             per_vertex = [None, None]
             per_vertex[src] = (tuple(v),)
@@ -675,9 +703,10 @@ class SubrepCount:
     degenerate: int
     modal: int | None
     inconclusive: bool
-    # enumeration nodes over all trials and the degrees that enumerate; over
-    # an extension the walk visits one subspace per Frobenius orbit while
-    # every subspace chosen is Frobenius-fixed (`_walk_subreps`)
+    # enumeration nodes over all trials and the degrees that enumerate; the
+    # count walk skips the sinks, and over an extension it visits one
+    # subspace per Frobenius orbit while every subspace chosen is
+    # Frobenius-fixed (`_walk_subreps`)
     nodes: int = 0
 
 
@@ -786,8 +815,7 @@ def si_rank_oracle(
     vs = [random_rep(Q, beta, field, seed * 1000003 + i) for i in range(nv)]
     ws = [random_rep(Q, gamma, field, seed * 1000003 + nv + i) for i in range(nw)]
     E = [[semiinvariant_cv(Q, v, w) for w in ws] for v in vs]
-    _, pivots = mat_rref(field, E)
-    return len(pivots)
+    return mat_rank(field, E)
 
 
 # -- basis verification --------------------------------------------------------

@@ -69,7 +69,11 @@ class Quiver:
 
 
 def check_dimvector(Q: Quiver, vec, signed: bool = False) -> tuple[int, ...]:
-    v = tuple(map(int, vec))
+    entries = tuple(vec)  # no copy when vec is a tuple
+    v = tuple(map(int, entries))
+    if v != entries:
+        bad = next(e for e, i in zip(entries, v) if e != i)
+        raise ValueError(f"non-integral entry {bad!r} in dimension vector {entries}")
     if len(v) != Q.nvertices:
         raise ValueError(f"dimension vector {v} has length {len(v)}, quiver has {Q.nvertices} vertices")
     if not signed and v and min(v) < 0:

@@ -30,10 +30,11 @@ A2_MU_TEXT = "vertices 2\narrow 0 1\nalpha 2 2\nbeta 1 1\nmu 0:(1)\n"
 HUGE_VERTICES_TEXT = "vertices 100000000\nalpha 1\nbeta 1\n"
 
 
-def run_module(argv, stdin_text=None):
+def run_module(argv, stdin_text=None, stdout=subprocess.PIPE):
     """Run `python -m quivercount.cli` in a fresh process, with the
     package's parent directory on PYTHONPATH so that a checkout that was
-    not pip-installed imports it too."""
+    not pip-installed imports it too.  Output is captured unless stdout
+    names another file."""
     import quivercount
 
     src = os.path.dirname(os.path.dirname(quivercount.__file__))
@@ -42,7 +43,8 @@ def run_module(argv, stdin_text=None):
     return subprocess.run(
         [sys.executable, "-m", "quivercount.cli", *argv],
         input=stdin_text,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
         env=env,
@@ -326,6 +328,16 @@ def test_verify_basis_checks_the_instance_file(tmp_path):
     assert "  ok   theta(2)" in out and "  ok   theta(4)" in out
 
 
+def test_verify_oracles_and_basis_refuse_mu_lines(a2_mu_file):
+    # the oracle suites check beta inside alpha at pairing 0 and never
+    # look at mu, so a covariant piece is sent to plain `verify FILE`
+    for flag in ("--oracles", "--basis"):
+        code, out, err = run_cli(["verify", a2_mu_file, flag])
+        assert (code, out) == (2, ""), flag
+        assert "do not support mu lines" in err and f"plain `verify {a2_mu_file}`" in err
+        assert "Euler pairing" not in err
+
+
 def test_verify_basis_on_a_nonzero_pairing_file_exits_usage(tmp_path):
     path = tmp_path / "a2.qc"
     path.write_text("vertices 2\narrow 0 1\nalpha 2 2\nbeta 1 1\n")
@@ -475,6 +487,18 @@ def test_module_entry_point():
     proc = run_module(["count", "-"], stdin_text=THETA4_TEXT)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "N = 6"
+
+
+def test_a_reader_that_closes_stdout_gets_exit_1_and_no_message():
+    # the pipe's read end is closed before the run, so its output fails
+    # with EPIPE however short it is: a cut-off run is not a usage error
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(["verify", "--kronecker"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_deep_instances_exit_zero_without_a_traceback(tmp_path):

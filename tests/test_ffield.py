@@ -301,6 +301,28 @@ def test_rref_shape_and_pivots():
         assert col[r] == 1 and all(x == 0 for i, x in enumerate(col) if i != r)
 
 
+@pytest.mark.parametrize("p,k", [(5, 1), (13, 2), (101, 2), (101, 4)])
+def test_rank_without_inverses_matches_the_rref(p, k):
+    # GF(13^2) has log/exp tables, GF(101^2) and GF(101^4) have none; half
+    # the matrices are products through r < min(n, m), and some rows are zeroed
+    F = GF(p, k)
+    rng = random.Random(10 * p + k)
+    deficient = 0
+    for _ in range(40):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        A = rand_matrix(F, rng, n, m)
+        if rng.random() < 0.5:
+            r = rng.randint(0, min(n, m) - 1)
+            A = mat_mul(F, rand_matrix(F, rng, n, r), rand_matrix(F, rng, r, m)) if r else [[F.zero] * m for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(0, n // 2)):
+            A[i] = [F.zero] * m
+        rank = len(mat_rref(F, A)[1])
+        assert mat_rank(F, A) == rank, A
+        deficient += rank < min(n, m)
+    assert deficient >= 15
+    assert mat_rank(F, []) == 0
+
+
 def test_inverse_and_determinant():
     F = GF(7)
     rng = random.Random(0)

@@ -769,9 +769,61 @@ def test_orbit_walk_count_matches_the_listing(p):
     assert shortened >= 10 and nontrivial >= 10, (shortened, nontrivial)
 
 
+def _sink_span_cases(R, dim) -> set:
+    """Which of the cases s = 0 < d, 0 < s < d, 0 < s = d and s > d the
+    count walk of R meets at its leaves, s the rank of a sink's images and
+    d its dimension in dim: the tuples at the other vertices are listed
+    with every sink set to its whole space, which holds any span."""
+    Q, F = R.quiver, R.field
+    tails = {t for t, _ in Q.arrows}
+    sinks = [x for x in range(Q.nvertices) if x not in tails]
+    whole = tuple(R.dim[x] if x in sinks else d for x, d in enumerate(dim))
+    cases = set()
+    for sub in list_subreps(Q, R, whole):
+        for x in sinks:
+            images = [mat_vec(F, R.mat(a), list(w)) for a, (t, h) in enumerate(Q.arrows) if h == x for w in sub[t]]
+            s, d = len(mat_rref(F, images)[1]) if images else 0, dim[x]
+            cases.add("s=0<d" if s == 0 < d else "0<s<d" if 0 < s < d else "0<s=d" if 0 < s == d else "s>d" if s > d else "")
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_count_walk_takes_each_sink_by_a_gaussian_binomial(p):
+    # samples over GF(p^j) and F_p-rational ones read over it; V from the
+    # sources and V* from the sinks: the count walk skips the sinks, the
+    # listing walks them, and the pool meets every case of a sink's span
+    rng = random.Random(40 + p)
+    cases = set()
+    for j in (1, 2, 3):
+        Fj = GF(p, j)
+        for trial in range(16):
+            Q, V, beta = _random_acyclic_instance(rng, Fj, max_points=3000)
+            if trial % 2:
+                V = FFRep(Q, Fj, V.dim, random_rep(Q, V.dim, GF(p), rng.randrange(1 << 30)).mats)
+            gamma = tuple(a - b for a, b in zip(V.dim, beta))
+            for R, dim in ((V, beta), (V.dual(), gamma)):
+                count = _walk_subreps(R.quiver, R, dim, False)[0]
+                assert count == len(_walk_subreps(R.quiver, R, dim, True)[1]), (Q.arrows, V.dim, beta, j)
+                cases |= _sink_span_cases(R, dim)
+    assert cases >= {"s=0<d", "0<s<d", "0<s=d", "s>d"}, cases
+
+
+def test_walk_chooser_drops_arrows_at_zero_dimensional_vertices():
+    # arrows 0->1, 0->1, 0->2, 1->2 with alpha = (0,2,1), beta = (0,1,0):
+    # vertex 0 carries nothing, so vertex 1 counts as a source and vertex
+    # 2 as the only sink; V* starts there with one free subspace, not the
+    # 10,202 lines of GF(101^2)^2, and its count walk takes 3 nodes
+    Q = Quiver(3, ((0, 1), (0, 1), (0, 2), (1, 2)))
+    V1 = random_rep(Q, (0, 2, 1), GF(101), 3)
+    stats = {}
+    assert enumerate_subreps(Q, FFRep(Q, GF(101, 2), V1.dim, V1.mats), (0, 1, 0), stats=stats) == 1
+    assert stats["nodes"] == 3
+
+
 def test_walk_deeper_than_the_recursion_limit():
     # the walk keeps one frame per vertex: 1,200 isolated vertices, and
-    # a 1,100-vertex path sampled over GF(5)
+    # a 1,100-vertex path sampled over GF(5), whose count walks the 1,099
+    # vertices before the sink (1,100 nodes with the root)
     n = 1200
     Q = Quiver(n, ())
     V = random_rep(Q, (1,) * n, F5, 0)
@@ -779,12 +831,14 @@ def test_walk_deeper_than_the_recursion_limit():
     assert list_subreps(Q, V, (0,) * n) == (((),) * n,)
     path = Quiver(1100, tuple((i, i + 1) for i in range(1099)))
     got = sampled_subrep_count(path, (0,) * 1100, (1,) * 1100, 5, max_ext_degree=1, trials=1)
-    assert got.per_trial == ((1,),) and got.nodes == 1101
+    assert got.per_trial == ((1,),) and got.nodes == 1100
 
 
 def test_orbit_walk_node_pin():
     # theta(2) (1,1)/(2,2) over GF(13^2): the 14 rational lines at the
-    # source and one of each of the 78 conjugate pairs are walked, not 170
+    # source and one of each of the 78 conjugate pairs are walked, not 170;
+    # the count walk stops there and takes the sink by a Gaussian binomial,
+    # so a trial walks 1 + 14 nodes over GF(13) and 1 + 92 over GF(13^2)
     got = sampled_subrep_count(THETA2, (1, 1), (2, 2), 13, max_ext_degree=2, seed=0)
     assert got.method == "enumerate"
     assert got.per_trial == ((1, 1), (0, 2), (0, 2), (2, 2), (2, 2), (0, 2), (2, 2), (2, 2), (2, 2), (0, 2))
@@ -793,7 +847,7 @@ def test_orbit_walk_node_pin():
         V1 = random_rep(THETA2, (2, 2), GF(13), i)
         for F in (GF(13), GF(13, 2)):
             full += _walk_subreps(THETA2, FFRep(THETA2, F, (2, 2), V1.mats), (1, 1), True)[2]
-    assert (got.nodes, full) == (1106, 1890)
+    assert (got.nodes, full) == (1080, 1890)
 
 
 def test_orbit_weighted_solver_count_matches_the_listing():

@@ -9,6 +9,7 @@ from quivercount.quiver import (
     Quiver,
     build_dvw,
     check_dimvector,
+    check_instance,
     euler_form,
     hom_ext_dims,
     random_rep,
@@ -89,6 +90,17 @@ def test_check_dimvector():
     with pytest.raises(ValueError):
         check_dimvector(THETA2, (1, -1))
     assert check_dimvector(THETA2, (1, -1), signed=True) == (1, -1)
+
+
+def test_non_integral_entries_are_rejected():
+    # int() would truncate 1.5 to 1 and answer for another instance
+    with pytest.raises(ValueError, match="non-integral entry 1.5"):
+        check_instance(A2, (1.5, 1), (2, 2))
+    with pytest.raises(ValueError, match="non-integral"):
+        check_dimvector(A2, iter([2, 0.25]))
+    with pytest.raises(ValueError, match="non-integral"):
+        FFRep(A2, GF(5), (1, 1.5), ((),))
+    assert check_dimvector(A2, iter([2.0, 1])) == (2, 1)
 
 
 def test_euler_form_pins():
