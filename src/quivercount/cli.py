@@ -137,9 +137,9 @@ def render_instance(spec: InstanceSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _brief(Q: Quiver, beta, alpha) -> str:
-    arrows = ",".join(f"{t}->{h}" for t, h in Q.arrows) or "-"
-    return f"[{Q.nvertices}v {arrows}] beta={beta} alpha={alpha}"
+def _brief(spec: InstanceSpec) -> str:
+    arrows = ",".join(f"{t}->{h}" for t, h in spec.quiver.arrows) or "-"
+    return f"[{spec.quiver.nvertices}v {arrows}] beta={spec.beta} alpha={spec.alpha}"
 
 
 def _load_spec(path: str) -> InstanceSpec:
@@ -165,6 +165,11 @@ def _machine_block(out, args, t0: float, pairs) -> None:
 
 def _theta(m: int) -> Quiver:
     return Quiver(2, tuple((0, 1) for _ in range(m)))
+
+
+def _theta_instance(r: int) -> InstanceSpec:
+    """theta(2r) at beta = (1, r), alpha = (r + 1, r + 1), where N = binom(2r, r)."""
+    return InstanceSpec(_theta(2 * r), (r + 1, r + 1), (1, r))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -232,26 +237,59 @@ def cmd_fiber_class(args, out) -> int:
 
 # -- verify suites -------------------------------------------------------------
 #
-# A suite returns rows (label, N, M, note, ok, spec); `spec` is printed
-# when the row fails.
+# Every row comes from one check per row kind: _count_row (N = M),
+# _piece_row (covariant pieces), _chain_row (multiplicativity), _oracle_row
+# and _basis_row.  A suite is a list of instances fed to one of them.  A row
+# is (label, N, M, note, ok, spec); `spec` is printed when the row fails.
 
 
-def _count_row(spec: InstanceSpec, engine):
-    """N = M on one instance."""
+def _count_row(spec: InstanceSpec, engine, label="", expected=None, note=""):
+    """N = M on one instance, and N = `expected` when one is given."""
     rep = verify_counts(spec.quiver, spec.beta, spec.alpha, engine)
-    return (_brief(spec.quiver, spec.beta, spec.alpha), rep.n_value, rep.m_value, "", rep.passed, spec)
+    ok = rep.passed and (expected is None or rep.n_value == expected)
+    return (label or _brief(spec), rep.n_value, rep.m_value, note, ok, spec)
 
 
-def _oracle_row(spec: InstanceSpec, args, engine):
-    """N and M against the modal sampled count and the rank oracle.
+def _piece_row(spec: InstanceSpec, engine):
+    """Fiber-class coefficient = covariant_count = covariant_multiplicity on
+    every piece, or only on the piece that the instance's mu lines name."""
+    Q, beta, alpha = spec.quiver, spec.beta, spec.alpha
+    fc = fiber_class(Q, beta, alpha, engine)
+    pieces = fc.sorted_items() if spec.mu is None else [(spec.mu, fc.coefficient(spec.mu))]
+    counts = [
+        (coeff, covariant_count(Q, beta, alpha, mu, engine),
+         covariant_multiplicity(Q, beta, alpha, mu, engine))
+        for mu, coeff in pieces
+    ]
+    ok = all(coeff == cc == cm for coeff, cc, cm in counts)
+    if spec.mu is not None:
+        [(coeff, cc, cm)] = counts
+        return (_brief(spec), cc, cm, f"fiber={coeff}", ok, spec)
+    detail = ";".join(f"{coeff}/{cc}/{cm}" for coeff, cc, cm in counts) or "empty"
+    return (_brief(spec), len(fc.coeffs), sum(fc.coeffs.values()), f"fiber/count/mult {detail}", ok, spec)
 
-    In the suite (no instance file) an instance above --oracle-budget
-    points is skipped; a single instance raises BudgetExceededError."""
+
+def _chain_row(triple, engine):
+    """N(b, b+c) N(b+c, b+c+d) = N(b, b+c+d) N(c, c+d) on a zero triple."""
+    Q, b, c, d = triple
+    a1 = tuple(x + y for x, y in zip(b, c))
+    a2 = tuple(x + y for x, y in zip(a1, d))
+    cd = tuple(x + y for x, y in zip(c, d))
+    lhs = count_subreps(Q, b, a1, engine) * count_subreps(Q, a1, a2, engine)
+    rhs = count_subreps(Q, b, a2, engine) * count_subreps(Q, c, cd, engine)
+    spec = InstanceSpec(Q, a2, b)
+    return (f"{_brief(spec)} via {c}+{d}", lhs, rhs, "", lhs == rhs, spec)
+
+
+def _oracle_row(spec: InstanceSpec, args, engine, skip_over_budget: bool):
+    """N and M against the modal sampled count and the rank oracle.  Above
+    --oracle-budget points the row is skipped when `skip_over_budget` is
+    set; otherwise sampling runs and may raise BudgetExceededError."""
     Q = spec.quiver
     beta, alpha, gamma, _ = check_instance(Q, spec.beta, spec.alpha)
     rep = verify_counts(Q, beta, alpha, engine)
-    brief = _brief(Q, beta, alpha)
-    if not args.instance:
+    brief = _brief(spec)
+    if skip_over_budget:
         points = _raw_point_count(Q, alpha, beta, args.q**args.ext)
         if points > args.oracle_budget:
             return (brief, rep.n_value, rep.m_value, f"skipped ({points} points)", True, spec)
@@ -265,28 +303,21 @@ def _oracle_row(spec: InstanceSpec, args, engine):
     return (brief, rep.n_value, rep.m_value, f"modal={sampled.modal}{tally} rank={rank}", ok, spec)
 
 
-def _suite_kronecker(args, engine):
-    rows = []
-    for r in (1, 2, 3, 4):
-        Q = _theta(2 * r)
-        beta, alpha = (1, r), (r + 1, r + 1)
-        rep = verify_counts(Q, beta, alpha, engine)
-        expected = comb(2 * r, r)
-        ok = rep.n_value == rep.m_value == expected
-        rows.append(
-            (
-                f"theta({2*r}) {_brief(Q, beta, alpha)}",
-                rep.n_value,
-                rep.m_value,
-                f"binom={expected}",
-                ok,
-                InstanceSpec(Q, alpha, beta),
-            )
-        )
-    return rows
+def _basis_row(spec: InstanceSpec, args, label=""):
+    """The dual-basis check on one instance."""
+    rep = verify_determinant_basis(spec.quiver, spec.beta, spec.alpha, GF(args.q), seed=args.seed)
+    ok = rep.passed and rep.k == rep.m_expected
+    note = f"k={rep.k} ext={rep.extension_degree}" + (f" ({rep.reason})" if rep.reason else "")
+    return (label or _brief(spec), rep.n_expected, rep.m_expected, note, ok, spec)
 
 
-def _suite_random(args, engine):
+def _kronecker_instances():
+    """(label, spec, N) for theta(2), ..., theta(8)."""
+    specs = [_theta_instance(r) for r in (1, 2, 3, 4)]
+    return [(f"theta({2 * r}) {_brief(s)}", s, comb(2 * r, r)) for r, s in enumerate(specs, 1)]
+
+
+def _random_instances(args):
     rng = random.Random(args.seed)
     specs = []
     for i in range(args.random):
@@ -304,42 +335,32 @@ def _suite_random(args, engine):
                 max_dim=args.max_dim,
             )
         specs.append(InstanceSpec(Q, alpha, beta))
-    return [_count_row(spec, engine) for spec in specs]
+    return specs
 
 
-def _suite_tripleflag(args, engine):
+def _tripleflag_instances(args, engine):
+    """(label, spec, N) for every triple of flags in the (n, r) box whose
+    sizes add up to r(n - r): N is an LR coefficient."""
     n, r = args.flag_n, args.flag_r
     rect = Rectangle(r, n - r)
-    rows = []
-    specs = []
+    out = []
     for lam in partitions_in_rectangle(rect):
         for mu in partitions_in_rectangle(rect):
             for nu in partitions_in_rectangle(rect):
                 if size(lam) + size(mu) + size(nu) != r * (n - r):
                     continue
-                specs.append((lam, mu, nu))
-
-    def check(parts):
-        lam, mu, nu = parts
-        Q, beta, alpha, expected = triple_flag_instance(lam, mu, nu, r, n, engine)
-        got = verify_counts(Q, beta, alpha, engine)
-        ok = got.n_value == expected and got.passed
-        label = (
-            f"{format_partition(lam)},{format_partition(mu)},{format_partition(nu)}"
-        )
-        return (label, got.n_value, got.m_value, f"lr={expected}", ok, InstanceSpec(Q, alpha, beta))
-
-    return [check(parts) for parts in specs]
+                Q, beta, alpha, expected = triple_flag_instance(lam, mu, nu, r, n, engine)
+                label = ",".join(format_partition(p) for p in (lam, mu, nu))
+                out.append((label, InstanceSpec(Q, alpha, beta), expected))
+    return out
 
 
-def _suite_covariants(args, engine):
-    rng = random.Random(args.seed)
-    jobs = []
+def _covariant_instances(args):
     # the worked two-vertex example first
-    A2 = Quiver(2, ((0, 1),))
-    jobs.append((A2, (1, 1), (2, 2)))
-    while len(jobs) < args.count:
-        dense = len(jobs) % 3 == 2
+    specs = [InstanceSpec(Quiver(2, ((0, 1),)), (2, 2), (1, 1))]
+    rng = random.Random(args.seed)
+    while len(specs) < args.count:
+        dense = len(specs) % 3 == 2
         Q, beta, alpha = random_instance(
             rng,
             max_verts=3,
@@ -348,65 +369,24 @@ def _suite_covariants(args, engine):
             min_arrows=2 if dense else 0,
             require_zero_pairing=False,
         )
-        if not 0 <= check_instance(Q, beta, alpha)[3] <= 3:
-            continue
-        jobs.append((Q, beta, alpha))
-
-    def check(job):
-        Q, beta, alpha = job
-        fc = fiber_class(Q, beta, alpha, engine)
-        ok = True
-        detail = []
-        for mu, coeff in fc.sorted_items():
-            cc = covariant_count(Q, beta, alpha, mu, engine)
-            cm = covariant_multiplicity(Q, beta, alpha, mu, engine)
-            if not (cc == cm == coeff):
-                ok = False
-            detail.append(f"{coeff}/{cc}/{cm}")
-        return (
-            _brief(Q, beta, alpha),
-            len(fc.coeffs),
-            sum(fc.coeffs.values()),
-            "fiber/count/mult " + (";".join(detail) if detail else "empty"),
-            ok,
-            InstanceSpec(Q, alpha, beta),
-        )
-
-    return [check(job) for job in jobs]
+        if 0 <= check_instance(Q, beta, alpha)[3] <= 3:
+            specs.append(InstanceSpec(Q, alpha, beta))
+    return specs
 
 
-def _suite_multiplicativity(args, engine):
-    rng = random.Random(args.seed)
-    triples = []
-    pinned = [
+def _chain_instances(args):
+    triples = [
         (_theta(2), (1, 1), (1, 1), (1, 1)),
         (_theta(2), (1, 1), (2, 2), (1, 1)),
         (_theta(2), (2, 2), (1, 1), (1, 1)),
     ]
-    triples.extend(pinned)
+    rng = random.Random(args.seed)
     while len(triples) < args.count:
         triples.append(random_zero_triple(rng, max_verts=3, max_arrows=4, max_dim=3))
-
-    def check(triple):
-        Q, b, c, d = triple
-        a1 = tuple(x + y for x, y in zip(b, c))
-        a2 = tuple(x + y for x, y in zip(a1, d))
-        cd = tuple(x + y for x, y in zip(c, d))
-        lhs = count_subreps(Q, b, a1, engine) * count_subreps(Q, a1, a2, engine)
-        rhs = count_subreps(Q, b, a2, engine) * count_subreps(Q, c, cd, engine)
-        return (
-            f"{_brief(Q, b, a2)} via {c}+{d}",
-            lhs,
-            rhs,
-            "",
-            lhs == rhs,
-            InstanceSpec(Q, a2, b),
-        )
-
-    return [check(triple) for triple in triples]
+    return triples
 
 
-def _suite_oracles(args, engine):
+def _oracle_instances(args):
     # pinned nontrivial instances that fit the default point budget
     instances = [
         (_theta(2), (1, 1), (2, 2)),
@@ -414,28 +394,37 @@ def _suite_oracles(args, engine):
         (Quiver(3, ((0, 2), (0, 2), (1, 2))), (1, 0, 1), (2, 2, 2)),
     ]
     rng = random.Random(args.seed)
-    for _ in range(args.count):
-        instances.append(random_instance(rng))
-    return [_oracle_row(InstanceSpec(Q, alpha, beta), args, engine) for Q, beta, alpha in instances]
+    instances.extend(random_instance(rng) for _ in range(args.count))
+    return [InstanceSpec(Q, alpha, beta) for Q, beta, alpha in instances]
 
 
-def _basis_row(label: str, spec: InstanceSpec, args):
-    """The dual-basis check on one instance."""
-    Q, beta, alpha = spec.quiver, spec.beta, spec.alpha
-    rep = verify_determinant_basis(Q, beta, alpha, GF(args.q), seed=args.seed)
-    ok = rep.passed and rep.k == rep.m_expected
-    note = f"k={rep.k} ext={rep.extension_degree}" + (f" ({rep.reason})" if rep.reason else "")
-    return (label, rep.n_expected, rep.m_expected, note, ok, spec)
-
-
-def _suite_basis(args, engine):
-    return [
-        _basis_row(label, InstanceSpec(Q, alpha, beta), args)
-        for label, Q, beta, alpha in (
-            ("theta(2)", _theta(2), (1, 1), (2, 2)),
-            ("theta(4)", _theta(4), (1, 2), (3, 3)),
-        )
-    ]
+def _suites(args, engine, spec):
+    """(flag, name, suite) for every suite in report order; `suite()` returns
+    its rows.  FILE (`spec`) is a one-instance suite: --oracles and --basis
+    check it in place of their pinned instances, and without them it gets an
+    N = M row, or a piece row when it has mu lines."""
+    file_alone = spec is not None and not (args.oracles or args.basis)
+    piece = file_alone and spec.mu is not None
+    return (
+        (file_alone, "instance-covariant" if piece else "instance",
+         lambda: [(_piece_row if piece else _count_row)(spec, engine)]),
+        (spec is not None and args.oracles, "instance-oracles",
+         lambda: [_oracle_row(spec, args, engine, skip_over_budget=False)]),
+        (spec is not None and args.basis, "instance-basis", lambda: [_basis_row(spec, args)]),
+        (args.kronecker, "kronecker",
+         lambda: [_count_row(s, engine, label, n, f"binom={n}") for label, s, n in _kronecker_instances()]),
+        # an empty random suite (--random 0) is still selected
+        (args.random is not None, "random", lambda: [_count_row(s, engine) for s in _random_instances(args)]),
+        (args.tripleflag, "tripleflag",
+         lambda: [_count_row(s, engine, label, n, f"lr={n}") for label, s, n in _tripleflag_instances(args, engine)]),
+        (args.covariants, "covariants", lambda: [_piece_row(s, engine) for s in _covariant_instances(args)]),
+        (args.multiplicativity, "multiplicativity",
+         lambda: [_chain_row(t, engine) for t in _chain_instances(args)]),
+        (spec is None and args.oracles, "oracles",
+         lambda: [_oracle_row(s, args, engine, skip_over_budget=True) for s in _oracle_instances(args)]),
+        (spec is None and args.basis, "basis",
+         lambda: [_basis_row(_theta_instance(r), args, f"theta({2 * r})") for r in (1, 2)]),
+    )
 
 
 def cmd_verify(args, out) -> int:
@@ -447,47 +436,13 @@ def cmd_verify(args, out) -> int:
         GF(args.q)
     if args.tripleflag and args.flag_r > args.flag_n:
         raise ValueError(f"--r {args.flag_r} exceeds --n {args.flag_n}: no flag of that shape")
-    suites = []
-    if args.instance:
-        spec = _load_spec(args.instance)
-        if spec.mu is not None and (args.oracles or args.basis):
-            raise ValueError(
-                "--oracles and --basis do not support mu lines; "
-                f"run plain `verify {args.instance}` to check the covariant piece"
-            )
-        if args.oracles:
-            suites.append(("instance-oracles", lambda: [_oracle_row(spec, args, engine)]))
-        if args.basis:
-            brief = _brief(spec.quiver, spec.beta, spec.alpha)
-            suites.append(("instance-basis", lambda: [_basis_row(brief, spec, args)]))
-        if args.oracles or args.basis:
-            pass  # the oracle suites check FILE in place of the N = M row
-        elif spec.mu is not None:
-            def single():
-                fc = fiber_class(spec.quiver, spec.beta, spec.alpha, engine)
-                coeff = fc.coefficient(spec.mu)
-                cc = covariant_count(spec.quiver, spec.beta, spec.alpha, spec.mu, engine)
-                cm = covariant_multiplicity(spec.quiver, spec.beta, spec.alpha, spec.mu, engine)
-                brief = _brief(spec.quiver, spec.beta, spec.alpha)
-                return [(brief, cc, cm, f"fiber={coeff}", cc == cm == coeff, spec)]
-
-            suites.append(("instance-covariant", single))
-        else:
-            suites.append(("instance", lambda: [_count_row(spec, engine)]))
-    if args.kronecker:
-        suites.append(("kronecker", lambda: _suite_kronecker(args, engine)))
-    if args.random is not None:
-        suites.append(("random", lambda: _suite_random(args, engine)))
-    if args.tripleflag:
-        suites.append(("tripleflag", lambda: _suite_tripleflag(args, engine)))
-    if args.covariants:
-        suites.append(("covariants", lambda: _suite_covariants(args, engine)))
-    if args.multiplicativity:
-        suites.append(("multiplicativity", lambda: _suite_multiplicativity(args, engine)))
-    if args.oracles and not args.instance:
-        suites.append(("oracles", lambda: _suite_oracles(args, engine)))
-    if args.basis and not args.instance:
-        suites.append(("basis", lambda: _suite_basis(args, engine)))
+    spec = _load_spec(args.instance) if args.instance else None
+    if spec is not None and spec.mu is not None and (args.oracles or args.basis):
+        raise ValueError(
+            "--oracles and --basis do not support mu lines; "
+            f"run plain `verify {args.instance}` to check the covariant piece"
+        )
+    suites = [(name, suite) for flag, name, suite in _suites(args, engine, spec) if flag]
     if not suites:
         print("no suite selected (use --kronecker, --random N, --tripleflag, "
               "--covariants, --multiplicativity, --oracles, --basis, or an instance file)",

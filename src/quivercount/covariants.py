@@ -21,17 +21,6 @@ from .partitions import Rectangle, complement, conjugate, fits, partition, size
 from .quiver import Quiver, check_instance, euler_form
 
 
-def exponent_profile(mu_x, beta_x: int, gamma_x: int) -> tuple[int, ...]:
-    """Multiplicities (b_1, ..., b_{gamma_x}) where b_j counts parts equal
-    to gamma_x - j + 1 in the complement of mu_x inside beta_x x gamma_x."""
-    mu_x = partition(mu_x)
-    rect = Rectangle(beta_x, gamma_x)
-    if not fits(mu_x, rect):
-        raise ValueError(f"{mu_x} does not fit in {rect}")
-    comp = complement(mu_x, rect)
-    return tuple(sum(1 for p in comp if p == gamma_x - j + 1) for j in range(1, gamma_x + 1))
-
-
 def _check_piece(Q: Quiver, beta, alpha, mu):
     """Validate an instance and its piece mu; return (beta, gamma, mu)
     with mu normalized."""
@@ -73,9 +62,9 @@ def build_hat(Q: Quiver, beta, alpha, mu) -> HatInstance:
     """Enlarge (Q, beta, alpha) by one flag arm per vertex according to mu.
 
     Arm vertex i (1-based) of x gets gamma-part gamma(x) - i + 1 and
-    beta-part b_1 + ... + b_{gamma(x)-i+1} from the exponent profile of
-    mu(x); equivalently the arm carries the conjugate of the complement
-    of mu(x).  The pairing of the enlarged beta with its gamma drops to
+    beta-part the number of parts >= i of the complement of mu(x) in the
+    beta(x) x gamma(x) box: the arm carries the conjugate of that
+    complement.  The pairing of the enlarged beta with its gamma drops to
     zero exactly because the mu sizes exhaust the original pairing.
     """
     beta, gamma, mu = _check_piece(Q, beta, alpha, mu)
@@ -85,11 +74,11 @@ def build_hat(Q: Quiver, beta, alpha, mu) -> HatInstance:
     hat_gamma = list(gamma)
     nxt = n
     for x in range(n):
-        profile = exponent_profile(mu[x], beta[x], gamma[x])
+        arm = conjugate(complement(mu[x], Rectangle(beta[x], gamma[x])))
         prev = x
         for i in range(1, gamma[x] + 1):
             arrows.append((prev, nxt))
-            hat_beta.append(sum(profile[: gamma[x] - i + 1]))
+            hat_beta.append(arm[i - 1] if i <= len(arm) else 0)
             hat_gamma.append(gamma[x] - i + 1)
             prev = nxt
             nxt += 1

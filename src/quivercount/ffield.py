@@ -195,11 +195,6 @@ class GF:
             return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
         return self._inv_poly(a)
 
-    def pow_(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        return _power(self.mul, a, e)
-
     def frobenius(self, a: int) -> int:
         """a^p, the image of a under the Frobenius automorphism of F/F_p;
         it fixes exactly the prime subfield, the ints below p.  With tables

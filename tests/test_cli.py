@@ -256,6 +256,49 @@ def test_verify_kronecker_suite():
     assert "FAIL" not in out
 
 
+def _report(text):
+    """The human-readable part of a report, before the `---` line."""
+    return text.split("---\n", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["--kronecker"],
+            "suite kronecker:\n"
+            "  ok   theta(2) [2v 0->1,0->1] beta=(1, 1) alpha=(2, 2)  N=2 M=2  binom=2\n"
+            "  ok   theta(4) [2v 0->1,0->1,0->1,0->1] beta=(1, 2) alpha=(3, 3)  N=6 M=6  binom=6\n"
+            "  ok   theta(6) [2v 0->1,0->1,0->1,0->1,0->1,0->1] beta=(1, 3) alpha=(4, 4)"
+            "  N=20 M=20  binom=20\n"
+            "  ok   theta(8) [2v 0->1,0->1,0->1,0->1,0->1,0->1,0->1,0->1] beta=(1, 4) alpha=(5, 5)"
+            "  N=70 M=70  binom=70\n",
+        ),
+        (
+            ["--tripleflag", "--n", "3", "--r", "1"],
+            "suite tripleflag:\n"
+            "  ok   (),(),(2)  N=1 M=1  lr=1\n"
+            "  ok   (),(1),(1)  N=1 M=1  lr=1\n"
+            "  ok   (),(2),()  N=1 M=1  lr=1\n"
+            "  ok   (1),(),(1)  N=1 M=1  lr=1\n"
+            "  ok   (1),(1),()  N=1 M=1  lr=1\n"
+            "  ok   (2),(),()  N=1 M=1  lr=1\n",
+        ),
+        (
+            ["--covariants", "--count", "3"],
+            "suite covariants:\n"
+            "  ok   [2v 0->1] beta=(1, 1) alpha=(2, 2)  N=2 M=2  fiber/count/mult 1/1/1;1/1/1\n"
+            "  ok   [2v 0->1,0->1,0->1] beta=(0, 0) alpha=(3, 3)  N=1 M=1  fiber/count/mult 1/1/1\n"
+            "  ok   [3v 0->2,0->2,0->1] beta=(0, 0, 3) alpha=(1, 0, 4)  N=1 M=1  fiber/count/mult 1/1/1\n",
+        ),
+    ],
+)
+def test_verify_suite_rows_are_pinned(argv, expected):
+    code, out, _ = run_cli(["verify", *argv])
+    assert code == 0
+    assert _report(out) == expected
+
+
 def test_verify_random_suite_seeded():
     code, out, _ = run_cli(["verify", "--random", "6", "--seed", "5"])
     assert code == 0
@@ -436,6 +479,13 @@ def test_zero_suite_sizes_are_accepted():
     code, out, _ = run_cli(["verify", "--random", "0", "--kronecker", "--count", "0"])
     assert code == 0
     assert "failures = 0" in out
+    block = dict(machine_block(out))
+    assert block["suites"] == "kronecker,random"
+    assert block["instances"] == "4"
+    # an empty random suite on its own is still a selected suite
+    code, out, _ = run_cli(["verify", "--random", "0"])
+    assert code == 0
+    assert dict(machine_block(out))["instances"] == "0"
 
 
 def test_exit_usage_on_missing_file():

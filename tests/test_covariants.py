@@ -3,42 +3,11 @@ import random
 import pytest
 
 from quivercount.counting import count_subreps, fiber_class, random_instance
-from quivercount.covariants import (
-    build_hat,
-    covariant_count,
-    covariant_multiplicity,
-    exponent_profile,
-)
+from quivercount.covariants import build_hat, covariant_count, covariant_multiplicity
 from quivercount.quiver import Quiver, euler_form
 
 A2 = Quiver(2, ((0, 1),))
 THETA4 = Quiver(2, ((0, 1), (0, 1), (0, 1), (0, 1)))
-
-
-def test_exponent_profile_pins():
-    # mu = (2) inside a 2x3 box: complement is (3,1), so the parts 3 and 1
-    # appear once each and 2 never does
-    assert exponent_profile((2,), 2, 3) == (1, 0, 1)
-    assert exponent_profile((), 1, 2) == (1, 0)
-    assert exponent_profile((2,), 1, 2) == (0, 0)
-    assert exponent_profile((), 0, 3) == (0, 0, 0)
-    assert exponent_profile((), 2, 0) == ()
-
-
-def test_exponent_profile_counts_nonzero_parts():
-    from quivercount.partitions import Rectangle, complement
-
-    rng = random.Random(3)
-    for _ in range(50):
-        b = rng.randint(0, 3)
-        g = rng.randint(0, 3)
-        from quivercount.partitions import partitions_in_rectangle
-
-        mu = rng.choice(partitions_in_rectangle(Rectangle(b, g)))
-        prof = exponent_profile(mu, b, g)
-        comp = complement(mu, Rectangle(b, g))
-        assert sum(prof) == sum(1 for p in comp if p > 0)
-        assert sum(prof) <= b
 
 
 def test_build_hat_a2_worked_example():

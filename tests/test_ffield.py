@@ -35,6 +35,11 @@ from quivercount.ffield import (
 )
 
 
+def _pow(F, a, e):
+    """a^e in F for e >= 0, by the square-and-multiply that GF uses."""
+    return _power(F.mul, a, e)
+
+
 def test_is_prime_pins():
     primes = [2, 3, 5, 7, 11, 101, 2**31 - 1]
     composites = [0, 1, 4, 9, 91, 561, 1 << 16]
@@ -170,7 +175,7 @@ def test_extension_inverse_matches_fermat(p, k):
     rng = random.Random(p + k)
     for _ in range(100):
         a = rng.randrange(1, F.q)
-        assert F.inv(a) == F.pow_(a, F.q - 2)
+        assert F.inv(a) == _pow(F, a, F.q - 2)
         assert F.mul(a, F.inv(a)) == F.one
 
 
@@ -259,27 +264,18 @@ def test_field_data_built_once_per_field():
 def test_frobenius_fixes_prime_subfield():
     F = GF(3, 2)
     for a in range(3):
-        assert F.pow_(a, 3) == a
-    moved = [a for a in F.elements() if F.pow_(a, 3) != a]
+        assert _pow(F, a, 3) == a
+    moved = [a for a in F.elements() if _pow(F, a, 3) != a]
     assert len(moved) == 6
-
-
-@pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (101, 2)])
-def test_negative_powers_are_powers_of_the_inverse(p, k):
-    F = GF(p, k)
-    for a in range(1, min(F.q, 60)):
-        for e in (1, 2, 7, F.q):
-            assert F.pow_(a, -e) == F.pow_(F.inv(a), e)
-            assert F.mul(F.pow_(a, -e), F.pow_(a, e)) == F.one
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 3), (13, 2), (61, 2), (101, 2), (101, 4)])
 def test_frobenius_is_the_pth_power(p, k):
-    # tabled fields look a^p up, the others power; both as pow_ does
+    # tabled fields look a^p up, the others power
     F = GF(p, k)
     rng = random.Random(p * 10 + k)
     for a in list(range(min(F.q, 50))) + [rng.randrange(F.q) for _ in range(100)]:
-        assert F.frobenius(a) == F.pow_(a, p)
+        assert F.frobenius(a) == _pow(F, a, p)
 
 
 # -- matrices ------------------------------------------------------------------
@@ -416,7 +412,7 @@ def test_poly_roots_extension_field():
 
 def _nonsquare(F):
     e = (F.q - 1) // 2
-    return next(n for n in range(2, F.q) if F.pow_(n, e) != F.one)
+    return next(n for n in range(2, F.q) if _pow(F, n, e) != F.one)
 
 
 @pytest.mark.parametrize("field", [(13, 1), (13, 2), (101, 2), (101, 3)])
@@ -539,7 +535,7 @@ def test_poly_roots_split_matches_the_textbook_split(p, j):
     for _ in range(4):
         roots = rng.sample(range(lo, F.q), rng.randint(2, 6))
         linear = [(F.neg(a), F.one) for a in roots]
-        n = next(n for n in iter(lambda: rng.randrange(lo, F.q), None) if F.pow_(n, (F.q - 1) // 2) != F.one)
+        n = next(n for n in iter(lambda: rng.randrange(lo, F.q), None) if _pow(F, n, (F.q - 1) // 2) != F.one)
         quad = (F.neg(n), F.zero, F.one)
         f = poly_scale(F, rng.randrange(1, F.q), _product(F, linear + linear[:2] + [quad]))
         found = poly_roots(F, f)
@@ -559,7 +555,7 @@ def test_poly_one_root_of_prime_field_irreducibles(p, k):
         for n in range(1, (2, 1, 2, 3)[d - 1] + 1 if p == 2 else 4):
             hs = _irreducibles(p, d, n, rng)
             roots = poly_orbit_roots(F, poly_scale(F, rng.randrange(1, p), _product(F, hs)), d)
-            orbits = [_product(F, [(F.neg(F.pow_(r, p**i)), F.one) for i in range(d)]) for r in roots]
+            orbits = [_product(F, [(F.neg(_pow(F, r, p**i)), F.one) for i in range(d)]) for r in roots]
             assert len(roots) == n and sorted(orbits) == sorted(hs), (d, hs, roots)
 
 
