@@ -506,18 +506,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="subrepresentation count N of an instance file")
     p_count.add_argument("instance", help="instance file path, or - for stdin")
     p_count.add_argument("--breakdown", action="store_true", help="list nonzero labeling contributions")
-    p_count.add_argument("--seed", type=int, default=0)
-    p_count.set_defaults(fn=cmd_count)
+    p_count.set_defaults(fn=cmd_count, seed=0)
 
     p_sidim = sub.add_parser("sidim", help="semi-invariant weight space dimension M")
     p_sidim.add_argument("instance")
-    p_sidim.add_argument("--seed", type=int, default=0)
-    p_sidim.set_defaults(fn=cmd_sidim)
+    p_sidim.set_defaults(fn=cmd_sidim, seed=0)
 
     p_fc = sub.add_parser("fiber-class", help="decomposition of the subrepresentation locus class")
     p_fc.add_argument("instance")
-    p_fc.add_argument("--seed", type=int, default=0)
-    p_fc.set_defaults(fn=cmd_fiber_class)
+    p_fc.set_defaults(fn=cmd_fiber_class, seed=0)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("instance", nargs="?", help="optional single instance file")

@@ -416,22 +416,6 @@ def mat_identity(F, n: int) -> list[list]:
     return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
 
 
-def mat_mul(F, A: list[list], B: list[list]) -> list[list]:
-    if A and B and len(A[0]) != len(B):
-        raise ValueError("matrix shape mismatch")
-    n, m = len(A), len(B[0]) if B else 0
-    out = [[F.zero] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for k, a in enumerate(Ai):
-            if a != F.zero:
-                Bk = B[k]
-                Oi = out[i]
-                for j in range(m):
-                    Oi[j] = F.add(Oi[j], F.mul(a, Bk[j]))
-    return out
-
-
 def mat_vec(F, A: list[list], v: list) -> list:
     out = []
     for row in A:
@@ -530,33 +514,6 @@ def mat_kernel(F, A: list[list], ncols: int | None = None) -> list[list]:
             v[pc] = F.neg(R[r][fc])
         basis.append(v)
     return basis
-
-
-def echelon_complete(F, rows: list[list], n: int) -> list[list]:
-    """Extend independent echelon rows to a full basis of F^n.
-
-    Appends standard basis vectors at the non-pivot columns; the returned
-    list starts with the given rows.
-    """
-    R, pivots = mat_rref(F, rows) if rows else ([], ())
-    if rows and len(pivots) != len(rows):
-        raise ValueError("rows are not linearly independent")
-    out = [list(r) for r in rows]
-    for c in range(n):
-        if c not in pivots:
-            v = [F.zero] * n
-            v[c] = F.one
-            out.append(v)
-    return out
-
-
-def mat_inv(F, A: list[list]) -> list[list]:
-    n = len(A)
-    aug = [list(A[i]) + mat_identity(F, n)[i] for i in range(n)]
-    R, pivots = mat_rref(F, aug)
-    if list(pivots) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in R]
 
 
 # -- univariate polynomials over a generic field ------------------------------

@@ -63,10 +63,8 @@ from .counting import NonzeroPairingError, si_dimension, verify_counts
 from .ffield import (
     GF,
     distinct_degree_factorization,
-    echelon_complete,
-    mat_inv,
+    mat_identity,
     mat_kernel,
-    mat_mul,
     mat_rank,
     mat_rref,
     mat_vec,
@@ -211,7 +209,7 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
     alpha = V.dim
     incoming: list = [[] for _ in range(Q.nvertices)]
     for a, (t, h) in enumerate(Q.arrows):
-        incoming[h].append((t, V.mat(a)))
+        incoming[h].append((t, V.mats[a]))
     orbits = not collect and F.k > 1 and all(c < F.p for M in V.mats for row in M for c in row)
     walked = Q.topo_order
     sinks: list = []
@@ -375,10 +373,8 @@ def _kronecker_form(Q: Quiver, beta, alpha):
     """(src, tgt) when the elimination solver applies, else None."""
     if Q.nvertices != 2 or not Q.arrows:
         return None
-    t0, h0 = Q.arrows[0]
-    if any((t, h) != (t0, h0) for t, h in Q.arrows):
-        return None
-    src, tgt = t0, h0
+    # arrows both ways between two vertices would form an oriented cycle
+    src, tgt = Q.arrows[0]
     if beta[src] != 1 or not 1 <= alpha[src] <= 3:
         return None
     b = beta[tgt]
@@ -496,7 +492,7 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
     over F_p, and a listing takes all of them with poly_roots."""
     F = V.field
     one, zero = F.one, F.zero
-    mats = [V.mat(a) for a in range(len(Q.arrows))]
+    mats = V.mats
     n_src = V.dim[src]
     b = beta[tgt]
     if len(mats) <= b or V.dim[tgt] <= b:
@@ -625,7 +621,7 @@ def _kronecker_subreps(
     `_rational_factors` takes one line per Frobenius orbit, weighted by
     the orbit's size (`_kronecker_lines`)."""
     F = V.field
-    mats = [V.mat(a) for a in range(len(Q.arrows))]
+    mats = V.mats
     b = beta[tgt]
     total = 0
     found = []
@@ -838,34 +834,47 @@ class BasisReport:
 
 
 def _subrep_quotient_pair(Q: Quiver, V: FFRep, beta, gamma, sub_bases):
-    """Restrict V to a subrepresentation and form the quotient, by
-    completing each subspace basis to a basis of the ambient space.
+    """Restrict V to a subrepresentation and form the quotient.
 
-    In the completed basis every arrow matrix is block triangular (upper
-    left: restriction, lower right: quotient); the vanishing of the lower
-    left block is asserted, being the subrepresentation condition."""
+    At each vertex the basis is the given subspace rows, then the unit
+    vectors off the pivots of their reduced form R = G rows, found with
+    one reduction of [rows | I].  A vector u has coordinates u[P] G on
+    the rows and the non-pivot entries of u - u[P] R on the unit vectors
+    (P the pivot columns).  The restriction's columns are the row
+    coordinates of the images of the subspace rows, whose unit-vector
+    coordinates are asserted to vanish (the subrepresentation
+    condition); the quotient's are the unit-vector coordinates of the
+    images of the unit vectors."""
     F = V.field
     alpha = V.dim
-    T = []
-    Tinv = []
+    coords = []
     for x in range(Q.nvertices):
-        rows = [list(r) for r in sub_bases[x]]
-        full = echelon_complete(F, rows, alpha[x])
-        tx = [[full[r][c] for r in range(alpha[x])] for c in range(alpha[x])]
-        T.append(tx)
-        Tinv.append(mat_inv(F, tx))
+        n, b = alpha[x], beta[x]
+        I = mat_identity(F, b)
+        RG, pivots = mat_rref(F, [list(r) + I[i] for i, r in enumerate(sub_bases[x])])
+        assert len([p for p in pivots if p < n]) == b, "subspace rows are not independent"
+        free = [c for c in range(n) if c not in pivots]
+        Gt = [[RG[k][n + i] for k in range(b)] for i in range(b)]
+        Rt = [[RG[k][c] for k in range(b)] for c in free]
+        coords.append((pivots, free, Gt, Rt))
+
+    def split(x, u):
+        pivots, free, Gt, Rt = coords[x]
+        lam = [u[p] for p in pivots]
+        return mat_vec(F, Gt, lam), [F.sub(u[c], s) for c, s in zip(free, mat_vec(F, Rt, lam))]
+
     sub_mats = []
     quot_mats = []
     for a, (t, h) in enumerate(Q.arrows):
-        # change of basis: columns of T are the new basis vectors
-        Ap = mat_mul(F, Tinv[h], mat_mul(F, V.mat(a), T[t]))
-        for r in range(beta[h], alpha[h]):
-            for c in range(beta[t]):
-                assert Ap[r][c] == F.zero, "not actually a subrepresentation"
-        sub_mats.append(tuple(tuple(Ap[r][c] for c in range(beta[t])) for r in range(beta[h])))
-        quot_mats.append(
-            tuple(tuple(Ap[r][c] for c in range(beta[t], alpha[t])) for r in range(beta[h], alpha[h]))
-        )
+        A = V.mats[a]
+        sub_cols = []
+        for w in sub_bases[t]:
+            y, z = split(h, mat_vec(F, A, w))
+            assert all(e == F.zero for e in z), "not actually a subrepresentation"
+            sub_cols.append(y)
+        quot_cols = [split(h, [row[c] for row in A])[1] for c in coords[t][1]]
+        sub_mats.append(tuple(tuple(col[r] for col in sub_cols) for r in range(beta[h])))
+        quot_mats.append(tuple(tuple(col[r] for col in quot_cols) for r in range(gamma[h])))
     sub = FFRep(Q, F, beta, tuple(sub_mats))
     quot = FFRep(Q, F, gamma, tuple(quot_mats))
     return sub, quot

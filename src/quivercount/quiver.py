@@ -135,9 +135,6 @@ class FFRep:
             frozen.append(m)
         object.__setattr__(self, "mats", tuple(frozen))
 
-    def mat(self, arrow: int) -> list[list[int]]:
-        return [list(row) for row in self.mats[arrow]]
-
     def dual(self) -> FFRep:
         """The dual representation V* on the opposite quiver: arrow i keeps
         its index, runs from ha to ta and carries the transpose of V(i).
@@ -203,30 +200,25 @@ def build_dvw(Q: Quiver, V: FFRep, W: FFRep) -> list[list[int]]:
         off += beta[t] * gamma[h]
     nrows = off
 
-    M = [[F.zero] * ncols for _ in range(nrows)]
-    for x in range(Q.nvertices):
-        for c in range(beta[x]):
-            for r in range(gamma[x]):
-                col = dom_offsets[x] + c * gamma[x] + r  # unit E_rc at vertex x
-                for a, (t, h) in enumerate(Q.arrows):
-                    if t == x:
-                        # W(a) E_rc has column c equal to column r of W(a)
-                        Wa = W.mats[a]
-                        for i in range(gamma[h]):
-                            v = Wa[i][r]
-                            if v != F.zero:
-                                M[cod_offsets[a] + c * gamma[h] + i][col] = F.add(
-                                    M[cod_offsets[a] + c * gamma[h] + i][col], v
-                                )
-                    if h == x:
-                        # -(E_rc V(a)) has row r equal to minus row c of V(a)
-                        Va = V.mats[a]
-                        for j in range(beta[t]):
-                            v = Va[c][j]
-                            if v != F.zero:
-                                M[cod_offsets[a] + j * gamma[h] + r][col] = F.sub(
-                                    M[cod_offsets[a] + j * gamma[h] + r][col], v
-                                )
+    # an arrow's tail and head differ, so each entry is written once
+    zero, neg = F.zero, F.neg
+    M = [[zero] * ncols for _ in range(nrows)]
+    for a, (t, h) in enumerate(Q.arrows):
+        base, Wa, Va = cod_offsets[a], W.mats[a], V.mats[a]
+        for c in range(beta[t]):
+            for r in range(gamma[t]):
+                # unit E_rc at the tail: column c of W(a) E_rc is column r of W(a)
+                col = dom_offsets[t] + c * gamma[t] + r
+                for i in range(gamma[h]):
+                    if Wa[i][r] != zero:
+                        M[base + c * gamma[h] + i][col] = Wa[i][r]
+        for c in range(beta[h]):
+            for r in range(gamma[h]):
+                # unit E_rc at the head: row r of -(E_rc V(a)) is minus row c of V(a)
+                col = dom_offsets[h] + c * gamma[h] + r
+                for j in range(beta[t]):
+                    if Va[c][j] != zero:
+                        M[base + j * gamma[h] + r][col] = neg(Va[c][j])
     return M
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from quivercount import oracles
 from quivercount.cli import (
     InstanceParseError,
     InstanceSpec,
@@ -170,6 +172,13 @@ def test_count_golden(theta4_file):
         ("seed", "0"),
         ("version", "quivercount 0.1.0"),
     ]
+
+
+@pytest.mark.parametrize("command", ["count", "sidim", "fiber-class"])
+def test_deterministic_commands_take_no_seed(theta4_file, command):
+    code, out, err = run_cli([command, theta4_file, "--seed", "3"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --seed 3" in err
 
 
 def test_count_breakdown_lists_unit_contributions(theta4_file):
@@ -371,6 +380,19 @@ def test_verify_basis_checks_the_instance_file(tmp_path):
     assert "  ok   theta(2)" in out and "  ok   theta(4)" in out
 
 
+def test_verify_basis_fails_when_k_misses_the_weight_space_dimension(tmp_path, monkeypatch):
+    counts = oracles.verify_counts
+    monkeypatch.setattr(oracles, "verify_counts", lambda *args: dataclasses.replace(counts(*args), m_value=3))
+    path = tmp_path / "theta2.qc"
+    path.write_text("vertices 2\narrow 0 1\narrow 0 1\nalpha 2 2\nbeta 1 1\n")
+    code, out, _ = run_cli(["verify", str(path), "--basis", "--q", "5"])
+    assert code == 1
+    row = [line for line in out.splitlines() if line.startswith("  FAIL")]
+    assert len(row) == 1
+    assert "N=2 M=3  k=2 ext=1 (2 subrepresentations but weight space has dimension 3)" in row[0]
+    assert ("failures", "1") in machine_block(out)
+
+
 def test_verify_oracles_and_basis_refuse_mu_lines(a2_mu_file):
     # the oracle suites check beta inside alpha at pairing 0 and never
     # look at mu, so a covariant piece is sent to plain `verify FILE`
@@ -458,6 +480,7 @@ def test_basis_names_a_bad_q_before_any_suite_runs():
         (["--random", "2", "--max-dim", "0"], "--max-dim"),
         (["--random", "2", "--max-arrows", "-1"], "--max-arrows"),
         (["--oracles", "--count", "0", "--oracle-budget", "-5"], "--oracle-budget"),
+        (["--random", "abc"], "--random: invalid int value"),
     ],
 )
 def test_exit_usage_on_negative_suite_size(argv, flag):

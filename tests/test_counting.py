@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import comb, factorial, prod
 
 import pytest
@@ -84,6 +85,19 @@ def test_negative_pairing_is_always_an_error(engine):
         count_subreps(Q, (1, 1), (2, 2), engine)
     with pytest.raises(NegativePairingError):
         fiber_class(Q, (1, 1), (2, 2), engine)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((), (), (), 3, 2), "need 0 <= r <= n"),
+        (((3,), (), (), 1, 3), "does not fit in 1x2"),
+        (((1,), (), (), 1, 3), "sizes 1+0+0 != r(n-r) = 2"),
+    ],
+)
+def test_triple_flag_instance_rejects_bad_input(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        triple_flag_instance(*args)
 
 
 def test_weight_of_pins():

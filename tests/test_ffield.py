@@ -1,19 +1,16 @@
 import itertools
 import random
 import time
+from functools import reduce
 
 import pytest
 
 from quivercount.ffield import (
     GF,
     distinct_degree_factorization,
-    echelon_complete,
     is_prime,
     mat_det,
-    mat_identity,
-    mat_inv,
     mat_kernel,
-    mat_mul,
     mat_rank,
     mat_rref,
     mat_vec,
@@ -285,6 +282,10 @@ def rand_matrix(F, rng, n, m):
     return [[F.sample(rng) for _ in range(m)] for _ in range(n)]
 
 
+def _mat_mul(F, A, B):
+    return [[reduce(F.add, (F.mul(a, b) for a, b in zip(row, col)), F.zero) for col in zip(*B)] for row in A]
+
+
 def test_rref_shape_and_pivots():
     F = GF(5)
     A = [[1, 2, 3], [2, 4, 1], [0, 0, 4]]
@@ -309,7 +310,7 @@ def test_rank_without_inverses_matches_the_rref(p, k):
         A = rand_matrix(F, rng, n, m)
         if rng.random() < 0.5:
             r = rng.randint(0, min(n, m) - 1)
-            A = mat_mul(F, rand_matrix(F, rng, n, r), rand_matrix(F, rng, r, m)) if r else [[F.zero] * m for _ in range(n)]
+            A = _mat_mul(F, rand_matrix(F, rng, n, r), rand_matrix(F, rng, r, m)) if r else [[F.zero] * m for _ in range(n)]
         for i in rng.sample(range(n), rng.randint(0, n // 2)):
             A[i] = [F.zero] * m
         rank = len(mat_rref(F, A)[1])
@@ -325,13 +326,7 @@ def test_inverse_and_determinant():
     for _ in range(30):
         n = rng.randint(1, 4)
         A = rand_matrix(F, rng, n, n)
-        d = mat_det(F, A)
-        if d == 0:
-            assert mat_rank(F, A) < n
-            continue
-        Ai = mat_inv(F, A)
-        assert mat_mul(F, A, Ai) == mat_identity(F, n)
-    assert mat_inv(F, []) == []
+        assert (mat_det(F, A) == 0) == (mat_rank(F, A) < n)
     assert mat_det(F, []) == F.one
 
 
@@ -345,21 +340,6 @@ def test_kernel_vectors_annihilate():
         assert len(basis) == m - mat_rank(F, A)
         for v in basis:
             assert all(x == F.zero for x in mat_vec(F, A, v))
-
-
-def test_echelon_complete_gives_invertible_square():
-    F = GF(5)
-    rng = random.Random(2)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        k = rng.randint(0, n)
-        rows = rand_matrix(F, rng, k, n)
-        R, pivots = mat_rref(F, rows)
-        T = echelon_complete(F, [R[i] for i in range(len(pivots))], n)
-        assert len(T) == n
-        assert mat_det(F, T) != 0
-        # the given span sits in the leading rows
-        assert T[: len(pivots)] == [R[i] for i in range(len(pivots))]
 
 
 # -- polynomials ---------------------------------------------------------------

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -97,7 +99,7 @@ def test_listed_subreps_are_closed_under_arrows():
         V = random_rep(Q, alpha, F5, rng.randrange(1 << 30))
         for bases in list_subreps(Q, V, beta):
             for i, (t, h) in enumerate(Q.arrows):
-                A = V.mat(i)
+                A = V.mats[i]
                 for row in bases[t]:
                     img = mat_vec(F5, A, list(row))
                     stacked = [list(r) for r in bases[h]] + [img]
@@ -130,7 +132,7 @@ def _reduced(sub):
 
 def _assert_closed(Q, V, sub):
     for i, (t, h) in enumerate(Q.arrows):
-        A = V.mat(i)
+        A = V.mats[i]
         for row in sub[t]:
             stacked = [list(r) for r in sub[h]] + [mat_vec(V.field, A, list(row))]
             assert mat_rank(V.field, stacked) == len(sub[h])
@@ -742,6 +744,68 @@ def test_basis_reports_when_no_sample_has_n_subreps_and_a_nonzero_diagonal(monke
     assert [V.field.k for V in seen] == [1, 1, 2]
 
 
+def test_basis_reports_a_nonzero_off_diagonal_entry(monkeypatch):
+    monkeypatch.setattr(oracles, "semiinvariant_cv", lambda Q, V, W: 1)
+    rep = verify_determinant_basis(THETA2, (1, 1), (2, 2), GF(5), seed=0)
+    assert (rep.passed, rep.inconclusive) == (False, False)
+    assert rep.reason == "nonzero off-diagonal evaluation (orthogonality violated)"
+    assert (rep.k, rep.matrix) == (2, ((1, 1), (1, 1)))
+
+
+def test_basis_reports_a_count_below_the_weight_space_dimension(monkeypatch):
+    counts = oracles.verify_counts
+    monkeypatch.setattr(oracles, "verify_counts", lambda *args: dataclasses.replace(counts(*args), m_value=3))
+    rep = verify_determinant_basis(THETA2, (1, 1), (2, 2), GF(5), seed=0)
+    assert (rep.passed, rep.inconclusive) == (False, False)
+    assert rep.reason == "2 subrepresentations but weight space has dimension 3"
+    assert (rep.k, rep.m_expected) == (2, 3)
+
+
+def _assert_sub_and_quotient(Q, V, beta, listed):
+    """S(a) and Q(a) of _subrep_quotient_pair in the bases the basis
+    check uses: the given rows at each vertex, then (for the quotient)
+    the unit vectors off the pivots of their reduced form.  The rows are
+    the listed ones, reversed, with the first of them added to the rest,
+    so that they are not in reduced form."""
+    F = V.field
+    sub = [[r if i == 0 else tuple(map(F.add, r, b[-1])) for i, r in enumerate(reversed(b))] for b in listed]
+    gamma = tuple(a - b for a, b in zip(V.dim, beta))
+    S, R = oracles._subrep_quotient_pair(Q, V, beta, gamma, sub)
+    free = [[c for c in range(n) if c not in mat_rref(F, [list(r) for r in b])[1]] for n, b in zip(V.dim, sub)]
+    for a, (t, h) in enumerate(Q.arrows):
+        A = V.mats[a]
+        # rows_h^T S(a) = A rows_t^T
+        for j, w in enumerate(sub[t]):
+            combo = [reduce(F.add, (F.mul(row[k], S.mats[a][i][j]) for i, row in enumerate(sub[h])), F.zero)
+                     for k in range(V.dim[h])]
+            assert mat_vec(F, A, list(w)) == combo
+        # A e_c = sum over c' of Q(a)[c'][c] e_c' modulo the subspace at h
+        for c, col in enumerate(free[t]):
+            rest = [row[col] for row in A]
+            for cp, colp in enumerate(free[h]):
+                rest[colp] = F.sub(rest[colp], R.mats[a][cp][c])
+            assert mat_rank(F, [list(r) for r in sub[h]] + [rest]) == beta[h]
+
+
+def test_subrep_quotient_pair_changes_basis_arrow_by_arrow():
+    rng = random.Random(23)
+    listed = 0
+    for F in (F5, GF(3, 2), GF(2, 2)):
+        for _ in range(40):
+            Q, V, beta = _random_acyclic_instance(rng, F, max_points=3000)
+            for sub in list_subreps(Q, V, beta):
+                _assert_sub_and_quotient(Q, V, beta, sub)
+                listed += 1
+    solved = 0
+    for seed in range(5):
+        V1 = random_rep(THETA4, (3, 3), GF(101), seed)
+        for Vj, count, listing in oracles._by_degree(THETA4, V1, (1, 2), (GF(101, j) for j in (1, 2, 3, 4)), 1):
+            for sub in listing() if count else ():
+                _assert_sub_and_quotient(THETA4, Vj, (1, 2), sub)
+                solved += 1
+    assert listed >= 1200 and solved >= 40, (listed, solved)
+
+
 # -- Frobenius orbits ------------------------------------------------------------
 
 
@@ -781,7 +845,7 @@ def _sink_span_cases(R, dim) -> set:
     cases = set()
     for sub in list_subreps(Q, R, whole):
         for x in sinks:
-            images = [mat_vec(F, R.mat(a), list(w)) for a, (t, h) in enumerate(Q.arrows) if h == x for w in sub[t]]
+            images = [mat_vec(F, R.mats[a], list(w)) for a, (t, h) in enumerate(Q.arrows) if h == x for w in sub[t]]
             s, d = len(mat_rref(F, images)[1]) if images else 0, dim[x]
             cases.add("s=0<d" if s == 0 < d else "0<s<d" if 0 < s < d else "0<s=d" if 0 < s == d else "s>d" if s > d else "")
     return cases
