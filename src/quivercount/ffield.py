@@ -143,15 +143,7 @@ class GF:
         return out
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if self.k == 1 or a < p:
-            return (p - a) % p
-        out = -a
-        for carry in self._carries:
-            if a % p:
-                out += carry
-            a //= p
-        return out
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
         p = self.p
@@ -390,23 +382,10 @@ def _min_irreducible(p: int, k: int) -> tuple[int, ...]:
             digits.append(t % p)
             t //= p
         f = tuple(digits) + (1,)
-        if _is_irreducible(base, f):
+        # irreducible iff its distinct-degree factorization is f alone
+        if distinct_degree_factorization(base, f) == [(k, f)]:
             return f
     raise AssertionError(f"no irreducible of degree {k} over F_{p}")
-
-
-def _is_irreducible(F: GF, f: tuple[int, ...]) -> bool:
-    # f monic of degree k >= 1 over the prime field F: irreducible iff
-    # gcd(x^(p^(k/l)) - x, f) = 1 for prime l | k and x^(p^k) = x mod f
-    # (Rabin).  The gcd tests run first: their exponents are smaller, and
-    # they reject most reducible f, e.g. every f with a root in F_p.
-    k = len(f) - 1
-    x = (0, 1)
-    for ell in _prime_factors(k):
-        h = poly_powmod(F, x, F.q ** (k // ell), f)
-        if poly_deg(poly_gcd(F, poly_sub(F, h, x), f)) > 0:
-            return False
-    return poly_powmod(F, x, F.q**k, f) == poly_mod(F, x, f)
 
 
 # -- matrices over a generic field -------------------------------------------

@@ -26,9 +26,9 @@ and preserves everything the oracles look at.  The count paths use this;
 the listing paths, whose order seeded results rest on, do not.  A count
 walk takes one subspace per Frobenius orbit while all it has chosen is
 Frobenius-fixed and weights it by the orbit's size, and the solver's
-count takes one root per Frobenius orbit of each eliminant's roots,
-weighted the same way.  Both are exact: Frobenius maps what lies below
-one member of an orbit onto what lies below each other member.
+count takes one source line per Frobenius orbit of each eliminant's
+roots, weighted the same way.  Both are exact: Frobenius maps what lies
+below one member of an orbit onto what lies below each other member.
 
 Instances whose Grassmannian point count exceeds the enumeration budget
 are refused, with one carve-out: two-vertex instances whose source
@@ -37,20 +37,23 @@ plus root extraction), which is how the six-subrepresentation instance
 stays checkable over large fields.  Both samplers read a sample drawn
 over F_p over each F_{p^j} in turn (`_by_degree`), and each degree
 enumerates when its point count fits the budget and solves otherwise.
-The solver runs in two phases.  The elimination (minors, resultants,
-gcds) runs once per sample, over F_p, the first time a degree solves:
-the sample has F_p entries, and GF's prime-subfield fast path makes
-every one of those steps return the same ints in F_p and in each
-F_{p^j}, so repeating it per extension would only rebuild the same
-polynomials.  With it, the irreducible factors of each eliminant over
-F_p are grouped by degree once per sample, and its roots in F_p found.
-The root phase then runs per extension degree j and, in each group whose
-degree d divides j, takes one root in F_{p^j}, divides its factor out of
-the group and repeats: one root per Frobenius orbit.  A degeneracy
-found by the elimination holds at that j and every later one; one found
-while taking roots holds at its j only.  The dual-basis check counts
-each degree first and lists the subrepresentations only at a degree
-whose count is N.
+The solver finds only the source lines that lie in a
+subrepresentation; the walk takes them as its first vertex's subspaces
+and does the rest, for counts and listings alike.  The solver runs in
+two phases.  The elimination (minors, resultants, gcds) runs once per
+sample, over F_p, the first time a degree solves: the sample has F_p
+entries, and GF's prime-subfield fast path makes every one of those
+steps return the same ints in F_p and in each F_{p^j}, so repeating it
+per extension would only rebuild the same polynomials.  With it, the
+irreducible factors of each eliminant over F_p are grouped by degree
+once per sample, and its roots in F_p found.  The root phase then runs
+per extension degree j and, in each group whose degree d divides j,
+takes one root in F_{p^j}, divides its factor out of the group and
+repeats: one root per Frobenius orbit.  A degeneracy found by the
+elimination holds at that j and every later one; one found while taking
+roots holds at its j only.  The dual-basis check counts each degree
+first and lists the subrepresentations only at a degree whose count is
+N.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .counting import NonzeroPairingError, si_dimension, verify_counts
 from .ffield import (
     GF,
     distinct_degree_factorization,
-    mat_identity,
     mat_kernel,
     mat_rank,
     mat_rref,
@@ -183,13 +185,20 @@ def _least_conjugate_orbit(F, rows: list) -> int:
         size += 1
 
 
-def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
+def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool, source: list | None = None):
     """One depth-first walk in topological order: at each vertex the span
     of the incoming images is computed and only the beta-subspaces
     containing it are enumerated.  Returns (count, listed bases, nodes),
     where nodes counts the nodes of the walk, root and leaves included.
     The path to the current node is an explicit stack, one frame per
     vertex, so the walk's depth is not bounded by Python's recursion.
+    Every listed basis is in reduced echelon form.
+
+    With source, (line, weight) pairs from the elimination solver, the
+    first walked vertex is not enumerated: it takes each line as its
+    one-row basis, counted weight times (one line per Frobenius orbit in
+    a count), and the walk does the rest.  The weights already count the
+    Frobenius orbits, so the walk takes none of its own at that vertex.
 
     A count walks only the vertices with an outgoing arrow.  A sink x
     needs only to contain the span of its images, so at each leaf it
@@ -223,8 +232,9 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
     found: list = []
     count = nodes = 0
     # frames (depth, weight, rows of the span, subspaces still to walk);
-    # weight: the subrepresentations that each leaf below stands for
-    stack: list = []
+    # weight: the subrepresentations that each leaf below stands for;
+    # rows None: the subspaces are the given (line, weight) pairs
+    stack: list = [] if source is None else [(0, 1, None, iter(source))]
 
     def images(x: int) -> list:
         return [mat_vec(F, A, w) for t, A in incoming[x] for w in bases[t]]
@@ -248,7 +258,8 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
         if len(srows) <= beta[x]:
             stack.append((i, weight, len(srows), _lift_bases(F, srows, pivots, alpha[x], beta[x])))
 
-    visit(0, 1)
+    if source is None:
+        visit(0, 1)
     while stack:
         i, weight, s, subspaces = stack[-1]
         W = next(subspaces, None)
@@ -257,7 +268,10 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool):
             stack.pop()
             continue
         size = 1
-        if orbits and weight == 1:
+        if s is None:
+            line, size = W
+            W = [line]
+        elif orbits and weight == 1:
             size = _least_conjugate_orbit(F, W[s:])
             if not size:
                 continue
@@ -355,16 +369,17 @@ def list_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> tuple:
 # beta(tgt) dimensions, i.e. all (b+1)-minors of the n_tgt x m matrix
 # [A_1 v | ... | A_m v] vanish.  Charts on the projective space of lines
 # turn this into systems in <= 2 variables (s, then t), solved by
-# resultants and root extraction; each solution line contributes one
-# choice of target subspace per completion of its image span.  A minor
-# is a polynomial in t over F[s] (a tuple, ascending in t, of
-# s-polynomials); on a one-variable chart it is its t^0 coefficient.
+# resultants and root extraction.  The solver stops at the solution
+# lines: `_walk_subreps`, given them as its source, takes the target
+# subspaces containing each line's image span.  A minor is a polynomial
+# in t over F[s] (a tuple, ascending in t, of s-polynomials); on a
+# one-variable chart it is its t^0 coefficient.
 # `_minors` computes the minors, over F[s][t], and each resultant in t,
 # a Sylvester determinant over F[s].  `_eliminate` does everything
 # before the first root over the field of the sample's entries;
 # `_rational_factors` groups its eliminants' factors over F_p by degree
 # once per sample; and `_kronecker_lines` takes the roots in whatever
-# extension V is read over.
+# extension V is read over, as the lines the walk starts from.
 
 _MAX_MINOR = 4  # minor size b + 1: t-degrees <= 4, Sylvester matrices <= 8 x 8
 
@@ -611,35 +626,6 @@ def _kronecker_lines(F, charts: list[tuple], factors: list | None = None) -> lis
     return points
 
 
-def _kronecker_subreps(
-    Q: Quiver, V: FFRep, beta, src: int, tgt: int, charts: list[tuple], collect: bool, factors: list | None = None
-):
-    """Subrepresentations of V over its field, from the charts that
-    `_eliminate` returned for V read over the field of its entries: their
-    count, or with collect set the subrepresentations themselves, as
-    tuples of per-vertex row bases.  A count given the charts'
-    `_rational_factors` takes one line per Frobenius orbit, weighted by
-    the orbit's size (`_kronecker_lines`)."""
-    F = V.field
-    mats = V.mats
-    b = beta[tgt]
-    total = 0
-    found = []
-    for v, weight in _kronecker_lines(F, charts, None if collect else factors):
-        images = [mat_vec(F, A, list(v)) for A in mats]
-        if not collect:
-            s = mat_rank(F, images)
-            total += weight * gaussian_binomial(V.dim[tgt] - s, b - s, F.q)
-            continue
-        srows, pivots = _span_rows(F, images)
-        for W in _lift_bases(F, srows, pivots, V.dim[tgt], b):
-            per_vertex = [None, None]
-            per_vertex[src] = (tuple(v),)
-            per_vertex[tgt] = tuple(tuple(r) for r in W)
-            found.append(tuple(per_vertex))
-    return tuple(found) if collect else total
-
-
 # -- sampling oracle -----------------------------------------------------------
 
 
@@ -676,11 +662,13 @@ def _by_degree(Q: Quiver, V1: FFRep, beta, fields, budget: int, stats: dict | No
                     charts = _eliminate(Q, V1, beta, *kf)
                     factors = [() if u is None else _rational_factors(V1.field, u) for _, u, _ in charts]
                 if charts is not False:
-                    count = _kronecker_subreps(Q, V, beta, *kf, charts, False, factors)
+                    count = _walk_subreps(Q, V, beta, False, _kronecker_lines(F, charts, factors))[0]
             except DegenerateSampleError:
                 if charts is None:
                     charts = False
-            listing = partial(_kronecker_subreps, Q, V, beta, *kf, charts, True)
+
+            def listing(V=V):
+                return tuple(_walk_subreps(Q, V, beta, True, _kronecker_lines(V.field, charts))[1])
         yield V, count, listing
 
 
@@ -836,32 +824,29 @@ class BasisReport:
 def _subrep_quotient_pair(Q: Quiver, V: FFRep, beta, gamma, sub_bases):
     """Restrict V to a subrepresentation and form the quotient.
 
-    At each vertex the basis is the given subspace rows, then the unit
-    vectors off the pivots of their reduced form R = G rows, found with
-    one reduction of [rows | I].  A vector u has coordinates u[P] G on
-    the rows and the non-pivot entries of u - u[P] R on the unit vectors
-    (P the pivot columns).  The restriction's columns are the row
-    coordinates of the images of the subspace rows, whose unit-vector
-    coordinates are asserted to vanish (the subrepresentation
-    condition); the quotient's are the unit-vector coordinates of the
-    images of the unit vectors."""
+    The rows at each vertex must be in reduced echelon form, as every
+    listing gives them; this is asserted.  The basis there is the rows,
+    then the unit vectors off their pivot columns P.  A vector u of the
+    subspace has coordinates u[P] on the rows, and any u has the
+    non-pivot entries of u - u[P] R on the unit vectors (R the rows).
+    The restriction's columns are the row coordinates of the images of
+    the rows, whose unit-vector coordinates are asserted to vanish (the
+    subrepresentation condition); the quotient's are the unit-vector
+    coordinates of the images of the unit vectors."""
     F = V.field
     alpha = V.dim
     coords = []
     for x in range(Q.nvertices):
-        n, b = alpha[x], beta[x]
-        I = mat_identity(F, b)
-        RG, pivots = mat_rref(F, [list(r) + I[i] for i, r in enumerate(sub_bases[x])])
-        assert len([p for p in pivots if p < n]) == b, "subspace rows are not independent"
-        free = [c for c in range(n) if c not in pivots]
-        Gt = [[RG[k][n + i] for k in range(b)] for i in range(b)]
-        Rt = [[RG[k][c] for k in range(b)] for c in free]
-        coords.append((pivots, free, Gt, Rt))
+        rows = [list(r) for r in sub_bases[x]]
+        R, pivots = mat_rref(F, rows)
+        assert R == rows and len(pivots) == beta[x], "subspace rows are not a reduced basis"
+        free = [c for c in range(alpha[x]) if c not in pivots]
+        coords.append((pivots, free, [[r[c] for r in rows] for c in free]))
 
     def split(x, u):
-        pivots, free, Gt, Rt = coords[x]
+        pivots, free, Rt = coords[x]
         lam = [u[p] for p in pivots]
-        return mat_vec(F, Gt, lam), [F.sub(u[c], s) for c, s in zip(free, mat_vec(F, Rt, lam))]
+        return lam, [F.sub(u[c], s) for c, s in zip(free, mat_vec(F, Rt, lam))]
 
     sub_mats = []
     quot_mats = []

@@ -6,6 +6,7 @@ from math import comb, factorial, prod
 import pytest
 
 from quivercount.counting import (
+    FiberClass,
     NegativePairingError,
     NonzeroPairingError,
     _greedy_arrow_order,
@@ -98,6 +99,15 @@ def test_negative_pairing_is_always_an_error(engine):
 def test_triple_flag_instance_rejects_bad_input(args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         triple_flag_instance(*args)
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [({((),): 0}, "positive coefficients only"), ({((2,),): 1}, "outside rectangle")],
+)
+def test_fiber_class_rejects_bad_coefficients(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        FiberClass((Rectangle(1, 1),), coeffs)
 
 
 def test_weight_of_pins():

@@ -50,6 +50,11 @@ def test_mu_size_must_match_pairing():
         covariant_multiplicity(A2, (1, 1), (2, 2), ((2,), ()))
 
 
+def test_covariant_count_names_a_short_mu():
+    with pytest.raises(ValueError, match="mu has 1 entries, quiver has 2 vertices"):
+        covariant_count(A2, (1, 1), (2, 2), [()])
+
+
 def test_mu_must_fit_rectangle():
     # beta(0) x gamma(0) box is 1x1, so (1,1) cannot label vertex 0
     with pytest.raises(ValueError):

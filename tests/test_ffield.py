@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from functools import reduce
 
@@ -26,7 +27,6 @@ from quivercount.ffield import (
     poly_scale,
     poly_sub,
     poly_trim,
-    _is_irreducible,
     _min_irreducible,
     _power,
 )
@@ -42,6 +42,29 @@ def test_is_prime_pins():
     composites = [0, 1, 4, 9, 91, 561, 1 << 16]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_is_prime_rejects_composites_that_pass_trial_division():
+    # 1763 = 41 * 43 and 3215031751 = 151 * 751 * 28351 have no factor
+    # among the trial divisors, so Miller-Rabin itself rejects them
+    assert not is_prime(1763)
+    assert not is_prime(3215031751)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GF(2147483659), ValueError, "too large (need p < 2^31)"),
+        (lambda: GF(5).inv(0), ZeroDivisionError, "inverse of zero"),
+        (lambda: GF(101, 2).inv(0), ZeroDivisionError, "inverse of zero"),
+        (lambda: mat_det(GF(5), [[1, 2]]), ValueError, "non-square"),
+        (lambda: poly_divmod(GF(5), (1, 1), ()), ZeroDivisionError, "division by zero"),
+    ],
+    ids=["prime-too-large", "inv0-prime", "inv0-extension", "det-non-square", "divmod-by-zero"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_gf_rejects_bad_parameters():
@@ -90,6 +113,12 @@ def _has_monic_factor(p: int, f: tuple) -> bool:
     )
 
 
+def _is_irreducible(F, f: tuple) -> bool:
+    # the predicate _min_irreducible applies: f's distinct-degree
+    # factorization is f alone
+    return distinct_degree_factorization(F, f) == [(len(f) - 1, f)]
+
+
 def _monics_by_encoding(p: int, k: int):
     for tail in range(p**k):
         yield tuple(tail // p**i % p for i in range(k)) + (1,)
@@ -111,7 +140,7 @@ def test_irreducibility_test_matches_factor_search(p, k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("p", [p for p in range(50) if is_prime(p)])
 def test_min_irreducible_matches_unskipped_search(p, k):
-    # reference: Rabin's test on every tail in encoding order, binomials included
+    # reference: the irreducibility test on every tail in encoding order, binomials included
     expected = next(f for f in _monics_by_encoding(p, k) if _is_irreducible(GF(p), f))
     assert _min_irreducible(p, k) == expected
 

@@ -15,7 +15,6 @@ from quivercount.oracles import (
     _eliminate,
     _kronecker_form,
     _kronecker_lines,
-    _kronecker_subreps,
     _PolyRing,
     _minor_polys,
     _minors,
@@ -330,7 +329,7 @@ def test_kronecker_solver_matches_enumeration():
         for seed in range(12):
             V = random_rep(Q, alpha, F5, seed)
             try:
-                fast = _kronecker_subreps(Q, V, beta, src, tgt, _eliminate(Q, V, beta, src, tgt), collect=False)
+                fast = _walk_subreps(Q, V, beta, False, source=_kronecker_lines(F5, _eliminate(Q, V, beta, src, tgt)))[0]
             except DegenerateSampleError:
                 continue
             assert fast == enumerate_subreps(Q, V, beta), (Q.arrows, beta, alpha, seed)
@@ -345,7 +344,8 @@ def test_kronecker_solver_matches_enumeration_extension_field():
     for seed in range(6):
         V = random_rep(THETA4, (3, 3), F9, seed)
         try:
-            fast = _kronecker_subreps(THETA4, V, (1, 2), src, tgt, _eliminate(THETA4, V, (1, 2), src, tgt), collect=False)
+            lines = _kronecker_lines(F9, _eliminate(THETA4, V, (1, 2), src, tgt))
+            fast = _walk_subreps(THETA4, V, (1, 2), False, source=lines)[0]
         except DegenerateSampleError:
             continue
         assert fast == enumerate_subreps(THETA4, V, (1, 2))
@@ -761,14 +761,17 @@ def test_basis_reports_a_count_below_the_weight_space_dimension(monkeypatch):
     assert (rep.k, rep.m_expected) == (2, 3)
 
 
-def _assert_sub_and_quotient(Q, V, beta, listed):
+def _mixed(F, listed):
+    """The listed rows at each vertex, reversed, with the first of them
+    added to the rest, so that they are not in reduced form."""
+    return [[r if i == 0 else tuple(map(F.add, r, b[-1])) for i, r in enumerate(reversed(b))] for b in listed]
+
+
+def _assert_sub_and_quotient(Q, V, beta, sub):
     """S(a) and Q(a) of _subrep_quotient_pair in the bases the basis
-    check uses: the given rows at each vertex, then (for the quotient)
-    the unit vectors off the pivots of their reduced form.  The rows are
-    the listed ones, reversed, with the first of them added to the rest,
-    so that they are not in reduced form."""
+    check uses: the listed rows at each vertex, then (for the quotient)
+    the unit vectors off their pivots."""
     F = V.field
-    sub = [[r if i == 0 else tuple(map(F.add, r, b[-1])) for i, r in enumerate(reversed(b))] for b in listed]
     gamma = tuple(a - b for a, b in zip(V.dim, beta))
     S, R = oracles._subrep_quotient_pair(Q, V, beta, gamma, sub)
     free = [[c for c in range(n) if c not in mat_rref(F, [list(r) for r in b])[1]] for n, b in zip(V.dim, sub)]
@@ -804,6 +807,36 @@ def test_subrep_quotient_pair_changes_basis_arrow_by_arrow():
                 _assert_sub_and_quotient(THETA4, Vj, (1, 2), sub)
                 solved += 1
     assert listed >= 1200 and solved >= 40, (listed, solved)
+
+
+def test_subrep_quotient_pair_needs_reduced_rows():
+    # the pair reads coordinates straight off reduced rows: listed rows
+    # pass, and rows mixed out of reduced form, or too few, are refused
+    A2 = Quiver(2, ((0, 1),))
+    V = random_rep(A2, (1, 3), F5, 0)
+    sub = list_subreps(A2, V, (1, 2))[0]
+    oracles._subrep_quotient_pair(A2, V, (1, 2), (0, 1), sub)
+    for bad in (_mixed(F5, sub), [sub[0], sub[1][:1]]):
+        with pytest.raises(AssertionError, match="not a reduced basis"):
+            oracles._subrep_quotient_pair(A2, V, (1, 2), (0, 1), bad)
+
+
+def test_solver_listings_are_reduced():
+    # the solver's twin of test_listed_bases_are_reduced_after_either_walk:
+    # every degree of these samples solves (budget 1) and lists through
+    # the walk, whose leaves reduce each basis
+    listed = 0
+    for Q, beta, alpha in ((THETA4, (1, 2), (3, 3)), (theta(3), (1, 1), (2, 3)), (THETA2, (1, 1), (2, 2))):
+        for seed in range(4):
+            V1 = random_rep(Q, alpha, GF(101), seed)
+            for Vj, count, listing in oracles._by_degree(Q, V1, beta, (GF(101, j) for j in (1, 2, 3, 4)), 1):
+                subs = listing() if count is not None else ()
+                assert len(subs) == (count or 0)
+                for sub in subs:
+                    reduced = tuple(tuple(map(tuple, mat_rref(Vj.field, [list(r) for r in b])[0])) for b in sub)
+                    assert sub == reduced, (Q.arrows, alpha, seed, Vj.field, sub)
+                    listed += 1
+    assert listed >= 40, listed
 
 
 # -- Frobenius orbits ------------------------------------------------------------
@@ -929,14 +962,15 @@ def test_orbit_weighted_solver_count_matches_the_listing():
         for j in (1, 2, 3, 4):
             Vj = FFRep(Q, GF(V.field.p, j), V.dim, V.mats)
             try:
-                every_line = _kronecker_subreps(Q, Vj, beta, 0, 1, charts, False)
+                every_line = _walk_subreps(Q, Vj, beta, False, source=_kronecker_lines(Vj.field, charts))[0]
             except DegenerateSampleError:
                 with pytest.raises(DegenerateSampleError):
-                    _kronecker_subreps(Q, Vj, beta, 0, 1, charts, False, factors)
+                    _kronecker_lines(Vj.field, charts, factors)
                 continue
-            assert _kronecker_subreps(Q, Vj, beta, 0, 1, charts, False, factors) == every_line
+            assert _walk_subreps(Q, Vj, beta, False, source=_kronecker_lines(Vj.field, charts, factors))[0] == every_line
             if every_line <= 2000:
-                assert len(_kronecker_subreps(Q, Vj, beta, 0, 1, charts, True)) == every_line
+                listed_here = _walk_subreps(Q, Vj, beta, True, source=_kronecker_lines(Vj.field, charts))[1]
+                assert len(listed_here) == every_line
                 listed += 1
             checked += 1
     assert checked >= 300 and listed >= 250, (checked, listed)
@@ -969,13 +1003,13 @@ def test_sampled_solver_matches_enumeration_in_small_characteristic():
 def test_basis_lists_only_where_the_count_is_n(monkeypatch):
     # theta(4) over GF(101): 3 samples, 12 (sample, degree) counts, one listing
     collects = []
-    subreps = oracles._kronecker_subreps
+    walk = oracles._walk_subreps
 
     def recorded(*args):
-        collects.append(args[6])
-        return subreps(*args)
+        collects.append(args[3])
+        return walk(*args)
 
-    monkeypatch.setattr(oracles, "_kronecker_subreps", recorded)
+    monkeypatch.setattr(oracles, "_walk_subreps", recorded)
     rep = verify_determinant_basis(THETA4, (1, 2), (3, 3), GF(101), seed=0)
     assert rep.passed and rep.samples_tried == 3 and rep.extension_degree == 4
     assert collects.count(False) == 12 and collects.count(True) == 1

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -226,6 +227,21 @@ def test_semiinvariant_requires_zero_pairing():
     V = random_rep(A2, (1, 1), F, 0)
     W = random_rep(A2, (1, 1), F, 1)
     with pytest.raises(NonSquarePairingError):
+        semiinvariant_cv(A2, V, W)
+
+
+@pytest.mark.parametrize(
+    "v_quiver, w_quiver, w_field, message",
+    [
+        (THETA2, A2, GF(5), "V lives on a different quiver"),
+        (A2, THETA2, GF(5), "W lives on a different quiver"),
+        (A2, A2, GF(7), "field mismatch: GF(5) vs GF(7)"),
+    ],
+)
+def test_semiinvariant_checks_its_pair(v_quiver, w_quiver, w_field, message):
+    V = random_rep(v_quiver, (1, 0), GF(5), 0)
+    W = random_rep(w_quiver, (0, 1), w_field, 1)
+    with pytest.raises(ValueError, match=re.escape(message)):
         semiinvariant_cv(A2, V, W)
 
 
