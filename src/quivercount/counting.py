@@ -476,6 +476,21 @@ def verify_counts(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> Cou
     )
 
 
+@cache
+def _triple_flag_frame(n: int) -> tuple[Quiver, tuple[int, ...]]:
+    """The quiver and alpha of the n-dimensional triple flag: three inward
+    arms of n-1 vertices, arm k holding vertices k(n-1) .. k(n-1)+n-2 in
+    order, then the center 3(n-1).  Both depend on n alone."""
+    arm_len = n - 1
+    center = 3 * arm_len
+    arrows = []
+    if arm_len:
+        for base in (0, arm_len, 2 * arm_len):
+            arrows += [(base + j, base + j + 1) for j in range(arm_len - 1)]
+            arrows.append((base + arm_len - 1, center))
+    return Quiver(center + 1, tuple(arrows)), (*range(1, n), *range(1, n), *range(1, n), n)
+
+
 def triple_flag_instance(
     lam, mu, nu, r: int, n: int, engine: LREngine | None = None
 ) -> tuple[Quiver, tuple[int, ...], tuple[int, ...], int]:
@@ -487,7 +502,12 @@ def triple_flag_instance(
     partitions.  The returned expected value is the LR coefficient
     c_{lam,mu}^{complement of nu}, which the subrepresentation count must
     reproduce.
+
+    The quiver depends on n alone, so every call with the same n returns
+    the same (immutable) Quiver object.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     rect = Rectangle(r, n - r)
@@ -501,33 +521,22 @@ def triple_flag_instance(
         )
     engine = engine or LREngine()
 
-    arm_len = n - 1
-    nverts = 3 * arm_len + 1
-    center = 3 * arm_len
-    arrows = []
-    for arm in range(3):
-        base = arm * arm_len
-        for j in range(arm_len - 1):
-            arrows.append((base + j, base + j + 1))
-        if arm_len:
-            arrows.append((base + arm_len - 1, center))
-    Q = Quiver(nverts, tuple(arrows))
-
-    alpha = [0] * nverts
-    beta = [0] * nverts
-    for arm, p in enumerate((lam, mu, nu)):
-        padded = list(p) + [0] * (r - len(p))
-        base = arm * arm_len
-        for j in range(1, n):
-            alpha[base + j - 1] = j
-            # beta jumps where the flag steps: count indices i with
-            # n - r - p_i + i <= j
-            beta[base + j - 1] = sum(1 for i in range(1, r + 1) if n - r - padded[i - 1] + i <= j)
-    alpha[center] = n
-    beta[center] = r
+    Q, alpha = _triple_flag_frame(n)
+    beta = []
+    for p in (lam, mu, nu):
+        # On an arm, beta at position j counts the i in 1..r whose jump
+        # n - r - p_i + i is at most j.  The jumps strictly increase (p is
+        # weakly decreasing), so beta steps from k to k+1 at jump k+1.
+        arm: list[int] = []
+        for k in range(r):
+            jump = n - r - (p[k] if k < len(p) else 0) + k + 1
+            arm += [k] * (jump - 1 - len(arm))
+        arm += [r] * (n - 1 - len(arm))
+        beta += arm
+    beta.append(r)
 
     expected = engine.lr_coefficient(lam, mu, complement(nu, rect))
-    return Q, tuple(beta), tuple(alpha), expected
+    return Q, tuple(beta), alpha, expected
 
 
 # -- suite generators ----------------------------------------------------------

@@ -33,24 +33,40 @@ class Quiver:
     arrows: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.nvertices < 0:
+        n = self.nvertices
+        if n.__class__ is not int:
+            if int(n) != n:
+                raise ValueError(f"non-integral vertex count {n!r}")
+            n = int(n)
+            object.__setattr__(self, "nvertices", n)
+        if n < 0:
             raise ValueError("negative vertex count")
-        object.__setattr__(self, "arrows", tuple((int(t), int(h)) for t, h in self.arrows))
-        for t, h in self.arrows:
-            if not (0 <= t < self.nvertices and 0 <= h < self.nvertices):
-                raise ValueError(f"arrow ({t},{h}) out of range for {self.nvertices} vertices")
-            if t == h:
-                raise ValueError(f"loop at vertex {t} not allowed")
-        object.__setattr__(self, "_topo", self._toposort())
-
-    def _toposort(self) -> tuple[int, ...]:
-        # Kahn's algorithm on per-vertex out-lists in arrow order: O(V + E)
-        indeg = [0] * self.nvertices
-        heads: list[list[int]] = [[] for _ in range(self.nvertices)]
-        for t, h in self.arrows:
-            indeg[h] += 1
-            heads[t].append(h)
-        ready = [x for x in range(self.nvertices) if indeg[x] == 0]
+        # One pass normalizes the arrows, checks them and fills per-vertex
+        # out-lists in arrow order.  A range or loop error is raised after
+        # the pass, so a non-integral arrow anywhere is reported first.
+        indeg = [0] * n
+        heads: list[list[int]] = [[] for _ in range(n)]
+        arrows = []
+        bad = None
+        for a in self.arrows:
+            t, h = a
+            if t.__class__ is not int or h.__class__ is not int or a.__class__ is not tuple:
+                a = _integral_arrow(a)
+                t, h = a
+            arrows.append(a)
+            if t != h and 0 <= t < n and 0 <= h < n:
+                indeg[h] += 1
+                heads[t].append(h)
+            elif bad is None:
+                bad = a
+        if bad is not None:
+            t, h = bad
+            if not (0 <= t < n and 0 <= h < n):
+                raise ValueError(f"arrow ({t},{h}) out of range for {n} vertices")
+            raise ValueError(f"loop at vertex {t} not allowed")
+        object.__setattr__(self, "arrows", tuple(arrows))
+        # Kahn's algorithm on the out-lists: O(V + E)
+        ready = [x for x in range(n) if indeg[x] == 0]
         order: list[int] = []
         while ready:
             x = ready.pop()
@@ -59,13 +75,24 @@ class Quiver:
                 indeg[h] -= 1
                 if indeg[h] == 0:
                     ready.append(h)
-        if len(order) != self.nvertices:
+        if len(order) != n:
             raise ValueError("quiver contains an oriented cycle")
-        return tuple(order)
+        object.__setattr__(self, "_topo", tuple(order))
 
     @property
     def topo_order(self) -> tuple[int, ...]:
         return self._topo  # type: ignore[attr-defined]
+
+
+def _integral_arrow(a) -> tuple[int, int]:
+    """Arrow a as a tuple of ints; a non-integral end is an error, never
+    truncated."""
+    t, h = a
+    arrow = int(t), int(h)
+    if arrow != (t, h):
+        bad = t if arrow[0] != t else h
+        raise ValueError(f"non-integral vertex {bad!r} in arrow {a!r}")
+    return arrow
 
 
 def check_dimvector(Q: Quiver, vec, signed: bool = False) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import os
 import random
@@ -326,6 +327,20 @@ def test_verify_tripleflag_suite_small():
     code, out, _ = run_cli(["verify", "--tripleflag", "--n", "3", "--r", "1"])
     assert code == 0
     assert "FAIL" not in out
+
+
+# SHA-256 of the output of `verify --tripleflag --n 6 --r 3` with its
+# elapsed_ms value masked, as printed when every instance built its own
+# quiver: 435 rows, one of them with lr=2
+TRIPLEFLAG_N6_R3_SHA256 = "d117049523ecaf2659ac23ec225dd6e3982393233d76f27c8083b1d34b862850"
+
+
+def test_verify_tripleflag_n6_r3_output_is_pinned():
+    code, out, _ = run_cli(["verify", "--tripleflag", "--n", "6", "--r", "3"])
+    assert code == 0
+    masked = re.sub(r"(?m)^elapsed_ms = \d+$", "elapsed_ms = *", out)
+    assert masked.count("\n  ok ") == 435 and masked.count("lr=2") == 1
+    assert hashlib.sha256(masked.encode()).hexdigest() == TRIPLEFLAG_N6_R3_SHA256
 
 
 def test_verify_covariants_and_multiplicativity():

@@ -94,11 +94,65 @@ def test_negative_pairing_is_always_an_error(engine):
         (((), (), (), 3, 2), "need 0 <= r <= n"),
         (((3,), (), (), 1, 3), "does not fit in 1x2"),
         (((1,), (), (), 1, 3), "sizes 1+0+0 != r(n-r) = 2"),
+        (((), (), (), 0, 0), "need n >= 1, got n=0"),
+        (((), (), (), 0, -2), "need n >= 1, got n=-2"),
     ],
 )
 def test_triple_flag_instance_rejects_bad_input(args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         triple_flag_instance(*args)
+
+
+def _triple_flag_instance_rebuilt(lam, mu, nu, r, n, engine):
+    # the construction as it was before the quiver was shared per n: a
+    # fresh quiver per call, and beta by one count per arm position
+    rect = Rectangle(r, n - r)
+    arm_len = n - 1
+    nverts = 3 * arm_len + 1
+    center = 3 * arm_len
+    arrows = []
+    for arm in range(3):
+        base = arm * arm_len
+        for j in range(arm_len - 1):
+            arrows.append((base + j, base + j + 1))
+        if arm_len:
+            arrows.append((base + arm_len - 1, center))
+    alpha = [0] * nverts
+    beta = [0] * nverts
+    for arm, p in enumerate((lam, mu, nu)):
+        padded = list(p) + [0] * (r - len(p))
+        base = arm * arm_len
+        for j in range(1, n):
+            alpha[base + j - 1] = j
+            beta[base + j - 1] = sum(1 for i in range(1, r + 1) if n - r - padded[i - 1] + i <= j)
+    alpha[center] = n
+    beta[center] = r
+    expected = engine.lr_coefficient(lam, mu, complement(nu, rect))
+    return Quiver(nverts, tuple(arrows)), tuple(beta), tuple(alpha), expected
+
+
+@pytest.mark.parametrize("n, r", [(4, 2), (5, 2), (6, 3), (7, 3)])
+def test_triple_flag_instances_match_the_rebuilt_construction(n, r):
+    parts = partitions_in_rectangle(Rectangle(r, n - r))
+    old_engine, new_engine = LREngine(), LREngine()
+    instances = 0
+    for lam, mu, nu in itertools.product(parts, repeat=3):
+        if size(lam) + size(mu) + size(nu) != r * (n - r):
+            continue
+        Q, beta, alpha, expected = triple_flag_instance(lam, mu, nu, r, n, new_engine)
+        Q0, beta0, alpha0, expected0 = _triple_flag_instance_rebuilt(lam, mu, nu, r, n, old_engine)
+        assert (Q.nvertices, Q.arrows, Q.topo_order) == (Q0.nvertices, Q0.arrows, Q0.topo_order)
+        assert (beta, alpha, expected) == (beta0, alpha0, expected0), (lam, mu, nu)
+        instances += 1
+    assert instances == {(4, 2): 27, (5, 2): 83, (6, 3): 435, (7, 3): 1699}[n, r]
+
+
+def test_triple_flag_instances_share_one_quiver_per_n():
+    Q7 = triple_flag_instance((2, 1), (3, 1), (2, 2, 1), 3, 7)[0]
+    assert triple_flag_instance((), (), (4, 4, 4), 3, 7)[0] is Q7
+    assert triple_flag_instance((1, 1), (), (4, 4), 2, 7)[0] is Q7
+    Q6 = triple_flag_instance((), (), (3, 3, 3), 3, 6)[0]
+    assert Q6 is not Q7 and Q6.nvertices == 16
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,42 @@ def test_quiver_validation():
 
 
 @pytest.mark.parametrize(
+    "nvertices, arrows, message",
+    [
+        (-1, (), "negative vertex count"),
+        (2, ((0, 1), (0, 2)), "arrow (0,2) out of range for 2 vertices"),
+        (2, ((5, 5),), "arrow (5,5) out of range for 2 vertices"),
+        (3, ((0, 1), (2, 2), (0, 3)), "loop at vertex 2 not allowed"),
+        (3, ((0, 1), (1, 2), (2, 0)), "quiver contains an oriented cycle"),
+    ],
+)
+def test_malformed_quiver_messages(nvertices, arrows, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Quiver(nvertices, arrows)
+
+
+def test_non_integral_quivers_are_rejected():
+    # int() would truncate the arrow to (0, 1) and answer for another quiver
+    with pytest.raises(ValueError, match=re.escape("non-integral vertex 0.5 in arrow (0.5, 1.7)")):
+        Quiver(2, ((0.5, 1.7),))
+    with pytest.raises(ValueError, match=re.escape("non-integral vertex 1.5 in arrow (0, 1.5)")):
+        Quiver(3, ((0, 1), (0, 1.5)))
+    # reported before an earlier arrow's range error, as int() failures are
+    with pytest.raises(ValueError, match="non-integral vertex 0.5"):
+        Quiver(2, ((0, 7), (0.5, 1)))
+    with pytest.raises(ValueError, match=re.escape("non-integral vertex count 2.5")):
+        Quiver(2.5, ())
+
+
+def test_integral_values_are_normalized_to_int():
+    Q = Quiver(2.0, [[0.0, 1]])
+    assert Q == A2 and Q.topo_order == (0, 1)
+    assert type(Q.nvertices) is int and type(Q.arrows[0]) is tuple
+    assert [type(x) for x in Q.arrows[0]] == [int, int]
+    assert [type(x) for x in Quiver(2, ((True, 0),)).arrows[0]] == [int, int]
+
+
+@pytest.mark.parametrize(
     "arrows",
     [
         ((0, 0),),
