@@ -231,7 +231,8 @@ def cmd_fiber_class(args, out) -> int:
     for mu, coeff in fc.sorted_items():
         text = ";".join(f"{i}:{format_partition(p)}" for i, p in enumerate(mu))
         print(f"{text} -> {coeff}", file=out)
-    _machine_block(out, args, t0, [("command", "fiber-class"), ("euler", pairing), ("terms", len(fc.coeffs))])
+    pairs = [("command", "fiber-class"), ("euler", pairing), ("terms", len(fc.coeffs)), ("states", fc.states)]
+    _machine_block(out, args, t0, pairs)
     return EXIT_OK
 
 

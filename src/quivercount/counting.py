@@ -18,7 +18,10 @@ has only the empty label, so its step does no work.  A vertex closes
 after its last arrow; for N and M its shape must then equal its target,
 so the closing arrow takes its one label by a lookup keyed by the
 vertex's current shape, not by a scan, and only its other end, if open,
-expands.  The fiber class runs the same DP
+expands.  Every other step scans only the label sizes that can fit: the
+labels are stored by size, and a window on the size, read off the two
+ends' shapes and the state's carried shortfall, picks the runs to scan.
+The fiber class runs the same DP
 with <beta, gamma> boxes of slack: a closed vertex may fall short of its
 rectangle, and the missing boxes (the complement of its shape) key the
 decomposition of the locus of subrepresentations by cohomology class.
@@ -27,9 +30,10 @@ decomposition of the locus of subrepresentations by cohomology class.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import comb
 from operator import mul, sub
 from typing import NamedTuple
@@ -82,7 +86,10 @@ def _label_table(rect: Rectangle, conjugated: bool) -> tuple[tuple, ...]:
     of an arrow with rectangle `rect`, in graded-lex order.
 
     The tail vertex sees lambda, the head vertex its complement; on the
-    exterior side (`conjugated`) both factors are conjugated."""
+    exterior side (`conjugated`) both factors are conjugated.  The rows,
+    and so the row indices, are the same on both sides.  The graded order
+    is load-bearing: a scanning step reads the labels of one size as one
+    run of rows (`_size_starts`)."""
     rows = []
     for lam in partitions_in_rectangle(rect):
         tail, head = lam, complement(lam, rect)
@@ -90,6 +97,18 @@ def _label_table(rect: Rectangle, conjugated: bool) -> tuple[tuple, ...]:
             tail, head = conjugate(tail), conjugate(head)
         rows.append((lam, tail, head, size(lam)))
     return tuple(rows)
+
+
+@cache
+def _size_starts(rect: Rectangle) -> tuple[int, ...]:
+    """starts[s] for s = 0 .. |rect| + 1: the index in `_label_table(rect,
+    either side)` of the first label of size s, so the labels of size s
+    are rows starts[s] .. starts[s + 1] - 1 (starts[|rect| + 1] is the
+    table's length)."""
+    counts = [0] * (rect.rows * rect.cols + 2)
+    for lam in partitions_in_rectangle(rect):
+        counts[size(lam) + 1] += 1
+    return tuple(accumulate(counts))
 
 
 @cache
@@ -234,7 +253,13 @@ def _labeled_sum(
     both ends close, the two lookups must agree), the closed vertex takes
     its target with no `expand`, and only the other end, if open, is
     size-checked and expanded.  Every other step, and every step with
-    slack, scans the label table at both ends.
+    slack, is a scanning step: both ends take every label whose size
+    keeps them inside their targets and the state within its slack.  The
+    label table is graded, so the step reads only the rows of the sizes
+    in that window (`_size_starts`); the window is exact when the state
+    has no spare boxes, and otherwise the summed shortfall of the two
+    ends is checked per label.  Each state carries its total shortfall,
+    so the other vertices' share is one subtraction, not a sum over them.
 
     With `collect`, each arrow's label index joins the key, so labelings
     never merge and every final state is one nonzero summand.
@@ -247,11 +272,10 @@ def _labeled_sum(
     rows, cols = (plan.gamma, plan.beta) if conjugated else (plan.beta, plan.gamma)
     bounds = [(c,) * r if c else () for r, c in zip(rows, cols)]  # full r x c rectangles
     full = plan.full
-    left = list(plan.left)
 
     if start:
         shapes = tuple(start)
-        shortfall = sum(max(0, f - sum(s) - l) for f, s, l in zip(full, shapes, left))
+        shortfall = sum(max(0, f - sum(s) - l) for f, s, l in zip(full, shapes, plan.left))
     else:
         shapes = ((),) * n
         shortfall = plan.shortfall
@@ -263,6 +287,7 @@ def _labeled_sum(
         # in, and its one label is at index 0
         shapes += tuple(None if cap else 0 for _, _, _, cap, *_ in sorted(plan.steps))
     state = {shapes: 1}
+    short = {shapes: shortfall} if shortfall else {}  # a state's total shortfall, when not 0
     created = 1
     for a, t, h, cap, left_t, left_h, rect in plan.steps:
         if not cap:
@@ -306,30 +331,63 @@ def _labeled_sum(
                     nk = tuple(k)
                     nxt[nk] = nxt.get(nk, 0) + coeff * c
         else:
-            # a scanning step: every label is a candidate at both ends
-            left[t], left[h] = left_t, left_h
+            # a scanning step.  A label of size s leaves t short of its
+            # target by ut - s and h by uh + s, where positive; before the
+            # step they were short by ut - cap and uh.  `short` carries each
+            # state's total shortfall (absent when 0), so the other
+            # vertices' share is that total less t's and h's.  The labels
+            # that keep t within full[t], h within full[h] and each end's
+            # shortfall within the spare boxes are the rows of the sizes in
+            # [lo, hi] (the table is graded); with spare boxes the summed
+            # shortfall is still checked per label.  Plain comparisons clamp
+            # the window: max() and min() calls cost more in this loop.
             need_t, need_h = full[t] - left_t, full[h] - left_h
-            # without slack every state's other vertices have no shortfall
-            others = [x for x in range(n) if x != t and x != h] if slack else ()
+            fill_t, fill_h = full[t], full[h] - cap  # s <= fill_t - st, s >= sh - fill_h
+            bound_t, bound_h = bounds[t], bounds[h]
+            starts = _size_starts(rect)
+            nshort: dict[tuple, int] = {}
             for key, coeff in state.items():
                 cur_t, cur_h = key[t], key[h]
                 st, sh = sum(cur_t), sum(cur_h)
-                spare = slack - sum(max(0, full[x] - sum(key[x]) - left[x]) for x in others) if slack else 0
-                for i, (_, ft, fh, s) in enumerate(table):
-                    nt, nh = st + s, sh + cap - s
-                    if nt > full[t] or nh > full[h]:
+                ut, uh = need_t - st, need_h - cap - sh
+                others = short.get(key, 0) if short else 0
+                others -= (ut - cap if ut > cap else 0) + (uh if uh > 0 else 0)
+                spare = slack - others
+                lo, hi = ut - spare, spare - uh
+                if lo < sh - fill_h:
+                    lo = sh - fill_h
+                if lo < 0:
+                    lo = 0
+                if hi > fill_t - st:
+                    hi = fill_t - st
+                if hi > cap:
+                    hi = cap
+                if lo > hi:
+                    continue
+                k = list(key)
+                for i in range(starts[lo], starts[hi + 1]):
+                    _, ft, fh, s = table[i]
+                    lack = (ut - s if ut > s else 0) + (uh + s if uh + s > 0 else 0)
+                    if lack > spare:
                         continue
-                    if max(0, need_t - nt) + max(0, need_h - nh) > spare:
+                    # the head expands once per label, and only if the tail can
+                    terms_t = engine.expand(cur_t, ft, bound_t)
+                    if not terms_t:
                         continue
-                    for nu_t, c_t in engine.expand(cur_t, ft, bounds[t]):
-                        for nu_h, c_h in engine.expand(cur_h, fh, bounds[h]):
-                            k = list(key)
-                            k[t] = nu_t
+                    terms_h = engine.expand(cur_h, fh, bound_h)
+                    lack += others
+                    if collect:
+                        k[n + a] = i
+                    for nu_t, c_t in terms_t:
+                        k[t] = nu_t
+                        c_t *= coeff
+                        for nu_h, c_h in terms_h:
                             k[h] = nu_h
-                            if collect:
-                                k[n + a] = i
-                            k = tuple(k)
-                            nxt[k] = nxt.get(k, 0) + coeff * c_t * c_h
+                            nk = tuple(k)
+                            nxt[nk] = nxt.get(nk, 0) + c_t * c_h
+                            if lack:
+                                nshort[nk] = lack
+            short = nshort
         state = nxt
         created += len(state)
         if not state:
@@ -391,10 +449,12 @@ class FiberClass:
     coeffs maps a per-vertex partition tuple mu (each inside its vertex
     rectangle) to a positive coefficient; the underlying cohomology term
     is the product over vertices of the class complementary to mu(x).
+    states counts the DP states the fold created; it is not compared.
     """
 
     ambients: tuple[Rectangle, ...]
     coeffs: dict[tuple[tuple[int, ...], ...], int]
+    states: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         for key, c in self.coeffs.items():
@@ -425,14 +485,14 @@ def fiber_class(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> Fiber
             f"Euler pairing {pairing} < 0: generic fiber is empty, no class to decompose"
         )
     ambients = tuple(Rectangle(b, g) for b, g in zip(beta, gamma))
-    final, _ = _labeled_sum(_plan(Q, beta, gamma), engine or LREngine(), slack=pairing)
+    final, states = _labeled_sum(_plan(Q, beta, gamma), engine or LREngine(), slack=pairing)
     coeffs: dict[tuple[tuple[int, ...], ...], int] = {}
     for shapes, c in final.items():
         mu = tuple(complement(s, r) for s, r in zip(shapes, ambients))
         if sum(size(p) for p in mu) != pairing:
             raise AssertionError("fiber class term of wrong codimension")
         coeffs[mu] = c
-    return FiberClass(ambients, coeffs)
+    return FiberClass(ambients, coeffs, states)
 
 
 # -- verification and instance builders ---------------------------------------

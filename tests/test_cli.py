@@ -209,7 +209,9 @@ def test_fiber_class_golden(theta4_file):
     code, out, _ = run_cli(["fiber-class", theta4_file])
     assert code == 0
     assert out.splitlines()[0] == "0:();1:() -> 6"
-    assert ("terms", "1") in machine_block(out)
+    block = machine_block(out)
+    assert ("terms", "1") in block
+    assert ("states", "9") in block
 
 
 def test_fiber_class_positive_pairing(tmp_path):
@@ -219,6 +221,7 @@ def test_fiber_class_positive_pairing(tmp_path):
     assert code == 0
     body = [l for l in out.splitlines() if "->" in l and "=" not in l]
     assert sorted(body) == ["0:();1:(1) -> 1", "0:(1);1:() -> 1"]
+    assert ("states", "3") in machine_block(out)
 
 
 # -- mu consumption ------------------------------------------------------------

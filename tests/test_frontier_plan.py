@@ -1,5 +1,6 @@
 """The frontier DP's plan: one arrow order per instance, arrows of
-capacity 0 folded in without work, and the shape-keyed closing lookup."""
+capacity 0 folded in without work, the shape-keyed closing lookup, and
+the size window of the scanning steps."""
 
 import hashlib
 import random
@@ -8,7 +9,9 @@ from quivercount import counting
 from quivercount.counting import (
     _closing_labels,
     _label_table,
+    _labeled_sum,
     _plan,
+    _size_starts,
     count_subreps,
     count_subreps_detailed,
     fiber_class,
@@ -206,3 +209,58 @@ def test_six_three_triple_flags_close_a_vertex_at_every_step(engine):
                 instances += 1
     assert instances == 435
     assert (total, n_states, m_states) == (229, 7021, 7021)
+
+
+# -- the scanning steps' size window ----------------------------------------------
+
+
+def test_size_starts_match_the_graded_label_table():
+    for rect in (Rectangle(r, c) for r in range(7) for c in range(7)):
+        starts = _size_starts(rect)
+        assert len(starts) == rect.rows * rect.cols + 2
+        for conjugated in (False, True):
+            table = _label_table(rect, conjugated)
+            assert starts[-1] == len(table)
+            for s in range(len(starts) - 1):
+                assert all(row[3] == s for row in table[starts[s] : starts[s + 1]]), (rect, conjugated, s)
+
+
+def _scanning_pool(size: int):
+    """(quiver, beta, gamma, pairing), seeded, with pairing 0 to 3 and
+    room for arrows between the same two vertices, so most folds have
+    steps that scan with both ends open."""
+    rng = random.Random(5)
+    pool = []
+    while len(pool) < size:
+        Q, beta, alpha = random_instance(
+            rng, max_verts=5, max_arrows=7, max_dim=4, min_arrows=2, require_zero_pairing=False
+        )
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        pairing = euler_form(Q, beta, gamma)
+        if 0 <= pairing <= 3:
+            pool.append((Q, beta, gamma, pairing))
+    return pool
+
+
+def test_scanning_folds_match_pins(engine):
+    # every slack up to the pairing, both sides, with and without
+    # collecting labels; pinned from the fold that scanned the whole
+    # label table and summed the other vertices' shortfall per state
+    digest = hashlib.sha256()
+    folds = total = created = nonempty = 0
+    pairings = [0] * 4
+    for Q, beta, gamma, pairing in _scanning_pool(120):
+        pairings[pairing] += 1
+        plan = _plan(Q, beta, gamma)
+        for slack in range(pairing + 1):
+            for conjugated in (False, True):
+                for collect in (False, True):
+                    final, states = _labeled_sum(plan, engine, conjugated, slack=slack, collect=collect)
+                    folds += 1
+                    total += sum(final.values())
+                    created += states
+                    nonempty += bool(final)
+                    digest.update(repr(list(final.items())).encode())
+    assert pairings == [53, 19, 25, 23]
+    assert (folds, total, created, nonempty) == (1032, 1512, 5130, 348)
+    assert digest.hexdigest() == "fd0d650f4bc0c6c1248daae4e585015de2d06157f7472c8c894665499effd56e"
