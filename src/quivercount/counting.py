@@ -40,11 +40,7 @@ from typing import NamedTuple
 
 from .lr import LREngine
 from .partitions import Rectangle, complement, conjugate, fits, partition, partitions_in_rectangle, size
-from .quiver import Quiver, check_dimvector, check_instance, euler_form
-
-
-class NonzeroPairingError(ValueError):
-    """Counting requested where the Euler pairing of (beta, gamma) is not 0."""
+from .quiver import NonzeroPairingError, Quiver, check_dimvector, check_instance, euler_form
 
 
 class NegativePairingError(ValueError):

@@ -1,13 +1,23 @@
 """Ground-truth oracles for the counting formulas.
 
+Representations over a finite field live here, with the map they are
+checked through: a tuple of per-vertex linear maps phi goes to the
+per-arrow tuple W(a) phi(ta) - phi(ha) V(a).  Its kernel is the space of
+homomorphisms V -> W, its cokernel the extension space, and when the
+matrix is square its determinant c^V(W) is a semi-invariant.  Of the
+counting side this module takes only `verify_counts`, for the N and M
+the basis verifier checks against; `tests/test_layering.py` holds it
+to that.
+
 Three independent checks live here: exhaustive enumeration of
 subrepresentations of an explicit representation over a small finite
 field, seeded sampling with modal voting (a general representation's
 fiber cardinality shows up as the majority count across random samples),
-and a determinant-rank estimator for the weight-space dimension.  The
-basis verifier ties them together: it extracts the subrepresentations of
-one sample with explicit bases, forms the quotients, and checks that the
-evaluation matrix of the attached semi-invariants is diagonal.
+and a determinant-rank estimator for the weight-space dimension, which
+sizes its own samples.  The basis verifier ties them together: it
+extracts the subrepresentations of one sample with explicit bases, forms
+the quotients, and checks that the evaluation matrix of the attached
+semi-invariants is diagonal.
 
 Enumeration walks the vertices in topological order and enumerates, at
 each, only the subspaces containing the images of what is already fixed;
@@ -59,13 +69,15 @@ N.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import partial, reduce
 
-from .counting import NonzeroPairingError, si_dimension, verify_counts
+from .counting import verify_counts
 from .ffield import (
     GF,
     distinct_degree_factorization,
+    mat_det,
     mat_kernel,
     mat_rank,
     mat_rref,
@@ -80,7 +92,11 @@ from .ffield import (
     poly_roots,
     poly_trim,
 )
-from .quiver import FFRep, Quiver, check_dimvector, check_instance, random_rep, semiinvariant_cv
+from .quiver import NonzeroPairingError, Quiver, check_dimvector, check_instance, euler_form
+
+
+class NonSquarePairingError(ValueError):
+    """Raised when a determinant is requested but d^V_W is not square."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -113,6 +129,150 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
         den *= q**i - 1
     assert num % den == 0
     return num // den
+
+
+# -- representations over a finite field ---------------------------------------
+
+
+@dataclass(frozen=True)
+class FFRep:
+    """A finite-field representation: one matrix per arrow.
+
+    mats[i] has shape dim[ha] x dim[ta] for arrow i = (ta, ha); rows are
+    tuples of field elements.
+    """
+
+    quiver: Quiver
+    field: GF
+    dim: tuple[int, ...]
+    mats: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", check_dimvector(self.quiver, self.dim))
+        if len(self.mats) != len(self.quiver.arrows):
+            raise ValueError("one matrix per arrow required")
+        frozen = []
+        for i, (t, h) in enumerate(self.quiver.arrows):
+            m = tuple(tuple(row) for row in self.mats[i])
+            if len(m) != self.dim[h] or any(len(row) != self.dim[t] for row in m):
+                raise ValueError(
+                    f"arrow {i}: matrix shape {len(m)}x{len(m[0]) if m else 0}"
+                    f" does not match {self.dim[h]}x{self.dim[t]}"
+                )
+            frozen.append(m)
+        object.__setattr__(self, "mats", tuple(frozen))
+
+    def dual(self) -> FFRep:
+        """The dual representation V* on the opposite quiver: arrow i keeps
+        its index, runs from ha to ta and carries the transpose of V(i).
+
+        Transposes are built by index, so an arrow into a zero-dimensional
+        vertex (no rows) becomes dim[ta] empty rows."""
+        Q = self.quiver
+        op = Quiver(Q.nvertices, tuple((h, t) for t, h in Q.arrows))
+        mats = tuple(
+            tuple(tuple(m[r][c] for r in range(self.dim[h])) for c in range(self.dim[t]))
+            for m, (t, h) in zip(self.mats, Q.arrows)
+        )
+        return FFRep(op, self.field, self.dim, mats)
+
+
+def random_rep(Q: Quiver, dim, field: GF, seed: int) -> FFRep:
+    """Uniformly random representation from a seeded generator.
+
+    The same (quiver, dim, field, seed) always produces the same matrices;
+    entries are drawn arrow by arrow, row-major.
+    """
+    dim = check_dimvector(Q, dim)
+    rng = random.Random(seed)
+    mats = []
+    for t, h in Q.arrows:
+        mats.append(tuple(tuple(field.sample(rng) for _ in range(dim[t])) for _ in range(dim[h])))
+    return FFRep(Q, field, dim, tuple(mats))
+
+
+def _check_pair(Q: Quiver, V: FFRep, W: FFRep) -> None:
+    if V.quiver is not Q and V.quiver != Q:
+        raise ValueError("V lives on a different quiver")
+    if W.quiver is not Q and W.quiver != Q:
+        raise ValueError("W lives on a different quiver")
+    if V.field != W.field:
+        raise ValueError(f"field mismatch: {V.field} vs {W.field}")
+
+
+def build_dvw(Q: Quiver, V: FFRep, W: FFRep) -> list[list[int]]:
+    """Matrix of phi -> (W(a) phi(ta) - phi(ha) V(a)) over all arrows.
+
+    Domain: direct sum over vertices x of Hom(V(x), W(x)); the basis is
+    matrix units of each gamma(x)-by-beta(x) block, vertex index first,
+    column-major inside the block.  Codomain: direct sum over arrows of
+    Hom(V(ta), W(ha)), arrow index first, column-major inside.  This
+    ordering is fixed so determinants are reproducible, not only ranks.
+    """
+    _check_pair(Q, V, W)
+    F = V.field
+    beta, gamma = V.dim, W.dim
+
+    dom_offsets = []
+    off = 0
+    for x in range(Q.nvertices):
+        dom_offsets.append(off)
+        off += beta[x] * gamma[x]
+    ncols = off
+
+    cod_offsets = []
+    off = 0
+    for t, h in Q.arrows:
+        cod_offsets.append(off)
+        off += beta[t] * gamma[h]
+    nrows = off
+
+    # an arrow's tail and head differ, so each entry is written once
+    zero, neg = F.zero, F.neg
+    M = [[zero] * ncols for _ in range(nrows)]
+    for a, (t, h) in enumerate(Q.arrows):
+        base, Wa, Va = cod_offsets[a], W.mats[a], V.mats[a]
+        for c in range(beta[t]):
+            for r in range(gamma[t]):
+                # unit E_rc at the tail: column c of W(a) E_rc is column r of W(a)
+                col = dom_offsets[t] + c * gamma[t] + r
+                for i in range(gamma[h]):
+                    if Wa[i][r] != zero:
+                        M[base + c * gamma[h] + i][col] = Wa[i][r]
+        for c in range(beta[h]):
+            for r in range(gamma[h]):
+                # unit E_rc at the head: row r of -(E_rc V(a)) is minus row c of V(a)
+                col = dom_offsets[h] + c * gamma[h] + r
+                for j in range(beta[t]):
+                    if Va[c][j] != zero:
+                        M[base + j * gamma[h] + r][col] = neg(Va[c][j])
+    return M
+
+
+def hom_ext_dims(Q: Quiver, V: FFRep, W: FFRep) -> tuple[int, int]:
+    """(dim Hom(V,W), dim Ext(V,W)) as nullity and corank of d^V_W."""
+    M = build_dvw(Q, V, W)
+    ncols = sum(V.dim[x] * W.dim[x] for x in range(Q.nvertices))
+    nrows = len(M)
+    rank = mat_rank(V.field, M) if M and ncols else 0
+    hom = ncols - rank
+    ext = nrows - rank
+    if hom - ext != euler_form(Q, V.dim, W.dim):
+        raise AssertionError("Euler identity violated; pairing code is broken")
+    return hom, ext
+
+
+def semiinvariant_cv(Q: Quiver, V: FFRep, W: FFRep) -> int:
+    """det d^V_W; defined exactly when the pairing of the dimension
+    vectors vanishes, and zero iff V maps nontrivially to W."""
+    _check_pair(Q, V, W)
+    pairing = euler_form(Q, V.dim, W.dim)
+    if pairing != 0:
+        raise NonSquarePairingError(
+            f"d^V_W is not square: euler pairing is {pairing}, need 0"
+        )
+    M = build_dvw(Q, V, W)
+    return mat_det(V.field, M)
 
 
 # -- subspace enumeration ------------------------------------------------------
@@ -778,10 +938,12 @@ def si_rank_oracle(
     """Rank of the evaluation matrix [c^{V_i}(W_j)] on random samples.
 
     The determinants c^V span the weight space, so the rank is at most
-    its dimension, with equality for generic samples; the default sample
-    sizes add a margin above the claimed dimension (which is used for
-    sizing only, never for the rank itself); given sizes must be at
-    least 1.
+    its dimension, with equality for generic samples.  Given sizes must
+    be at least 1.  An omitted size starts at 4 and keeps a margin of 4
+    above the rank it sees: while the rank r leaves it below r + 4, it
+    becomes r + 4 and the matrix is drawn again.  So on generic samples
+    the last matrix has M + 4 samples on each omitted side, M the
+    dimension, and the oracle never reads M from the formula it checks.
     """
     gamma = check_dimvector(Q, gamma)  # so that a negative entry is named as such
     beta, alpha, gamma, pairing = check_instance(Q, beta, [b + g for b, g in zip(beta, gamma)])
@@ -792,14 +954,19 @@ def si_rank_oracle(
     for name, n in (("nv", nv), ("nw", nw)):
         if n is not None and n < 1:
             raise ValueError(f"{name} must be at least 1, got {n}")
-    if nv is None or nw is None:
-        suggested = si_dimension(Q, beta, alpha) + 4
-        nv = suggested if nv is None else nv
-        nw = suggested if nw is None else nw
-    vs = [random_rep(Q, beta, field, seed * 1000003 + i) for i in range(nv)]
-    ws = [random_rep(Q, gamma, field, seed * 1000003 + nv + i) for i in range(nw)]
-    E = [[semiinvariant_cv(Q, v, w) for w in ws] for v in vs]
-    return mat_rank(field, E)
+    grow_v, grow_w = nv is None, nw is None
+    nv = 4 if grow_v else nv
+    nw = 4 if grow_w else nw
+    while True:
+        vs = [random_rep(Q, beta, field, seed * 1000003 + i) for i in range(nv)]
+        ws = [random_rep(Q, gamma, field, seed * 1000003 + nv + i) for i in range(nw)]
+        rank = mat_rank(field, [[semiinvariant_cv(Q, v, w) for w in ws] for v in vs])
+        n = rank + 4
+        if not (grow_v and nv < n or grow_w and nw < n):
+            return rank
+        # two omitted sizes stay equal, so neither shrinks here
+        nv = n if grow_v else nv
+        nw = n if grow_w else nw
 
 
 # -- basis verification --------------------------------------------------------

@@ -346,6 +346,28 @@ def test_verify_tripleflag_n6_r3_output_is_pinned():
     assert hashlib.sha256(masked.encode()).hexdigest() == TRIPLEFLAG_N6_R3_SHA256
 
 
+# SHA-256 of the default oracle suites' output with elapsed_ms masked, as
+# printed when si_rank_oracle sized its samples from si_dimension
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--oracles"], "be189ac1b4d1b9230112bc49aeccf08dd04ba05fa203be0bab8cf483154d8666"),
+        (["--oracles", "--seed", "1"], "dfd907327bf650895fb386d53e9bb2352299c64a95289b0e8d0b6730562221ec"),
+        (
+            ["--oracles", "--q", "101", "--ext", "3", "--trials", "3", "--count", "10"],
+            "e17f0c7802087a35b9580a4ba6fbedb106778ee088f7cca59713cda1d4453806",
+        ),
+        (["--basis"], "a56f6ec756fe1f69304f35089f76420992fd373e86ccc88d18729f1e7725de65"),
+    ],
+    ids=["oracles", "oracles-seed1", "oracles-q101-ext3", "basis"],
+)
+def test_verify_oracle_suites_output_is_pinned(argv, digest):
+    code, out, _ = run_cli(["verify", *argv])
+    assert code == 0
+    masked = re.sub(r"(?m)^elapsed_ms = \d+$", "elapsed_ms = *", out)
+    assert hashlib.sha256(masked.encode()).hexdigest() == digest
+
+
 def test_verify_covariants_and_multiplicativity():
     code, out, _ = run_cli(
         ["verify", "--covariants", "--multiplicativity", "--count", "6"]

@@ -1,0 +1,120 @@
+"""The package's layering, read from the source with `ast`.
+
+The oracles (`ffield`, `oracles`) check the numbers that the counting
+formulas (`partitions`, `lr`, `counting`, `covariants`) compute, so the
+two sides may share only `quiver`, which imports neither.  Every import
+statement counts, at module level or inside a function, in both the
+relative and the `quivercount.x` forms.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import quivercount
+
+PACKAGE = Path(quivercount.__file__).parent
+MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+FORMULAS = {"partitions", "lr", "counting", "covariants"}
+ORACLES = {"ffield", "oracles"}
+# the one edge left: verify_determinant_basis reads the N and M it checks
+# from verify_counts
+ALLOWED = {"counting.verify_counts"}
+
+
+def imports_of(source: str) -> set[str]:
+    """Package imports in source: "mod" for a whole module, "mod.name" for
+    a name taken from one, and "__init__" for the bare package.  A name
+    taken from the package itself is credited to the module that defines
+    it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "quivercount":
+                    found.add(rest.partition(".")[0] or "__init__")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                module = node.module
+            elif node.level == 0 and (node.module or "").partition(".")[0] == "quivercount":
+                module = node.module.partition(".")[2] or None
+            else:
+                continue
+            for alias in node.names:
+                if module is not None:
+                    found.add(f"{module.partition('.')[0]}.{alias.name}")
+                elif alias.name in MODULES:
+                    found.add(alias.name)
+                else:
+                    owner = getattr(getattr(quivercount, alias.name, None), "__module__", "")
+                    layer = owner.removeprefix("quivercount.") if owner.startswith("quivercount.") else "__init__"
+                    found.add(f"{layer}.{alias.name}")
+    return found
+
+
+def imported(module: str) -> set[str]:
+    return imports_of((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def layers(names: set[str]) -> set[str]:
+    return {n.partition(".")[0] for n in names}
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f():\n    from .counting import si_dimension\n", {"counting.si_dimension"}),
+        ("from quivercount.ffield import GF, mat_det\n", {"ffield.GF", "ffield.mat_det"}),
+        ("import quivercount.oracles as o\n", {"oracles"}),
+        ("import quivercount\n", {"__init__"}),
+        ("from . import lr\nfrom quivercount import ffield\n", {"lr", "ffield"}),
+        ("from . import GF, __version__\n", {"ffield.GF", "__init__.__version__"}),
+        ("import random\nfrom dataclasses import dataclass\n", set()),
+    ],
+)
+def test_the_reader_sees_every_import_form(source, expected):
+    assert imports_of(source) == expected
+
+
+def test_every_layer_is_read():
+    assert FORMULAS | ORACLES | {"quiver", "cli"} == MODULES
+
+
+def test_quiver_imports_no_package_module():
+    assert imported("quiver") == set()
+
+
+@pytest.mark.parametrize("module", sorted(FORMULAS))
+def test_formulas_import_nothing_from_the_oracles(module):
+    assert not layers(imported(module)) & (ORACLES | {"__init__"})
+
+
+def test_oracles_take_only_verify_counts_from_the_formulas():
+    taken = {n for m in ORACLES for n in imported(m) if layers({n}) & (FORMULAS | {"__init__"})}
+    assert taken == ALLOWED
+
+
+PUBLIC = [
+    "BasisReport", "BudgetExceededError", "CountReport", "DegenerateSampleError", "FFRep",
+    "FiberClass", "GF", "HatInstance", "LREngine", "NegativePairingError", "NonSquarePairingError",
+    "NonzeroPairingError", "Quiver", "Rectangle", "SubrepCount", "build_dvw", "build_hat",
+    "check_dimvector", "check_instance", "complement", "conjugate", "count_subreps",
+    "covariant_count", "covariant_multiplicity", "enumerate_subreps", "euler_form", "fiber_class",
+    "fits", "format_partition", "gaussian_binomial", "hom_ext_dims", "is_prime", "list_subreps",
+    "parse_partition", "partition", "partitions_in_rectangle", "random_instance", "random_rep",
+    "random_zero_triple", "sampled_subrep_count", "semiinvariant_cv", "si_dimension",
+    "si_rank_oracle", "size", "triple_flag_instance", "verify_counts", "verify_determinant_basis",
+    "weight_of",
+]
+
+
+def test_public_names_and_their_homes():
+    assert sorted(quivercount.__all__) == PUBLIC
+    # representations over a field live with the oracles, the pairing
+    # error that both sides raise with the shared validation
+    for name in ("FFRep", "random_rep", "build_dvw", "hom_ext_dims", "semiinvariant_cv", "NonSquarePairingError"):
+        assert getattr(quivercount, name) is getattr(quivercount.oracles, name)
+    assert quivercount.counting.NonzeroPairingError is quivercount.quiver.NonzeroPairingError
+    assert quivercount.NonzeroPairingError is quivercount.quiver.NonzeroPairingError

@@ -12,6 +12,7 @@ from quivercount.oracles import (
     BasisReport,
     BudgetExceededError,
     DegenerateSampleError,
+    FFRep,
     _eliminate,
     _kronecker_form,
     _kronecker_lines,
@@ -24,13 +25,15 @@ from quivercount.oracles import (
     enumerate_subreps,
     gaussian_binomial,
     list_subreps,
+    random_rep,
     sampled_subrep_count,
     si_rank_oracle,
     verify_determinant_basis,
 )
-from quivercount.counting import NonzeroPairingError
+from quivercount.counting import NonzeroPairingError, random_instance, si_dimension, triple_flag_instance
 from quivercount.lr import LREngine
-from quivercount.quiver import FFRep, Quiver, random_rep
+from quivercount.partitions import Rectangle, partitions_in_rectangle, size
+from quivercount.quiver import Quiver
 
 
 def theta(m: int) -> Quiver:
@@ -568,11 +571,10 @@ def test_sampled_count_rejects_degrees_and_trials_out_of_range(options, message)
 
 def test_oracles_never_reach_the_lr_kernel(monkeypatch):
     # the oracles check N and M, so they share no code with the LR kernel
-    # that computes both.  Two oracle calls reach it on purpose, and are
-    # not made here: si_rank_oracle without nv or nw sizes its samples as
-    # si_dimension + 4, and verify_determinant_basis takes the N and M it
-    # checks against from verify_counts (which is why the bench's oracles
-    # workload does LR work in its theta(4) basis case)
+    # that computes both.  One oracle call reaches it on purpose:
+    # verify_determinant_basis takes the N and M it checks against from
+    # verify_counts (which is why the bench's oracles workload does LR
+    # work in its theta(4) basis case)
     class LRCalled(Exception):
         pass
 
@@ -587,9 +589,8 @@ def test_oracles_never_reach_the_lr_kernel(monkeypatch):
     solved = sampled_subrep_count(THETA4, (1, 2), (3, 3), 13, max_ext_degree=3, trials=3, seed=0)
     assert (walked.method, solved.method) == ("enumerate", "solve")
     assert si_rank_oracle(THETA4, (1, 2), (2, 1), nv=10, nw=10) == 6
-    # the patch is live: both named calls do reach the kernel
-    with pytest.raises(LRCalled):
-        si_rank_oracle(THETA4, (1, 2), (2, 1))
+    assert si_rank_oracle(THETA4, (1, 2), (2, 1)) == 6
+    # the patch is live: the named call does reach the kernel
     with pytest.raises(LRCalled):
         verify_determinant_basis(THETA4, (1, 2), (3, 3), GF(13))
 
@@ -626,6 +627,32 @@ def test_si_rank_rejects_sample_sizes_below_one(sizes):
 def test_si_rank_keeps_a_given_size_when_the_other_is_omitted():
     assert si_rank_oracle(THETA2, (1, 1), (1, 1), nv=1) == 1
     assert si_rank_oracle(THETA2, (1, 1), (1, 1), nw=1) == 1
+
+
+def test_si_rank_sizes_itself_to_the_dimension_plus_four():
+    # theta(2) and theta(4), every third (4,2) triple flag, and seeded
+    # random instances within criterion 5's enumeration budget: 92 in all.
+    # On generic samples the self-sized oracle ends on the matrix with
+    # M + 4 samples a side; M comes from the formula here, never in the oracle
+    engine = LREngine()
+    pool = [(theta(2), (1, 1), (2, 2)), (THETA4, (1, 2), (3, 3))]
+    parts = partitions_in_rectangle(Rectangle(2, 2))
+    triples = [(l, m, n) for l in parts for m in parts for n in parts if size(l) + size(m) + size(n) == 4]
+    pool += [triple_flag_instance(*t, 2, 4, engine)[:3] for t in triples[::3]]
+    rng = random.Random(5)
+    while len(pool) < 92:
+        Q, beta, alpha = random_instance(rng, min_arrows=1)
+        if _raw_point_count(Q, alpha, beta, 13**2) <= 200000:
+            pool.append((Q, beta, alpha))
+    dims = set()
+    for i, (Q, beta, alpha) in enumerate(pool):
+        m = si_dimension(Q, beta, alpha, engine)
+        dims.add(m)
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        F = GF((13, 101)[i % 2])
+        sized = si_rank_oracle(Q, beta, gamma, nv=m + 4, nw=m + 4, field=F, seed=i)
+        assert si_rank_oracle(Q, beta, gamma, field=F, seed=i) == sized, (Q.arrows, beta, alpha)
+    assert dims == {0, 1, 2, 6}
 
 
 def test_basis_theta2_over_f5():

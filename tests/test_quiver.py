@@ -4,18 +4,15 @@ import re
 import pytest
 
 from quivercount.ffield import GF
-from quivercount.quiver import (
+from quivercount.oracles import (
     FFRep,
     NonSquarePairingError,
-    Quiver,
     build_dvw,
-    check_dimvector,
-    check_instance,
-    euler_form,
     hom_ext_dims,
     random_rep,
     semiinvariant_cv,
 )
+from quivercount.quiver import Quiver, check_dimvector, check_instance, euler_form
 
 THETA2 = Quiver(2, ((0, 1), (0, 1)))
 A2 = Quiver(2, ((0, 1),))
