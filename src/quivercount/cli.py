@@ -4,7 +4,10 @@ Subcommands: count, sidim, fiber-class, verify.  Instances are plain
 text files (quiver lines, dimension vectors, optional mu lines); every
 report ends with a flat machine-readable `key = value` block after a
 `---` separator so golden tests and other tools can parse output without
-caring about the human-readable part.
+caring about the human-readable part.  Each `cmd_*` prints its report and
+returns (exit code, key/value pairs); `main` times it and writes the one
+block, framed by `command` and the seed/version/elapsed_ms trailer, so a
+new key is added in one place.
 
 Exit codes: 0 success, 1 verification failure or a reader that closed
 stdout early, 2 usage or parse error, 3 enumeration budget exceeded.
@@ -150,9 +153,10 @@ def _load_spec(path: str) -> InstanceSpec:
 
 
 def _machine_block(out, args, t0: float, pairs) -> None:
-    """The `key = value` block after `---`; it always ends with the seed,
-    the version and the time since t0."""
+    """The `key = value` block after `---`: the subcommand, the pairs it
+    returned, then the seed, the version and the time since t0."""
     pairs = [
+        ("command", args.subcommand),
         *pairs,
         ("seed", args.seed),
         ("version", f"quivercount {__version__}"),
@@ -175,32 +179,23 @@ def _theta_instance(r: int) -> InstanceSpec:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_count(args, out) -> int:
-    t0 = time.monotonic()
+def cmd_count(args, out):
     spec = _load_spec(args.instance)
     pairing = check_instance(spec.quiver, spec.beta, spec.alpha)[3]
-    if spec.mu is None:
-        n, states, breakdown = count_subreps_detailed(
-            spec.quiver, spec.beta, spec.alpha, breakdown=args.breakdown
-        )
-    else:
-        # mu lines select one piece of the fiber class; count it on the
-        # arm-enlarged quiver so the same summation engine applies
-        hat = build_hat(spec.quiver, spec.beta, spec.alpha, spec.mu)
-        n, states, breakdown = count_subreps_detailed(
-            hat.quiver, hat.beta, hat.alpha, breakdown=args.breakdown
-        )
+    # mu lines select one piece of the fiber class; count it on the
+    # arm-enlarged quiver so the same summation engine applies
+    inst = spec if spec.mu is None else build_hat(spec.quiver, spec.beta, spec.alpha, spec.mu)
+    n, states, breakdown = count_subreps_detailed(
+        inst.quiver, inst.beta, inst.alpha, breakdown=args.breakdown
+    )
     print(f"N = {n}", file=out)
-    if args.breakdown:
-        for labeling, contribution in breakdown:
-            text = " ".join(format_partition(p) for p in labeling)
-            print(f"  {text}: {contribution}", file=out)
-    _machine_block(out, args, t0, [("command", "count"), ("n", n), ("euler", pairing), ("states", states)])
-    return EXIT_OK
+    for labeling, contribution in breakdown:
+        text = " ".join(format_partition(p) for p in labeling)
+        print(f"  {text}: {contribution}", file=out)
+    return EXIT_OK, [("n", n), ("euler", pairing), ("states", states)]
 
 
-def cmd_sidim(args, out) -> int:
-    t0 = time.monotonic()
+def cmd_sidim(args, out):
     spec = _load_spec(args.instance)
     pairing = check_instance(spec.quiver, spec.beta, spec.alpha)[3]
     if spec.mu is None:
@@ -211,29 +206,20 @@ def cmd_sidim(args, out) -> int:
     sigma = weight_of(spec.quiver, spec.beta)
     sigma_text = "(" + ",".join(str(x) for x in sigma) + ")"
     print(f"M = {m}, sigma = {sigma_text}", file=out)
-    pairs = [
-        ("command", "sidim"),
-        ("m", m),
-        ("sigma", sigma_text),
-        ("euler", pairing),
-    ]
+    pairs = [("m", m), ("sigma", sigma_text), ("euler", pairing)]
     if states is not None:
         pairs.append(("states", states))
-    _machine_block(out, args, t0, pairs)
-    return EXIT_OK
+    return EXIT_OK, pairs
 
 
-def cmd_fiber_class(args, out) -> int:
-    t0 = time.monotonic()
+def cmd_fiber_class(args, out):
     spec = _load_spec(args.instance)
     fc = fiber_class(spec.quiver, spec.beta, spec.alpha)
     pairing = check_instance(spec.quiver, spec.beta, spec.alpha)[3]
     for mu, coeff in fc.sorted_items():
         text = ";".join(f"{i}:{format_partition(p)}" for i, p in enumerate(mu))
         print(f"{text} -> {coeff}", file=out)
-    pairs = [("command", "fiber-class"), ("euler", pairing), ("terms", len(fc.coeffs)), ("states", fc.states)]
-    _machine_block(out, args, t0, pairs)
-    return EXIT_OK
+    return EXIT_OK, [("euler", pairing), ("terms", len(fc.coeffs)), ("states", fc.states)]
 
 
 # -- verify suites -------------------------------------------------------------
@@ -428,8 +414,7 @@ def _suites(args, engine, spec):
     )
 
 
-def cmd_verify(args, out) -> int:
-    t0 = time.monotonic()
+def cmd_verify(args, out):
     engine = LREngine()
     if args.oracles:
         GF(args.q, args.ext)  # names a bad --q or --ext before any suite runs
@@ -448,7 +433,7 @@ def cmd_verify(args, out) -> int:
         print("no suite selected (use --kronecker, --random N, --tripleflag, "
               "--covariants, --multiplicativity, --oracles, --basis, or an instance file)",
               file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, None
 
     failures = 0
     total = 0
@@ -465,18 +450,8 @@ def cmd_verify(args, out) -> int:
                 print("    offending instance:", file=out)
                 for line in render_instance(row_spec).splitlines():
                     print(f"      {line}", file=out)
-    _machine_block(
-        out,
-        args,
-        t0,
-        [
-            ("command", "verify"),
-            ("suites", ",".join(name for name, _ in suites)),
-            ("instances", total),
-            ("failures", failures),
-        ],
-    )
-    return EXIT_OK if failures == 0 else EXIT_FAIL
+    pairs = [("suites", ",".join(name for name, _ in suites)), ("instances", total), ("failures", failures)]
+    return EXIT_OK if failures == 0 else EXIT_FAIL, pairs
 
 
 def _int_at_least(low: int):
@@ -550,7 +525,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass through
         return int(e.code or 0)
     try:
-        code = args.fn(args, sys.stdout)
+        t0 = time.monotonic()
+        code, pairs = args.fn(args, sys.stdout)
+        if pairs is not None:
+            _machine_block(sys.stdout, args, t0, pairs)
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -139,7 +139,7 @@ class FFRep:
     """A finite-field representation: one matrix per arrow.
 
     mats[i] has shape dim[ha] x dim[ta] for arrow i = (ta, ha); rows are
-    tuples of field elements.
+    tuples of field elements, each an int in 0..q-1.
     """
 
     quiver: Quiver
@@ -152,6 +152,7 @@ class FFRep:
         if len(self.mats) != len(self.quiver.arrows):
             raise ValueError("one matrix per arrow required")
         frozen = []
+        q = self.field.q
         for i, (t, h) in enumerate(self.quiver.arrows):
             m = tuple(tuple(row) for row in self.mats[i])
             if len(m) != self.dim[h] or any(len(row) != self.dim[t] for row in m):
@@ -159,6 +160,10 @@ class FFRep:
                     f"arrow {i}: matrix shape {len(m)}x{len(m[0]) if m else 0}"
                     f" does not match {self.dim[h]}x{self.dim[t]}"
                 )
+            for row in m:
+                for e in row:
+                    if not 0 <= e < q:
+                        raise ValueError(f"arrow {i}: entry {e} is not an element of {self.field}")
             frozen.append(m)
         object.__setattr__(self, "mats", tuple(frozen))
 
@@ -478,6 +483,7 @@ def _dfs_subreps(Q: Quiver, V: FFRep, beta, gamma, collect: bool):
 def _enumerate(Q: Quiver, V: FFRep, beta, budget: int, collect: bool):
     """Input checks and budget gate shared by enumerate_subreps and
     list_subreps, then the walk."""
+    _check_pair(Q, V, V)  # the quiver test alone
     beta, alpha, gamma, _ = check_instance(Q, beta, V.dim)
     points = _raw_point_count(Q, alpha, beta, V.field.q)
     if points > budget:
@@ -941,9 +947,10 @@ def si_rank_oracle(
     its dimension, with equality for generic samples.  Given sizes must
     be at least 1.  An omitted size starts at 4 and keeps a margin of 4
     above the rank it sees: while the rank r leaves it below r + 4, it
-    becomes r + 4 and the matrix is drawn again.  So on generic samples
-    the last matrix has M + 4 samples on each omitted side, M the
-    dimension, and the oracle never reads M from the formula it checks.
+    becomes r + 4, and only the new samples are drawn and only the new
+    entries evaluated.  V_i and W_j are seeded by their own index, so on
+    generic samples the last matrix is the one that sizes M + 4 give, M
+    the dimension, and the oracle never reads M from the formula it checks.
     """
     gamma = check_dimvector(Q, gamma)  # so that a negative entry is named as such
     beta, alpha, gamma, pairing = check_instance(Q, beta, [b + g for b, g in zip(beta, gamma)])
@@ -957,10 +964,17 @@ def si_rank_oracle(
     grow_v, grow_w = nv is None, nw is None
     nv = 4 if grow_v else nv
     nw = 4 if grow_w else nw
+    base = seed * 1000003
+    vs, ws, rows = [], [], []
     while True:
-        vs = [random_rep(Q, beta, field, seed * 1000003 + i) for i in range(nv)]
-        ws = [random_rep(Q, gamma, field, seed * 1000003 + nv + i) for i in range(nw)]
-        rank = mat_rank(field, [[semiinvariant_cv(Q, v, w) for w in ws] for v in vs])
+        new_ws = [random_rep(Q, gamma, field, base + 2 * j + 1) for j in range(len(ws), nw)]
+        ws += new_ws
+        for v, row in zip(vs, rows):
+            row += [semiinvariant_cv(Q, v, w) for w in new_ws]
+        for i in range(len(vs), nv):
+            vs.append(random_rep(Q, beta, field, base + 2 * i))
+            rows.append([semiinvariant_cv(Q, vs[i], w) for w in ws])
+        rank = mat_rank(field, rows)
         n = rank + 4
         if not (grow_v and nv < n or grow_w and nw < n):
             return rank

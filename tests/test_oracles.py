@@ -90,6 +90,16 @@ def test_enumerate_trivial_beta():
     assert enumerate_subreps(THETA2, V_GEN, (2, 2)) == 1
 
 
+def test_enumerate_and_list_reject_a_rep_on_another_quiver():
+    # theta(2) and theta(4) share their vertices, so the dimension check
+    # alone cannot tell them apart
+    V = random_rep(THETA4, (3, 3), F5, 0)
+    assert enumerate_subreps(THETA4, V, (1, 2)) == 4
+    for walk in (enumerate_subreps, list_subreps):
+        with pytest.raises(ValueError, match="different quiver"):
+            walk(THETA2, V, (1, 2))
+
+
 def test_listed_subreps_are_closed_under_arrows():
     from quivercount.ffield import mat_rank, mat_vec
 
@@ -653,6 +663,16 @@ def test_si_rank_sizes_itself_to_the_dimension_plus_four():
         sized = si_rank_oracle(Q, beta, gamma, nv=m + 4, nw=m + 4, field=F, seed=i)
         assert si_rank_oracle(Q, beta, gamma, field=F, seed=i) == sized, (Q.arrows, beta, alpha)
     assert dims == {0, 1, 2, 6}
+
+
+def test_si_rank_keeps_its_draws_when_a_size_grows(monkeypatch):
+    # rounds at 4, 8, ..., 24 evaluate each entry once: the 24 x 24 matrix
+    # that a weight space of dimension 20 ends on, and no redrawn sample
+    calls = []
+    cv = oracles.semiinvariant_cv
+    monkeypatch.setattr(oracles, "semiinvariant_cv", lambda *a: calls.append(a) or cv(*a))
+    assert si_rank_oracle(theta(6), (1, 3), (3, 1)) == 20
+    assert len(calls) == 24 * 24
 
 
 def test_basis_theta2_over_f5():

@@ -187,6 +187,14 @@ def test_ffrep_shape_validation():
         FFRep(A2, F, (2, 2), ())
 
 
+@pytest.mark.parametrize("field, entry", [(GF(5, 2), 30), (GF(5, 2), -1), (GF(5), 5)])
+def test_ffrep_rejects_entries_outside_the_field(field, entry):
+    # an entry past q - 1 would index past GF's log table; a negative one
+    # is no residue
+    with pytest.raises(ValueError, match=f"arrow 1: entry {entry} is not an element of {re.escape(str(field))}"):
+        FFRep(THETA2, field, (1, 1), (((1,),), ((entry,),)))
+
+
 def test_dual_transposes_onto_the_opposite_quiver():
     F = GF(5)
     V = random_rep(Quiver(3, ((0, 1), (0, 1), (1, 2))), (2, 3, 1), F, 4)
