@@ -63,49 +63,50 @@ class LREngine:
         Cells are visited in reverse reading order (rows top to bottom,
         right to left inside a row) so the lattice-word condition can be
         enforced incrementally: placing value v keeps every prefix with
-        count(v) <= count(v-1).
+        count(v) <= count(v-1).  The search runs on an explicit stack:
+        cell i tries v, the cells before it hold their values in grid
+        (inner cells read 0), and tops[i] bounds cell i from its right.
         """
-        nrows = len(nu)
-        inner = list(lam) + [0] * (nrows - len(lam))
+        # (row, column, a skew cell at its right, a cell above it)
+        cells = [
+            (r, c, c + 1 < nu[r], r > 0 and c < nu[r - 1])
+            for r in range(len(nu))
+            for c in range(nu[r] - 1, (lam[r] if r < len(lam) else 0) - 1, -1)
+        ]
+        last = len(cells) - 1
+        if last < 0:
+            return 1
         nvals = len(mu)
-        counts = [0] * (nvals + 1)  # counts[v] = placed so far, 1-based
-        need = list(mu)
-        # grid[r][c] holds the entry at (r, c); inner cells stay 0
-        grid = [[0] * nu[r] for r in range(nrows)]
-
-        cells = []
-        for r in range(nrows):
-            for c in range(nu[r] - 1, inner[r] - 1, -1):
-                cells.append((r, c))
-
+        grid = [[0] * k for k in nu]
+        need = [0, *mu]  # need[v] = v's still to place, 1-based
+        # counts[v] = v's placed; counts[0] exceeds them, so 1 always fits
+        counts = [last + 2] + [0] * nvals
+        tops = [nvals] * (last + 1)
         total = 0
-
-        def place(i: int) -> None:
-            nonlocal total
-            if i == len(cells):
-                total += 1
-                return
-            r, c = cells[i]
-            # weakly increasing along the row: bounded by the cell at the
-            # right (already placed); strictly increasing down columns.
-            hi = grid[r][c + 1] if c + 1 < nu[r] else nvals
-            above = grid[r - 1][c] if r > 0 and c < nu[r - 1] else 0
-            lo = above + 1
-            for v in range(lo, hi + 1):
-                if need[v - 1] == 0:
-                    continue
-                if v > 1 and counts[v] + 1 > counts[v - 1]:
-                    continue
-                counts[v] += 1
-                need[v - 1] -= 1
-                grid[r][c] = v
-                place(i + 1)
-                grid[r][c] = 0
+        i, v = 0, 1
+        while True:
+            if v > tops[i]:
+                if not i:
+                    return total
+                i -= 1
+                r, c, _, _ = cells[i]
+                v = grid[r][c]
                 counts[v] -= 1
-                need[v - 1] += 1
-
-        place(0)
-        return total
+                need[v] += 1
+            elif need[v] and counts[v] < counts[v - 1]:
+                if i == last:
+                    total += 1
+                else:
+                    r, c, _, _ = cells[i]
+                    grid[r][c] = v
+                    counts[v] += 1
+                    need[v] -= 1
+                    i += 1
+                    # weakly increasing along the row, strictly down columns
+                    r, c, right, above = cells[i]
+                    tops[i] = grid[r][c + 1] if right else nvals
+                    v = grid[r - 1][c] if above else 0
+            v += 1
 
     # -- products and multiplicities ---------------------------------------
 

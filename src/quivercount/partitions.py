@@ -27,9 +27,23 @@ class Rectangle(NamedTuple):
 def partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Normalize an iterable of part sizes into a canonical partition.
 
-    Zeros are stripped; raises ValueError on negative or increasing parts.
+    A canonical tuple of ints comes back as it is after one pass.  Else
+    zeros are stripped; raises ValueError on non-integral, negative or
+    increasing parts.
     """
-    p = tuple(int(x) for x in parts if x != 0)
+    if parts.__class__ is tuple:
+        last = parts[0] if parts else 0
+        for x in parts:
+            if x.__class__ is not int or not 0 < x <= last:
+                break
+            last = x
+        else:
+            return parts
+    given = tuple(parts)
+    for x in given:
+        if int(x) != x:
+            raise ValueError(f"non-integral part {x!r} in partition {given}")
+    p = tuple(int(x) for x in given if x != 0)
     for i, x in enumerate(p):
         if x < 0:
             raise ValueError(f"negative part {x} in partition {p}")

@@ -86,6 +86,14 @@ def test_quiver_imports_no_package_module():
     assert imported("quiver") == set()
 
 
+def test_partitions_import_no_package_module():
+    assert imported("partitions") == set()
+
+
+def test_lr_imports_only_partitions():
+    assert layers(imported("lr")) == {"partitions"}
+
+
 @pytest.mark.parametrize("module", sorted(FORMULAS))
 def test_formulas_import_nothing_from_the_oracles(module):
     assert not layers(imported(module)) & (ORACLES | {"__init__"})

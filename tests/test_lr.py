@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import threading
 
@@ -66,6 +67,41 @@ def test_lr_conjugation_invariance(engine):
             assert engine.lr_coefficient(lam, mu, nu) == engine.lr_coefficient(
                 conjugate(lam), conjugate(mu), conjugate(nu)
             )
+
+
+def test_lr_coefficients_in_the_four_by_four_box_are_pinned():
+    # every (lam, mu, nu) in the 4x4 box with lam inside nu and
+    # |lam| + |mu| = |nu|; the counts and the digest were taken from the
+    # recursive tableau counter this one replaced
+    box = partitions_in_rectangle(Rectangle(4, 4))
+    engine = LREngine()
+    coeffs = [
+        engine.lr_coefficient(lam, mu, nu)
+        for nu in box
+        for lam in box
+        if contains(nu, lam)
+        for mu in box
+        if size(lam) + size(mu) == size(nu)
+    ]
+    assert len(coeffs) == 8084
+    assert sum(c > 0 for c in coeffs) == 3516
+    assert sum(c >= 2 for c in coeffs) == 141
+    assert max(coeffs) == 3
+    digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+    assert digest == "4d1fcf266cbcda5357d29dbe1c349edb0d9414957bb4a6590fc85c6862f0b753"
+
+
+def test_lr_coefficient_of_a_shape_with_more_cells_than_the_recursion_limit():
+    # 1,200 skew cells, above the default recursion limit: no recursion per cell
+    engine = LREngine()
+    assert engine.lr_coefficient((), (1200,), (1200,)) == 1
+    assert engine.lr_coefficient((1,) * 600, (1,) * 600, (1,) * 1200) == 1
+    assert engine.lr_coefficient((1,) * 600, (2,) * 300, (2,) * 600) == 0
+
+
+def test_lr_coefficient_rejects_a_non_integral_part(engine):
+    with pytest.raises(ValueError, match="non-integral part 1.5"):
+        engine.lr_coefficient((1.5,), (1,), (2, 1))
 
 
 def test_expand_pieri_row(engine):

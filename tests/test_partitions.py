@@ -30,6 +30,55 @@ def test_partition_normalizes_and_validates():
         partition((2, -1))
 
 
+@pytest.mark.parametrize(
+    "parts, bad",
+    [([2.5, 1], "2.5"), ([0.5], "0.5"), ([1, 0.5], "0.5")],
+)
+def test_partition_rejects_non_integral_parts(parts, bad):
+    # truncating would answer for another partition, or keep a zero part
+    with pytest.raises(ValueError, match=f"non-integral part {bad}"):
+        partition(parts)
+
+
+def _partition_before(parts):
+    """partition() before canonical tuples passed straight through: every
+    input normalized by one generator."""
+    p = tuple(int(x) for x in parts if x != 0)
+    for i, x in enumerate(p):
+        if x < 0:
+            raise ValueError(f"negative part {x} in partition {p}")
+        if i > 0 and p[i - 1] < x:
+            raise ValueError(f"parts not weakly decreasing: {p}")
+    return p
+
+
+@settings(max_examples=500, derandomize=True)
+@given(
+    st.lists(st.sampled_from([*range(-2, 6), False, True]), max_size=5),
+    st.booleans(),
+    st.sampled_from([tuple, list, Rectangle]),
+)
+def test_partition_matches_the_normalizing_definition(parts, decreasing, kind):
+    # sorted draws are mostly canonical; zeros, negatives, increases and
+    # bools take the normalizing path; Rectangle is a tuple subclass
+    if decreasing:
+        parts.sort(reverse=True)
+    if kind is Rectangle:
+        parts = (parts + [0, 0])[:2]
+    arg = kind(*parts) if kind is Rectangle else kind(parts)
+    try:
+        want = _partition_before(arg)
+    except ValueError:
+        with pytest.raises(ValueError):
+            partition(arg)
+        return
+    got = partition(arg)
+    assert got == want and got.__class__ is tuple
+    assert all(x.__class__ is int for x in got)
+    if arg.__class__ is tuple and arg == want and all(x.__class__ is int for x in arg):
+        assert got is arg
+
+
 def test_conjugate_pins():
     assert conjugate((3, 1)) == (2, 1, 1)
     assert conjugate(()) == ()
