@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import comb
@@ -218,6 +218,11 @@ def _plan(Q: Quiver, beta, gamma) -> _Plan:
     full = tuple(map(mul, beta, gamma))
     shortfall = sum(map(sub, full, map(min, full, before)))  # sum of max(0, full - left)
     return _Plan(beta, gamma, full, before, tuple(steps), shortfall)
+
+
+# fiber_class plans here, and the covariant_multiplicity calls on its pieces
+# hit; N and M plan uncached, as a cache there only hashes for no hit.
+_piece_plan = lru_cache(maxsize=8)(_plan)
 
 
 def _labeled_sum(
@@ -461,7 +466,15 @@ class FiberClass:
                     raise ValueError(f"key entry {mu_x} outside rectangle {rect}")
 
     def coefficient(self, key: tuple[tuple[int, ...], ...]) -> int:
-        return self.coeffs.get(tuple(partition(p) for p in key), 0)
+        """The coefficient of the piece key, 0 when absent; a key that
+        cannot be a piece raises ValueError, as in covariant_count."""
+        key = tuple(map(partition, key))
+        if len(key) != len(self.ambients):
+            raise ValueError(f"mu has {len(key)} entries, quiver has {len(self.ambients)} vertices")
+        for x, (p, rect) in enumerate(zip(key, self.ambients)):
+            if not fits(p, rect):
+                raise ValueError(f"mu({x}) = {p} does not fit in {rect.rows}x{rect.cols}")
+        return self.coeffs.get(key, 0)
 
     def sorted_items(self):
         return sorted(self.coeffs.items())
@@ -481,7 +494,7 @@ def fiber_class(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> Fiber
             f"Euler pairing {pairing} < 0: generic fiber is empty, no class to decompose"
         )
     ambients = tuple(Rectangle(b, g) for b, g in zip(beta, gamma))
-    final, states = _labeled_sum(_plan(Q, beta, gamma), engine or LREngine(), slack=pairing)
+    final, states = _labeled_sum(_piece_plan(Q, beta, gamma), engine or LREngine(), slack=pairing)
     coeffs: dict[tuple[tuple[int, ...], ...], int] = {}
     for shapes, c in final.items():
         mu = tuple(complement(s, r) for s, r in zip(shapes, ambients))

@@ -14,11 +14,12 @@ other and with the fiber_class coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 
-from .counting import _labeled_sum, _plan, count_subreps
+from .counting import _labeled_sum, _piece_plan, count_subreps
 from .lr import LREngine
-from .partitions import Rectangle, complement, conjugate, fits, partition, size
-from .quiver import Quiver, check_instance, euler_form
+from .partitions import conjugate, partition
+from .quiver import Quiver, check_instance
 
 
 def _check_piece(Q: Quiver, beta, alpha, mu):
@@ -27,20 +28,19 @@ def _check_piece(Q: Quiver, beta, alpha, mu):
     beta, _, gamma, pairing = check_instance(Q, beta, alpha)
     if len(mu) != Q.nvertices:
         raise ValueError(f"mu has {len(mu)} entries, quiver has {Q.nvertices} vertices")
-    out = []
-    for x in range(Q.nvertices):
-        p = partition(mu[x])
-        if not fits(p, Rectangle(beta[x], gamma[x])):
+    out = tuple(map(partition, mu))
+    total = 0
+    for x, p in enumerate(out):
+        if len(p) > beta[x] or (p and p[0] > gamma[x]):
             raise ValueError(
                 f"mu({x}) = {p} does not fit in {beta[x]}x{gamma[x]}"
             )
-        out.append(p)
-    total = sum(size(p) for p in out)
+        total += sum(p)
     if total != pairing:
         raise ValueError(
             f"mu sizes sum to {total}, Euler pairing is {pairing}; the piece is empty or ill-posed"
         )
-    return beta, gamma, tuple(out)
+    return beta, gamma, out
 
 
 @dataclass(frozen=True)
@@ -62,33 +62,29 @@ def build_hat(Q: Quiver, beta, alpha, mu) -> HatInstance:
     """Enlarge (Q, beta, alpha) by one flag arm per vertex according to mu.
 
     Arm vertex i (1-based) of x gets gamma-part gamma(x) - i + 1 and
-    beta-part the number of parts >= i of the complement of mu(x) in the
-    beta(x) x gamma(x) box: the arm carries the conjugate of that
-    complement.  The pairing of the enlarged beta with its gamma drops to
-    zero exactly because the mu sizes exhaust the original pairing.
+    beta-part beta(x) - #{parts of mu(x) > gamma(x) - i}: the arm carries
+    the conjugate of the complement of mu(x) in the beta(x) x gamma(x)
+    box, read straight off mu(x).  The pairing of the enlarged beta with
+    its gamma drops to zero exactly because the mu sizes exhaust the
+    original pairing.
     """
     beta, gamma, mu = _check_piece(Q, beta, alpha, mu)
-    n = Q.nvertices
     arrows = list(Q.arrows)
     hat_beta = list(beta)
     hat_gamma = list(gamma)
-    nxt = n
-    for x in range(n):
-        arm = conjugate(complement(mu[x], Rectangle(beta[x], gamma[x])))
-        prev = x
-        for i in range(1, gamma[x] + 1):
-            arrows.append((prev, nxt))
-            hat_beta.append(arm[i - 1] if i <= len(arm) else 0)
-            hat_gamma.append(gamma[x] - i + 1)
-            prev = nxt
-            nxt += 1
+    nxt = Q.nvertices
+    for x, (b, g, p) in enumerate(zip(beta, gamma, mu)):
+        hat_beta += [b - sum(1 for part in p if part > g - i) for i in range(1, g + 1)]
+        hat_gamma += range(g, 0, -1)
+        arrows.extend(zip((x, *range(nxt, nxt + g - 1)), range(nxt, nxt + g)))
+        nxt += g
 
-    hatQ = Quiver(nxt, tuple(arrows))
-    hat_beta = tuple(hat_beta)
-    hat_alpha = tuple(b + g for b, g in zip(hat_beta, hat_gamma))
-    if euler_form(hatQ, hat_beta, tuple(hat_gamma)) != 0:
+    # the Euler form on the tuples just built; Quiver validates the arrows
+    pairing = sum(map(mul, hat_beta, hat_gamma)) - sum([hat_beta[t] * hat_gamma[h] for t, h in arrows])
+    if pairing != 0:
         raise AssertionError("arm enlargement failed to cancel the pairing")
-    return HatInstance(hatQ, hat_beta, hat_alpha)
+    hat_beta = tuple(hat_beta)
+    return HatInstance(Quiver(nxt, tuple(arrows)), hat_beta, tuple(map(add, hat_beta, hat_gamma)))
 
 
 def covariant_count(Q: Quiver, beta, alpha, mu, engine: LREngine | None = None) -> int:
@@ -104,5 +100,5 @@ def covariant_multiplicity(Q: Quiver, beta, alpha, mu, engine: LREngine | None =
     exterior side vertex x starts at the conjugate of mu(x)."""
     beta, gamma, mu = _check_piece(Q, beta, alpha, mu)
     start = [conjugate(p) for p in mu]
-    final, _ = _labeled_sum(_plan(Q, beta, gamma), engine or LREngine(), conjugated=True, start=start)
+    final, _ = _labeled_sum(_piece_plan(Q, beta, gamma), engine or LREngine(), conjugated=True, start=start)
     return sum(final.values())

@@ -1,10 +1,10 @@
 """Littlewood-Richardson engine.
 
-Products S^lam (x) S^mu inside a bounding shape are built by adding mu's
-rows to lam as horizontal strips; tensor multiplicities of Schur functors
-fold them.  LR coefficients are counted by backtracking over skew
-tableaux, code the products do not share.  All counts are plain Python
-ints (arbitrary precision).
+Products S^lam (x) S^mu inside a bounding shape are built by adding the
+rows of the factor with fewer rows to the other as horizontal strips;
+tensor multiplicities of Schur functors fold them.  LR coefficients are
+counted by backtracking over skew tableaux, code the products do not
+share.  All counts are plain Python ints (arbitrary precision).
 
 Memoization tables live on an engine instance, not in module globals:
 callers that pass one engine share its tables, and nothing else does.
@@ -120,7 +120,9 @@ class LREngine:
 
         Returns ((nu, c_{lam,mu}^{nu}), ...) over partitions nu contained in
         the bounding partition, with nonzero coefficients only, in
-        lexicographic order of nu.  Row i of mu is added to lam as a
+        lexicographic order of nu.  c^nu_{lam,mu} = c^nu_{mu,lam}, so the
+        factor with fewer rows is the one added as strips, to the other:
+        below, mu is that factor.  Row i of mu is added to lam as a
         horizontal strip of i's inside `bound` (Fulton, Young Tableaux, 5).
         Read right to left, a row puts its (i+1)'s before its i's, so the
         (i+1)'s in rows <= r may never outnumber the i's in rows < r.  A
@@ -132,6 +134,8 @@ class LREngine:
         if cached is not None:
             return cached
         lam, mu, bound = partition(lam), partition(mu), partition(bound)
+        if len(mu) > len(lam):
+            lam, mu = mu, lam
         states = {(lam, (size(mu),) * len(bound)): 1} if contains(bound, lam) else {}
         for m in mu:
             nxt: dict[tuple, int] = {}

@@ -379,6 +379,16 @@ def test_fiber_class_coefficient_lookup(engine):
     assert fc.coefficient(((), ())) == 0
 
 
+def test_fiber_class_coefficient_rejects_keys_that_cannot_be_keys(engine):
+    fc = fiber_class(A2, (1, 1), (2, 2), engine)
+    with pytest.raises(ValueError, match="mu has 1 entries, quiver has 2 vertices"):
+        fc.coefficient(((1,),))
+    with pytest.raises(ValueError, match=r"mu\(0\) = \(5,\) does not fit in 1x1"):
+        fc.coefficient(((5,), ()))
+    with pytest.raises(ValueError, match="non-integral part"):
+        fc.coefficient(((0.5,), ()))
+
+
 def test_triple_flag_smallest_case(engine):
     # n = 2, r = 1: the Grassmannian is P^1, so only box counts survive
     Q, beta, alpha, expected = triple_flag_instance((1,), (), (), 1, 2)

@@ -1,13 +1,65 @@
+import itertools
 import random
 
 import pytest
 
-from quivercount.counting import count_subreps, fiber_class, random_instance
+from quivercount.counting import (
+    _piece_plan,
+    _plan,
+    count_subreps,
+    count_subreps_detailed,
+    fiber_class,
+    random_instance,
+    verify_counts,
+)
 from quivercount.covariants import build_hat, covariant_count, covariant_multiplicity
+from quivercount.partitions import Rectangle, complement, conjugate, partition, partitions_in_rectangle, size
 from quivercount.quiver import Quiver, euler_form
 
 A2 = Quiver(2, ((0, 1),))
 THETA4 = Quiver(2, ((0, 1), (0, 1), (0, 1), (0, 1)))
+
+
+def reference_hat(Q, beta, alpha, mu):
+    """The arm enlargement as first written: each arm is built as the
+    conjugate of the complement of mu(x) in its box, and the hat is checked
+    by euler_form.  build_hat reads the arms straight off mu and must give
+    the same hat."""
+    gamma = tuple(a - b for a, b in zip(alpha, beta))
+    arrows = list(Q.arrows)
+    hat_beta = list(beta)
+    hat_gamma = list(gamma)
+    nxt = Q.nvertices
+    for x in range(Q.nvertices):
+        arm = conjugate(complement(partition(mu[x]), Rectangle(beta[x], gamma[x])))
+        prev = x
+        for i in range(1, gamma[x] + 1):
+            arrows.append((prev, nxt))
+            hat_beta.append(arm[i - 1] if i <= len(arm) else 0)
+            hat_gamma.append(gamma[x] - i + 1)
+            prev = nxt
+            nxt += 1
+    hatQ = Quiver(nxt, tuple(arrows))
+    assert euler_form(hatQ, tuple(hat_beta), tuple(hat_gamma)) == 0
+    return hatQ, tuple(hat_beta), tuple(b + g for b, g in zip(hat_beta, hat_gamma))
+
+
+def flag_instance(lam, mu, nu, r, n):
+    """Three inward flags of length n-1 meeting a central n-space, beta
+    jumping where the partitions say; sizes summing to r(n-r) - c give
+    Euler pairing c (triple_flag_instance requires c = 0)."""
+    arm = n - 1
+    arrows = []
+    for k in range(3):
+        arrows += [(k * arm + j, k * arm + j + 1) for j in range(arm - 1)]
+        arrows.append((k * arm + arm - 1, 3 * arm))
+    beta, alpha = [], []
+    for p in (lam, mu, nu):
+        padded = list(p) + [0] * (r - len(p))
+        for j in range(1, n):
+            alpha.append(j)
+            beta.append(sum(1 for i in range(1, r + 1) if n - r - padded[i - 1] + i <= j))
+    return Quiver(3 * arm + 1, tuple(arrows)), (*beta, r), (*alpha, n)
 
 
 def test_build_hat_a2_worked_example():
@@ -143,3 +195,67 @@ def test_multiplicity_from_nonempty_start_shapes(engine, arrows, beta, alpha, mu
     Q = Quiver(max(max(a) for a in arrows) + 1, arrows)
     assert covariant_multiplicity(Q, beta, alpha, mu, engine) == expected
     assert covariant_count(Q, beta, alpha, mu, engine) == expected
+
+
+def test_hat_equals_the_reference_construction_on_random_pieces(engine):
+    rng = random.Random(30)
+    pieces = 0
+    counted = 0
+    while pieces < 400:
+        Q, beta, alpha = random_instance(
+            rng, max_verts=4, max_arrows=4, max_dim=3, min_arrows=1, require_zero_pairing=False
+        )
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        if not 1 <= euler_form(Q, beta, gamma) <= 3:
+            continue
+        for mu, coeff in fiber_class(Q, beta, alpha, engine).sorted_items():
+            hat = build_hat(Q, beta, alpha, mu)
+            ref = reference_hat(Q, beta, alpha, mu)
+            assert (hat.quiver, hat.beta, hat.alpha) == ref, (Q.arrows, beta, alpha, mu)
+            detailed = count_subreps_detailed(hat.quiver, hat.beta, hat.alpha, engine)
+            assert detailed == count_subreps_detailed(*ref, engine)
+            assert detailed[0] == coeff
+            pieces += 1
+            counted += coeff > 1
+    assert counted >= 60
+
+
+def test_hat_equals_the_reference_construction_on_six_three_flags():
+    # every (6,3) flag at pairing 1, and on each every piece: one box at
+    # any vertex whose rectangle has room, whether or not it is in the class
+    box = partitions_in_rectangle(Rectangle(3, 3))
+    flags = pieces = 0
+    for lam, mu, nu in itertools.product(box, repeat=3):
+        if size(lam) + size(mu) + size(nu) != 8:
+            continue
+        Q, beta, alpha = flag_instance(lam, mu, nu, 3, 6)
+        flags += 1
+        for x in range(Q.nvertices):
+            if beta[x] and alpha[x] > beta[x]:
+                piece = tuple((1,) if y == x else () for y in range(Q.nvertices))
+                hat = build_hat(Q, beta, alpha, piece)
+                assert (hat.quiver, hat.beta, hat.alpha) == reference_hat(Q, beta, alpha, piece)
+                pieces += 1
+    assert flags == 321 and pieces > flags
+
+
+def test_fiber_class_plans_once_for_the_pieces_of_its_instance(engine):
+    Q, beta, alpha = Quiver(2, ((0, 1), (0, 1), (0, 1))), (2, 2), (5, 3)
+    gamma = tuple(a - b for a, b in zip(alpha, beta))
+    fc = fiber_class(Q, beta, alpha, engine)
+    assert len(fc.coeffs) == 4
+    before = _piece_plan.cache_info()
+    for mu, coeff in fc.sorted_items():
+        assert covariant_count(Q, beta, alpha, mu, engine) == coeff
+        assert covariant_multiplicity(Q, beta, alpha, mu, engine) == coeff
+    after = _piece_plan.cache_info()
+    assert after.hits - before.hits == len(fc.coeffs)
+    assert after.misses == before.misses
+    assert _piece_plan(Q, beta, gamma) == _plan(Q, beta, gamma)
+
+
+def test_counts_and_their_verification_plan_uncached(engine):
+    before = _piece_plan.cache_info()
+    assert count_subreps(THETA4, (1, 2), (3, 3), engine) == 6
+    assert verify_counts(THETA4, (1, 2), (3, 3), engine).passed
+    assert _piece_plan.cache_info() == before

@@ -134,6 +134,17 @@ def test_expand_matches_tableau_count_reference(engine):
             assert [nu for nu, _ in got] == sorted(want), (lam, mu, bound)
 
 
+def test_expand_is_symmetric_in_its_factors():
+    # expand adds the factor with fewer rows as strips; with equal row
+    # counts it keeps the order it was given, so both orders run there
+    box = partitions_in_rectangle(Rectangle(3, 3))
+    bounds = [(3, 3, 3), (6, 6, 6), (5, 3, 2, 1), (4, 4, 4, 4, 4, 4)]
+    engine = LREngine()
+    for bound in bounds:
+        for lam, mu in itertools.product(box, repeat=2):
+            assert engine.expand(lam, mu, bound) == engine.expand(mu, lam, bound), (lam, mu, bound)
+
+
 def test_expand_validates_its_input():
     engine = LREngine()
     # zeros are stripped, as everywhere else: (0, 1) is the partition (1,)
