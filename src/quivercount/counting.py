@@ -458,12 +458,16 @@ class FiberClass:
     states: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
+        n = len(self.ambients)
         for key, c in self.coeffs.items():
             if c <= 0:
                 raise ValueError("fiber class stores positive coefficients only")
-            for mu_x, rect in zip(key, self.ambients):
-                if not fits(mu_x, rect):
-                    raise ValueError(f"key entry {mu_x} outside rectangle {rect}")
+            if len(key) != n:
+                raise ValueError(f"mu has {len(key)} entries, quiver has {n} vertices")
+        # each distinct (entry, rectangle) pair is checked once
+        for mu_x, rect in {pair for key in self.coeffs for pair in zip(key, self.ambients)}:
+            if not fits(mu_x, rect):
+                raise ValueError(f"key entry {mu_x} outside rectangle {rect}")
 
     def coefficient(self, key: tuple[tuple[int, ...], ...]) -> int:
         """The coefficient of the piece key, 0 when absent; a key that
@@ -496,11 +500,20 @@ def fiber_class(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> Fiber
     ambients = tuple(Rectangle(b, g) for b, g in zip(beta, gamma))
     final, states = _labeled_sum(_piece_plan(Q, beta, gamma), engine or LREngine(), slack=pairing)
     coeffs: dict[tuple[tuple[int, ...], ...], int] = {}
+    comps: dict[tuple, tuple] = {}  # (shape, rectangle) -> (complement, its size)
     for shapes, c in final.items():
-        mu = tuple(complement(s, r) for s, r in zip(shapes, ambients))
-        if sum(size(p) for p in mu) != pairing:
+        mu = []
+        total = 0
+        for entry in zip(shapes, ambients):
+            comp = comps.get(entry)
+            if comp is None:
+                p = complement(*entry)
+                comp = comps[entry] = p, sum(p)
+            mu.append(comp[0])
+            total += comp[1]
+        if total != pairing:
             raise AssertionError("fiber class term of wrong codimension")
-        coeffs[mu] = c
+        coeffs[tuple(mu)] = c
     return FiberClass(ambients, coeffs, states)
 
 

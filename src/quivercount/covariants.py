@@ -58,6 +58,10 @@ class HatInstance:
     alpha: tuple[int, ...]
 
 
+# Hat frames by (Q, gamma), oldest first, at most 8 (see build_hat)
+_frames: dict = {}
+
+
 def build_hat(Q: Quiver, beta, alpha, mu) -> HatInstance:
     """Enlarge (Q, beta, alpha) by one flag arm per vertex according to mu.
 
@@ -67,24 +71,35 @@ def build_hat(Q: Quiver, beta, alpha, mu) -> HatInstance:
     box, read straight off mu(x).  The pairing of the enlarged beta with
     its gamma drops to zero exactly because the mu sizes exhaust the
     original pairing.
+
+    The hat quiver and its gamma, the frame, depend on (Q, gamma) alone,
+    so they are built and validated once and kept for the next pieces
+    (the last 8 frames); only beta-hat is built per piece.
     """
     beta, gamma, mu = _check_piece(Q, beta, alpha, mu)
-    arrows = list(Q.arrows)
+    frame = _frames.get((Q, gamma))
+    if frame is None:
+        arrows = list(Q.arrows)
+        hat_gamma = list(gamma)
+        nxt = Q.nvertices
+        for x, g in enumerate(gamma):
+            hat_gamma += range(g, 0, -1)
+            arrows.extend(zip((x, *range(nxt, nxt + g - 1)), range(nxt, nxt + g)))
+            nxt += g
+        if len(_frames) == 8:
+            del _frames[next(iter(_frames))]
+        frame = _frames[Q, gamma] = Quiver(nxt, tuple(arrows)), tuple(hat_gamma)
+    quiver, hat_gamma = frame
     hat_beta = list(beta)
-    hat_gamma = list(gamma)
-    nxt = Q.nvertices
-    for x, (b, g, p) in enumerate(zip(beta, gamma, mu)):
+    for b, g, p in zip(beta, gamma, mu):
         hat_beta += [b - sum(1 for part in p if part > g - i) for i in range(1, g + 1)]
-        hat_gamma += range(g, 0, -1)
-        arrows.extend(zip((x, *range(nxt, nxt + g - 1)), range(nxt, nxt + g)))
-        nxt += g
 
-    # the Euler form on the tuples just built; Quiver validates the arrows
-    pairing = sum(map(mul, hat_beta, hat_gamma)) - sum([hat_beta[t] * hat_gamma[h] for t, h in arrows])
+    # the Euler form on the tuples just built
+    pairing = sum(map(mul, hat_beta, hat_gamma)) - sum([hat_beta[t] * hat_gamma[h] for t, h in quiver.arrows])
     if pairing != 0:
         raise AssertionError("arm enlargement failed to cancel the pairing")
     hat_beta = tuple(hat_beta)
-    return HatInstance(Quiver(nxt, tuple(arrows)), hat_beta, tuple(map(add, hat_beta, hat_gamma)))
+    return HatInstance(quiver, hat_beta, tuple(map(add, hat_beta, hat_gamma)))
 
 
 def covariant_count(Q: Quiver, beta, alpha, mu, engine: LREngine | None = None) -> int:

@@ -368,6 +368,48 @@ def test_verify_oracle_suites_output_is_pinned(argv, digest):
     assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
 
+# Two instances with mu lines whose hats have arms on several vertices: the
+# theta(3) piece 0:(1) 1:(1) of coefficient 3, and a (6,3) flag at pairing
+# 1 whose piece at vertex 14 has coefficient 2
+THETA3_MU_TEXT = "vertices 2\narrow 0 1\narrow 0 1\narrow 0 1\nalpha 5 3\nbeta 2 2\nmu 0:(1)\nmu 1:(1)\n"
+FLAG63_MU_TEXT = (
+    "vertices 16\n"
+    # three arms 0..4, 5..9 and 10..14, each ending in the center 15
+    + "".join(f"arrow {t} {15 if t % 5 == 4 else t + 1}\n" for t in range(15))
+    + "alpha 1 2 3 4 5 1 2 3 4 5 1 2 3 4 5 6\n"
+    + "beta 0 0 1 2 2 0 1 2 2 2 0 1 1 1 2 3\n"
+    + "mu 14:(1)\n"
+)
+
+
+# SHA-256 of the output with elapsed_ms masked, as printed when every piece
+# built its own hat quiver; count prints the hat's DP states
+@pytest.mark.parametrize(
+    "command, text, digest",
+    [
+        ("count", THETA3_MU_TEXT, "7135fc7a61d9ae4d6734f4bccd494ee5d8764ed36c1a75e4345de1e74e042e90"),
+        ("sidim", THETA3_MU_TEXT, "c60fea77d99dbe8a93e0a1e960443b77c7459ca7bfdce60fdba347bdc4afc5e4"),
+        ("fiber-class", THETA3_MU_TEXT, "8b2a1f1f042230e6129d79fd9b3f1d5ad27d2c2002a915479ca74f1d04a70aa3"),
+        ("count", FLAG63_MU_TEXT, "1a7bc1117119a317ef7387699492bcbbb60ae00578556c5d41f13f17d4fc8b3d"),
+        ("sidim", FLAG63_MU_TEXT, "bd3a9d760436a3de7a8e9eee1bfa9690f42667ef39315ac2a180edd66ee17e88"),
+        ("fiber-class", FLAG63_MU_TEXT, "68a122feaca8001d66a3b95ea39fe35857918a31e5368403ffcb985925887f38"),
+        ("verify", None, "cdd48c18f37f0ae113e5021672d1570270d54b7bac02549e36300b3d2179c6b5"),
+    ],
+    ids=["count-theta3", "sidim-theta3", "fiber-theta3", "count-flag63", "sidim-flag63", "fiber-flag63", "covariants"],
+)
+def test_covariant_pieces_output_is_pinned(tmp_path, command, text, digest):
+    if text is None:
+        argv = [command, "--covariants"]
+    else:
+        path = tmp_path / "piece.qc"
+        path.write_text(text)
+        argv = [command, str(path)]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    masked = re.sub(r"(?m)^elapsed_ms = \d+$", "elapsed_ms = *", out)
+    assert hashlib.sha256(masked.encode()).hexdigest() == digest
+
+
 def test_verify_covariants_and_multiplicativity():
     code, out, _ = run_cli(
         ["verify", "--covariants", "--multiplicativity", "--count", "6"]

@@ -157,11 +157,27 @@ def test_triple_flag_instances_share_one_quiver_per_n():
 
 @pytest.mark.parametrize(
     "coeffs, message",
-    [({((),): 0}, "positive coefficients only"), ({((2,),): 1}, "outside rectangle")],
+    [
+        ({((),): 0}, "positive coefficients only"),
+        ({((2,),): 1}, "outside rectangle"),
+        # keys of the wrong length, which coefficient() refuses, are not stored
+        ({(): 1}, "mu has 0 entries, quiver has 1 vertices"),
+        ({((), (5,)): 1}, "mu has 2 entries, quiver has 1 vertices"),
+    ],
 )
 def test_fiber_class_rejects_bad_coefficients(coeffs, message):
     with pytest.raises(ValueError, match=message):
         FiberClass((Rectangle(1, 1),), coeffs)
+
+
+def test_fiber_class_checks_an_entry_again_in_another_rectangle():
+    # (2,) fits the 2x2 rectangle of vertex 0, not the 1x1 of vertex 1
+    ambients = (Rectangle(2, 2), Rectangle(1, 1))
+    assert FiberClass(ambients, {((2,), ()): 1, ((1,), (1,)): 2}).coefficient(((1,), (1,))) == 2
+    # whichever of the two keys comes first
+    for keys in ([((2,), ()), ((), (2,))], [((), (2,)), ((2,), ())]):
+        with pytest.raises(ValueError, match=r"key entry \(2,\) outside rectangle"):
+            FiberClass(ambients, dict.fromkeys(keys, 1))
 
 
 def test_weight_of_pins():

@@ -10,13 +10,15 @@ from quivercount.counting import (
     count_subreps_detailed,
     fiber_class,
     random_instance,
+    si_dimension,
     verify_counts,
 )
-from quivercount.covariants import build_hat, covariant_count, covariant_multiplicity
+from quivercount.covariants import _frames, build_hat, covariant_count, covariant_multiplicity
 from quivercount.partitions import Rectangle, complement, conjugate, partition, partitions_in_rectangle, size
 from quivercount.quiver import Quiver, euler_form
 
 A2 = Quiver(2, ((0, 1),))
+THETA3 = Quiver(2, ((0, 1), (0, 1), (0, 1)))
 THETA4 = Quiver(2, ((0, 1), (0, 1), (0, 1), (0, 1)))
 
 
@@ -259,3 +261,36 @@ def test_counts_and_their_verification_plan_uncached(engine):
     assert count_subreps(THETA4, (1, 2), (3, 3), engine) == 6
     assert verify_counts(THETA4, (1, 2), (3, 3), engine).passed
     assert _piece_plan.cache_info() == before
+
+
+def test_the_pieces_of_one_instance_share_one_hat_frame(engine):
+    beta, alpha = (2, 2), (5, 3)
+    fc = fiber_class(THETA3, beta, alpha, engine)
+    hats = [build_hat(THETA3, beta, alpha, mu) for mu in fc.coeffs]
+    assert len(hats) == 4 and len({hat.beta for hat in hats}) == 4
+    assert all(hat.quiver is hats[0].quiver for hat in hats)
+    # the frame depends on (Q, gamma) alone: another beta with the same gamma
+    # shares it, the same Q with another gamma gets its own
+    assert build_hat(THETA3, (1, 2), (4, 3), ((1,), (1,))).quiver is hats[0].quiver
+    other = build_hat(THETA3, (1, 1), (3, 2), ((), ()))
+    assert other.quiver is not hats[0].quiver
+    assert other.quiver.nvertices == 5 and hats[0].quiver.nvertices == 6
+
+
+def test_hat_frames_stay_bounded():
+    for g in range(1, 17):
+        # (1, 1) inside (1 + g, 1 + g) on A2 has pairing g
+        hat = build_hat(A2, (1, 1), (1 + g, 1 + g), ((g,), ()))
+        assert hat.quiver.nvertices == 2 + 2 * g
+        assert len(_frames) <= 8
+    # the newest frames are the ones kept
+    assert list(_frames) == [(A2, (g, g)) for g in range(9, 17)]
+    assert build_hat(A2, (1, 1), (17, 17), ((16,), ())).quiver is hat.quiver
+
+
+def test_counts_and_their_verification_leave_the_hat_frames_alone(engine):
+    before = list(_frames.items())
+    assert count_subreps(THETA4, (1, 2), (3, 3), engine) == 6
+    assert si_dimension(THETA4, (1, 2), (3, 3), engine) == 6
+    assert verify_counts(THETA4, (1, 2), (3, 3), engine).passed
+    assert list(_frames.items()) == before
