@@ -18,7 +18,10 @@ has only the empty label, so its step does no work.  A vertex closes
 after its last arrow; for N and M its shape must then equal its target,
 so the closing arrow takes its one label by a lookup keyed by the
 vertex's current shape, not by a scan, and only its other end, if open,
-expands.  Every other step scans only the label sizes that can fit: the
+expands.  A closing step reads its lookups, label table and end bounds
+as one kit cached by a few small ints (_closing_kit), and when a single
+state feeds it, its new keys are distinct and stored without merging.
+Every other step scans only the label sizes that can fit: the
 labels are stored by size, and a window on the size, read off the two
 ends' shapes and the state's carried shortfall, picks the runs to scan.
 The fiber class runs the same DP
@@ -108,17 +111,32 @@ def _size_starts(rect: Rectangle) -> tuple[int, ...]:
 
 
 @cache
-def _closing_labels(rect: Rectangle, conjugated: bool, side: int, bound: tuple[int, ...]) -> dict:
-    """Map from the shape of a vertex that closes on the full rectangle
-    `bound` to the index, in `_label_table(rect, conjugated)`, of the one
-    label whose factor there (column `side`: 1 tail, 2 head) completes it.
+def _closing_kit(
+    rect: Rectangle, conjugated: bool, col: int, shut_rows: int, shut_cols: int, keep_rows: int, keep_cols: int,
+    both: bool,
+) -> tuple:
+    """(by_shut, by_keep, table, bound_shut, bound_keep) for a closing step
+    of an arrow with rectangle `rect`.  One end, shut_rows x shut_cols,
+    closes on its full rectangle; the other, keep_rows x keep_cols, is
+    kept and reads its factor from column `col` of `_label_table(rect,
+    conjugated)` (1 tail, 2 head), the closing end from the other.
 
-    c^R_{lam,mu} is 1 for mu the complement of lam in the rectangle R and
-    0 otherwise, so the map is one-to-one; a shape with no entry closes
-    with no label."""
-    R = Rectangle(len(bound), bound[0] if bound else 0)
+    by_shut maps the shape of the closing end to the index of the one
+    label that completes it: c^R_{lam,mu} is 1 for mu the complement of
+    lam in R and 0 otherwise, so the map is one-to-one, and a shape with
+    no entry closes with no label.  by_keep is that map for the kept end
+    when `both` close (the kept end is then the head), else None.  The
+    bounds are the two ends' full rectangles as partitions."""
     table = _label_table(rect, conjugated)
-    return {complement(row[side], R): i for i, row in enumerate(table) if fits(row[side], R)}
+    side, R = 3 - col, Rectangle(shut_rows, shut_cols)
+    by_shut = {complement(row[side], R): i for i, row in enumerate(table) if fits(row[side], R)}
+    by_keep = None
+    if both:
+        R = Rectangle(keep_rows, keep_cols)
+        by_keep = {complement(row[2], R): i for i, row in enumerate(table) if fits(row[2], R)}
+    bound_shut = (shut_cols,) * shut_rows if shut_cols else ()
+    bound_keep = (keep_cols,) * keep_rows if keep_cols else ()
+    return by_shut, by_keep, table, bound_shut, bound_keep
 
 
 def _greedy_arrow_order(Q: Quiver, rect_sizes: list[int]) -> list[int]:
@@ -250,14 +268,21 @@ def _labeled_sum(
     its target after its last arrow, and c^R_{lam,mu} is 1 for mu the
     complement of lam in the rectangle R and 0 otherwise.  So a step
     whose arrow closes an end only looks up: each state takes the one
-    label that completes the closing end's shape (`_closing_labels`; when
-    both ends close, the two lookups must agree), the closed vertex takes
-    its target with no `expand`, and only the other end, if open, is
-    size-checked and expanded.  Every other step, and every step with
-    slack, is a scanning step: both ends take every label whose size
-    keeps them inside their targets and the state within its slack.  The
-    label table is graded, so the step reads only the rows of the sizes
-    in that window (`_size_starts`); the window is exact when the state
+    label that completes the closing end's shape (when both ends close,
+    the two lookups must agree), the closed vertex takes its target with
+    no `expand`, and only the other end, if open, is size-checked and
+    expanded.  The step reads its lookup maps, label table and the two
+    ends' bounds in one call (`_closing_kit`), cached by the arrow's
+    rectangle, the side, the kept end's column, the two ends' rows and
+    columns and whether both close.  When one state feeds the step, the
+    terms of its one `expand` have distinct shapes, so its new keys are
+    distinct and each is stored with one hash, with no merge.
+
+    Every other step, and every step with slack, is a scanning step:
+    both ends take every label whose size keeps them inside their
+    targets and the state within its slack.  The label table is graded,
+    so the step reads only the rows of the sizes in that window
+    (`_size_starts`); the window is exact when the state
     has no spare boxes, and otherwise the summed shortfall of the two
     ends is checked per label.  Each state carries its total shortfall,
     so the other vertices' share is one subtraction, not a sum over them.
@@ -271,7 +296,6 @@ def _labeled_sum(
     """
     n = len(plan.beta)
     rows, cols = (plan.gamma, plan.beta) if conjugated else (plan.beta, plan.gamma)
-    bounds = [(c,) * r if c else () for r, c in zip(rows, cols)]  # full r x c rectangles
     full = plan.full
 
     if start:
@@ -294,7 +318,6 @@ def _labeled_sum(
         if not cap:
             created += len(state)
             continue
-        table = _label_table(rect, conjugated)
         nxt: dict[tuple, int] = {}
         if not slack and not (left_t and left_h):
             # a closing step: the end that closes (the tail when both do)
@@ -304,10 +327,13 @@ def _labeled_sum(
                 shut, keep, col, left_keep = h, t, 1, left_t
             else:
                 shut, keep, col, left_keep = t, h, 2, left_h
-            by_shut = _closing_labels(rect, conjugated, 3 - col, bounds[shut])
-            by_keep = None if left_keep else _closing_labels(rect, conjugated, 2, bounds[h])
-            bound_shut, bound_keep = bounds[shut], bounds[keep]
+            by_shut, by_keep, table, bound_shut, bound_keep = _closing_kit(
+                rect, conjugated, col, rows[shut], cols[shut], rows[keep], cols[keep], not left_keep
+            )
             need, room = full[keep] - left_keep, full[keep]
+            # a lone state's new keys are distinct (expand lists each nu
+            # once), so each is stored with one hash and no merge
+            lone = len(state) == 1
             for key, coeff in state.items():
                 i = by_shut.get(key[shut])
                 if i is None:
@@ -327,6 +353,11 @@ def _labeled_sum(
                 k[shut] = bound_shut
                 if collect:
                     k[n + a] = i
+                if lone:
+                    for nu, c in terms:
+                        k[keep] = nu
+                        nxt[tuple(k)] = coeff * c
+                    continue
                 for nu, c in terms:
                     k[keep] = nu
                     nk = tuple(k)
@@ -344,7 +375,9 @@ def _labeled_sum(
             # the window: max() and min() calls cost more in this loop.
             need_t, need_h = full[t] - left_t, full[h] - left_h
             fill_t, fill_h = full[t], full[h] - cap  # s <= fill_t - st, s >= sh - fill_h
-            bound_t, bound_h = bounds[t], bounds[h]
+            bound_t = (cols[t],) * rows[t] if cols[t] else ()  # full r x c rectangles
+            bound_h = (cols[h],) * rows[h] if cols[h] else ()
+            table = _label_table(rect, conjugated)
             starts = _size_starts(rect)
             nshort: dict[tuple, int] = {}
             for key, coeff in state.items():

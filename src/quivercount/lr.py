@@ -127,10 +127,14 @@ class LREngine:
         Read right to left, a row puts its (i+1)'s before its i's, so the
         (i+1)'s in rows <= r may never outnumber the i's in rows < r.  A
         state is (shape, i's in rows < r for every r); equal states merge.
-        Malformed partitions raise ValueError.
+        Malformed partitions raise ValueError; lists and other iterables
+        give the answer of their normalized tuples.
         """
         key = (lam, mu, bound)
-        cached = self._expand_memo.get(key)
+        try:
+            cached = self._expand_memo.get(key)
+        except TypeError:  # an unhashable argument, such as a list
+            return self.expand(partition(lam), partition(mu), partition(bound))
         if cached is not None:
             return cached
         lam, mu, bound = partition(lam), partition(mu), partition(bound)

@@ -28,8 +28,8 @@ def partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Normalize an iterable of part sizes into a canonical partition.
 
     A canonical tuple of ints comes back as it is after one pass.  Else
-    zeros are stripped; raises ValueError on non-integral, negative or
-    increasing parts.
+    trailing zeros are stripped; raises ValueError on non-integral,
+    negative or increasing parts, and on a zero before a nonzero part.
     """
     if parts.__class__ is tuple:
         last = parts[0] if parts else 0
@@ -44,6 +44,10 @@ def partition(parts: Iterable[int]) -> tuple[int, ...]:
         if int(x) != x:
             raise ValueError(f"non-integral part {x!r} in partition {given}")
     p = tuple(int(x) for x in given if x != 0)
+    # only trailing zeros strip: a zero among the first len(p) entries
+    # has a nonzero part after it
+    if 0 in given[: len(p)]:
+        raise ValueError(f"zero part before a nonzero part in partition {given}")
     for i, x in enumerate(p):
         if x < 0:
             raise ValueError(f"negative part {x} in partition {p}")

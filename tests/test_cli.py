@@ -236,6 +236,16 @@ def test_count_with_mu_reports_original_pairing(a2_mu_file):
     assert block["euler"] == "1"
 
 
+@pytest.mark.parametrize("part", ["(0,1)", "(1,0,1)"])
+def test_mu_line_with_a_zero_before_a_part_is_a_parse_error(tmp_path, part):
+    # read with every zero stripped, (0,1) answered N = 1 for the piece (1)
+    path = tmp_path / "zero.qc"
+    path.write_text(A2_MU_TEXT.replace("mu 0:(1)", f"mu 0:{part}"))
+    code, out, err = run_cli(["count", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line 5: zero part before a nonzero part")
+
+
 def test_sidim_with_mu_drops_labelings(a2_mu_file):
     code, out, _ = run_cli(["sidim", a2_mu_file])
     assert code == 0

@@ -1,13 +1,15 @@
 """The frontier DP's plan: one arrow order per instance, arrows of
-capacity 0 folded in without work, the shape-keyed closing lookup, and
-the size window of the scanning steps."""
+capacity 0 folded in without work, the shape-keyed closing lookup and
+its kit, closing steps fed by one state or by several, and the size
+window of the scanning steps."""
 
 import hashlib
 import random
+from itertools import product
 
 from quivercount import counting
 from quivercount.counting import (
-    _closing_labels,
+    _closing_kit,
     _label_table,
     _labeled_sum,
     _plan,
@@ -21,7 +23,7 @@ from quivercount.counting import (
     verify_counts,
 )
 from quivercount.covariants import covariant_count, covariant_multiplicity
-from quivercount.partitions import Rectangle, fits, partitions_in_rectangle
+from quivercount.partitions import Rectangle, complement, conjugate, fits, partitions_in_rectangle
 from quivercount.quiver import Quiver, euler_form
 
 
@@ -172,6 +174,7 @@ def _complement_in(lam, bound):
 
 
 def test_closing_lookup_matches_complement_lookup():
+    # the closing end reads column `side`, so the kept end reads 3 - side
     dims = [Rectangle(r, c) for r in range(6) for c in range(6)]
     shapes = {R: partitions_in_rectangle(R) for R in dims}
     for rect in dims:
@@ -180,11 +183,143 @@ def test_closing_lookup_matches_complement_lookup():
             for side in (1, 2):
                 for R in dims:
                     bound = (R.cols,) * R.rows if R.cols else ()
-                    by_shape = _closing_labels(rect, conjugated, side, bound)
+                    by_shape = _closing_kit(rect, conjugated, 3 - side, R.rows, R.cols, 0, 0, False)[0]
                     assert all(fits(s, R) for s in by_shape)
                     for shape in shapes[R]:
                         want = by_factor[side - 1].get(_complement_in(shape, bound))
                         assert by_shape.get(shape) == want, (rect, conjugated, side, R, shape)
+    _closing_kit.cache_clear()
+
+
+def _closing_labels(rect, conjugated, side, bound):
+    """The closing map as its own helper built it before the kit: from the
+    shape of a vertex that closes on the full rectangle `bound` to the
+    index of the label whose factor in column `side` completes it."""
+    R = Rectangle(len(bound), bound[0] if bound else 0)
+    table = _label_table(rect, conjugated)
+    return {complement(row[side], R): i for i, row in enumerate(table) if fits(row[side], R)}
+
+
+def test_closing_kit_matches_its_parts():
+    # every label rectangle up to 5x5, both sides, each closing mode
+    # (tail kept, head kept, both closing), and the end rectangles an
+    # arrow with that rectangle joins: the tail's rows (columns on the
+    # exterior side) are rect.rows and the head's columns (rows) are
+    # rect.cols.  Two rectangles take every pair of ends up to 5x5.
+    dims = [(r, c) for r in range(6) for c in range(6)]
+    every_pair = {Rectangle(0, 2), Rectangle(2, 3)}
+    kits = 0
+    for rect in map(Rectangle._make, dims):
+        for conjugated in (False, True):
+            table = _label_table(rect, conjugated)
+            ref = {
+                (side, bound): _closing_labels(rect, conjugated, side, bound)
+                for side in (1, 2)
+                for bound in {(c,) * r if c else () for r, c in dims}
+            }
+            if rect in every_pair:
+                ends = list(product(dims, dims))
+            elif conjugated:
+                ends = [((x, rect.rows), (rect.cols, y)) for x in range(6) for y in range(6)]
+            else:
+                ends = [((rect.rows, x), (y, rect.cols)) for x in range(6) for y in range(6)]
+            for (rt, ct), (rh, ch) in ends:
+                for col, both in ((1, False), (2, False), (2, True)):
+                    # col 1 keeps the tail and shuts the head, col 2 the reverse
+                    (rs, cs), (rk, ck) = ((rh, ch), (rt, ct)) if col == 1 else ((rt, ct), (rh, ch))
+                    bound_shut = (cs,) * rs if cs else ()
+                    bound_keep = (ck,) * rk if ck else ()
+                    kit = _closing_kit(rect, conjugated, col, rs, cs, rk, ck, both)
+                    by_shut, by_keep, got_table, got_shut, got_keep = kit
+                    assert by_shut == ref[3 - col, bound_shut]
+                    assert by_keep == (ref[2, bound_keep] if both else None)
+                    assert got_table is table
+                    assert (got_shut, got_keep) == (bound_shut, bound_keep)
+                    kits += 1
+        _closing_kit.cache_clear()
+    assert kits == 34 * 2 * 36 * 3 + 2 * 2 * 36 * 36 * 3
+
+
+# -- closing steps fed by one state or by several ----------------------------------
+
+
+def _merging_pool(size: int):
+    """(quiver, beta, gamma, pairing), seeded, with pairing 0 to 2 and at
+    least three arrows, so closing steps often receive several states."""
+    rng = random.Random(13)
+    pool = []
+    while len(pool) < size:
+        Q, beta, alpha = random_instance(
+            rng, max_verts=4, max_arrows=6, max_dim=3, min_arrows=3, require_zero_pairing=False
+        )
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        pairing = euler_form(Q, beta, gamma)
+        if 0 <= pairing <= 2:
+            pool.append((Q, beta, gamma, pairing))
+    return pool
+
+
+def _covariant_starts(beta, gamma, pairing):
+    """Exterior-side start shapes, as covariant_multiplicity takes them,
+    of every piece mu: per-vertex partitions in beta(x) x gamma(x) whose
+    sizes add up to the pairing."""
+    per = [[p for p in partitions_in_rectangle(Rectangle(b, g)) if sum(p) <= pairing] for b, g in zip(beta, gamma)]
+    return [[conjugate(p) for p in mu] for mu in product(*per) if sum(map(sum, mu)) == pairing]
+
+
+def _closing_census(plan, engine, conjugated, start=None):
+    """(closing steps fed by one state that yield states, closing steps
+    fed by several, closing steps where states merge), read off folds of
+    the plan's prefixes: the states before a step are fed to it one at a
+    time, and a merge leaves fewer states than they give alone."""
+    lone = several = merged = 0
+    left = list(plan.left)
+    for j, step in enumerate(plan.steps):
+        _, t, h, cap, left_t, left_h, _ = step
+        if cap and not (left_t and left_h):
+            before, _ = _labeled_sum(plan._replace(steps=plan.steps[:j]), engine, conjugated, start)
+            after, _ = _labeled_sum(plan._replace(steps=plan.steps[: j + 1]), engine, conjugated, start)
+            one_step = plan._replace(left=tuple(left), steps=(step,))
+            alone = sum(len(_labeled_sum(one_step, engine, conjugated, key)[0]) for key in before)
+            lone += len(before) == 1 and bool(after)
+            several += len(before) > 1
+            merged += alone > len(after)
+        left[t], left[h] = left_t, left_h
+    return lone, several, merged
+
+
+def test_merging_closing_folds_match_pins(engine):
+    # slack 0 throughout: zero pairings fold from empty shapes on both
+    # sides, positive ones from every piece's covariant start shapes on
+    # the exterior side, each with and without collecting labels; pinned
+    # from the fold that hashed every new key twice and read its closing
+    # maps per step
+    digest = hashlib.sha256()
+    folds = total = created = nonempty = 0
+    pairings = [0] * 3
+    census = {"default": (0, 0, 0), "covariant": (0, 0, 0)}
+    for Q, beta, gamma, pairing in _merging_pool(40):
+        pairings[pairing] += 1
+        plan = _plan(Q, beta, gamma)
+        starts = [None] if not pairing else _covariant_starts(beta, gamma, pairing)
+        for start in starts:
+            for conjugated in (False, True) if start is None else (True,):
+                for collect in (False, True):
+                    final, states = _labeled_sum(plan, engine, conjugated, start, collect=collect)
+                    folds += 1
+                    total += sum(final.values())
+                    created += states
+                    nonempty += bool(final)
+                    digest.update(repr(list(final.items())).encode())
+                kind = "default" if start is None else "covariant"
+                found = _closing_census(plan, engine, conjugated, start)
+                census[kind] = tuple(map(sum, zip(census[kind], found)))
+    assert pairings == [21, 10, 9]
+    assert (folds, total, created, nonempty) == (188, 424, 1344, 124)
+    assert digest.hexdigest() == "20eeab03031b2488888d257853883fe97e14a2f083e53db8dbce6d54ebd651e4"
+    # both the one-state insertion and the merging one run, on both kinds
+    # of start, and states do merge at closing steps
+    assert census == {"default": (12, 12, 12), "covariant": (14, 15, 14)}
 
 
 def test_six_three_triple_flags_close_a_vertex_at_every_step(engine):

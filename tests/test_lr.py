@@ -147,11 +147,28 @@ def test_expand_is_symmetric_in_its_factors():
 
 def test_expand_validates_its_input():
     engine = LREngine()
-    # zeros are stripped, as everywhere else: (0, 1) is the partition (1,)
-    assert engine.expand((0, 1), (1,), (2, 2)) == engine.expand((1,), (1,), (2, 2))
-    assert engine.expand((0, 1), (1,), (2, 2)) == (((1, 1), 1), ((2,), 1))
+    # trailing zeros are stripped, as everywhere else: (1, 0) is the
+    # partition (1,); a zero before a nonzero part is not a partition
+    assert engine.expand((1, 0), (1,), (2, 2)) == engine.expand((1,), (1,), (2, 2))
+    assert engine.expand((1, 0), (1,), (2, 2)) == (((1, 1), 1), ((2,), 1))
+    with pytest.raises(ValueError):
+        engine.expand((0, 1), (1,), (2, 2))
     with pytest.raises(ValueError):
         engine.expand((1,), (1, 2), (3, 3))
+
+
+def test_expand_takes_lists_as_their_tuples():
+    # lr_coefficient and tensor_multiplicity take lists; so does expand,
+    # in any argument, warm memo or cold, and a malformed list still
+    # raises ValueError
+    engine = LREngine()
+    assert engine.expand([1], (1,), (2,)) == (((2,), 1),)
+    assert engine.expand((2, 1), [2], [4, 4, 4, 4]) == engine.expand((2, 1), (2,), (4, 4, 4, 4))
+    cold = LREngine()
+    assert cold.expand([1, 1], [1, 0], [3, 3, 0]) == engine.expand((1, 1), (1,), (3, 3))
+    assert engine.expand([1], [1], [2, 2]) is engine.expand((1,), (1,), (2, 2))
+    with pytest.raises(ValueError):
+        engine.expand([1, 2], (1,), (3, 3))
 
 
 def test_products_share_no_code_with_the_tableau_counter(monkeypatch):

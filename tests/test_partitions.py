@@ -30,6 +30,15 @@ def test_partition_normalizes_and_validates():
         partition((2, -1))
 
 
+@pytest.mark.parametrize("parts", [(0, 1), (1, 0, 1), [0, 0, 2], (2, 0, 1, 0)])
+def test_partition_rejects_a_zero_before_a_nonzero_part(parts):
+    # stripping every zero would answer for (1,), (1, 1), (2) or (2, 1)
+    with pytest.raises(ValueError, match="zero part before a nonzero part"):
+        partition(parts)
+    with pytest.raises(ValueError):
+        parse_partition(format_partition(parts))
+
+
 @pytest.mark.parametrize(
     "parts, bad",
     [([2.5, 1], "2.5"), ([0.5], "0.5"), ([1, 0.5], "0.5")],
@@ -42,8 +51,14 @@ def test_partition_rejects_non_integral_parts(parts, bad):
 
 def _partition_before(parts):
     """partition() before canonical tuples passed straight through: every
-    input normalized by one generator."""
-    p = tuple(int(x) for x in parts if x != 0)
+    input normalized by one generator, with only trailing zeros dropped
+    (a zero before a nonzero part raises)."""
+    parts = tuple(parts)
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    if 0 in parts:
+        raise ValueError(f"zero part before a nonzero part in partition {parts}")
+    p = tuple(int(x) for x in parts)
     for i, x in enumerate(p):
         if x < 0:
             raise ValueError(f"negative part {x} in partition {p}")
