@@ -35,7 +35,7 @@ from .counting import (
     verify_counts,
     weight_of,
 )
-from .covariants import build_hat, covariant_count, covariant_multiplicity
+from .covariants import _check_piece, build_hat, covariant_count, covariant_multiplicity
 from .ffield import GF
 from .lr import LREngine
 from .oracles import (
@@ -214,6 +214,9 @@ def cmd_sidim(args, out):
 
 def cmd_fiber_class(args, out):
     spec = _load_spec(args.instance)
+    if spec.mu is not None:
+        # the piece check names a bad mu; a valid one prints the whole class
+        _check_piece(spec.quiver, spec.beta, spec.alpha, spec.mu)
     fc = fiber_class(spec.quiver, spec.beta, spec.alpha)
     pairing = check_instance(spec.quiver, spec.beta, spec.alpha)[3]
     for mu, coeff in fc.sorted_items():

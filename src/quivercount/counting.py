@@ -43,12 +43,8 @@ from typing import NamedTuple
 
 from .lr import LREngine
 from .partitions import Rectangle, complement, conjugate, fits, partition, partitions_in_rectangle, size
-from .quiver import NonzeroPairingError, Quiver, check_dimvector, check_instance, euler_form
-
-
-class NegativePairingError(ValueError):
-    """Fiber decomposition requested where the pairing is negative, so the
-    locus of subrepresentations of a general representation is empty."""
+# the pairing errors are re-exported: check_instance raises them for N, M and the fiber class
+from .quiver import NegativePairingError, NonzeroPairingError, Quiver, check_dimvector, check_instance, euler_form
 
 
 def weight_of(Q: Quiver, beta) -> tuple[int, ...]:
@@ -61,19 +57,16 @@ def weight_of(Q: Quiver, beta) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _check_counting_pre(Q: Quiver, beta, alpha):
-    """check_instance, plus the zero-pairing requirement of N and M."""
-    beta, alpha, gamma, pairing = check_instance(Q, beta, alpha)
-    if pairing < 0:
-        raise NegativePairingError(
-            f"negative Euler pairing {pairing}: a general representation has no"
-            f" subrepresentations of dimension {beta}"
-        )
-    if pairing != 0:
-        raise NonzeroPairingError(
-            f"nonzero Euler pairing {pairing}; use fiber-class for the full decomposition"
-        )
-    return beta, alpha, gamma, pairing
+def _check_key(key, boxes) -> tuple[tuple[int, ...], ...]:
+    """key normalized, one partition per vertex inside its (rows, cols) box:
+    the mu check of FiberClass.coefficient and of a covariant piece."""
+    if len(key) != len(boxes):
+        raise ValueError(f"mu has {len(key)} entries, quiver has {len(boxes)} vertices")
+    key = tuple(map(partition, key))
+    for x, (p, (rows, cols)) in enumerate(zip(key, boxes)):
+        if len(p) > rows or (p and p[0] > cols):
+            raise ValueError(f"mu({x}) = {p} does not fit in {rows}x{cols}")
+    return key
 
 
 # -- the frontier DP ------------------------------------------------------------
@@ -450,20 +443,20 @@ def count_subreps_detailed(
     Q: Quiver, beta, alpha, engine: LREngine | None = None, breakdown: bool = False
 ) -> tuple[int, int, tuple]:
     """(N, DP states created, optional nonzero-summand breakdown)."""
-    beta, _, gamma, _ = _check_counting_pre(Q, beta, alpha)
+    beta, _, gamma, _ = check_instance(Q, beta, alpha, "zero")
     return _count(_plan(Q, beta, gamma), engine or LREngine(), False, breakdown)
 
 
 def count_subreps(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> int:
     """Number of beta-dimensional subrepresentations of a general
-    alpha-dimensional representation (finite exactly when the Euler
-    pairing of beta with alpha - beta vanishes, which is required)."""
+    alpha-dimensional representation, finite exactly at Euler pairing
+    <beta, alpha - beta> = 0, which check_instance requires."""
     return count_subreps_detailed(Q, beta, alpha, engine)[0]
 
 
 def si_dimension_detailed(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> tuple[int, int]:
     """(M, DP states created)."""
-    beta, _, gamma, _ = _check_counting_pre(Q, beta, alpha)
+    beta, _, gamma, _ = check_instance(Q, beta, alpha, "zero")
     return _count(_plan(Q, beta, gamma), engine or LREngine(), True)[:2]
 
 
@@ -505,13 +498,7 @@ class FiberClass:
     def coefficient(self, key: tuple[tuple[int, ...], ...]) -> int:
         """The coefficient of the piece key, 0 when absent; a key that
         cannot be a piece raises ValueError, as in covariant_count."""
-        key = tuple(map(partition, key))
-        if len(key) != len(self.ambients):
-            raise ValueError(f"mu has {len(key)} entries, quiver has {len(self.ambients)} vertices")
-        for x, (p, rect) in enumerate(zip(key, self.ambients)):
-            if not fits(p, rect):
-                raise ValueError(f"mu({x}) = {p} does not fit in {rect.rows}x{rect.cols}")
-        return self.coeffs.get(key, 0)
+        return self.coeffs.get(_check_key(key, self.ambients), 0)
 
     def sorted_items(self):
         return sorted(self.coeffs.items())
@@ -523,13 +510,9 @@ def fiber_class(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> Fiber
 
     Keys are complement tuples: the stored key mu has mu(x) complementary
     (in the vertex rectangle) to the partition whose class appears, so a
-    zero pairing leaves the single all-empty key with coefficient N.
-    """
-    beta, _, gamma, pairing = check_instance(Q, beta, alpha)
-    if pairing < 0:
-        raise NegativePairingError(
-            f"Euler pairing {pairing} < 0: generic fiber is empty, no class to decompose"
-        )
+    zero pairing leaves the single all-empty key with coefficient N.  A
+    negative pairing has no class: check_instance raises for it."""
+    beta, _, gamma, pairing = check_instance(Q, beta, alpha, "nonnegative")
     ambients = tuple(Rectangle(b, g) for b, g in zip(beta, gamma))
     final, states = _labeled_sum(_piece_plan(Q, beta, gamma), engine or LREngine(), slack=pairing)
     coeffs: dict[tuple[tuple[int, ...], ...], int] = {}
@@ -575,7 +558,7 @@ class CountReport:
 def verify_counts(Q: Quiver, beta, alpha, engine: LREngine | None = None) -> CountReport:
     """Compute the subrepresentation count and the weight-space dimension
     independently and report whether they agree."""
-    beta, alpha, gamma, pairing = _check_counting_pre(Q, beta, alpha)
+    beta, alpha, gamma, pairing = check_instance(Q, beta, alpha, "zero")
     engine = engine or LREngine()
     plan = _plan(Q, beta, gamma)
     n, nstates, _ = _count(plan, engine, False)

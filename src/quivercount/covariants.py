@@ -16,31 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, mul
 
-from .counting import _labeled_sum, _piece_plan, count_subreps
+from .counting import _check_key, _labeled_sum, _piece_plan, count_subreps
 from .lr import LREngine
-from .partitions import conjugate, partition
+from .partitions import conjugate
 from .quiver import Quiver, check_instance
 
 
 def _check_piece(Q: Quiver, beta, alpha, mu):
-    """Validate an instance and its piece mu; return (beta, gamma, mu)
-    with mu normalized."""
-    beta, _, gamma, pairing = check_instance(Q, beta, alpha)
-    if len(mu) != Q.nvertices:
-        raise ValueError(f"mu has {len(mu)} entries, quiver has {Q.nvertices} vertices")
-    out = tuple(map(partition, mu))
-    total = 0
-    for x, p in enumerate(out):
-        if len(p) > beta[x] or (p and p[0] > gamma[x]):
-            raise ValueError(
-                f"mu({x}) = {p} does not fit in {beta[x]}x{gamma[x]}"
-            )
-        total += sum(p)
+    """Validate an instance and its piece mu, whose sizes must add up to the
+    (nonnegative) pairing; return (beta, gamma, mu) with mu normalized."""
+    beta, _, gamma, pairing = check_instance(Q, beta, alpha, "nonnegative")
+    mu = _check_key(mu, list(zip(beta, gamma)))
+    total = sum(map(sum, mu))
     if total != pairing:
         raise ValueError(
             f"mu sizes sum to {total}, Euler pairing is {pairing}; the piece is empty or ill-posed"
         )
-    return beta, gamma, out
+    return beta, gamma, mu
 
 
 @dataclass(frozen=True)

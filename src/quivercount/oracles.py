@@ -92,7 +92,7 @@ from .ffield import (
     poly_roots,
     poly_trim,
 )
-from .quiver import NonzeroPairingError, Quiver, check_dimvector, check_instance, euler_form
+from .quiver import Quiver, check_dimvector, check_instance, euler_form
 
 
 class NonSquarePairingError(ValueError):
@@ -879,11 +879,7 @@ def sampled_subrep_count(
     rather than resolved arbitrarily.  Each degree enumerates or solves
     as `_by_degree` decides; method is the choice at the largest degree.
     """
-    beta, alpha, _, pairing = check_instance(Q, beta, alpha)
-    if pairing != 0:
-        raise NonzeroPairingError(
-            f"nonzero Euler pairing {pairing}: the sampling oracle needs a finite fiber"
-        )
+    beta, alpha = check_instance(Q, beta, alpha, "zero")[:2]
     if not 1 <= max_ext_degree <= 4:
         raise ValueError("extension degree must be between 1 and 4")
     if trials < 1:
@@ -953,9 +949,7 @@ def si_rank_oracle(
     the dimension, and the oracle never reads M from the formula it checks.
     """
     gamma = check_dimvector(Q, gamma)  # so that a negative entry is named as such
-    beta, alpha, gamma, pairing = check_instance(Q, beta, [b + g for b, g in zip(beta, gamma)])
-    if pairing != 0:
-        raise NonzeroPairingError(f"nonzero Euler pairing {pairing}: c^V is not defined")
+    beta, alpha, gamma, _ = check_instance(Q, beta, [b + g for b, g in zip(beta, gamma)], "zero")
     if field is None:
         field = GF(101)
     for name, n in (("nv", nv), ("nw", nw)):
@@ -1070,9 +1064,9 @@ def verify_determinant_basis(
     dimension: k independent semi-invariants in a k-dimensional space.
     Off-diagonal entries vanish for every sample (V_i maps nontrivially
     to V/V_j); a zero diagonal entry marks a non-generic sample, which is
-    retried.
+    retried.  The pairing must be 0 (check_instance).
     """
-    beta, alpha, gamma, _ = check_instance(Q, beta, alpha)
+    beta, alpha, gamma, _ = check_instance(Q, beta, alpha, "zero")
     if not isinstance(field, GF) or field.k != 1:
         raise ValueError("base field must be a prime field (extensions are built internally)")
     counts = verify_counts(Q, beta, alpha)

@@ -1,9 +1,9 @@
 """Quivers, dimension vectors, the Euler form, and the one check that
 decides whether (Q, beta, alpha) is an instance.
 
-Both sides of the package build on this module: the counting formulas
-and the finite-field oracles.  It imports no other package module, so
-whatever the two sides share is here and nothing else is.
+Both sides of the package, the counting formulas and the finite-field
+oracles, build on this module and share nothing else: it imports no other
+package module, and only its check_instance raises the pairing errors.
 """
 
 from __future__ import annotations
@@ -100,17 +100,24 @@ def check_dimvector(Q: Quiver, vec, signed: bool = False) -> tuple[int, ...]:
 
 
 class NonzeroPairingError(ValueError):
-    """An instance whose Euler pairing <beta, alpha - beta> is not 0 was
-    given to an operation that needs it to be 0; both the counting
-    formulas and the oracles raise it."""
+    """The Euler pairing <beta, alpha - beta> is not 0 where N, M or an
+    oracle needs it to be; only check_instance raises it."""
 
 
-def check_instance(Q: Quiver, beta, alpha):
+class NegativePairingError(NonzeroPairingError):
+    """The Euler pairing is negative, so a general representation has no
+    beta-dimensional subrepresentations; only check_instance raises it."""
+
+
+def check_instance(Q: Quiver, beta, alpha, require: str | None = None):
     """Validate beta inside alpha; return (beta, alpha, gamma, <beta, gamma>)
     with gamma = alpha - beta.
 
     This is the one place that decides whether (Q, beta, alpha) is an
-    instance.  Callers add their own requirements on the pairing."""
+    instance and whether its pairing meets the caller's requirement: None,
+    "nonnegative" (the fiber class and its pieces) or "zero" (N, M, oracles)."""
+    if require is not None and require not in ("nonnegative", "zero"):
+        raise ValueError(f"pairing requirement must be None, 'nonnegative' or 'zero', got {require!r}")
     beta = check_dimvector(Q, beta)
     alpha = check_dimvector(Q, alpha)
     gamma = tuple(map(sub, alpha, beta))
@@ -118,6 +125,13 @@ def check_instance(Q: Quiver, beta, alpha):
         raise ValueError(f"beta {beta} does not fit inside alpha {alpha}")
     # the Euler form, on tuples already checked
     pairing = sum(map(mul, beta, gamma)) - sum([beta[t] * gamma[h] for t, h in Q.arrows])
+    if require and pairing < 0:
+        raise NegativePairingError(
+            f"negative Euler pairing {pairing}: a general representation has no"
+            f" subrepresentations of dimension {beta}"
+        )
+    if require == "zero" and pairing:
+        raise NonzeroPairingError(f"nonzero Euler pairing {pairing}; use fiber-class for the full decomposition")
     return beta, alpha, gamma, pairing
 
 

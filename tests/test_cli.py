@@ -12,7 +12,18 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from quivercount import oracles
+from quivercount import (
+    NegativePairingError,
+    NonzeroPairingError,
+    build_hat,
+    count_subreps,
+    covariant_count,
+    covariant_multiplicity,
+    fiber_class,
+    oracles,
+    si_dimension,
+    verify_counts,
+)
 from quivercount.cli import (
     InstanceParseError,
     InstanceSpec,
@@ -21,6 +32,7 @@ from quivercount.cli import (
     render_instance,
 )
 from quivercount.counting import random_instance
+from quivercount.ffield import GF
 from quivercount.quiver import Quiver
 
 THETA4_TEXT = (
@@ -522,6 +534,81 @@ def test_exit_usage_on_negative_pairing(tmp_path):
     code, _, err = run_cli(["count", str(path)])
     assert code == 2
     assert "negative Euler pairing" in err
+
+
+# -- the pairing requirement at every entry point ----------------------------
+#
+# check_instance is the one check: each entry point states whether it needs
+# pairing 0 (N, M and the oracles) or only a nonnegative one (the fiber class
+# and its pieces), and the same bad instance gets the same error everywhere.
+
+THETA3_TEXT = "vertices 2\narrow 0 1\narrow 0 1\narrow 0 1\nalpha 2 2\nbeta 1 1\n"  # pairing -1
+A2_TEXT = "vertices 2\narrow 0 1\nalpha 2 2\nbeta 1 1\n"  # pairing 1
+NEGATIVE = ("negative Euler pairing -1", NegativePairingError)
+POSITIVE = ("nonzero Euler pairing 1", NonzeroPairingError)
+PIECE = ((1,), ())  # the one-box piece at vertex 0, a piece of A2_TEXT's class
+
+ENTRY_POINTS = {
+    # name: (call on (Q, beta, alpha), the pairing it needs)
+    "count_subreps": (count_subreps, "zero"),
+    "si_dimension": (si_dimension, "zero"),
+    "verify_counts": (verify_counts, "zero"),
+    "fiber_class": (fiber_class, "nonnegative"),
+    "build_hat": (lambda Q, b, a: build_hat(Q, b, a, PIECE), "nonnegative"),
+    "covariant_count": (lambda Q, b, a: covariant_count(Q, b, a, PIECE), "nonnegative"),
+    "covariant_multiplicity": (lambda Q, b, a: covariant_multiplicity(Q, b, a, PIECE), "nonnegative"),
+    "sampled_subrep_count": (lambda Q, b, a: oracles.sampled_subrep_count(Q, b, a, 5, trials=1), "zero"),
+    "si_rank_oracle": (lambda Q, b, a: oracles.si_rank_oracle(Q, b, tuple(x - y for x, y in zip(a, b))), "zero"),
+    "verify_determinant_basis": (lambda Q, b, a: oracles.verify_determinant_basis(Q, b, a, GF(5)), "zero"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("text, expected", [(THETA3_TEXT, NEGATIVE), (A2_TEXT, POSITIVE)], ids=["negative", "positive"])
+def test_every_library_entry_point_checks_the_pairing(name, text, expected):
+    call, need = ENTRY_POINTS[name]
+    spec = parse_instance(text)
+    message, error = expected
+    if error is NonzeroPairingError and need == "nonnegative":
+        call(spec.quiver, spec.beta, spec.alpha)  # a positive pairing has a class and pieces
+        return
+    with pytest.raises(error, match=message) as info:
+        call(spec.quiver, spec.beta, spec.alpha)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("command", ["count", "sidim", "fiber-class", "verify"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (THETA3_TEXT, NEGATIVE[0]),
+        (THETA3_TEXT + "mu 0:(1)\n", NEGATIVE[0]),
+        (A2_TEXT, POSITIVE[0]),
+        (A2_TEXT + "mu 0:(1)\n", None),
+        (A2_TEXT + "mu 0:(1,1)\n", "mu(0) = (1, 1) does not fit in 1x1"),
+        (A2_TEXT + "mu 1:()\n", "mu sizes sum to 0, Euler pairing is 1"),
+    ],
+    ids=["negative", "negative-mu", "positive", "positive-mu", "mu-outside-its-box", "mu-of-the-wrong-size"],
+)
+def test_every_subcommand_checks_the_pairing_and_the_mu_lines(tmp_path, command, text, message):
+    path = tmp_path / "bad.qc"
+    path.write_text(text)
+    code, out, err = run_cli([command, str(path)])
+    if message is None or (message == POSITIVE[0] and command == "fiber-class"):
+        assert (code, err) == (0, "")
+        return
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_fiber_class_with_a_valid_mu_prints_the_whole_class(tmp_path, a2_mu_file):
+    path = tmp_path / "a2.qc"
+    path.write_text(A2_TEXT)
+    code, out, _ = run_cli(["fiber-class", a2_mu_file])
+    whole = run_cli(["fiber-class", str(path)])[1]
+    assert code == 0
+    assert out.splitlines()[:3] == whole.splitlines()[:3] == ["0:();1:(1) -> 1", "0:(1);1:() -> 1", "---"]
+    assert machine_block(out) == machine_block(whole)
 
 
 def test_exit_usage_on_parse_error(tmp_path):

@@ -126,3 +126,36 @@ def test_public_names_and_their_homes():
         assert getattr(quivercount, name) is getattr(quivercount.oracles, name)
     assert quivercount.counting.NonzeroPairingError is quivercount.quiver.NonzeroPairingError
     assert quivercount.NonzeroPairingError is quivercount.quiver.NonzeroPairingError
+    # a negative pairing is one way of missing pairing 0
+    assert quivercount.NegativePairingError is quivercount.quiver.NegativePairingError
+    assert issubclass(quivercount.NegativePairingError, quivercount.NonzeroPairingError)
+
+
+PAIRING_ERRORS = {"NonzeroPairingError", "NegativePairingError"}
+
+
+def pairing_raises(source: str) -> list[str]:
+    """The pairing errors that `raise` statements in source name, called or
+    not, bare or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name in PAIRING_ERRORS:
+                found.append(name)
+    return found
+
+
+def test_the_raise_reader_sees_every_form():
+    source = (
+        "raise NonzeroPairingError('x')\nraise quiver.NegativePairingError\n"
+        "raise ValueError('NonzeroPairingError')\nraise\n"
+    )
+    assert pairing_raises(source) == ["NonzeroPairingError", "NegativePairingError"]
+
+
+@pytest.mark.parametrize("module", sorted(MODULES | {"__init__"}))
+def test_only_check_instance_raises_the_pairing_errors(module):
+    raised = pairing_raises((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert (sorted(raised) == sorted(PAIRING_ERRORS)) if module == "quiver" else not raised

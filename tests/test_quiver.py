@@ -12,7 +12,14 @@ from quivercount.oracles import (
     random_rep,
     semiinvariant_cv,
 )
-from quivercount.quiver import Quiver, check_dimvector, check_instance, euler_form
+from quivercount.quiver import (
+    NegativePairingError,
+    NonzeroPairingError,
+    Quiver,
+    check_dimvector,
+    check_instance,
+    euler_form,
+)
 
 THETA2 = Quiver(2, ((0, 1), (0, 1)))
 A2 = Quiver(2, ((0, 1),))
@@ -135,6 +142,25 @@ def test_non_integral_entries_are_rejected():
     with pytest.raises(ValueError, match="non-integral"):
         FFRep(A2, GF(5), (1, 1.5), ((),))
     assert check_dimvector(A2, iter([2.0, 1])) == (2, 1)
+
+
+def test_check_instance_states_the_pairing_requirement():
+    theta3 = Quiver(2, ((0, 1),) * 3)
+    # None requires nothing: the pairing comes back whatever its sign
+    assert check_instance(theta3, (1, 1), (2, 2))[3] == -1
+    assert check_instance(A2, (1, 1), (2, 2))[3] == 1
+    assert check_instance(A2, (1, 1), (2, 2), "nonnegative")[3] == 1
+    assert check_instance(THETA2, (1, 1), (2, 2), "zero")[3] == 0
+    for require in ("nonnegative", "zero"):
+        with pytest.raises(NegativePairingError, match="negative Euler pairing -1"):
+            check_instance(theta3, (1, 1), (2, 2), require)
+    with pytest.raises(NonzeroPairingError, match="nonzero Euler pairing 1") as info:
+        check_instance(A2, (1, 1), (2, 2), "zero")
+    assert type(info.value) is NonzeroPairingError
+    # a misspelled requirement is refused, whatever the pairing
+    for require in ("non-negative", "", 0, "Zero"):
+        with pytest.raises(ValueError, match="pairing requirement must be None, 'nonnegative' or 'zero'"):
+            check_instance(THETA2, (1, 1), (2, 2), require)
 
 
 def test_euler_form_pins():
