@@ -21,13 +21,13 @@ vertex's current shape, not by a scan, and only its other end, if open,
 expands.  A closing step reads its lookups, label table and end bounds
 as one kit cached by a few small ints (_closing_kit), and when a single
 state feeds it, its new keys are distinct and stored without merging.
-Every other step scans only the label sizes that can fit: the
-labels are stored by size, and a window on the size, read off the two
-ends' shapes and the state's carried shortfall, picks the runs to scan.
-The fiber class runs the same DP
-with <beta, gamma> boxes of slack: a closed vertex may fall short of its
-rectangle, and the missing boxes (the complement of its shape) key the
-decomposition of the locus of subrepresentations by cohomology class.
+Every other step scans only the label sizes that can fit: one pass over
+a rectangle's partitions lists its labels by size for both sides
+(_label_table), and a window on the size, read off the two ends' shapes
+and the state's carried shortfall, picks the runs to scan.  The fiber
+class runs the same DP with <beta, gamma> boxes of slack: a closed vertex
+may fall short of its rectangle, and its missing boxes (the complement of
+its shape) key the decomposition of the locus by cohomology class.
 """
 
 from __future__ import annotations
@@ -73,34 +73,24 @@ def _check_key(key, boxes) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _label_table(rect: Rectangle, conjugated: bool) -> tuple[tuple, ...]:
-    """(lambda, tail factor, head factor, |lambda|) for every label lambda
-    of an arrow with rectangle `rect`, in graded-lex order.
+def _label_table(rect: Rectangle) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """(symmetric table, exterior table, starts) for an arrow with
+    rectangle `rect`, from one pass over its labels in graded-lex order.
 
-    The tail vertex sees lambda, the head vertex its complement; on the
-    exterior side (`conjugated`) both factors are conjugated.  The rows,
-    and so the row indices, are the same on both sides.  The graded order
-    is load-bearing: a scanning step reads the labels of one size as one
-    run of rows (`_size_starts`)."""
-    rows = []
+    A table has a row (lambda, tail factor, head factor, |lambda|) per
+    label lambda: the tail sees lambda, the head its complement, both
+    conjugated on the exterior side; `[conjugated]` picks a side.  Both
+    list the same labels in the same order.  The graded order is
+    load-bearing: a scanning step reads the labels of size s as rows
+    starts[s] .. starts[s + 1] - 1 (starts[|rect| + 1] is the length)."""
+    sym, ext = [], []
+    starts = [0] * (rect.rows * rect.cols + 2)
     for lam in partitions_in_rectangle(rect):
-        tail, head = lam, complement(lam, rect)
-        if conjugated:
-            tail, head = conjugate(tail), conjugate(head)
-        rows.append((lam, tail, head, size(lam)))
-    return tuple(rows)
-
-
-@cache
-def _size_starts(rect: Rectangle) -> tuple[int, ...]:
-    """starts[s] for s = 0 .. |rect| + 1: the index in `_label_table(rect,
-    either side)` of the first label of size s, so the labels of size s
-    are rows starts[s] .. starts[s + 1] - 1 (starts[|rect| + 1] is the
-    table's length)."""
-    counts = [0] * (rect.rows * rect.cols + 2)
-    for lam in partitions_in_rectangle(rect):
-        counts[size(lam) + 1] += 1
-    return tuple(accumulate(counts))
+        comp, s = complement(lam, rect), size(lam)
+        sym.append((lam, lam, comp, s))
+        ext.append((lam, conjugate(lam), conjugate(comp), s))
+        starts[s + 1] += 1
+    return tuple(sym), tuple(ext), tuple(accumulate(starts))
 
 
 @cache
@@ -111,8 +101,8 @@ def _closing_kit(
     """(by_shut, by_keep, table, bound_shut, bound_keep) for a closing step
     of an arrow with rectangle `rect`.  One end, shut_rows x shut_cols,
     closes on its full rectangle; the other, keep_rows x keep_cols, is
-    kept and reads its factor from column `col` of `_label_table(rect,
-    conjugated)` (1 tail, 2 head), the closing end from the other.
+    kept and reads its factor from column `col` of the `conjugated` side
+    of `_label_table(rect)` (1 tail, 2 head), the closing end from the other.
 
     by_shut maps the shape of the closing end to the index of the one
     label that completes it: c^R_{lam,mu} is 1 for mu the complement of
@@ -120,7 +110,7 @@ def _closing_kit(
     no entry closes with no label.  by_keep is that map for the kept end
     when `both` close (the kept end is then the head), else None.  The
     bounds are the two ends' full rectangles as partitions."""
-    table = _label_table(rect, conjugated)
+    table = _label_table(rect)[conjugated]
     side, R = 3 - col, Rectangle(shut_rows, shut_cols)
     by_shut = {complement(row[side], R): i for i, row in enumerate(table) if fits(row[side], R)}
     by_keep = None
@@ -274,11 +264,11 @@ def _labeled_sum(
     Every other step, and every step with slack, is a scanning step:
     both ends take every label whose size keeps them inside their
     targets and the state within its slack.  The label table is graded,
-    so the step reads only the rows of the sizes in that window
-    (`_size_starts`); the window is exact when the state
-    has no spare boxes, and otherwise the summed shortfall of the two
-    ends is checked per label.  Each state carries its total shortfall,
-    so the other vertices' share is one subtraction, not a sum over them.
+    so the step reads only the rows of the sizes in that window (the
+    table's `starts`); the window is exact when the state has no spare
+    boxes, and otherwise the summed shortfall of the two ends is checked
+    per label.  Each state carries its total shortfall, so the other
+    vertices' share is one subtraction, not a sum over them.
 
     With `collect`, each arrow's label index joins the key, so labelings
     never merge and every final state is one nonzero summand.
@@ -370,8 +360,8 @@ def _labeled_sum(
             fill_t, fill_h = full[t], full[h] - cap  # s <= fill_t - st, s >= sh - fill_h
             bound_t = (cols[t],) * rows[t] if cols[t] else ()  # full r x c rectangles
             bound_h = (cols[h],) * rows[h] if cols[h] else ()
-            table = _label_table(rect, conjugated)
-            starts = _size_starts(rect)
+            labels = _label_table(rect)
+            table, starts = labels[conjugated], labels[2]
             nshort: dict[tuple, int] = {}
             for key, coeff in state.items():
                 cur_t, cur_h = key[t], key[h]
@@ -431,7 +421,7 @@ def _count(plan: _Plan, engine: LREngine, conjugated: bool, breakdown: bool = Fa
     rows = ()
     if breakdown:
         n = len(plan.beta)
-        tables = {a: _label_table(rect, conjugated) for a, *_, rect in plan.steps}
+        tables = {a: _label_table(rect)[conjugated] for a, *_, rect in plan.steps}
         rows = tuple(
             (tuple(tables[a][i][0] for a, i in enumerate(key[n:])), c)
             for key, c in sorted(final.items(), key=lambda item: item[0][n:])

@@ -287,6 +287,12 @@ def test_field_data_built_once_per_field():
     assert GF(101, 4)._rows is GF(101, 4)._rows
 
 
+def test_fields_compare_and_hash_by_p_and_k():
+    assert GF(13) == GF(13) and GF(13) != GF(13, 2)
+    assert GF(13) != 13 and 13 != GF(13)
+    assert len({GF(13), GF(13), GF(13, 2)}) == 2
+
+
 def test_frobenius_fixes_prime_subfield():
     F = GF(3, 2)
     for a in range(3):
@@ -612,6 +618,13 @@ def test_poly_gcd_pins():
     f = poly_mul(F, (1, 1), (2, 1))
     g = poly_mul(F, (1, 1), (3, 1))
     assert poly_gcd(F, f, g) == poly_monic(F, (1, 1))
+
+
+def test_zero_scale_and_zero_monic_give_the_zero_polynomial():
+    F = GF(7)
+    assert poly_scale(F, 0, (1, 2, 3)) == ()
+    assert poly_monic(F, ()) == ()
+    assert poly_monic(F, (2, 4)) == (4, 1)
 
 
 def test_poly_eval_horner():

@@ -1,7 +1,7 @@
 """The frontier DP's plan: one arrow order per instance, arrows of
 capacity 0 folded in without work, the shape-keyed closing lookup and
 its kit, closing steps fed by one state or by several, and the size
-window of the scanning steps."""
+window of the scanning steps, read from one label table per rectangle."""
 
 import hashlib
 import random
@@ -13,7 +13,6 @@ from quivercount.counting import (
     _label_table,
     _labeled_sum,
     _plan,
-    _size_starts,
     count_subreps,
     count_subreps_detailed,
     fiber_class,
@@ -52,7 +51,7 @@ def test_plan_orders_arrows_by_label_count():
         gamma = tuple(a - b for a, b in zip(alpha, beta))
         order = [a for a, *_ in _plan(Q, beta, gamma).steps]
         for conjugated in (False, True):
-            sizes = [len(_label_table(Rectangle(beta[t], gamma[h]), conjugated)) for t, h in Q.arrows]
+            sizes = [len(_label_table(Rectangle(beta[t], gamma[h]))[conjugated]) for t, h in Q.arrows]
             assert order == counting._greedy_arrow_order(Q, sizes)
 
 
@@ -161,7 +160,7 @@ def test_covariant_routes_agree_across_empty_arrows(engine):
 def _label_index(rect, conjugated):
     """The lookup the shape-keyed one replaced: maps from tail factor and
     from head factor to the row index in the label table."""
-    table = _label_table(rect, conjugated)
+    table = _label_table(rect)[conjugated]
     return {row[1]: i for i, row in enumerate(table)}, {row[2]: i for i, row in enumerate(table)}
 
 
@@ -196,7 +195,7 @@ def _closing_labels(rect, conjugated, side, bound):
     shape of a vertex that closes on the full rectangle `bound` to the
     index of the label whose factor in column `side` completes it."""
     R = Rectangle(len(bound), bound[0] if bound else 0)
-    table = _label_table(rect, conjugated)
+    table = _label_table(rect)[conjugated]
     return {complement(row[side], R): i for i, row in enumerate(table) if fits(row[side], R)}
 
 
@@ -211,7 +210,7 @@ def test_closing_kit_matches_its_parts():
     kits = 0
     for rect in map(Rectangle._make, dims):
         for conjugated in (False, True):
-            table = _label_table(rect, conjugated)
+            table = _label_table(rect)[conjugated]
             ref = {
                 (side, bound): _closing_labels(rect, conjugated, side, bound)
                 for side in (1, 2)
@@ -351,13 +350,56 @@ def test_six_three_triple_flags_close_a_vertex_at_every_step(engine):
 
 def test_size_starts_match_the_graded_label_table():
     for rect in (Rectangle(r, c) for r in range(7) for c in range(7)):
-        starts = _size_starts(rect)
-        assert len(starts) == rect.rows * rect.cols + 2
-        for conjugated in (False, True):
-            table = _label_table(rect, conjugated)
-            assert starts[-1] == len(table)
-            for s in range(len(starts) - 1):
-                assert all(row[3] == s for row in table[starts[s] : starts[s + 1]]), (rect, conjugated, s)
+        sym, ext, starts = _label_table(rect)
+        parts = partitions_in_rectangle(rect)
+        # graded, and starts[s] counts the labels of size below s
+        sizes = [sum(p) for p in parts]
+        assert sizes == sorted(sizes)
+        assert list(starts) == [sum(x < s for x in sizes) for s in range(rect.rows * rect.cols + 2)], rect
+        # both sides list the same labels in the same order; the exterior
+        # factors are the conjugates of the symmetric ones
+        assert [row[0] for row in sym] == [row[0] for row in ext] == parts
+        for lam, (_, tail, head, s), (_, ext_tail, ext_head, ext_s) in zip(parts, sym, ext):
+            assert (tail, head, s) == (lam, complement(lam, rect), sum(lam))
+            assert (ext_tail, ext_head, ext_s) == (conjugate(tail), conjugate(head), s)
+
+
+def test_each_label_rectangle_is_enumerated_once(monkeypatch, engine):
+    # N and M of a triple flag close on both sides; the fiber class of a
+    # positive pairing scans on the symmetric side, each piece's hat count
+    # closes there, and its exterior fold from start shapes scans at the
+    # steps whose two ends both stay open.  Both sides' tables and the
+    # size index of a rectangle come from one pass over its partitions.
+    calls = []
+    listed = counting.partitions_in_rectangle
+
+    def counted(rect):
+        calls.append(rect)
+        return listed(rect)
+
+    monkeypatch.setattr(counting, "partitions_in_rectangle", counted)
+    _label_table.cache_clear()
+    _closing_kit.cache_clear()
+    rng = random.Random(3)
+    pool = []
+    while len(pool) < 5:
+        Q, beta, alpha = random_instance(rng, max_verts=3, max_arrows=4, min_arrows=2, require_zero_pairing=False)
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        if 1 <= euler_form(Q, beta, gamma) <= 2:
+            pool.append((Q, beta, alpha, gamma))
+    open_steps = pieces = 0
+    for Q, beta, alpha, gamma in pool:
+        open_steps += any(cap and left_t and left_h for _, _, _, cap, left_t, left_h, _ in _plan(Q, beta, gamma).steps)
+        for mu, c in fiber_class(Q, beta, alpha, engine).sorted_items():
+            assert covariant_count(Q, beta, alpha, mu, engine) == c
+            assert covariant_multiplicity(Q, beta, alpha, mu, engine) == c
+            pieces += 1
+    Q, beta, alpha, expected = triple_flag_instance((2, 1), (2, 1), (2, 1), 3, 6, engine)
+    rep = verify_counts(Q, beta, alpha, engine)
+    assert rep.n_value == rep.m_value == expected == 2
+    assert open_steps == 3 and pieces >= 5
+    assert len(set(calls)) == 8
+    assert len(calls) == len(set(calls))
 
 
 def _scanning_pool(size: int):
