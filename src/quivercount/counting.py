@@ -19,8 +19,8 @@ after its last arrow; for N and M its shape must then equal its target,
 so the closing arrow takes its one label by a lookup keyed by the
 vertex's current shape, not by a scan, and only its other end, if open,
 expands.  A closing step reads its lookups, label table and end bounds
-as one kit cached by a few small ints (_closing_kit), and when a single
-state feeds it, its new keys are distinct and stored without merging.
+as one kit cached by a few small ints (_closing_kit), and while the fold
+has a single state, it holds that state as one list key changed in place.
 Every other step scans only the label sizes that can fit: one pass over
 a rectangle's partitions lists its labels by size for both sides
 (_label_table), and a window on the size, read off the two ends' shapes
@@ -257,9 +257,13 @@ def _labeled_sum(
     expanded.  The step reads its lookup maps, label table and the two
     ends' bounds in one call (`_closing_kit`), cached by the arrow's
     rectangle, the side, the kept end's column, the two ends' rows and
-    columns and whether both close.  When one state feeds the step, the
-    terms of its one `expand` have distinct shapes, so its new keys are
-    distinct and each is stored with one hash, with no merge.
+    columns and whether both close.  A closing step fed by one state
+    holds it as a list key and one coefficient: while each step gives one
+    term, it writes the closed end's bound, the kept end's shape and (when
+    collecting) the label index into the list in place, and hashes
+    nothing.  The state becomes a map again when an `expand` gives several
+    terms or a scanning step comes; a map shrunk to one key is held again
+    at the next closing step.
 
     Every other step, and every step with slack, is a scanning step:
     both ends take every label whose size keeps them inside their
@@ -297,9 +301,10 @@ def _labeled_sum(
     state = {shapes: 1}
     short = {shapes: shortfall} if shortfall else {}  # a state's total shortfall, when not 0
     created = 1
+    held = None  # the lone state's key as a list changed in place, with coefficient `coeff`
     for a, t, h, cap, left_t, left_h, rect in plan.steps:
         if not cap:
-            created += len(state)
+            created += 1 if held is not None else len(state)
             continue
         nxt: dict[tuple, int] = {}
         if not slack and not (left_t and left_h):
@@ -314,10 +319,12 @@ def _labeled_sum(
                 rect, conjugated, col, rows[shut], cols[shut], rows[keep], cols[keep], not left_keep
             )
             need, room = full[keep] - left_keep, full[keep]
-            # a lone state's new keys are distinct (expand lists each nu
-            # once), so each is stored with one hash and no merge
-            lone = len(state) == 1
-            for key, coeff in state.items():
+            if held is None and len(state) == 1:
+                # a lone state is held: its key becomes a list that each
+                # closing step with one term changes in place
+                ((key, coeff),) = state.items()
+                held = list(key)
+            for key, coeff in state.items() if held is None else ((held, coeff),):
                 i = by_shut.get(key[shut])
                 if i is None:
                     continue
@@ -332,20 +339,29 @@ def _labeled_sum(
                     terms = ((bound_keep, 1),)
                 else:
                     continue
-                k = list(key)
+                # a held key is changed in place; it is given up when its
+                # state branches, so its list serves the new keys
+                k = list(key) if held is None else held
                 k[shut] = bound_shut
                 if collect:
                     k[n + a] = i
-                if lone:
-                    for nu, c in terms:
-                        k[keep] = nu
-                        nxt[tuple(k)] = coeff * c
+                if held is not None and len(terms) == 1:
+                    # the state stays held; nxt None marks that
+                    ((k[keep], c),) = terms
+                    coeff *= c
+                    nxt = None
                     continue
                 for nu, c in terms:
                     k[keep] = nu
                     nk = tuple(k)
                     nxt[nk] = nxt.get(nk, 0) + coeff * c
+            if nxt is None:
+                created += 1
+                continue
+            held = None  # the state branched, is a map or is gone
         else:
+            if held is not None:
+                state, held = {tuple(held): coeff}, None
             # a scanning step.  A label of size s leaves t short of its
             # target by ut - s and h by uh + s, where positive; before the
             # step they were short by ut - cap and uh.  `short` carries each
@@ -409,6 +425,8 @@ def _labeled_sum(
         created += len(state)
         if not state:
             break
+    if held is not None:
+        state = {tuple(held): coeff}
     return state, created
 
 

@@ -1,7 +1,8 @@
 """The frontier DP's plan: one arrow order per instance, arrows of
 capacity 0 folded in without work, the shape-keyed closing lookup and
-its kit, closing steps fed by one state or by several, and the size
-window of the scanning steps, read from one label table per rectangle."""
+its kit, closing steps fed by one state or by several, the lone state
+held through closing steps, and the size window of the scanning steps,
+read from one label table per rectangle."""
 
 import hashlib
 import random
@@ -21,7 +22,7 @@ from quivercount.counting import (
     triple_flag_instance,
     verify_counts,
 )
-from quivercount.covariants import covariant_count, covariant_multiplicity
+from quivercount.covariants import build_hat, covariant_count, covariant_multiplicity
 from quivercount.partitions import Rectangle, complement, conjugate, fits, partitions_in_rectangle
 from quivercount.quiver import Quiver, euler_form
 
@@ -321,28 +322,142 @@ def test_merging_closing_folds_match_pins(engine):
     assert census == {"default": (12, 12, 12), "covariant": (14, 15, 14)}
 
 
+# -- the held lone state -------------------------------------------------------------
+
+
+def _held_pool(engine, size: int):
+    """(quiver, beta, gamma, start), seeded: (5,2) triple flags at pairing
+    2 with each piece's covariant start shapes (folded on the exterior
+    side), and each piece's hat at pairing 0 with start None (folded on
+    both sides); every quiver with arrows of capacity 0 added.  A lone
+    state branches where a center vertex expands, and the arms close it
+    back to one key."""
+    rng = random.Random(29)
+    parts = partitions_in_rectangle(Rectangle(2, 3))
+    triples = [p for p in product(parts, repeat=3) if sum(map(sum, p)) == 4]
+    rng.shuffle(triples)
+    Q, alpha = counting._triple_flag_frame(5)
+    pool = []
+    for triple in triples[:size]:
+        # as in triple_flag_instance: beta at arm position j counts the
+        # i < 2 whose jump 4 - p_i + i is at most j
+        arms = [[sum(4 - (p[i] if i < len(p) else 0) + i <= j for i in range(2)) for j in range(1, 5)] for p in triple]
+        beta = (*arms[0], *arms[1], *arms[2], 2)
+        for piece in fiber_class(Q, beta, alpha, engine).coeffs:
+            hat = build_hat(Q, beta, alpha, piece)
+            flag = _with_empty_arrows(rng, Q, beta, alpha)
+            # a vertex that _with_empty_arrows adds starts empty
+            start = [conjugate(p) for p in piece] + [()] * (flag[0].nvertices - Q.nvertices)
+            hat = _with_empty_arrows(rng, hat.quiver, hat.beta, hat.alpha)
+            for (P, b, a), shapes in ((flag, start), (hat, None)):
+                pool.append((P, b, tuple(x - y for x, y in zip(a, b)), shapes))
+    return pool
+
+
+def _held_census(plan, engine, conjugated, start, collect):
+    """(lone states that branch, states held again after a branch, arrows of
+    capacity 0 folded while a state is held) in one fold, read off the state
+    counts of its prefixes: a prefix folds the later arrows as arrows of
+    capacity 0, so that collected keys keep their length."""
+    steps = plan.steps
+    emptied = [(a, t, h, 0, *rest) for a, t, h, _, *rest in steps]
+    sizes = []
+    for j in range(len(steps) + 1):
+        prefix = plan._replace(steps=steps[:j] + tuple(emptied[j:]))
+        sizes.append(len(_labeled_sum(prefix, engine, conjugated, start, collect=collect)[0]))
+    held = branched = False
+    branches = again = idle = 0
+    for j, (_, _, _, cap, left_t, left_h, _) in enumerate(steps):
+        if not sizes[j]:
+            break
+        if not cap:
+            idle += held
+        elif left_t and left_h:
+            held = False
+        elif sizes[j] == 1:
+            # a closing step fed by one state holds it, and keeps holding
+            # it unless its one expand gives several terms
+            if not held:
+                again += branched
+                branched = False
+            held = sizes[j + 1] == 1
+            if sizes[j + 1] > 1:
+                branches += 1
+                branched = True
+        else:
+            held = False
+    return branches, again, idle
+
+
+def test_held_lone_state_folds_match_pins(monkeypatch, engine):
+    # slack 0 throughout, with and without collecting labels; folds, sums,
+    # created states and the digest of the final states pinned from the
+    # fold that held no state and stored a lone state's keys with one
+    # hash each
+    runs = [
+        ("covariant" if start else "NM"[conjugated], _plan(Q, beta, gamma), conjugated, start, collect)
+        for Q, beta, gamma, start in _held_pool(engine, 3)
+        for conjugated in ((True,) if start else (False, True))
+        for collect in (False, True)
+    ]
+    digest = hashlib.sha256()
+    total = created = 0
+    census = {}
+    for kind, plan, conjugated, start, collect in runs:
+        final, states = _labeled_sum(plan, engine, conjugated, start, collect=collect)
+        total += sum(final.values())
+        created += states
+        digest.update(repr(list(final.items())).encode())
+        found = _held_census(plan, engine, conjugated, start, collect)
+        census[kind, collect] = tuple(map(sum, zip(census.get((kind, collect), (0, 0, 0)), found)))
+    assert (len(runs), total, created) == (264, 282, 9226)
+    assert digest.hexdigest() == "dc4a881f94628c5c11bf5837c0cb4d9f9ba3240ccc82d9b2a23428c313ea7629"
+    # on each side and each kind of start, with and without collecting, a
+    # held state branches, a state is held again after a branch, and
+    # arrows of capacity 0 are folded while a state is held
+    assert census == {
+        ("N", False): (18, 6, 252), ("N", True): (18, 4, 252),
+        ("M", False): (18, 6, 252), ("M", True): (18, 4, 252),
+        ("covariant", False): (19, 7, 179), ("covariant", True): (19, 6, 176),
+    }
+    # a closing step of a held state builds no key: a module global `tuple`
+    # shadows the builtin inside counting, so the counter sees every key
+    # the folds build (the caches the folds read are warm by now); the
+    # fold that held no state built 5,063
+    built = [0]
+
+    def counted(*args):
+        built[0] += 1
+        return tuple(*args)
+
+    monkeypatch.setattr(counting, "tuple", counted, raising=False)
+    for _, plan, conjugated, start, collect in runs:
+        _labeled_sum(plan, engine, conjugated, start, collect=collect)
+    assert built[0] == 1219
+
+
 def test_six_three_triple_flags_close_a_vertex_at_every_step(engine):
     # the triple-flag quiver is a tree, so every arrow that brings boxes
-    # closes one of its ends; totals pinned from the fold that scanned
-    rect = Rectangle(3, 3)
-    parts = partitions_in_rectangle(rect)
-    total = n_states = m_states = instances = 0
-    for lam in parts:
-        for mu in parts:
-            for nu in parts:
-                if sum(lam) + sum(mu) + sum(nu) != 9:
-                    continue
-                Q, beta, alpha, expected = triple_flag_instance(lam, mu, nu, 3, 6, engine)
-                rep = verify_counts(Q, beta, alpha, engine)
-                assert rep.n_value == rep.m_value == expected, (lam, mu, nu)
-                plan = _plan(Q, beta, tuple(a - b for a, b in zip(alpha, beta)))
-                assert all(not left_t or not left_h for _, _, _, cap, left_t, left_h, _ in plan.steps if cap)
-                total += rep.n_value
-                n_states += rep.n_labelings
-                m_states += rep.m_labelings
-                instances += 1
-    assert instances == 435
-    assert (total, n_states, m_states) == (229, 7021, 7021)
+    # closes one of its ends; the (6,3) totals pinned from the fold that
+    # scanned, the (7,3) ones (the tripleflag workload's instances) from
+    # the fold that stored a lone state's keys with one hash each
+    pins = {(6, 3): (435, 229, 7021, 7021), (7, 3): (1699, 761, 33222, 33222)}
+    for n, r in pins:
+        parts = partitions_in_rectangle(Rectangle(r, n - r))
+        total = n_states = m_states = instances = 0
+        for lam, mu, nu in product(parts, repeat=3):
+            if sum(lam) + sum(mu) + sum(nu) != r * (n - r):
+                continue
+            Q, beta, alpha, expected = triple_flag_instance(lam, mu, nu, r, n, engine)
+            rep = verify_counts(Q, beta, alpha, engine)
+            assert rep.n_value == rep.m_value == expected, (lam, mu, nu)
+            plan = _plan(Q, beta, tuple(a - b for a, b in zip(alpha, beta)))
+            assert all(not left_t or not left_h for _, _, _, cap, left_t, left_h, _ in plan.steps if cap)
+            total += rep.n_value
+            n_states += rep.n_labelings
+            m_states += rep.m_labelings
+            instances += 1
+        assert (instances, total, n_states, m_states) == pins[n, r]
 
 
 # -- the scanning steps' size window ----------------------------------------------
