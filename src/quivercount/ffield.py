@@ -8,8 +8,9 @@ extension F_{p^k}, which is what lets a representation sampled over F_p be
 re-read over an extension without translation.
 
 `GF` does its arithmetic in one of three regimes: integers mod p for the
-prime field; log/exp tables for extensions with at most `GF.TABLE_LIMIT`
-elements; and, above that, digit arithmetic that reduces products with
+prime field; extensions up to `GF.TABLE_LIMIT` elements, log/exp tables of
+the smallest generator, the first of p, p + 1, .. whose powers meet
+every unit; and, above that, digit arithmetic that reduces products with
 precomputed residues of x^k .. x^(2k-2) and inverts by the extended
 Euclidean algorithm in F_p[x].  In every regime, operands in the prime
 subfield (ints below p) take integer arithmetic mod p: F_p is closed
@@ -82,8 +83,8 @@ class GF:
     always gives the same field.  Arithmetic runs in one of three regimes:
 
     - k = 1: integer arithmetic mod p.
-    - q <= TABLE_LIMIT: mul and inv look up log/exp tables of a
-      multiplicative generator.
+    - q <= TABLE_LIMIT: mul and inv look up log/exp tables of the smallest
+      generator, the first of p, p + 1, .. whose powers meet every unit.
     - q > TABLE_LIMIT: mul convolves the base-p digits and folds the
       coefficients of x^k .. x^(2k-2) back with their precomputed residues
       mod the modulus; inv runs the extended Euclidean algorithm in F_p[x]
@@ -106,6 +107,9 @@ class GF:
     TABLE_LIMIT = 4096
 
     def __init__(self, p: int, k: int = 1) -> None:
+        if (int(p), int(k)) != (p, k):
+            raise ValueError(f"non-integral field parameters p={p!r}, k={k!r}")
+        p, k = int(p), int(k)
         if not is_prime(p):
             raise ValueError(f"field characteristic {p} is not prime")
         if p >= 1 << 31:
@@ -274,7 +278,10 @@ def _field_data(p: int, k: int):
     Products are formed on ints that pack one coefficient into each
     `width`-bit field; rows[i] is the residue of x^(k+i) mod the modulus,
     i = 0..k-2, packed the same way.  frob[i] holds the base-p digits of
-    (x^i)^p, i = 0..k-1.  exp and log are None above GF.TABLE_LIMIT.
+    (x^i)^p, i = 0..k-1.  exp and log are None above GF.TABLE_LIMIT; else
+    exp walks the powers of the first g = p, p + 1, .. to meet q - 1 units
+    before 1 (the constants below p have order dividing p - 1, so g is the
+    smallest generator) and log inverts it.
     """
     modulus = _min_irreducible(p, k)
     row = [-c % p for c in modulus[:k]]
@@ -296,16 +303,16 @@ def _field_data(p: int, k: int):
     if q > GF.TABLE_LIMIT:
         return modulus, width, rows, frob, None, None
 
-    g = _find_generator(q, mul, p)  # constants have order dividing p - 1 < q - 1
-    exp = [0] * (q - 1)
+    for g in range(p, q):
+        exp, x = [1], g
+        while x != 1:
+            exp.append(x)
+            x = mul(x, g)
+        if len(exp) == q - 1:
+            break
     log = [0] * q
-    x = 1
-    for i in range(q - 1):
-        exp[i] = x
+    for i, x in enumerate(exp):
         log[x] = i
-        x = mul(x, g)
-    if x != 1:
-        raise AssertionError("generator order mismatch")
     return modulus, width, rows, frob, tuple(exp), tuple(log)
 
 
@@ -332,14 +339,6 @@ def _mul_mod(p: int, k: int, width: int, rows: tuple, a: int, b: int) -> int:
     return out
 
 
-def _find_generator(q: int, mul, start: int) -> int:
-    factors = _prime_factors(q - 1)
-    for g in range(start, q):
-        if all(_power(mul, g, (q - 1) // f) != 1 for f in factors):
-            return g
-    raise AssertionError("no multiplicative generator found")
-
-
 def _power(mul, a: int, e: int) -> int:
     out = 1
     while e:
@@ -347,20 +346,6 @@ def _power(mul, a: int, e: int) -> int:
             out = mul(out, a)
         a = mul(a, a)
         e >>= 1
-    return out
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
     return out
 
 

@@ -5,6 +5,7 @@ from math import comb, factorial, prod
 
 import pytest
 
+from quivercount import counting
 from quivercount.counting import (
     FiberClass,
     NegativePairingError,
@@ -457,6 +458,21 @@ def test_multiplicative_chain_seeded(engine):
         lhs = count_subreps(Q, beta, bg, engine) * count_subreps(Q, bg, bgd, engine)
         rhs = count_subreps(Q, beta, bgd, engine) * count_subreps(Q, gamma, gd, engine)
         assert lhs == rhs, (Q.arrows, beta, gamma, delta, lhs, rhs)
+
+
+@pytest.mark.parametrize(
+    "budget, draw, message",
+    [
+        ("_INSTANCE_TRIES", random_instance, "no instance found within the rejection budget"),
+        ("_TRIPLE_TRIES", random_zero_triple, "no triple found within the rejection budget"),
+    ],
+    ids=["instance", "triple"],
+)
+def test_random_draws_give_up_when_the_budget_runs_out(monkeypatch, budget, draw, message):
+    # an empty budget stands in for one that every draw fails
+    monkeypatch.setattr(counting, budget, 0)
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        draw(random.Random(0))
 
 
 def test_random_instance_respects_bounds():

@@ -74,6 +74,20 @@ def test_gf_rejects_bad_parameters():
         GF(3, 0)
     with pytest.raises(ValueError):
         GF(3, 5)
+    for p, k in [(13.5, 1), (13, 2.5), ("13", 1), (13, "2")]:
+        with pytest.raises(ValueError, match="non-integral field parameters"):
+            GF(p, k)
+
+
+def test_gf_takes_integral_parameters_as_ints():
+    # an integral float is read as its int, so the field is GF(13) itself
+    F = GF(13.0)
+    assert F.add(5, 9) == 1 and type(F.add(5, 9)) is int
+    assert (F.p, F.q) == (13, 13) and type(F.p) is int
+    assert F == GF(13) and hash(F) == hash(GF(13))
+    E = GF(13, 2.0)
+    assert E == GF(13, 2) and E.k == 2 and type(E.k) is int
+    assert E.mul(14, E.inv(14)) == 1
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
@@ -267,19 +281,27 @@ def test_powmod_with_prime_field_coefficients_ignores_the_extension():
     assert poly_powmod(GF(101, 4), (0, 1), 101**4, f) == poly_powmod(GF(101, 1), (0, 1), 101**4, f)
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3), (5, 2), (13, 2), (61, 2)])
+# every field with log/exp tables: p^k <= GF.TABLE_LIMIT, k = 2..4 (28 fields)
+_TABLE_FIELDS = [
+    (p, k) for k in (2, 3, 4) for p in range(2, 65) if is_prime(p) and p**k <= GF.TABLE_LIMIT
+]
+
+
+@pytest.mark.parametrize("p,k", _TABLE_FIELDS)
 def test_generator_is_the_smallest_counted_from_two(p, k):
-    # reference: the first g >= 2 whose powers reach every unit
+    # reference: the primitive-root test with the table-free product, g is
+    # a generator iff g^((q-1)/f) != 1 for each prime f dividing q - 1
     F = GF(p, k)
-
-    def order(g):
-        x, n = g, 1
-        while x != 1:
-            x, n = F._mul_poly(x, g), n + 1
-        return n
-
-    expected = next(g for g in range(2, F.q) if order(g) == F.q - 1)
+    n = F.q - 1
+    factors = [f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
+    expected = next(
+        g for g in range(2, F.q) if all(_power(F._mul_poly, g, n // f) != 1 for f in factors)
+    )
     assert F._exp[1] == expected
+    # exp and log are inverse permutations of the units
+    assert sorted(F._exp) == list(range(1, F.q))
+    assert all(F._log[x] == i for i, x in enumerate(F._exp))
+    assert all(F._exp[F._log[x]] == x for x in range(1, F.q))
 
 
 def test_field_data_built_once_per_field():
