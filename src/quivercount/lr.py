@@ -1,10 +1,10 @@
 """Littlewood-Richardson engine.
 
 Products S^lam (x) S^mu inside a bounding shape are built by adding the
-rows of the factor with fewer rows to the other as horizontal strips;
-tensor multiplicities of Schur functors fold them.  LR coefficients are
-counted by backtracking over skew tableaux, code the products do not
-share.  All counts are plain Python ints (arbitrary precision).
+rows of the factor with fewer rows to the other as horizontal strips.
+LR coefficients are counted by backtracking over skew tableaux, code the
+products do not share.  All counts are plain Python ints (arbitrary
+precision).
 
 Memoization tables live on an engine instance, not in module globals:
 callers that pass one engine share its tables, and nothing else does.
@@ -24,7 +24,7 @@ class LREngine:
     def __init__(self) -> None:
         self._lr_memo: dict[tuple, int] = {}
         self._expand_memo: dict[tuple, tuple] = {}
-        self._tensor_memo: dict[tuple, int] = {}
+        self._tensor_memo: dict[tuple, int] = {}  # bench/layertrace.py reads it until ROADMAP item 5c
 
     # -- LR coefficients ---------------------------------------------------
 
@@ -108,7 +108,7 @@ class LREngine:
                     v = grid[r - 1][c] if above else 0
             v += 1
 
-    # -- products and multiplicities ---------------------------------------
+    # -- products ----------------------------------------------------------
 
     def expand(
         self,
@@ -153,37 +153,6 @@ class LREngine:
         result = tuple(sorted(out.items()))
         self._expand_memo[key] = result
         return result
-
-    def tensor_multiplicity(
-        self,
-        target: tuple[int, ...],
-        factors: list[tuple[int, ...]],
-    ) -> int:
-        """Multiplicity of S^target in S^{f_0} (x) ... (x) S^{f_{k-1}}.
-
-        Folds left to right, pruning every intermediate shape not contained
-        in target.  The empty factor list is the trivial functor.
-        """
-        target = partition(target)
-        factors = [partition(f) for f in factors]
-        if sum(size(f) for f in factors) != size(target):
-            return 0
-        key = (target, tuple(factors))
-        cached = self._tensor_memo.get(key)
-        if cached is not None:
-            return cached
-        state: dict[tuple[int, ...], int] = {(): 1}
-        for f in factors:
-            nxt: dict[tuple[int, ...], int] = {}
-            for cur, coeff in state.items():
-                for nu, c in self.expand(cur, f, target):
-                    nxt[nu] = nxt.get(nu, 0) + coeff * c
-            state = nxt
-            if not state:
-                break
-        val = state.get(target, 0)
-        self._tensor_memo[key] = val
-        return val
 
 
 def _strips(shape, m, bound, allow):

@@ -291,41 +291,23 @@ def _span_rows(F, rows: list) -> tuple[list, tuple[int, ...]]:
     return [R[i] for i in range(len(pivots))], pivots
 
 
-def _rref_bases(F, n: int, d: int):
-    """Yield one reduced-echelon basis per d-dimensional subspace of F^n."""
-    if d == 0:
-        yield []
-        return
-    for pivots in itertools.combinations(range(n), d):
-        free = [
-            (r, c)
-            for r in range(d)
-            for c in range(pivots[r] + 1, n)
-            if c not in pivots
-        ]
-        for values in itertools.product(F.elements(), repeat=len(free)):
-            rows = [[F.zero] * n for _ in range(d)]
-            for r in range(d):
-                rows[r][pivots[r]] = F.one
-            for (r, c), v in zip(free, values):
-                rows[r][c] = v
-            yield rows
-
-
 def _lift_bases(F, srows: list, pivots: tuple[int, ...], n: int, d: int):
     """Yield a basis for every d-dimensional subspace of F^n containing the
-    span of srows, by enumerating subspaces of the quotient in the
-    coordinates of the non-pivot columns."""
-    s = len(srows)
+    span of srows, reduced with pivot columns `pivots`: srows, then the
+    reduced-echelon basis of a complement whose pivots and free entries
+    all lie in the other columns.  Pivots come in `combinations` order and
+    free entries, in (row, column) order, in `product` order.  Every basis
+    shares the row lists of srows, which the walk only reads."""
     nonpivot = [c for c in range(n) if c not in pivots]
-    for qrows in _rref_bases(F, n - s, d - s):
-        rows = [list(r) for r in srows]
-        for qr in qrows:
-            v = [F.zero] * n
-            for c, val in zip(nonpivot, qr):
-                v[c] = val
-            rows.append(v)
-        yield rows
+    for qpivots in itertools.combinations(nonpivot, d - len(srows)):
+        free = [(r, c) for r, p in enumerate(qpivots) for c in nonpivot if c > p and c not in qpivots]
+        for values in itertools.product(F.elements(), repeat=len(free)):
+            rows = [[F.zero] * n for _ in qpivots]
+            for row, p in zip(rows, qpivots):
+                row[p] = F.one
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            yield srows + rows
 
 
 def _raw_point_count(Q: Quiver, alpha, beta, q: int) -> int:
@@ -415,7 +397,7 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool, source: list | None 
                 weight *= gaussian_binomial(alpha[x] - s, beta[x] - s, F.q)
             count += weight
             if collect:
-                # _lift_bases leaves span-row entries in the quotient's pivot columns
+                # _lift_bases leaves span-row entries in the complement's pivot columns
                 found.append(tuple(tuple(tuple(r) for r in _span_rows(F, bases[x])[0]) for x in range(Q.nvertices)))
             return
         x = walked[i]

