@@ -122,7 +122,7 @@ def _closing_kit(
     return by_shut, by_keep, table, bound_shut, bound_keep
 
 
-def _greedy_arrow_order(Q: Quiver, rect_sizes: list[int]) -> list[int]:
+def _greedy_arrow_order(Q: Quiver, rect_sizes: tuple[int, ...]) -> list[int]:
     # prefer arrows that finish off a vertex (so its shape is checked
     # early), then arrows with fewer candidate partitions.  An arrow joins
     # the heap when an endpoint gets down to its last open arrow, keyed by
@@ -198,10 +198,12 @@ class _Plan(NamedTuple):
     shortfall: int  # boxes the arrows cannot supply to vertices that start empty
 
 
-def _plan(Q: Quiver, beta, gamma) -> _Plan:
+def _plan(Q: Quiver, beta, gamma, orders: dict | None = None) -> _Plan:
     """Plan the fold of a checked instance.  The arrow order depends only
-    on the label counts binom(beta(t) + gamma(h), beta(t)), which are the
-    same on both sides, so one plan serves both routes."""
+    on Q and the label counts binom(beta(t) + gamma(h), beta(t)), which are
+    the same on both sides, so one plan serves both routes.  `orders`, a
+    caller's memo of Q's arrow orders keyed by the label-count tuple, is
+    read first and gets the order when it has none."""
     arrows = Q.arrows
     shapes = [_arrow_shape(beta[t], gamma[h]) for t, h in arrows]
     left = [0] * Q.nvertices
@@ -209,8 +211,13 @@ def _plan(Q: Quiver, beta, gamma) -> _Plan:
         left[t] += cap
         left[h] += cap
     before = tuple(left)
+    counts = tuple([labels for _, _, labels in shapes])
+    if orders is None:
+        order = _greedy_arrow_order(Q, counts)
+    elif (order := orders.get(counts)) is None:
+        order = orders[counts] = _greedy_arrow_order(Q, counts)
     steps = []
-    for a in _greedy_arrow_order(Q, [labels for _, _, labels in shapes]):
+    for a in order:
         t, h = arrows[a]
         rect, cap, _ = shapes[a]
         left[t] -= cap

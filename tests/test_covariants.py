@@ -1,8 +1,10 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
+from quivercount import counting, covariants
 from quivercount.counting import (
     _piece_plan,
     _plan,
@@ -13,7 +15,7 @@ from quivercount.counting import (
     si_dimension,
     verify_counts,
 )
-from quivercount.covariants import _frames, build_hat, covariant_count, covariant_multiplicity
+from quivercount.covariants import _KEPT, _frames, build_hat, covariant_count, covariant_multiplicity
 from quivercount.partitions import Rectangle, complement, conjugate, partition, partitions_in_rectangle, size
 from quivercount.quiver import Quiver, euler_form
 
@@ -62,6 +64,22 @@ def flag_instance(lam, mu, nu, r, n):
             alpha.append(j)
             beta.append(sum(1 for i in range(1, r + 1) if n - r - padded[i - 1] + i <= j))
     return Quiver(3 * arm + 1, tuple(arrows)), (*beta, r), (*alpha, n)
+
+
+def six_three_flags_at_pairing_one():
+    """Every (6,3) flag at pairing 1, as (Q, beta, alpha, pieces): a piece
+    is one box at any vertex whose rectangle has room, whether or not it is
+    in the class."""
+    box = partitions_in_rectangle(Rectangle(3, 3))
+    for lam, mu, nu in itertools.product(box, repeat=3):
+        if size(lam) + size(mu) + size(nu) == 8:
+            Q, beta, alpha = flag_instance(lam, mu, nu, 3, 6)
+            pieces = [
+                tuple((1,) if y == x else () for y in range(Q.nvertices))
+                for x in range(Q.nvertices)
+                if beta[x] and alpha[x] > beta[x]
+            ]
+            yield Q, beta, alpha, pieces
 
 
 def test_build_hat_a2_worked_example():
@@ -223,22 +241,50 @@ def test_hat_equals_the_reference_construction_on_random_pieces(engine):
 
 
 def test_hat_equals_the_reference_construction_on_six_three_flags():
-    # every (6,3) flag at pairing 1, and on each every piece: one box at
-    # any vertex whose rectangle has room, whether or not it is in the class
-    box = partitions_in_rectangle(Rectangle(3, 3))
     flags = pieces = 0
-    for lam, mu, nu in itertools.product(box, repeat=3):
-        if size(lam) + size(mu) + size(nu) != 8:
-            continue
-        Q, beta, alpha = flag_instance(lam, mu, nu, 3, 6)
+    for Q, beta, alpha, one_box in six_three_flags_at_pairing_one():
         flags += 1
-        for x in range(Q.nvertices):
-            if beta[x] and alpha[x] > beta[x]:
-                piece = tuple((1,) if y == x else () for y in range(Q.nvertices))
-                hat = build_hat(Q, beta, alpha, piece)
-                assert (hat.quiver, hat.beta, hat.alpha) == reference_hat(Q, beta, alpha, piece)
-                pieces += 1
+        for piece in one_box:
+            hat = build_hat(Q, beta, alpha, piece)
+            assert (hat.quiver, hat.beta, hat.alpha) == reference_hat(Q, beta, alpha, piece)
+            pieces += 1
     assert flags == 321 and pieces > flags
+
+
+def pieces_of(beta, gamma, total):
+    """Every mu with mu(x) inside the beta(x) x gamma(x) box and sizes
+    adding up to total, in or out of the class."""
+    if not beta:
+        if total == 0:
+            yield ()
+        return
+    for p in partitions_in_rectangle(Rectangle(beta[0], gamma[0])):
+        if size(p) <= total:
+            for rest in pieces_of(beta[1:], gamma[1:], total - size(p)):
+                yield (p, *rest)
+
+
+def test_hat_equals_the_reference_construction_on_multi_part_pieces():
+    # pairing 3 and 4, with pieces drawn from every mu of the right size:
+    # multi-part mu(x), and boxes spread over several vertices
+    rng = random.Random(38)
+    instances = multi = spread = 0
+    while instances < 60:
+        Q, beta, alpha = random_instance(
+            rng, max_verts=4, max_arrows=4, max_dim=3, min_arrows=1, require_zero_pairing=False
+        )
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        pairing = euler_form(Q, beta, gamma)
+        if not 3 <= pairing <= 4:
+            continue
+        instances += 1
+        every = list(pieces_of(beta, gamma, pairing))
+        for mu in rng.sample(every, min(len(every), 40)):
+            hat = build_hat(Q, beta, alpha, mu)
+            assert (hat.quiver, hat.beta, hat.alpha) == reference_hat(Q, beta, alpha, mu), (Q.arrows, beta, alpha, mu)
+            multi += any(len(p) > 1 for p in mu)
+            spread += sum(map(bool, mu)) > 1
+    assert multi >= 200 and spread >= 200
 
 
 def test_fiber_class_plans_once_for_the_pieces_of_its_instance(engine):
@@ -277,7 +323,8 @@ def test_the_pieces_of_one_instance_share_one_hat_frame(engine):
     assert other.quiver.nvertices == 5 and hats[0].quiver.nvertices == 6
 
 
-def test_hat_frames_stay_bounded():
+def test_hat_frames_stay_bounded(engine):
+    assert _KEPT == 8
     for g in range(1, 17):
         # (1, 1) inside (1 + g, 1 + g) on A2 has pairing g
         hat = build_hat(A2, (1, 1), (1 + g, 1 + g), ((g,), ()))
@@ -287,10 +334,149 @@ def test_hat_frames_stay_bounded():
     assert list(_frames) == [(A2, (g, g)) for g in range(9, 17)]
     assert build_hat(A2, (1, 1), (17, 17), ((16,), ())).quiver is hat.quiver
 
+    # many pieces on one frame: (2, 2) inside (6, 4) on A2 has pairing 8,
+    # and its pieces put their 8 boxes in the 2x4 and 2x2 boxes in 11 ways,
+    # each with its own label counts on the hat's arrows
+    beta, alpha = (2, 2), (6, 4)
+    fc = fiber_class(A2, beta, alpha, engine)
+    pieces = [
+        (m0, m1)
+        for m0 in partitions_in_rectangle(Rectangle(2, 4))
+        for m1 in partitions_in_rectangle(Rectangle(2, 2))
+        if size(m0) + size(m1) == 8
+    ]
+    seen = []
+    for mu in pieces:
+        assert covariant_count(A2, beta, alpha, mu, engine) == fc.coefficient(mu)
+        counts = hat_label_counts(build_hat(A2, beta, alpha, mu))
+        if counts not in seen:
+            seen.append(counts)
+        orders = _frames[A2, (4, 2)][2]
+        assert len(orders) <= 8
+    assert len(pieces) == len(seen) == 11
+    # the newest orders are the ones kept
+    assert list(orders) == seen[-8:]
+
 
 def test_counts_and_their_verification_leave_the_hat_frames_alone(engine):
-    before = list(_frames.items())
+    # a piece first, so that its frame holds an order
+    beta, alpha, mu = (2, 2), (5, 3), ((1,), (1,))
+    assert covariant_count(THETA3, beta, alpha, mu, engine) == 3
+    hat = build_hat(THETA3, beta, alpha, mu)
+    assert _frames[THETA3, (3, 1)][2]
+
+    def snapshot():
+        return [(key, quiver, gamma, dict(orders)) for key, (quiver, gamma, orders) in _frames.items()]
+
+    before = snapshot()
     assert count_subreps(THETA4, (1, 2), (3, 3), engine) == 6
     assert si_dimension(THETA4, (1, 2), (3, 3), engine) == 6
     assert verify_counts(THETA4, (1, 2), (3, 3), engine).passed
-    assert list(_frames.items()) == before
+    # the hat itself, counted as a plain instance, plans without the memo
+    assert count_subreps(hat.quiver, hat.beta, hat.alpha, engine) == 3
+    assert si_dimension(hat.quiver, hat.beta, hat.alpha, engine) == 3
+    assert verify_counts(hat.quiver, hat.beta, hat.alpha, engine).passed
+    assert snapshot() == before
+
+
+def hat_label_counts(hat):
+    """The label count binom(beta(t) + gamma(h), beta(t)) of each hat arrow:
+    the key of the frame's arrow orders."""
+    gamma = tuple(a - b for a, b in zip(hat.alpha, hat.beta))
+    return tuple(comb(hat.beta[t] + gamma[h], hat.beta[t]) for t, h in hat.quiver.arrows)
+
+
+def test_each_piece_folds_the_plan_of_its_hat_and_orders_once_per_label_counts(monkeypatch, engine):
+    # pieces at pairing 1 to 4, where the label counts differ between the
+    # pieces of one instance, then every (6,3) flag at pairing 1, each with
+    # one box at every vertex whose rectangle has room (in the class or not)
+    rng = random.Random(38)
+    groups = {}  # (Q, gamma) -> [(beta, alpha, mu)], so each frame is built once
+    while sum(map(len, groups.values())) < 250:
+        Q, beta, alpha = random_instance(
+            rng, max_verts=4, max_arrows=4, max_dim=3, min_arrows=1, require_zero_pairing=False
+        )
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        if 1 <= euler_form(Q, beta, gamma) <= 4:
+            for mu in fiber_class(Q, beta, alpha, engine).coeffs:
+                groups.setdefault((Q, gamma), []).append((beta, alpha, mu))
+    pool = len(groups)
+    for Q, beta, alpha, one_box in six_three_flags_at_pairing_one():
+        gamma = tuple(a - b for a, b in zip(alpha, beta))
+        groups[Q, gamma] = [(beta, alpha, piece) for piece in one_box]
+    assert len(groups) == pool + 321  # each flag has its own frame
+
+    runs, folded = [], []
+    greedy, fold = counting._greedy_arrow_order, covariants._labeled_sum
+
+    def counted(Q, counts):
+        runs.append(Q)
+        return greedy(Q, counts)
+
+    def recorded(plan, *args, **kwargs):
+        folded.append(plan)
+        return fold(plan, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "_greedy_arrow_order", counted)
+    monkeypatch.setattr(covariants, "_labeled_sum", recorded)
+    _frames.clear()
+    per_frame = {}  # (Q, gamma) -> the label counts of its pieces so far
+    for (Q, gamma), pieces in groups.items():
+        seen = per_frame[Q, gamma] = set()
+        for beta, alpha, mu in pieces:
+            before = len(runs)
+            covariant_count(Q, beta, alpha, mu, engine)
+            hat = build_hat(Q, beta, alpha, mu)
+            counts = hat_label_counts(hat)
+            # the greedy runs for the first piece of each label counts only
+            assert len(runs) - before == (counts not in seen), (Q.arrows, beta, alpha, mu)
+            seen.add(counts)
+            hat_gamma = tuple(a - b for a, b in zip(hat.alpha, hat.beta))
+            assert folded.pop() == _plan(hat.quiver, hat.beta, hat_gamma), (Q.arrows, beta, alpha, mu)
+    # no frame meets more label counts than it keeps orders for, so no
+    # order is dropped and run again
+    assert max(map(len, per_frame.values())) <= _KEPT
+    # many of the pool's frames meet several counts; a flag's pieces share one
+    frames = list(per_frame.values())
+    assert sum(len(counts) > 1 for counts in frames[:pool]) >= 10
+    assert all(len(counts) == 1 for counts in frames[pool:])
+
+
+def test_covariant_count_checks_each_hat_once(monkeypatch, engine):
+    seen = []
+    check = covariants.check_instance
+
+    def counted(Q, *args):
+        seen.append(Q)
+        return check(Q, *args)
+
+    monkeypatch.setattr(covariants, "check_instance", counted)
+    monkeypatch.setattr(counting, "check_instance", counted)
+    beta, alpha = (2, 2), (5, 3)
+    fc = fiber_class(THETA3, beta, alpha, engine)
+    hat = build_hat(THETA3, beta, alpha, ((1,), (1,)))
+    seen.clear()
+    for mu, coeff in fc.sorted_items():
+        assert covariant_count(THETA3, beta, alpha, mu, engine) == coeff
+    # per piece: the instance, by the mu check, and the hat, once
+    assert seen == [THETA3, hat.quiver] * len(fc.coeffs)
+
+
+@pytest.mark.parametrize(
+    "wrong, error",
+    [
+        (lambda p: (), AssertionError),  # mu left out: the pairing stays 8
+        (lambda p: conjugate(p)[1:], AssertionError),  # the first column left out
+        (lambda p: (*conjugate(p), 1), ValueError),  # one arm vertex too many
+    ],
+    ids=["mu-dropped", "column-dropped", "arm-too-long"],
+)
+def test_an_arm_error_in_build_hat_is_caught(monkeypatch, wrong, error):
+    # A2 with (2, 2) inside (6, 4) has pairing 8; mu fills it
+    beta, alpha, mu = (2, 2), (6, 4), ((3, 1), (2, 2))
+    build_hat(A2, beta, alpha, mu)
+    monkeypatch.setattr(covariants, "conjugate", wrong)
+    with pytest.raises(error, match="arm enlargement failed" if error is AssertionError else "has length"):
+        build_hat(A2, beta, alpha, mu)
+    with pytest.raises(error):
+        covariant_count(A2, beta, alpha, mu)
