@@ -21,10 +21,13 @@ vertex's current shape, not by a scan, and only its other end, if open,
 expands.  A closing step reads its lookups, label table and end bounds
 as one kit cached by a few small ints (_closing_kit), and while the fold
 has a single state, it holds that state as one list key changed in place.
-Every other step scans only the label sizes that can fit: one pass over
-a rectangle's partitions lists its labels by size for both sides
-(_label_table), and a window on the size, read off the two ends' shapes
-and the state's carried shortfall, picks the runs to scan.  The fiber
+A product with an empty factor is answered with no `expand` (_product):
+an empty label leaves the shape, and an empty shape takes the label if
+the label fits the vertex's rectangle.  Every other step scans only the
+label sizes that can fit: one pass over a rectangle's partitions lists
+its labels by size for both sides (_label_table), and a window on the
+size, read off the two ends' shapes and the state's carried shortfall,
+picks the runs to scan.  The fiber
 class runs the same DP with <beta, gamma> boxes of slack: a closed vertex
 may fall short of its rectangle, and its missing boxes (the complement of
 its shape) key the decomposition of the locus by cohomology class.
@@ -233,6 +236,17 @@ def _plan(Q: Quiver, beta, gamma, orders: dict | None = None) -> _Plan:
 _piece_plan = lru_cache(maxsize=8)(_plan)
 
 
+def _product(engine: LREngine, cur: tuple[int, ...], f: tuple[int, ...], bound: tuple[int, ...]) -> tuple:
+    """engine.expand(cur, f, bound) for a state shape `cur` inside the
+    rectangle `bound`, answered with no call when a factor is empty: the
+    shape alone, or the factor alone if it fits the rectangle."""
+    if not f:
+        return ((cur, 1),)
+    if not cur:
+        return ((f, 1),) if len(f) <= len(bound) and f[0] <= bound[0] else ()
+    return engine.expand(cur, f, bound)
+
+
 def _labeled_sum(
     plan: _Plan,
     engine: LREngine,
@@ -261,7 +275,9 @@ def _labeled_sum(
     label that completes the closing end's shape (when both ends close,
     the two lookups must agree), the closed vertex takes its target with
     no `expand`, and only the other end, if open, is size-checked and
-    expanded.  The step reads its lookup maps, label table and the two
+    expanded.  A product with an empty factor, at a closing step or at
+    either end of a scanning step, is answered with no `expand`
+    (`_product`).  The step reads its lookup maps, label table and the two
     ends' bounds in one call (`_closing_kit`), cached by the arrow's
     rectangle, the side, the kept end's column, the two ends' rows and
     columns and whether both close.  A closing step fed by one state
@@ -341,7 +357,7 @@ def _labeled_sum(
                     grown = sum(cur) + (row[3] if col == 1 else cap - row[3])
                     if not need <= grown <= room:
                         continue
-                    terms = engine.expand(cur, row[col], bound_keep)
+                    terms = _product(engine, cur, row[col], bound_keep)
                 elif by_keep.get(key[keep]) == i:
                     terms = ((bound_keep, 1),)
                 else:
@@ -411,10 +427,10 @@ def _labeled_sum(
                     if lack > spare:
                         continue
                     # the head expands once per label, and only if the tail can
-                    terms_t = engine.expand(cur_t, ft, bound_t)
+                    terms_t = _product(engine, cur_t, ft, bound_t)
                     if not terms_t:
                         continue
-                    terms_h = engine.expand(cur_h, fh, bound_h)
+                    terms_h = _product(engine, cur_h, fh, bound_h)
                     lack += others
                     if collect:
                         k[n + a] = i

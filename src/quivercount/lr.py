@@ -127,13 +127,14 @@ class LREngine:
         Read right to left, a row puts its (i+1)'s before its i's, so the
         (i+1)'s in rows <= r may never outnumber the i's in rows < r.  A
         state is (shape, i's in rows < r for every r); equal states merge.
-        Malformed partitions raise ValueError; lists and other iterables
-        give the answer of their normalized tuples.
+        The memo is keyed by the unordered pair: both orders of the factors
+        read and store one entry.  Malformed partitions raise ValueError;
+        lists and other iterables give the answer of their normalized tuples.
         """
-        key = (lam, mu, bound)
         try:
+            key = (lam, mu, bound) if lam >= mu else (mu, lam, bound)
             cached = self._expand_memo.get(key)
-        except TypeError:  # an unhashable argument, such as a list
+        except TypeError:  # an unhashable or unordered argument, such as a list
             return self.expand(partition(lam), partition(mu), partition(bound))
         if cached is not None:
             return cached

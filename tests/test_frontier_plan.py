@@ -1,8 +1,9 @@
 """The frontier DP's plan: one arrow order per instance, arrows of
 capacity 0 folded in without work, the shape-keyed closing lookup and
 its kit, closing steps fed by one state or by several, the lone state
-held through closing steps, and the size window of the scanning steps,
-read from one label table per rectangle."""
+held through closing steps, the size window of the scanning steps,
+read from one label table per rectangle, and the products with an empty
+factor, answered with no `expand`."""
 
 import hashlib
 import random
@@ -14,6 +15,7 @@ from quivercount.counting import (
     _label_table,
     _labeled_sum,
     _plan,
+    _product,
     count_subreps,
     count_subreps_detailed,
     fiber_class,
@@ -23,6 +25,7 @@ from quivercount.counting import (
     verify_counts,
 )
 from quivercount.covariants import build_hat, covariant_count, covariant_multiplicity
+from quivercount.lr import LREngine
 from quivercount.partitions import Rectangle, complement, conjugate, fits, partitions_in_rectangle
 from quivercount.quiver import Quiver, euler_form
 
@@ -556,3 +559,75 @@ def test_scanning_folds_match_pins(engine):
     assert pairings == [53, 19, 25, 23]
     assert (folds, total, created, nonempty) == (1032, 1512, 5130, 348)
     assert digest.hexdigest() == "fd0d650f4bc0c6c1248daae4e585015de2d06157f7472c8c894665499effd56e"
+
+
+# -- products with an empty factor --------------------------------------------------
+
+
+def test_empty_factors_are_answered_as_expand_answers_them():
+    # every factor of a label rectangle, on both sides, times the empty
+    # shape, and every shape of a vertex rectangle times the empty factor,
+    # with that rectangle as the bound (() when it has no columns).  A
+    # factor wider than the bound or with more rows than it gives ()
+    engine = LREngine()
+    rects = [Rectangle(r, c) for r in range(4) for c in range(4)]
+    seen = set()
+    for rect in rects:
+        sym, ext, _ = _label_table(rect)
+        factors = {row[col] for table in (sym, ext) for row in table for col in (1, 2)}
+        for box in rects:
+            bound = (box.cols,) * box.rows if box.cols else ()
+            pairs = [((), f) for f in factors] + [(cur, ()) for cur in partitions_in_rectangle(box)]
+            for cur, f in pairs:
+                got = _product(engine, cur, f, bound)
+                assert got == engine.expand(cur, f, bound), (cur, f, bound)
+                if f and not got:
+                    seen.add("wider" if len(f) <= box.rows else "taller")
+                seen.add("fits" if got else "empty")
+                if not bound:
+                    seen.add("no columns")
+    assert seen == {"wider", "taller", "fits", "empty", "no columns"}
+
+
+def test_no_expand_call_has_an_empty_factor(monkeypatch):
+    # every product with an empty factor is answered in the fold: on the
+    # (5,2) triple flags through verify_counts and fiber_class, whose
+    # steps all close a vertex, and on seeded random instances, whose
+    # scanning steps run at pairing 0 and, with slack, in the fiber class
+    # and its covariant pieces at pairing 1-3
+    parts = partitions_in_rectangle(Rectangle(2, 3))
+    flags = [
+        triple_flag_instance(lam, mu, nu, 2, 5)
+        for lam, mu, nu in product(parts, repeat=3)
+        if sum(lam) + sum(mu) + sum(nu) == 6
+    ]
+    rng = random.Random(39)
+    pool = []
+    while len(pool) < 40:
+        Q, beta, alpha = random_instance(rng, max_verts=4, max_arrows=5, require_zero_pairing=False)
+        pairing = euler_form(Q, beta, tuple(a - b for a, b in zip(alpha, beta)))
+        if 0 <= pairing <= 3:
+            pool.append((Q, beta, alpha, pairing))
+    calls = []
+    expand = LREngine.expand
+
+    def recorded(self, lam, mu, bound):
+        calls.append((lam, mu))
+        return expand(self, lam, mu, bound)
+
+    monkeypatch.setattr(LREngine, "expand", recorded)
+    engine = LREngine()
+    for Q, beta, alpha, expected in flags:
+        rep = verify_counts(Q, beta, alpha, engine)
+        assert rep.n_value == rep.m_value == expected
+        assert fiber_class(Q, beta, alpha, engine).coefficient(((),) * Q.nvertices) == expected
+    flag_calls = len(calls)
+    assert flag_calls
+    for Q, beta, alpha, pairing in pool:
+        if not pairing:
+            rep = verify_counts(Q, beta, alpha, engine)
+            assert rep.n_value == rep.m_value
+        for mu, c in fiber_class(Q, beta, alpha, engine).sorted_items():
+            assert covariant_count(Q, beta, alpha, mu, engine) == covariant_multiplicity(Q, beta, alpha, mu, engine) == c
+    assert len(calls) > flag_calls
+    assert all(lam and mu for lam, mu in calls)

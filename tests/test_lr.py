@@ -136,13 +136,18 @@ def test_expand_matches_tableau_count_reference(engine):
 
 def test_expand_is_symmetric_in_its_factors():
     # expand adds the factor with fewer rows as strips; with equal row
-    # counts it keeps the order it was given, so both orders run there
+    # counts it keeps the order it was given, so both orders run there.
+    # The memo is keyed by the unordered pair, so each order is computed
+    # cold on an engine of its own, and a third engine that takes both
+    # orders stores one entry for them
     box = partitions_in_rectangle(Rectangle(3, 3))
     bounds = [(3, 3, 3), (6, 6, 6), (5, 3, 2, 1), (4, 4, 4, 4, 4, 4)]
-    engine = LREngine()
+    forward, backward, both = LREngine(), LREngine(), LREngine()
     for bound in bounds:
-        for lam, mu in itertools.product(box, repeat=2):
-            assert engine.expand(lam, mu, bound) == engine.expand(mu, lam, bound), (lam, mu, bound)
+        for lam, mu in itertools.combinations_with_replacement(box, 2):
+            assert forward.expand(lam, mu, bound) == backward.expand(mu, lam, bound), (lam, mu, bound)
+            assert both.expand(lam, mu, bound) is both.expand(mu, lam, bound), (lam, mu, bound)
+    assert len(both._expand_memo) == len(bounds) * len(box) * (len(box) + 1) // 2
 
 
 def test_expand_validates_its_input():
@@ -169,6 +174,16 @@ def test_expand_takes_lists_as_their_tuples():
     assert engine.expand([1], [1], [2, 2]) is engine.expand((1,), (1,), (2, 2))
     with pytest.raises(ValueError):
         engine.expand([1, 2], (1,), (3, 3))
+    # a list and a tuple cannot be ordered for the memo key; on a warm
+    # engine both orders of such a pair give the tuples' answer
+    want = engine.expand((2, 1), (1, 1), (3, 3, 3))
+    assert engine.expand([2, 1], (1, 1), (3, 3, 3)) == engine.expand((1, 1), [2, 1], (3, 3, 3)) == want
+    assert engine.expand((2, 1), [1, 1], [3, 3, 3]) == engine.expand([1, 1], (2, 1), (3, 3, 3)) == want
+    # a malformed factor misses its well-formed partner's entry in either order
+    assert engine.expand((2, 1), (1,), (3, 3))
+    for lam, mu in (((1, 2), (1,)), ((1,), (1, 2)), ([1, 2], (1,)), ((1,), [1, 2])):
+        with pytest.raises(ValueError):
+            engine.expand(lam, mu, (3, 3))
 
 
 def test_products_share_no_code_with_the_tableau_counter(monkeypatch):
