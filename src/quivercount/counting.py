@@ -20,14 +20,15 @@ so the closing arrow takes its one label by a lookup keyed by the
 vertex's current shape, not by a scan, and only its other end, if open,
 expands.  A closing step reads its lookups, label table and end bounds
 as one kit cached by a few small ints (_closing_kit), and while the fold
-has a single state, it holds that state as one list key changed in place.
-A product with an empty factor is answered with no `expand` (_product):
-an empty label leaves the shape, and an empty shape takes the label if
-the label fits the vertex's rectangle.  Every other step scans only the
-label sizes that can fit: one pass over a rectangle's partitions lists
-its labels by size for both sides (_label_table), and a window on the
-size, read off the two ends' shapes and the state's carried shortfall,
-picks the runs to scan.  The fiber
+has a single state, it holds that state as one list key changed in place
+and takes each closing step on a branch of its own, with no map.  A
+product with an empty factor is answered with no `expand` (in that
+branch, and by _product for a map): an empty label leaves the shape, and
+an empty shape takes the label if the label fits the vertex's rectangle.
+Every other step scans only the label sizes that can fit: one pass over
+a rectangle's partitions lists its labels by size for both sides
+(_label_table), and a window on the size, read off the two ends' shapes
+and the state's carried shortfall, picks the runs to scan.  The fiber
 class runs the same DP with <beta, gamma> boxes of slack: a closed vertex
 may fall short of its rectangle, and its missing boxes (the complement of
 its shape) key the decomposition of the locus by cohomology class.
@@ -276,17 +277,26 @@ def _labeled_sum(
     the two lookups must agree), the closed vertex takes its target with
     no `expand`, and only the other end, if open, is size-checked and
     expanded.  A product with an empty factor, at a closing step or at
-    either end of a scanning step, is answered with no `expand`
-    (`_product`).  The step reads its lookup maps, label table and the two
-    ends' bounds in one call (`_closing_kit`), cached by the arrow's
-    rectangle, the side, the kept end's column, the two ends' rows and
-    columns and whether both close.  A closing step fed by one state
-    holds it as a list key and one coefficient: while each step gives one
-    term, it writes the closed end's bound, the kept end's shape and (when
-    collecting) the label index into the list in place, and hashes
-    nothing.  The state becomes a map again when an `expand` gives several
-    terms or a scanning step comes; a map shrunk to one key is held again
-    at the next closing step.
+    either end of a scanning step, is answered with no `expand`.  The step
+    reads its lookup maps, label table and the two ends' bounds in one
+    call (`_closing_kit`), cached by the arrow's rectangle, the side, the
+    kept end's column, the two ends' rows and columns and whether both
+    close.
+
+    A closing step fed by one state holds it as a list key and one
+    coefficient, and the held state takes each closing step on its own
+    branch: it builds no map, loops over no terms and calls no
+    `_product`.  The branch writes the closed end's bound and (when
+    collecting) the label index into the list, then the kept end's
+    shape: the label itself when the kept end is empty, nothing when the
+    label is empty, and otherwise the one term of its `expand`.  It
+    hashes nothing.  The fold ends at the first held step with no term:
+    no label closes the end, the kept end leaves its size window, the
+    label does not fit the empty kept end's rectangle, the two lookups
+    disagree or `expand` gives nothing.  The state becomes a map again
+    when an `expand` gives several terms or a scanning step comes; a map
+    shrunk to one key is held again at the next closing step.  A map's
+    closing step takes each state's product from `_product`.
 
     Every other step, and every step with slack, is a scanning step:
     both ends take every label whose size keeps them inside their
@@ -329,7 +339,6 @@ def _labeled_sum(
         if not cap:
             created += 1 if held is not None else len(state)
             continue
-        nxt: dict[tuple, int] = {}
         if not slack and not (left_t and left_h):
             # a closing step: the end that closes (the tail when both do)
             # takes its one label by lookup, and only the other end, if
@@ -347,7 +356,53 @@ def _labeled_sum(
                 # closing step with one term changes in place
                 ((key, coeff),) = state.items()
                 held = list(key)
-            for key, coeff in state.items() if held is None else ((held, coeff),):
+            if held is not None:
+                # the held state's own branch: a step with no term ends the
+                # fold (break), so the list may be written before the checks
+                i = by_shut.get(held[shut])
+                if i is None:
+                    break
+                held[shut] = bound_shut
+                if collect:
+                    held[n + a] = i
+                if by_keep is not None:
+                    if by_keep.get(held[keep]) != i:
+                        break
+                    held[keep] = bound_keep
+                else:
+                    row = table[i]
+                    cur = held[keep]
+                    grown = sum(cur) + (row[3] if col == 1 else cap - row[3])
+                    if not need <= grown <= room:
+                        break
+                    f = row[col]
+                    if not f:
+                        pass  # an empty label leaves the kept end, as in _product
+                    elif not cur:
+                        # an empty kept end takes the label if it fits its rectangle
+                        if len(f) > len(bound_keep) or f[0] > bound_keep[0]:
+                            break
+                        held[keep] = f
+                    else:
+                        terms = engine.expand(cur, f, bound_keep)
+                        if len(terms) == 1:
+                            ((held[keep], c),) = terms
+                            coeff *= c
+                        elif terms:
+                            # the state branches: its list serves the new keys
+                            state = {}
+                            for nu, c in terms:
+                                held[keep] = nu
+                                state[tuple(held)] = coeff * c
+                            held = None
+                            created += len(state)
+                            continue
+                        else:
+                            break
+                created += 1
+                continue
+            nxt: dict[tuple, int] = {}
+            for key, coeff in state.items():
                 i = by_shut.get(key[shut])
                 if i is None:
                     continue
@@ -362,29 +417,18 @@ def _labeled_sum(
                     terms = ((bound_keep, 1),)
                 else:
                     continue
-                # a held key is changed in place; it is given up when its
-                # state branches, so its list serves the new keys
-                k = list(key) if held is None else held
+                k = list(key)
                 k[shut] = bound_shut
                 if collect:
                     k[n + a] = i
-                if held is not None and len(terms) == 1:
-                    # the state stays held; nxt None marks that
-                    ((k[keep], c),) = terms
-                    coeff *= c
-                    nxt = None
-                    continue
                 for nu, c in terms:
                     k[keep] = nu
                     nk = tuple(k)
                     nxt[nk] = nxt.get(nk, 0) + coeff * c
-            if nxt is None:
-                created += 1
-                continue
-            held = None  # the state branched, is a map or is gone
         else:
             if held is not None:
                 state, held = {tuple(held): coeff}, None
+            nxt = {}
             # a scanning step.  A label of size s leaves t short of its
             # target by ut - s and h by uh + s, where positive; before the
             # step they were short by ut - cap and uh.  `short` carries each
@@ -448,9 +492,11 @@ def _labeled_sum(
         created += len(state)
         if not state:
             break
-    if held is not None:
-        state = {tuple(held): coeff}
-    return state, created
+    else:
+        if held is not None:
+            state = {tuple(held): coeff}
+        return state, created
+    return {}, created  # a step left no state
 
 
 def _count(plan: _Plan, engine: LREngine, conjugated: bool, breakdown: bool = False):

@@ -30,9 +30,26 @@ from .partitions import conjugate
 from .quiver import NonzeroPairingError, Quiver, check_instance
 
 
+# The last piece _check_piece validated: {(Q, beta, alpha, mu): its result}
+_last_piece: dict = {}
+
+
 def _check_piece(Q: Quiver, beta, alpha, mu):
     """Validate an instance and its piece mu, whose sizes must add up to the
-    (nonnegative) pairing; return (beta, gamma, mu) with mu normalized."""
+    (nonnegative) pairing; return (beta, gamma, mu) with mu normalized.
+
+    The last piece validated is kept, keyed by the four arguments, so the
+    covariant_multiplicity that follows a piece's covariant_count checks
+    nothing again.  Arguments that do not hash (a list can change after
+    the call) are validated every time, and an error is never kept: each
+    bad call raises."""
+    key = Q, beta, alpha, mu
+    try:
+        hit = _last_piece.get(key)
+    except TypeError:
+        key = hit = None
+    if hit is not None:
+        return hit
     beta, _, gamma, pairing = check_instance(Q, beta, alpha, "nonnegative")
     mu = _check_key(mu, list(zip(beta, gamma)))
     total = sum(map(sum, mu))
@@ -40,6 +57,9 @@ def _check_piece(Q: Quiver, beta, alpha, mu):
         raise ValueError(
             f"mu sizes sum to {total}, Euler pairing is {pairing}; the piece is empty or ill-posed"
         )
+    if key is not None:
+        _last_piece.clear()
+        _last_piece[key] = beta, gamma, mu
     return beta, gamma, mu
 
 

@@ -462,6 +462,54 @@ def test_covariant_count_checks_each_hat_once(monkeypatch, engine):
     assert seen == [THETA3, hat.quiver] * len(fc.coeffs)
 
 
+def test_the_last_piece_checked_is_kept(monkeypatch, engine):
+    seen = []
+    check = covariants.check_instance
+
+    def counted(Q, *args):
+        seen.append(Q)
+        return check(Q, *args)
+
+    monkeypatch.setattr(covariants, "check_instance", counted)
+    covariants._last_piece.clear()
+    beta, alpha = (2, 2), (5, 3)
+    fc = fiber_class(THETA3, beta, alpha, engine)
+    for mu, coeff in fc.sorted_items():
+        seen.clear()
+        # a piece's two routes check its instance once
+        assert covariant_count(THETA3, beta, alpha, mu, engine) == coeff
+        assert covariant_multiplicity(THETA3, beta, alpha, mu, engine) == coeff
+        assert seen.count(THETA3) == 1
+        # equal arguments give equal results, kept or checked again; lists
+        # do not hash, so they are checked every time
+        kept = covariants._check_piece(THETA3, (2, 2), (5, 3), tuple(map(tuple, mu)))
+        listed = covariants._check_piece(THETA3, [2, 2], [5, 3], [list(p) for p in mu])
+        assert kept == listed == ((2, 2), (3, 1), mu)
+        assert seen.count(THETA3) == 2
+    # a list of lists is checked as it is when called: changed, it fails
+    mu = [[1], [1]]
+    assert covariants._check_piece(THETA3, beta, alpha, mu) == (beta, (3, 1), ((1,), (1,)))
+    mu[0].append(1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="sum to 3"):
+            covariants._check_piece(THETA3, beta, alpha, mu)
+    # an error is never kept: a bad call raises each time, also right
+    # after the same piece was checked with good arguments
+    good = ((1,), (1,))
+    for bad, match in [
+        (((1,), ()), "sum to 1"),
+        (((1, 1, 1), ()), "does not fit"),
+        (((0, 1), (1,)), "zero part"),
+    ]:
+        covariants._check_piece(THETA3, beta, alpha, good)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                covariants._check_piece(THETA3, beta, alpha, bad)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not fit inside"):
+            covariants._check_piece(THETA3, beta, (1, 3), good)
+
+
 @pytest.mark.parametrize(
     "wrong, error",
     [

@@ -1,7 +1,8 @@
 """The frontier DP's plan: one arrow order per instance, arrows of
 capacity 0 folded in without work, the shape-keyed closing lookup and
 its kit, closing steps fed by one state or by several, the lone state
-held through closing steps, the size window of the scanning steps,
+held through closing steps on a branch of its own and each way such a
+step ends, the size window of the scanning steps,
 read from one label table per rectangle, and the products with an empty
 factor, answered with no `expand`."""
 
@@ -461,6 +462,93 @@ def test_six_three_triple_flags_close_a_vertex_at_every_step(engine):
             m_states += rep.m_labelings
             instances += 1
         assert (instances, total, n_states, m_states) == pins[n, r]
+
+
+# -- each way a held closing step ends -----------------------------------------------
+
+# (exit, arrows, beta, gamma, final states when collecting, states
+# created): zero-pairing instances whose first closing step holds the lone
+# state and whose fold ends at the named exit of a held closing step, on
+# both sides, with and without collecting labels.  Final states and states
+# created pinned from the fold whose closing step served the held state
+# and the map with one loop.
+HELD_EXITS = [
+    # vertex 0 (1 x 0) closes on the empty label, whose head factor (2)
+    # moves into vertex 1 (2 x 2); vertex 1 then needs (2) from a 2 x 1
+    # label, while vertex 2 stays open
+    ("no label", ((0, 1), (1, 2), (2, 3)), (1, 2, 2, 0), (0, 2, 1, 1), {}, 2),
+    # vertex 0 (1 x 2) closes on the label (2), which leaves vertex 1 with
+    # no box while it needs 1 before its last arrow, which brings 1
+    ("out of window", ((0, 1), (1, 2), (2, 3)), (1, 1, 1, 0), (2, 2, 1, 2), {}, 1),
+    # vertex 1 (1 x 2) closes on the label (2), too wide for the empty
+    # vertex 0 (2 x 1); on the exterior side its conjugate is too tall
+    ("does not fit", ((0, 1), (0, 2)), (2, 1, 2), (1, 2, 2), {}, 1),
+    # both ends close: the tail (2 x 1) needs the label (1, 1), the head
+    # (1 x 2) the label whose complement in 2 x 2 is (2), that is (2)
+    ("lookups disagree", ((0, 1),), (2, 1), (1, 2), {}, 1),
+    # vertex 3 (2 x 2) holds (2) and vertex 1 (2 x 1) closes on (1, 1),
+    # whose head factor is (1, 1): no term of (2) x (1, 1) fits 2 x 2
+    ("no term", ((0, 3), (1, 3), (2, 3)), (1, 2, 2, 2), (0, 1, 2, 2), {}, 2),
+    # vertex 3 (2 x 2) holds (1) and takes (1) from vertex 1: (2) and (1, 1)
+    ("several terms", ((0, 3), (1, 3), (2, 3)), (1, 1, 1, 2), (1, 1, 0, 2), {((1,), (1,), (), (2, 2), 1, 1, 0): 1}, 5),
+]
+
+
+def test_each_exit_of_a_held_closing_step_matches_pins():
+    engine = LREngine()
+    sizes = []
+    expand = engine.expand
+
+    def recorded(lam, mu, bound):
+        terms = expand(lam, mu, bound)
+        sizes.append(len(terms))
+        return terms
+
+    engine.expand = recorded
+    for name, arrows, beta, gamma, collected, states in HELD_EXITS:
+        Q = Quiver(len(beta), arrows)
+        assert euler_form(Q, beta, gamma) == 0
+        plan = _plan(Q, beta, gamma)
+        final = {key[: len(beta)]: c for key, c in collected.items()}
+        for conjugated in (False, True):
+            for collect in (False, True):
+                sizes.clear()
+                got = _labeled_sum(plan, engine, conjugated, collect=collect)
+                assert got == (collected if collect else final, states), (name, conjugated, collect)
+                # only the last two folds call expand, once: it gives no term, or two
+                assert sizes == {"no term": [0], "several terms": [2]}.get(name, []), name
+
+
+def test_held_closing_steps_call_no_product(monkeypatch, engine):
+    # every (6,3) triple-flag fold that holds its state throughout runs
+    # with `_product` raising: a held closing step answers its kept end's
+    # product itself.  A fold with final states has one state after each
+    # step just when states = steps + 1; a fold that dies can reach that
+    # count after a step with several states, which the map serves
+    parts = partitions_in_rectangle(Rectangle(3, 3))
+    plans = []
+    for lam, mu, nu in product(parts, repeat=3):
+        if sum(lam) + sum(mu) + sum(nu) == 9:
+            Q, beta, alpha, expected = triple_flag_instance(lam, mu, nu, 3, 6, engine)
+            plans.append((_plan(Q, beta, tuple(a - b for a, b in zip(alpha, beta))), expected))
+    held = []
+    for plan, expected in plans:
+        for conjugated in (False, True):
+            final, states = _labeled_sum(plan, engine, conjugated)
+            assert sum(final.values()) == expected
+            if final and states == len(plan.steps) + 1:
+                held.append((plan, conjugated, final, states))
+
+    def refused(*args):
+        raise AssertionError("a held closing step called _product")
+
+    monkeypatch.setattr(counting, "_product", refused)
+    for plan, conjugated, final, states in held:
+        for collect in (False, True):
+            got, got_states = _labeled_sum(plan, engine, conjugated, collect=collect)
+            assert got_states == states
+            assert {key[: len(plan.beta)]: c for key, c in got.items()} == final
+    assert len(held) == 184
 
 
 # -- the scanning steps' size window ----------------------------------------------
