@@ -39,6 +39,9 @@ Frobenius-fixed and weights it by the orbit's size, and the solver's
 count takes one source line per Frobenius orbit of each eliminant's
 roots, weighted the same way.  Both are exact: Frobenius maps what lies
 below one member of an orbit onto what lies below each other member.
+The walk's orbit test reads a subspace's free entries, the values its
+generator draws, before any basis is built, so a conjugate that is not
+the least of its orbit never becomes a row list.
 
 Instances whose Grassmannian point count exceeds the enumeration budget
 are refused, with one carve-out: two-vertex instances whose source
@@ -269,14 +272,14 @@ def hom_ext_dims(Q: Quiver, V: FFRep, W: FFRep) -> tuple[int, int]:
 
 def semiinvariant_cv(Q: Quiver, V: FFRep, W: FFRep) -> int:
     """det d^V_W; defined exactly when the pairing of the dimension
-    vectors vanishes, and zero iff V maps nontrivially to W."""
-    _check_pair(Q, V, W)
+    vectors vanishes, and zero iff V maps nontrivially to W.  The pair is
+    checked by `build_dvw`, so its errors come before the pairing's."""
+    M = build_dvw(Q, V, W)
     pairing = euler_form(Q, V.dim, W.dim)
     if pairing != 0:
         raise NonSquarePairingError(
             f"d^V_W is not square: euler pairing is {pairing}, need 0"
         )
-    M = build_dvw(Q, V, W)
     return mat_det(V.field, M)
 
 
@@ -291,23 +294,42 @@ def _span_rows(F, rows: list) -> tuple[list, tuple[int, ...]]:
     return [R[i] for i in range(len(pivots))], pivots
 
 
-def _lift_bases(F, srows: list, pivots: tuple[int, ...], n: int, d: int):
+def _lift_bases(F, srows: list, pivots: tuple[int, ...], n: int, d: int, orbits: bool = False):
     """Yield a basis for every d-dimensional subspace of F^n containing the
     span of srows, reduced with pivot columns `pivots`: srows, then the
     reduced-echelon basis of a complement whose pivots and free entries
     all lie in the other columns.  Pivots come in `combinations` order and
     free entries, in (row, column) order, in `product` order.  Every basis
-    shares the row lists of srows, which the walk only reads."""
+    shares the row lists of srows, which the walk only reads, and copies
+    the complement's rows from one template per choice of pivots.
+
+    With orbits, srows must lie over F_p, and the bases come as (basis,
+    orbit size) pairs, one per Frobenius orbit: a basis's conjugates
+    (entrywise p-th powers) are again such bases, differing from it only
+    in the free values outside F_p, the ints >= p.  The orbit test reads
+    those values, in order, off the `product` tuple before any row list is
+    built; a basis is yielded only when its values are the least of their
+    conjugates (compared as lists), with the number of distinct ones."""
     nonpivot = [c for c in range(n) if c not in pivots]
+    p, frobenius = F.p, F.frobenius
     for qpivots in itertools.combinations(nonpivot, d - len(srows)):
-        free = [(r, c) for r, p in enumerate(qpivots) for c in nonpivot if c > p and c not in qpivots]
+        free = [(r, c) for r, q in enumerate(qpivots) for c in nonpivot if c > q and c not in qpivots]
+        template = [[F.zero] * n for _ in qpivots]
+        for row, q in zip(template, qpivots):
+            row[q] = F.one
         for values in itertools.product(F.elements(), repeat=len(free)):
-            rows = [[F.zero] * n for _ in qpivots]
-            for row, p in zip(rows, qpivots):
-                row[p] = F.one
+            if orbits:
+                moved = [v for v in values if v >= p]
+                size, conj = 1, [frobenius(v) for v in moved]
+                while conj > moved:
+                    size += 1
+                    conj = [frobenius(v) for v in conj]
+                if conj < moved:
+                    continue
+            rows = [list(row) for row in template]
             for (r, c), v in zip(free, values):
                 rows[r][c] = v
-            yield srows + rows
+            yield (srows + rows, size) if orbits else srows + rows
 
 
 def _raw_point_count(Q: Quiver, alpha, beta, q: int) -> int:
@@ -315,21 +337,6 @@ def _raw_point_count(Q: Quiver, alpha, beta, q: int) -> int:
     for x in range(Q.nvertices):
         total *= gaussian_binomial(alpha[x], beta[x], q)
     return total
-
-
-def _least_conjugate_orbit(F, rows: list) -> int:
-    """The number of distinct Frobenius conjugates of rows (entrywise
-    p-th powers, compared as lists) when rows is the least of them, else
-    0.  Entries in F_p are fixed, so the others alone decide both."""
-    moved = [a for r in rows for a in r if a >= F.p]
-    size, conj = 1, moved
-    while True:
-        conj = [F.frobenius(a) for a in conj]
-        if conj == moved:
-            return size
-        if conj < moved:
-            return 0
-        size += 1
 
 
 def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool, source: list | None = None):
@@ -356,11 +363,14 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool, source: list | None 
     subspace per Frobenius orbit while every subspace chosen so far is
     Frobenius-fixed: the span S of the images is then fixed, its reduced
     basis lies over F_p, and Frobenius acts on the subspaces containing S
-    as on their lifted rows, entry by entry.  Of each orbit only the
-    least conjugate is walked, and its subtree counts once per member,
-    since Frobenius maps it onto the subtree of each conjugate.  Below a
-    subspace that is not fixed the walk enumerates in full.  The sinks'
-    binomials need no orbits: the orbit sizes at a sink add up to it."""
+    as on their lifted rows, entry by entry, which moves only the free
+    values outside F_p.  So `_lift_bases(..., orbits=True)` tests the
+    orbit on the free values, before it builds any basis, and hands the
+    walk only the least conjugate of each orbit with the orbit's size;
+    its subtree counts once per member, since Frobenius maps it onto the
+    subtree of each conjugate.  Below a subspace that is not fixed the
+    walk enumerates in full.  The sinks' binomials need no orbits: the
+    orbit sizes at a sink add up to it."""
     F = V.field
     alpha = V.dim
     incoming: list = [[] for _ in range(Q.nvertices)]
@@ -378,10 +388,10 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool, source: list | None 
     bases: list = [None] * Q.nvertices
     found: list = []
     count = nodes = 0
-    # frames (depth, weight, rows of the span, subspaces still to walk);
-    # weight: the subrepresentations that each leaf below stands for;
-    # rows None: the subspaces are the given (line, weight) pairs
-    stack: list = [] if source is None else [(0, 1, None, iter(source))]
+    # frames (depth, weight, paired, subspaces still to walk); weight: the
+    # subrepresentations that each leaf below stands for; paired: the
+    # subspaces come as (basis, orbit size) pairs
+    stack: list = [] if source is None else [(0, 1, True, (([line], size) for line, size in source))]
 
     def images(x: int) -> list:
         return [mat_vec(F, A, w) for t, A in incoming[x] for w in bases[t]]
@@ -403,25 +413,21 @@ def _walk_subreps(Q: Quiver, V: FFRep, beta, collect: bool, source: list | None 
         x = walked[i]
         srows, pivots = _span_rows(F, images(x))
         if len(srows) <= beta[x]:
-            stack.append((i, weight, len(srows), _lift_bases(F, srows, pivots, alpha[x], beta[x])))
+            paired = orbits and weight == 1
+            stack.append((i, weight, paired, _lift_bases(F, srows, pivots, alpha[x], beta[x], orbits=paired)))
 
     if source is None:
         visit(0, 1)
     while stack:
-        i, weight, s, subspaces = stack[-1]
+        i, weight, paired, subspaces = stack[-1]
         W = next(subspaces, None)
         if W is None:
             bases[walked[i]] = None
             stack.pop()
             continue
         size = 1
-        if s is None:
-            line, size = W
-            W = [line]
-        elif orbits and weight == 1:
-            size = _least_conjugate_orbit(F, W[s:])
-            if not size:
-                continue
+        if paired:
+            W, size = W
         bases[walked[i]] = W
         visit(i + 1, weight * size)
     return count, found, nodes

@@ -256,6 +256,87 @@ def test_lifted_bases_match_pins():
     assert digest.hexdigest() == LIFTED_BASES_SHA256
 
 
+def _reference_lift_bases(F, srows, pivots, n, d):
+    """The unfiltered generator as it was when the walk tested orbits on
+    the bases it had built: a fresh row list per basis."""
+    nonpivot = [c for c in range(n) if c not in pivots]
+    for qpivots in itertools.combinations(nonpivot, d - len(srows)):
+        free = [(r, c) for r, p in enumerate(qpivots) for c in nonpivot if c > p and c not in qpivots]
+        for values in itertools.product(F.elements(), repeat=len(free)):
+            rows = [[F.zero] * n for _ in qpivots]
+            for row, p in zip(rows, qpivots):
+                row[p] = F.one
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            yield srows + rows
+
+
+def _reference_least_conjugate_orbit(F, rows):
+    """The number of distinct Frobenius conjugates of rows (entrywise p-th
+    powers, compared as lists) when rows is the least of them, else 0."""
+    moved = [a for r in rows for a in r if a >= F.p]
+    size, conj = 1, moved
+    while True:
+        conj = [F.frobenius(a) for a in conj]
+        if conj == moved:
+            return size
+        if conj < moved:
+            return 0
+        size += 1
+
+
+def _reference_orbit_bases(F, srows, pivots, n, d):
+    """(basis, orbit size) for each basis whose lifted rows are the least
+    of their conjugates, in the unfiltered order."""
+    for basis in _reference_lift_bases(F, srows, pivots, n, d):
+        size = _reference_least_conjugate_orbit(F, basis[len(srows):])
+        if size:
+            yield basis, size
+
+
+def _orbit_pool():
+    """(F, span rows, their pivots, n, d) over six extensions, n <= 4,
+    every span rank s <= d <= n whose [n - s, d - s]_q bases number at most
+    7,000.  The span rows are reduced from sparse random rows over F_p,
+    as a count walk meets them; one more draw per (F, n, s > 0, d) takes
+    its rows over F, which the walk never filters under."""
+    rng = random.Random(41)
+    for F in (GF(2, 2), GF(3, 2), GF(5, 2), GF(13, 2), GF(2, 3), GF(3, 4)):
+        for n in range(1, 5):
+            for d in range(n + 1):
+                for s in range(d + 1):
+                    if gaussian_binomial(n - s, d - s, F.q) > 7000:
+                        continue
+                    for entries in [F.p] * (2 if s else 1) + [F.q] * (s > 0):
+                        srows, pivots = [], ()
+                        while len(srows) != s:
+                            rows = [[rng.randrange(entries) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(s)]
+                            srows, pivots = _span_rows(F, rows)
+                        yield F, srows, pivots, n, d
+
+
+def test_orbit_filter_matches_the_test_on_built_rows():
+    # the filter reads the free values off the product tuple; the reference
+    # builds every basis and tests its lifted rows.  Same (basis, size)
+    # pairs in the same order, and each frame's sizes add up to its
+    # unfiltered bases
+    frames = kept = 0
+    ranks = set()
+    for F, srows, pivots, n, d in _orbit_pool():
+        got = [(tuple(map(tuple, b)), size) for b, size in _lift_bases(F, srows, pivots, n, d, orbits=True)]
+        want = [(tuple(map(tuple, b)), size) for b, size in _reference_orbit_bases(F, srows, pivots, n, d)]
+        assert got == want, (F, srows, n, d)
+        unfiltered = sum(1 for _ in _lift_bases(F, srows, pivots, n, d))
+        assert sum(size for _, size in got) == unfiltered == gaussian_binomial(n - len(srows), d - len(srows), F.q)
+        frames += 1
+        kept += len(got)
+        ranks.add((F.q, len(srows), d))
+    # every field meets every span rank from 0 to d for some d >= 2
+    for F in (GF(2, 2), GF(3, 2), GF(5, 2), GF(13, 2), GF(2, 3), GF(3, 4)):
+        assert {s for q, s, d in ranks if q == F.q and d == 2} == {0, 1, 2}, F
+    assert frames >= 300 and kept >= 10000, (frames, kept)
+
+
 def test_sampled_count_reports_nodes():
     got = sampled_subrep_count(THETA2, (1, 0), (3, 1), 13, max_ext_degree=2, trials=3, seed=0)
     assert got.method == "enumerate"
@@ -1035,6 +1116,28 @@ def test_orbit_walk_node_pin():
         for F in (GF(13), GF(13, 2)):
             full += _walk_subreps(THETA2, FFRep(THETA2, F, (2, 2), V1.mats), (1, 1), True)[2]
     assert (got.nodes, full) == (1080, 1890)
+
+
+def test_orbit_walk_builds_only_the_bases_it_walks(monkeypatch):
+    # trial 0 of that run over GF(13^2): the source frame builds a row list
+    # for each of the 13 + 1 rational lines and the 78 least conjugates,
+    # 92 of the 170 lines.  A module global `list` shadows the builtin
+    # inside oracles, so the counter sees every row the generator copies
+    # from its template; the count walk builds no other list here (the
+    # source has no images, and the sink is taken by a binomial)
+    built = [0]
+
+    def counted(*args):
+        built[0] += 1
+        return list(*args)
+
+    V = FFRep(THETA2, GF(13, 2), (2, 2), random_rep(THETA2, (2, 2), GF(13), 0).mats)
+    monkeypatch.setattr(oracles, "list", counted, raising=False)
+    assert _walk_subreps(THETA2, V, (1, 1), False)[::2] == (1, 93)
+    assert built[0] == 92
+    # unfiltered, the same frame builds every line
+    built[0] = 0
+    assert sum(1 for _ in _lift_bases(V.field, [], (), 2, 1)) == built[0] == 170
 
 
 def test_orbit_weighted_solver_count_matches_the_listing():

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from quivercount import oracles
 from quivercount.ffield import GF
 from quivercount.oracles import (
     FFRep,
@@ -303,13 +304,34 @@ def test_semiinvariant_requires_zero_pairing():
         (THETA2, A2, GF(5), "V lives on a different quiver"),
         (A2, THETA2, GF(5), "W lives on a different quiver"),
         (A2, A2, GF(7), "field mismatch: GF(5) vs GF(7)"),
+        # several faults at once: V's quiver, then W's, then the field
+        (THETA2, THETA2, GF(7), "V lives on a different quiver"),
+        (A2, THETA2, GF(7), "W lives on a different quiver"),
     ],
 )
 def test_semiinvariant_checks_its_pair(v_quiver, w_quiver, w_field, message):
-    V = random_rep(v_quiver, (1, 0), GF(5), 0)
-    W = random_rep(w_quiver, (0, 1), w_field, 1)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        semiinvariant_cv(A2, V, W)
+    # pairing -1 and 0 on A2: a bad pair is named before a nonzero pairing
+    for v_dim, w_dim in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
+        V = random_rep(v_quiver, v_dim, GF(5), 0)
+        W = random_rep(w_quiver, w_dim, w_field, 1)
+        with pytest.raises(ValueError, match=re.escape(message)) as ei:
+            semiinvariant_cv(A2, V, W)
+        assert not isinstance(ei.value, NonSquarePairingError)
+
+
+def test_semiinvariant_checks_its_pair_once(monkeypatch):
+    # build_dvw's check is the only one: one call per determinant, a good
+    # pair or a nonzero pairing alike
+    calls = []
+    check = oracles._check_pair
+    monkeypatch.setattr(oracles, "_check_pair", lambda *args: calls.append(args) or check(*args))
+    F = GF(5)
+    V, W = random_rep(THETA2, (1, 1), F, 0), random_rep(THETA2, (1, 1), F, 1)
+    semiinvariant_cv(THETA2, V, W)
+    assert len(calls) == 1
+    with pytest.raises(NonSquarePairingError, match="euler pairing is 1"):
+        semiinvariant_cv(A2, random_rep(A2, (1, 1), F, 0), random_rep(A2, (1, 1), F, 1))
+    assert len(calls) == 2
 
 
 def test_semiinvariant_theta2_values():
