@@ -57,7 +57,10 @@ two phases.  The elimination (minors, resultants, gcds) runs once per
 sample, over F_p, the first time a degree solves: the sample has F_p
 entries, and GF's prime-subfield fast path makes every one of those
 steps return the same ints in F_p and in each F_{p^j}, so repeating it
-per extension would only rebuild the same polynomials.  With it, the
+per extension would only rebuild the same polynomials.  It computes the
+minors on the first chart only, over F[z] with t a power of z, reads
+each later chart's minors off them, and takes each resultant by the
+subresultant PRS over F[s].  With it, the
 irreducible factors of each eliminant over F_p are grouped by degree
 once per sample, and its roots in F_p found.  The root phase then runs
 per extension degree j and, in each group whose degree d divides j,
@@ -87,12 +90,15 @@ from .ffield import (
     mat_vec,
     poly_add,
     poly_deg,
+    poly_divmod,
     poly_eval,
     poly_gcd,
     poly_mul,
     poly_neg,
     poly_orbit_roots,
     poly_roots,
+    poly_scale,
+    poly_sub,
     poly_trim,
 )
 from .quiver import Quiver, check_dimvector, check_instance, euler_form
@@ -528,14 +534,17 @@ def list_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> tuple:
 # subspaces containing each line's image span.  A minor is a polynomial
 # in t over F[s] (a tuple, ascending in t, of s-polynomials); on a
 # one-variable chart it is its t^0 coefficient.
-# `_minors` computes the minors, over F[s][t], and each resultant in t,
-# a Sylvester determinant over F[s].  `_eliminate` does everything
+# `_minor_polys` computes the minors once per sample, on chart 0, with
+# `_minors` over F[z] (s = z, t = z^(b+2)); a minor is a form of degree
+# b+1 in v, so `_eliminate` reads each later chart's minors off the
+# chart before it.  `_resultant_t` takes each resultant in t by the
+# subresultant PRS over F[s].  `_eliminate` does everything
 # before the first root over the field of the sample's entries;
 # `_rational_factors` groups its eliminants' factors over F_p by degree
 # once per sample; and `_kronecker_lines` takes the roots in whatever
 # extension V is read over, as the lines the walk starts from.
 
-_MAX_MINOR = 4  # minor size b + 1: t-degrees <= 4, Sylvester matrices <= 8 x 8
+_MAX_MINOR = 4  # minor size b + 1: t-degrees <= 4, z-degrees <= 20
 
 
 def _kronecker_form(Q: Quiver, beta, alpha):
@@ -556,8 +565,7 @@ def _kronecker_form(Q: Quiver, beta, alpha):
 
 class _PolyRing:
     """Polynomials over the ring R, as a ring for ffield's polynomial
-    helpers and `_minors`: F[s] is _PolyRing(F), F[s][t] is
-    _PolyRing(_PolyRing(F))."""
+    helpers and `_minors`: F[z] is _PolyRing(F)."""
 
     def __init__(self, R) -> None:
         self.zero = ()
@@ -593,37 +601,72 @@ def _minors(R, M: list[list], r: int) -> dict:
 
 def _minor_polys(F, mats, chart: list[tuple], b: int) -> list[tuple]:
     """All (b+1)-minors of [A_1 v | ... | A_m v] with v given by the chart
-    (one polynomial in t over F[s] per coordinate), each as a polynomial
-    in t over F[s]: row subsets, then column subsets, in combinations
-    order."""
-    R = _PolyRing(_PolyRing(F))
+    (one polynomial in t over F[s] per coordinate, each of total degree
+    <= 1), each as a polynomial in t over F[s]: row subsets, then column
+    subsets, in combinations order.  `_minors` computes them over F[z]
+    with s = z and t = z^(b+2).  That is exact: a sub-minor has total
+    degree <= b+1, so s^i t^j goes to z^(i + (b+2) j) with i < b+2, and
+    each minor is read back off its z-coefficients in blocks of b+2."""
+    w = b + 2
+    R = _PolyRing(F)
+    zchart = [poly_trim(F, [c for x in xs for c in x + (F.zero,) * (w - len(x))]) for xs in chart]
     M = [
-        [reduce(R.add, (R.mul(((a,),), x) for a, x in zip(A[r], chart) if a != F.zero), ()) for A in mats]
+        [reduce(R.add, (poly_scale(F, a, x) for a, x in zip(A[r], zchart) if a != F.zero), ()) for A in mats]
         for r in range(len(mats[0]))
     ]
     minors = _minors(R, M, b + 1)
     keys = itertools.product(*(itertools.combinations(range(n), b + 1) for n in (len(M), len(mats))))
-    return [minors.get(key, ()) for key in keys]
+    return [
+        tuple(poly_trim(F, z[j : j + w]) for j in range(0, len(z), w)) for z in (minors.get(key, ()) for key in keys)
+    ]
 
 
 def _resultant_t(F, f: tuple, g: tuple) -> tuple:
     """Resultant of two polynomials in t with coefficients in F[s],
-    given as coefficient tuples (ascending in t): the determinant of
-    their Sylvester matrix, its rows ordered by shift (f t^i next to
-    g t^i, which keeps the minors `_minors` builds on the way few) and
-    its sign that of the usual block order (all of f's rows first)."""
+    given as coefficient tuples (ascending in t), with the sign of their
+    Sylvester determinant in block order (all of f's rows first), by the
+    subresultant PRS (Collins 1967, Brown-Traub 1971).  Each step replaces
+    (A, B) by (B, prem(A, B) / (c h^delta)): prem is the pseudo-remainder,
+    delta = deg A - deg B, c the leading coefficient of A and h that of the
+    last subresultant (both 1 on the first step), and every quotient is
+    exact in F[s].  A vanishing remainder means a common factor in t, and
+    the resultant is ()."""
     m, n = len(f) - 1, len(g) - 1
     assert m >= 1 and n >= 1
-    rows = [
-        [()] * i + list(reversed(h)) + [()] * (shifts - 1 - i)
-        for i in range(max(m, n))
-        for h, shifts in ((f, n), (g, m))
-        if i < shifts
-    ]
-    full = tuple(range(m + n))
-    det = _minors(_PolyRing(F), rows, m + n).get((full, full), ())
-    # block order puts f t^i ahead of each g t^j with j < i
-    return poly_neg(F, det) if sum(min(i, m) for i in range(n)) % 2 else det
+    mul = partial(poly_mul, F)
+    one = (F.one,)
+
+    def power(x, e):
+        return reduce(mul, (x,) * e) if e else one
+
+    odd = 0
+    if m < n:
+        f, g = g, f
+        odd = m * n % 2  # Res(g, f) = (-1)^(mn) Res(f, g)
+    c = h = one
+    while True:
+        df, dg, lead = len(f) - 1, len(g) - 1, g[-1]
+        delta = df - dg
+        odd ^= df * dg % 2
+        # prem(f, g) = lc(g)^(delta+1) f mod g, one t-degree of f per pass
+        r = list(f)
+        for k in reversed(range(delta + 1)):
+            top = r.pop()
+            r = [mul(lead, x) for x in r]
+            for j, y in enumerate(g[:-1]):
+                r[k + j] = poly_sub(F, r[k + j], mul(top, y))
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return ()
+        div = mul(c, power(h, delta))
+        f, g = g, tuple(r) if div == one else tuple(poly_divmod(F, x, div)[0] for x in r)
+        c = f[-1]
+        if delta:
+            h = poly_divmod(F, power(c, delta), power(h, delta - 1))[0]
+        if len(g) == 1:
+            res = poly_divmod(F, power(g[0], dg), power(h, dg - 1))[0]
+            return poly_neg(F, res) if odd else res
 
 
 def _gcd_all(F, polys: list[tuple]) -> tuple:
@@ -651,6 +694,10 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
     poly_roots lists each root once.  Raises DegenerateSampleError when
     the solution set is positive-dimensional before any root is taken.
 
+    The minors are computed once, on chart 0 (`_minor_polys`), and each
+    later chart reads its own off the chart before it.  Resultants come
+    from `_resultant_t`, whose products are in F[s] only.
+
     Every step stays in the field of V's entries: minors, resultants and
     gcds of polynomials with coefficients in F_p are the same ints in F_p
     and in every F_{p^j} (GF's prime-subfield fast path).  So a
@@ -670,15 +717,20 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
             return [((one,), None, None)]
         raise DegenerateSampleError("rank condition vacuous on the whole line space")
     charts: list[tuple] = []
-    var_s = ((zero, one),)
-    var_t = ((), (one,))
+    size = b + 1  # the minors' size, and their degree in v
     # chart i: coordinates before i vanish, coordinate i is 1, the rest
     # (at most two, s then t) are free
+    minors = _minor_polys(F, mats, [((one,),), ((zero, one),), ((), (one,))][:n_src], b)
     for i in range(n_src):
+        if i:
+            # chart i is (0, 1, s) in chart i-1's coordinates, and a minor
+            # is a form of degree b+1 in v: its terms s^(b+1-j) t^j on
+            # chart i-1, read at (s, t) = (1, s)
+            tops = (poly_trim(F, [c[size - j] if size - j < len(c) else zero for j, c in enumerate(f)]) for f in minors)
+            minors = [(h,) if h else () for h in tops]
         fixed = (zero,) * i + (one,)
         nfree = n_src - 1 - i
-        chart = [()] * i + [((one,),)] + [var_s, var_t][:nfree]
-        nonzero = [f for f in _minor_polys(F, mats, chart, b) if f]
+        nonzero = [f for f in minors if f]
         if nfree == 0:
             if not nonzero:
                 charts.append((fixed, None, None))

@@ -452,6 +452,101 @@ def test_resultant_t_matches_numeric_sylvester():
     assert checks >= 300
 
 
+def _laplace_resultant_t(F, f: tuple, g: tuple) -> tuple:
+    """Reference: the resultant in t as the Laplace expansion (`_minors`
+    over F[s]) of the Sylvester matrix, its rows ordered by shift, with
+    the sign of block order."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [
+        [()] * i + list(reversed(h)) + [()] * (shifts - 1 - i)
+        for i in range(max(m, n))
+        for h, shifts in ((f, n), (g, m))
+        if i < shifts
+    ]
+    full = tuple(range(m + n))
+    det = _minors(_PolyRing(F), rows, m + n).get((full, full), ())
+    return ffield.poly_neg(F, det) if sum(min(i, m) for i in range(n)) % 2 else det
+
+
+def test_resultant_t_matches_the_sylvester_expansion():
+    # the subresultant PRS against the Laplace-expanded Sylvester matrix,
+    # on f, g in F[s][t] of t-degree 1..4 and s-degree 0..4: random pairs
+    # (either degree first), pairs with a common factor in t, pairs whose
+    # first pseudo-remainder drops two or more degrees (f = q g + r with
+    # deg r <= deg g - 2), and pairs whose leading coefficients are
+    # constant in s
+    rng = random.Random(42)
+    seen = {"swapped": 0, "common": 0, "abnormal": 0, "constant_lead": 0, "nonzero": 0}
+    for F in (GF(3), GF(5), GF(13), GF(101), GF(3, 2)):
+        Fs = _PolyRing(F)
+
+        def spoly(sdeg):
+            return ffield.poly_trim(F, [F.sample(rng) for _ in range(sdeg + 1)])
+
+        def poly(tdeg, lead_sdeg=None):
+            while True:
+                cs = [spoly(rng.randint(0, 4)) for _ in range(tdeg)]
+                cs.append(spoly(rng.randint(0, 4) if lead_sdeg is None else lead_sdeg))
+                if cs[-1]:
+                    return tuple(ffield.poly_trim(Fs, cs))
+
+        def check(f, g):
+            got = _resultant_t(F, f, g)
+            assert got == _laplace_resultant_t(F, f, g), (F, f, g)
+            seen["swapped"] += len(f) < len(g)
+            seen["nonzero"] += got != ()
+            return got
+
+        for _ in range(20):
+            check(poly(rng.randint(1, 4)), poly(rng.randint(1, 4)))
+            check(poly(rng.randint(1, 4), 0), poly(rng.randint(1, 4), 0))
+            seen["constant_lead"] += 1
+            h = poly(rng.randint(1, 2))
+            f, g = (ffield.poly_mul(Fs, h, poly(rng.randint(0, 2))) for _ in range(2))
+            assert check(f, g) == ()
+            seen["common"] += 1
+            g = poly(rng.randint(2, 4))
+            r = poly(rng.randint(0, len(g) - 3))
+            f = ffield.poly_add(Fs, ffield.poly_mul(Fs, poly(rng.randint(0, 4 - (len(g) - 1))), g), r)
+            check(f, g)
+            check(g, f)
+            seen["abnormal"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_later_charts_read_chart_zero_minors():
+    # chart i >= 1 of the source's line space, v = (0, .., 0, 1, s), is
+    # (0, 1, s) in chart i-1's coordinates; each minor is a form of degree
+    # b+1 in v, so chart i's minors are chart i-1's terms s^(b+1-j) t^j
+    # read at (s, t) = (1, s), as _eliminate reads them; here against
+    # _minor_polys on each chart itself, minor by minor
+    coords = [((1,),), ((0, 1),), ((), (1,))]
+    read = {1: 0, 2: 0}
+    for Q, beta, V in _elimination_pool(150):
+        F, n_src, b = V.field, V.dim[0], beta[1]
+        w = b + 1
+        minors = _minor_polys(F, V.mats, coords[:n_src], b)
+        for i in range(1, n_src):
+            tops = (ffield.poly_trim(F, [c[w - j] if w - j < len(c) else 0 for j, c in enumerate(f)]) for f in minors)
+            minors = [(h,) if h else () for h in tops]
+            assert minors == _minor_polys(F, V.mats, [()] * i + coords[: n_src - i], b), (V, i)
+            read[i] += sum(1 for f in minors if f)
+    assert read[1] >= 250 and read[2] >= 100, read
+
+
+def test_eliminate_makes_few_polynomial_products(monkeypatch):
+    # one theta(4) elimination: minors once per sample, over F[z], and three
+    # subresultant resultants over F[s].  Laplace-expanded Sylvester
+    # matrices and every chart's minors over a nested F[s][t] made 637
+    calls = []
+    mul = oracles.poly_mul
+    monkeypatch.setattr(oracles, "poly_mul", lambda *args: calls.append(args) or mul(*args))
+    V = random_rep(THETA4, (3, 3), GF(101), 0)
+    charts = _eliminate(THETA4, V, (1, 2), 0, 1)
+    assert [(fixed, len(tpolys)) for fixed, _, tpolys in charts] == [((1,), 4)]
+    assert len(calls) == 97
+
+
 def test_kronecker_solver_matches_enumeration():
     cases = [
         (THETA2, (1, 1), (2, 2)),
