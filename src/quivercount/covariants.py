@@ -10,13 +10,12 @@ the frontier DP over the original quiver with one extra exterior-power
 factor per vertex (covariant_multiplicity).  The two must agree with each
 other and with the fiber_class coefficient.
 
-The pieces of one instance share their enlarged quiver and its gamma,
-and the arrow order of the hat's plan depends on that quiver and the
-arrows' label counts alone.  So a hat frame, kept per (Q, gamma), holds
-both and the orders met so far, keyed by the label counts: each piece
-builds only its beta-hat, checks the hat once, and plans with a known
-order whenever its counts have been met (at pairing 1, always after the
-first piece).
+Every caller finishes the pieces of one instance before it starts the
+next, so the module keeps that one instance, checked, and the hat frame
+its pieces share: the enlarged quiver, its gamma and the arrow orders met
+so far, keyed by the label counts.  Each piece checks only its mu, builds
+only its beta-hat, checks the hat once, and plans with a known order
+whenever its counts have been met (at pairing 1, after the first piece).
 """
 
 from __future__ import annotations
@@ -30,37 +29,36 @@ from .partitions import conjugate
 from .quiver import NonzeroPairingError, Quiver, check_instance
 
 
-# The last piece _check_piece validated: {(Q, beta, alpha, mu): its result}
-_last_piece: dict = {}
+# The instance whose pieces are being checked, as one (key, record) tuple:
+# the key is its checked (Q, beta, alpha), the record [beta, gamma, pairing,
+# frame], the frame (hat quiver, hat gamma, arrow orders by label counts)
+# None until _hat needs it.  The slot is bound once and read once per call,
+# so a concurrent caller sees a whole record.
+_instance: tuple = None, None
 
 
 def _check_piece(Q: Quiver, beta, alpha, mu):
     """Validate an instance and its piece mu, whose sizes must add up to the
-    (nonnegative) pairing; return (beta, gamma, mu) with mu normalized.
+    (nonnegative) pairing; return (record, mu) with mu normalized.
 
-    The last piece validated is kept, keyed by the four arguments, so the
-    covariant_multiplicity that follows a piece's covariant_count checks
-    nothing again.  Arguments that do not hash (a list can change after
-    the call) are validated every time, and an error is never kept: each
-    bad call raises."""
-    key = Q, beta, alpha, mu
-    try:
-        hit = _last_piece.get(key)
-    except TypeError:
-        key = hit = None
-    if hit is not None:
-        return hit
-    beta, _, gamma, pairing = check_instance(Q, beta, alpha, "nonnegative")
+    The instance is checked only when it is not the kept one, and is then
+    kept: all the pieces of an instance, by both routes, check it once.
+    Only tuples are compared with the key; a list or an array is checked
+    each time.  mu is checked on every call, and an error is never kept."""
+    global _instance
+    key, record = _instance
+    if beta.__class__ is not tuple or alpha.__class__ is not tuple or key != (Q, beta, alpha):
+        beta, alpha, gamma, pairing = check_instance(Q, beta, alpha, "nonnegative")
+        record = [beta, gamma, pairing, None]
+        _instance = (Q, beta, alpha), record
+    beta, gamma, pairing, _ = record
     mu = _check_key(mu, list(zip(beta, gamma)))
     total = sum(map(sum, mu))
     if total != pairing:
         raise ValueError(
             f"mu sizes sum to {total}, Euler pairing is {pairing}; the piece is empty or ill-posed"
         )
-    if key is not None:
-        _last_piece.clear()
-        _last_piece[key] = beta, gamma, mu
-    return beta, gamma, mu
+    return record, mu
 
 
 @dataclass(frozen=True)
@@ -78,16 +76,10 @@ class HatInstance:
     alpha: tuple[int, ...]
 
 
-# Hat frames by (Q, gamma), oldest first, at most _KEPT (see build_hat);
-# a frame is (hat quiver, hat gamma, arrow orders by label counts)
-_frames: dict = {}
-_KEPT = 8
-
-
 def _hat(Q: Quiver, beta, alpha, mu):
     """(frame, beta-hat, alpha-hat) of the mu-piece, checked; see build_hat."""
-    beta, gamma, mu = _check_piece(Q, beta, alpha, mu)
-    frame = _frames.get((Q, gamma))
+    record, mu = _check_piece(Q, beta, alpha, mu)
+    beta, gamma, _, frame = record
     if frame is None:
         arrows = list(Q.arrows)
         hat_gamma = list(gamma)
@@ -96,9 +88,7 @@ def _hat(Q: Quiver, beta, alpha, mu):
             hat_gamma += range(g, 0, -1)
             arrows.extend(zip((x, *range(nxt, nxt + g - 1)), range(nxt, nxt + g)))
             nxt += g
-        if len(_frames) == _KEPT:
-            del _frames[next(iter(_frames))]
-        frame = _frames[Q, gamma] = Quiver(nxt, tuple(arrows)), tuple(hat_gamma), {}
+        frame = record[3] = Quiver(nxt, tuple(arrows)), tuple(hat_gamma), {}
     quiver, hat_gamma, _ = frame
     hat_beta = list(beta)
     for b, g, p in zip(beta, gamma, mu):
@@ -128,9 +118,8 @@ def build_hat(Q: Quiver, beta, alpha, mu) -> HatInstance:
     its gamma drops to zero exactly because the mu sizes exhaust the
     original pairing; check_instance checks that, once per piece.
 
-    The hat quiver and its gamma, the frame, depend on (Q, gamma) alone,
-    so they are built and validated once and kept for the next pieces
-    (the last 8 frames); only beta-hat is built per piece.
+    The frame (hat quiver and gamma) depends on (Q, gamma) alone; the kept
+    instance builds it once, and each piece builds only its beta-hat.
     """
     (quiver, _, _), hat_beta, hat_alpha = _hat(Q, beta, alpha, mu)
     return HatInstance(quiver, hat_beta, hat_alpha)
@@ -142,14 +131,11 @@ def covariant_count(Q: Quiver, beta, alpha, mu, engine: LREngine | None = None) 
 
     The hat is checked once, by build_hat's check, and its plan folded
     as count_subreps folds one.  Its arrow order depends on the hat
-    quiver and the label counts alone, so the frame keeps the orders by
-    label counts (the last 8): at pairing 1 every piece of an instance has
+    quiver and the label counts alone, so the frame keeps every order it
+    meets by label counts: at pairing 1 every piece of an instance has
     the same counts, and one greedy run orders them all."""
     (quiver, hat_gamma, orders), hat_beta, _ = _hat(Q, beta, alpha, mu)
-    plan = _plan(quiver, hat_beta, hat_gamma, orders)
-    if len(orders) > _KEPT:
-        del orders[next(iter(orders))]
-    final, _ = _labeled_sum(plan, engine or LREngine())
+    final, _ = _labeled_sum(_plan(quiver, hat_beta, hat_gamma, orders), engine or LREngine())
     return sum(final.values())
 
 
@@ -157,7 +143,7 @@ def covariant_multiplicity(Q: Quiver, beta, alpha, mu, engine: LREngine | None =
     """Dimension of the weight space with one extra exterior power per
     vertex, computed by the frontier DP over the original quiver: on the
     exterior side vertex x starts at the conjugate of mu(x)."""
-    beta, gamma, mu = _check_piece(Q, beta, alpha, mu)
+    (beta, gamma, _, _), mu = _check_piece(Q, beta, alpha, mu)
     start = [conjugate(p) for p in mu]
     final, _ = _labeled_sum(_piece_plan(Q, beta, gamma), engine or LREngine(), conjugated=True, start=start)
     return sum(final.values())

@@ -28,6 +28,18 @@ def test_the_covariants_share_the_labeled_sum():
     assert covariants._labeled_sum is counting._labeled_sum
 
 
+def test_the_covariants_define_exactly_the_public_functions_the_bench_counts():
+    # bench/workloads.py calls covariant_count and covariant_multiplicity,
+    # and the tracer wraps every public module function into
+    # covariants.calls, so another public function would move that counter
+    public = {
+        name
+        for name, fn in vars(covariants).items()
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == covariants.__name__
+    }
+    assert public == {"build_hat", "covariant_count", "covariant_multiplicity"}
+
+
 @pytest.mark.parametrize(
     "module, name",
     [

@@ -1,5 +1,8 @@
 import itertools
 import random
+import sys
+import threading
+from functools import partial
 from math import comb
 
 import pytest
@@ -15,7 +18,8 @@ from quivercount.counting import (
     si_dimension,
     verify_counts,
 )
-from quivercount.covariants import _KEPT, _frames, build_hat, covariant_count, covariant_multiplicity
+from quivercount.covariants import HatInstance, build_hat, covariant_count, covariant_multiplicity
+from quivercount.lr import LREngine
 from quivercount.partitions import Rectangle, complement, conjugate, partition, partitions_in_rectangle, size
 from quivercount.quiver import Quiver, euler_form
 
@@ -315,28 +319,42 @@ def test_the_pieces_of_one_instance_share_one_hat_frame(engine):
     hats = [build_hat(THETA3, beta, alpha, mu) for mu in fc.coeffs]
     assert len(hats) == 4 and len({hat.beta for hat in hats}) == 4
     assert all(hat.quiver is hats[0].quiver for hat in hats)
-    # the frame depends on (Q, gamma) alone: another beta with the same gamma
-    # shares it, the same Q with another gamma gets its own
-    assert build_hat(THETA3, (1, 2), (4, 3), ((1,), (1,))).quiver is hats[0].quiver
+    # the same Q with another gamma gets its own frame
     other = build_hat(THETA3, (1, 1), (3, 2), ((), ()))
     assert other.quiver is not hats[0].quiver
     assert other.quiver.nvertices == 5 and hats[0].quiver.nvertices == 6
 
 
-def test_hat_frames_stay_bounded(engine):
-    assert _KEPT == 8
+def kept_record():
+    """The kept instance's key and record, the frame's orders copied."""
+    key, (beta, gamma, pairing, frame) = covariants._instance
+    if frame is not None:
+        quiver, hat_gamma, orders = frame
+        frame = quiver, hat_gamma, dict(orders)
+    return key, beta, gamma, pairing, frame
+
+
+def test_one_instance_is_kept(engine):
     for g in range(1, 17):
         # (1, 1) inside (1 + g, 1 + g) on A2 has pairing g
         hat = build_hat(A2, (1, 1), (1 + g, 1 + g), ((g,), ()))
         assert hat.quiver.nvertices == 2 + 2 * g
-        assert len(_frames) <= 8
-    # the newest frames are the ones kept
-    assert list(_frames) == [(A2, (g, g)) for g in range(9, 17)]
+    # the module holds the last instance's record and nothing else
+    key, beta, gamma, pairing, (quiver, hat_gamma, orders) = kept_record()
+    assert key == (A2, (1, 1), (17, 17)) and (beta, gamma, pairing) == ((1, 1), (16, 16), 16)
+    assert quiver is hat.quiver and hat_gamma == (16, 16, *range(16, 0, -1), *range(16, 0, -1))
+    assert orders == {}
+    held = {
+        name
+        for name, value in vars(covariants).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, tuple, set))
+    }
+    assert held == {"_instance"}
     assert build_hat(A2, (1, 1), (17, 17), ((16,), ())).quiver is hat.quiver
 
     # many pieces on one frame: (2, 2) inside (6, 4) on A2 has pairing 8,
     # and its pieces put their 8 boxes in the 2x4 and 2x2 boxes in 11 ways,
-    # each with its own label counts on the hat's arrows
+    # each with its own label counts on the hat's arrows; no order is dropped
     beta, alpha = (2, 2), (6, 4)
     fc = fiber_class(A2, beta, alpha, engine)
     pieces = [
@@ -351,24 +369,19 @@ def test_hat_frames_stay_bounded(engine):
         counts = hat_label_counts(build_hat(A2, beta, alpha, mu))
         if counts not in seen:
             seen.append(counts)
-        orders = _frames[A2, (4, 2)][2]
-        assert len(orders) <= 8
+        assert list(kept_record()[4][2]) == seen
     assert len(pieces) == len(seen) == 11
-    # the newest orders are the ones kept
-    assert list(orders) == seen[-8:]
 
 
 def test_counts_and_their_verification_leave_the_hat_frames_alone(engine):
-    # a piece first, so that its frame holds an order
+    # a piece first, so that the kept frame holds an order
     beta, alpha, mu = (2, 2), (5, 3), ((1,), (1,))
     assert covariant_count(THETA3, beta, alpha, mu, engine) == 3
     hat = build_hat(THETA3, beta, alpha, mu)
-    assert _frames[THETA3, (3, 1)][2]
+    kept = covariants._instance
+    before = kept_record()
+    assert before[0] == (THETA3, beta, alpha) and before[4][2]
 
-    def snapshot():
-        return [(key, quiver, gamma, dict(orders)) for key, (quiver, gamma, orders) in _frames.items()]
-
-    before = snapshot()
     assert count_subreps(THETA4, (1, 2), (3, 3), engine) == 6
     assert si_dimension(THETA4, (1, 2), (3, 3), engine) == 6
     assert verify_counts(THETA4, (1, 2), (3, 3), engine).passed
@@ -376,7 +389,7 @@ def test_counts_and_their_verification_leave_the_hat_frames_alone(engine):
     assert count_subreps(hat.quiver, hat.beta, hat.alpha, engine) == 3
     assert si_dimension(hat.quiver, hat.beta, hat.alpha, engine) == 3
     assert verify_counts(hat.quiver, hat.beta, hat.alpha, engine).passed
-    assert snapshot() == before
+    assert covariants._instance is kept and kept_record() == before
 
 
 def hat_label_counts(hat):
@@ -391,20 +404,18 @@ def test_each_piece_folds_the_plan_of_its_hat_and_orders_once_per_label_counts(m
     # pieces of one instance, then every (6,3) flag at pairing 1, each with
     # one box at every vertex whose rectangle has room (in the class or not)
     rng = random.Random(38)
-    groups = {}  # (Q, gamma) -> [(beta, alpha, mu)], so each frame is built once
+    groups = {}  # (Q, beta, alpha) -> [mu], so each instance is kept once
     while sum(map(len, groups.values())) < 250:
         Q, beta, alpha = random_instance(
             rng, max_verts=4, max_arrows=4, max_dim=3, min_arrows=1, require_zero_pairing=False
         )
         gamma = tuple(a - b for a, b in zip(alpha, beta))
         if 1 <= euler_form(Q, beta, gamma) <= 4:
-            for mu in fiber_class(Q, beta, alpha, engine).coeffs:
-                groups.setdefault((Q, gamma), []).append((beta, alpha, mu))
+            groups.setdefault((Q, beta, alpha), []).extend(fiber_class(Q, beta, alpha, engine).coeffs)
     pool = len(groups)
     for Q, beta, alpha, one_box in six_three_flags_at_pairing_one():
-        gamma = tuple(a - b for a, b in zip(alpha, beta))
-        groups[Q, gamma] = [(beta, alpha, piece) for piece in one_box]
-    assert len(groups) == pool + 321  # each flag has its own frame
+        groups[Q, beta, alpha] = one_box
+    assert len(groups) == pool + 321
 
     runs, folded = [], []
     greedy, fold = counting._greedy_arrow_order, covariants._labeled_sum
@@ -419,11 +430,11 @@ def test_each_piece_folds_the_plan_of_its_hat_and_orders_once_per_label_counts(m
 
     monkeypatch.setattr(counting, "_greedy_arrow_order", counted)
     monkeypatch.setattr(covariants, "_labeled_sum", recorded)
-    _frames.clear()
-    per_frame = {}  # (Q, gamma) -> the label counts of its pieces so far
-    for (Q, gamma), pieces in groups.items():
-        seen = per_frame[Q, gamma] = set()
-        for beta, alpha, mu in pieces:
+    per_instance = []  # the label counts met by each instance's pieces
+    for (Q, beta, alpha), pieces in groups.items():
+        seen = set()
+        per_instance.append(seen)
+        for mu in pieces:
             before = len(runs)
             covariant_count(Q, beta, alpha, mu, engine)
             hat = build_hat(Q, beta, alpha, mu)
@@ -433,69 +444,90 @@ def test_each_piece_folds_the_plan_of_its_hat_and_orders_once_per_label_counts(m
             seen.add(counts)
             hat_gamma = tuple(a - b for a, b in zip(hat.alpha, hat.beta))
             assert folded.pop() == _plan(hat.quiver, hat.beta, hat_gamma), (Q.arrows, beta, alpha, mu)
-    # no frame meets more label counts than it keeps orders for, so no
-    # order is dropped and run again
-    assert max(map(len, per_frame.values())) <= _KEPT
-    # many of the pool's frames meet several counts; a flag's pieces share one
-    frames = list(per_frame.values())
-    assert sum(len(counts) > 1 for counts in frames[:pool]) >= 10
-    assert all(len(counts) == 1 for counts in frames[pool:])
+    # many of the pool's instances meet several counts; a flag's pieces share one
+    assert sum(len(counts) > 1 for counts in per_instance[:pool]) >= 10
+    assert all(len(counts) == 1 for counts in per_instance[pool:])
+
+
+def counting_checks(monkeypatch):
+    """Route covariants' check_instance through a recorder of the quivers
+    it is called on, and forget the kept instance; return the record."""
+    seen = []
+    check = covariants.check_instance
+
+    def counted(Q, *args):
+        seen.append(Q)
+        return check(Q, *args)
+
+    monkeypatch.setattr(covariants, "check_instance", counted)
+    monkeypatch.setattr(covariants, "_instance", (None, None))
+    return seen
 
 
 def test_covariant_count_checks_each_hat_once(monkeypatch, engine):
-    seen = []
-    check = covariants.check_instance
-
-    def counted(Q, *args):
-        seen.append(Q)
-        return check(Q, *args)
-
-    monkeypatch.setattr(covariants, "check_instance", counted)
-    monkeypatch.setattr(counting, "check_instance", counted)
     beta, alpha = (2, 2), (5, 3)
     fc = fiber_class(THETA3, beta, alpha, engine)
-    hat = build_hat(THETA3, beta, alpha, ((1,), (1,)))
-    seen.clear()
+    hat_quiver = reference_hat(THETA3, beta, alpha, ((1,), (1,)))[0]
+    seen = counting_checks(monkeypatch)
+    # the fold checks nothing: counting's checks are recorded too
+    monkeypatch.setattr(counting, "check_instance", covariants.check_instance)
     for mu, coeff in fc.sorted_items():
         assert covariant_count(THETA3, beta, alpha, mu, engine) == coeff
-    # per piece: the instance, by the mu check, and the hat, once
-    assert seen == [THETA3, hat.quiver] * len(fc.coeffs)
+    # the instance once, and the hat once per piece
+    assert seen == [THETA3] + [hat_quiver] * len(fc.coeffs)
 
 
-def test_the_last_piece_checked_is_kept(monkeypatch, engine):
-    seen = []
-    check = covariants.check_instance
+class ArrayLike(list):
+    """A vector whose == is elementwise, with no truth value, as a numpy
+    array's is."""
 
-    def counted(Q, *args):
-        seen.append(Q)
-        return check(Q, *args)
+    def __eq__(self, other):
+        return self
 
-    monkeypatch.setattr(covariants, "check_instance", counted)
-    covariants._last_piece.clear()
+    __ne__ = __eq__
+
+    def __bool__(self):
+        raise ValueError("the truth value of an array is ambiguous")
+
+
+def test_the_instance_is_checked_once_for_all_its_pieces(monkeypatch, engine):
+    seen = counting_checks(monkeypatch)
     beta, alpha = (2, 2), (5, 3)
     fc = fiber_class(THETA3, beta, alpha, engine)
     for mu, coeff in fc.sorted_items():
-        seen.clear()
-        # a piece's two routes check its instance once
+        # both routes of every piece share one check of the instance
         assert covariant_count(THETA3, beta, alpha, mu, engine) == coeff
         assert covariant_multiplicity(THETA3, beta, alpha, mu, engine) == coeff
-        assert seen.count(THETA3) == 1
+    assert seen.count(THETA3) == 1
+    for mu in fc.coeffs:
+        seen.clear()
         # equal arguments give equal results, kept or checked again; lists
-        # do not hash, so they are checked every time
-        kept = covariants._check_piece(THETA3, (2, 2), (5, 3), tuple(map(tuple, mu)))
-        listed = covariants._check_piece(THETA3, [2, 2], [5, 3], [list(p) for p in mu])
-        assert kept == listed == ((2, 2), (3, 1), mu)
-        assert seen.count(THETA3) == 2
-    # a list of lists is checked as it is when called: changed, it fails
+        # never equal the kept tuples, so they are checked every time
+        record, kept = covariants._check_piece(THETA3, (2, 2), (5, 3), tuple(map(tuple, mu)))
+        assert record[:3] == [(2, 2), (3, 1), 2] and kept == mu
+        record, listed = covariants._check_piece(THETA3, [2, 2], [5, 3], [list(p) for p in mu])
+        assert record[:3] == [(2, 2), (3, 1), 2] and listed == mu
+        assert seen == [THETA3]
+    # a list is checked as it is when called: changed, it fails
+    good = ((1,), (1,))
     mu = [[1], [1]]
-    assert covariants._check_piece(THETA3, beta, alpha, mu) == (beta, (3, 1), ((1,), (1,)))
+    assert covariants._check_piece(THETA3, beta, alpha, mu)[1] == good
     mu[0].append(1)
+    listed_beta = [2, 2]
+    covariants._check_piece(THETA3, listed_beta, alpha, good)
+    listed_beta[0] = 6
     for _ in range(2):
         with pytest.raises(ValueError, match="sum to 3"):
             covariants._check_piece(THETA3, beta, alpha, mu)
+        with pytest.raises(ValueError, match="does not fit inside"):
+            covariants._check_piece(THETA3, listed_beta, alpha, good)
+    # only tuples are compared with the key: a vector whose == has no
+    # truth value, as an array's, is checked like a list
+    assert covariant_count(THETA3, beta, alpha, good, engine) == 3
+    assert covariant_count(THETA3, ArrayLike(beta), ArrayLike(alpha), good, engine) == 3
+    assert covariant_multiplicity(THETA3, ArrayLike(beta), ArrayLike(alpha), good, engine) == 3
     # an error is never kept: a bad call raises each time, also right
-    # after the same piece was checked with good arguments
-    good = ((1,), (1,))
+    # after the same instance was checked with a good mu
     for bad, match in [
         (((1,), ()), "sum to 1"),
         (((1, 1, 1), ()), "does not fit"),
@@ -508,6 +540,60 @@ def test_the_last_piece_checked_is_kept(monkeypatch, engine):
     for _ in range(2):
         with pytest.raises(ValueError, match="does not fit inside"):
             covariants._check_piece(THETA3, beta, (1, 3), good)
+    # two instances taken in turns, A, B, A, give their answers alone
+    a, b = (THETA3, beta, alpha), (A2, (1, 1), (3, 3))
+    pieces_a, pieces_b = (list(fiber_class(*inst, engine).coeffs.items()) for inst in (a, b))
+    assert len(pieces_b) == 3
+    for piece_a, piece_b in zip(pieces_a, pieces_b):
+        for inst, (mu, coeff) in [(a, piece_a), (b, piece_b), (a, piece_a)]:
+            assert covariant_count(*inst, mu, engine) == coeff
+            assert covariant_multiplicity(*inst, mu, engine) == coeff
+            assert build_hat(*inst, mu) == HatInstance(*reference_hat(*inst, mu))
+
+
+def test_threads_on_their_own_instances_get_the_single_thread_answers():
+    instances = [
+        (THETA3, (2, 2), (5, 3)),
+        (A2, (1, 1), (3, 3)),
+        (Quiver(3, ((0, 1), (1, 2))), (1, 1, 1), (2, 3, 2)),
+        (A2, (1, 2), (3, 4)),
+    ]
+
+    def answers(Q, beta, alpha, engine):
+        # each route gets its own equal copy of Q, so that comparing it with
+        # the kept key calls Quiver.__eq__, where the thread may switch out
+        copy = partial(Quiver, Q.nvertices, Q.arrows)
+        return {
+            mu: (coeff, covariant_count(copy(), beta, alpha, mu, engine), covariant_multiplicity(copy(), beta, alpha, mu, engine))
+            for mu, coeff in fiber_class(Q, beta, alpha, engine).coeffs.items()
+        }
+
+    expected = [answers(*inst, LREngine()) for inst in instances]
+    assert all(len(set(routes)) == 1 for pieces in expected for routes in pieces.values())
+    got = [[] for _ in instances]
+    errors = []
+
+    def run(i):
+        engine = LREngine()
+        try:
+            for _ in range(20):
+                got[i].append(answers(*instances[i], engine))
+        except Exception as e:  # the main thread reports it
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(instances))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert got == [[pieces] * 20 for pieces in expected]
 
 
 @pytest.mark.parametrize(
