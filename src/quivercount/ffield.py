@@ -38,7 +38,12 @@ irreducible factors of a polynomial by degree, and `poly_orbit_roots`
 takes one root of each factor of such a group over F_p in an extension
 where it splits, i.e. one root per Frobenius orbit, with the same scan
 and splitter: `oracles` groups an eliminant's factors over F_p once and
-counts one root per orbit in every extension it reads it over.
+counts one root per orbit in every extension it reads it over.  It takes
+each orbit's root in the field the orbit generates, GF(p, d), and
+carries it into each larger GF(p, k), d | k, with `GF.embed`, a fixed
+embedding built once per (p, d, k) when first asked for.  `split_order`
+lists known roots in the order `poly_roots` would list them, replaying
+its seeded splits on the roots themselves, with no polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -201,15 +206,19 @@ class GF:
             return a
         if self._exp is not None:
             return self._exp[self._log[a] * p % (self.q - 1)]
-        digits = [0] * self.k
-        for image in self._frob:
-            a, d = divmod(a, p)
-            if d:
-                digits = [x + d * y for x, y in zip(digits, image)]
-        out = 0
-        for x in reversed(digits):
-            out = out * p + x % p
-        return out
+        return _linear_image(p, self.k, self._frob, a)
+
+    def embed(self, a: int, d: int) -> int:
+        """The image of a, an element of GF(p, d) with d dividing k, under
+        one fixed embedding of GF(p, d) in this field: it sends GF(p, d)'s
+        generator to a root here of its modulus (`_embedding`), so it is
+        F_p-linear in a's base-p digits, fixes the prime subfield and
+        commutes with Frobenius.  For d = k it is the identity."""
+        if self.k % d:
+            raise ValueError(f"GF({self.p},{d}) is not a subfield of {self!r}")
+        if a < self.p or d == self.k:
+            return a
+        return _linear_image(self.p, self.k, _embedding(self.p, d, self.k), a)
 
     def elements(self) -> range:
         return range(self.q)
@@ -314,6 +323,34 @@ def _field_data(p: int, k: int):
     for i, x in enumerate(exp):
         log[x] = i
     return modulus, width, rows, frob, tuple(exp), tuple(log)
+
+
+@cache
+def _embedding(p: int, d: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The base-p digits in GF(p, k) of the images of x^0 .. x^(d-1) under
+    `GF.embed`'s embedding of GF(p, d), 1 < d < k, d | k: the powers of one
+    root in GF(p, k) of GF(p, d)'s modulus, taken by `poly_orbit_roots`.
+    Built when first asked for, once per (p, d, k) in a process."""
+    F = GF(p, k)
+    r = poly_orbit_roots(F, GF(p, d).modulus, d)[0]
+    powers = [F.one]
+    for _ in range(d - 1):
+        powers.append(F.mul(powers[-1], r))
+    return tuple(tuple(x // p**j % p for j in range(k)) for x in powers)
+
+
+def _linear_image(p: int, k: int, images: tuple, a: int) -> int:
+    # the F_p-linear map that sends x^i to the element with base-p digits
+    # images[i], applied to a's digits
+    digits = [0] * k
+    for image in images:
+        a, d = divmod(a, p)
+        if d:
+            digits = [x + d * y for x, y in zip(digits, image)]
+    out = 0
+    for x in reversed(digits):
+        out = out * p + x % p
+    return out
 
 
 def _mul_mod(p: int, k: int, width: int, rows: tuple, a: int, b: int) -> int:
@@ -616,7 +653,9 @@ def poly_roots(F, f: tuple) -> list:
     take lin = gcd(x^q - x, f), the product of f's distinct linear
     factors, and list its roots in the order that `_split_linear` splits
     lin, seeded the same on every call.  Seeded results that list
-    subrepresentations, such as the dual-basis matrix, inherit this order.
+    subrepresentations, such as the dual-basis matrix, rest on this
+    order: the solver's listing, which already has the roots, replays it
+    with `split_order`.
     """
     f = poly_monic(F, f)
     if poly_deg(f) <= 0:
@@ -632,6 +671,44 @@ def poly_roots(F, f: tuple) -> list:
     if poly_deg(lin) > 0:
         _split_linear(F, lin, [poly_mod(F, xi, lin) for xi in frob], random.Random(0x5EED), roots)
     return roots
+
+
+def split_order(F, roots) -> list:
+    """The distinct roots `roots` in F of a polynomial f, all of f's roots
+    in F, in the order poly_roots(F, f) lists them, found without f.
+
+    Up to `GF.TABLE_LIMIT` elements that is the scan's, ascending order.
+    Above it, `_split_linear`'s seeded splits are replayed on the roots
+    themselves, element by element: a split with the draw c keeps in its
+    first part g = gcd(N^((p-1)/2) - 1, h) exactly the roots r of h with
+    N_{F/F_p}(r + c)^((p-1)/2) = 1, and it is retried with the next draw
+    while g or h/g is empty, as `_split_once` retries."""
+    if F.q <= GF.TABLE_LIMIT:
+        return sorted(roots)
+    out: list = []
+    _replay_split(F, list(roots), random.Random(0x5EED), out)
+    return out
+
+
+def _replay_split(F, roots: list, rng, out: list) -> None:
+    if len(roots) <= 1:
+        out += roots
+        return
+    p = F.p
+    while True:
+        c = F.sample(rng)
+        first, rest = [], []
+        for r in roots:
+            # N(r + c), the product of the conjugates of r + c, lies in F_p
+            y = norm = F.add(r, c)
+            for _ in range(F.k - 1):
+                y = F.frobenius(y)
+                norm = F.mul(norm, y)
+            (first if pow(norm, (p - 1) // 2, p) == 1 else rest).append(r)
+        if first and rest:
+            break
+    _replay_split(F, first, rng, out)
+    _replay_split(F, rest, rng, out)
 
 
 def poly_orbit_roots(F, f: tuple, d: int) -> list:

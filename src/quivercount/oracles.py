@@ -33,7 +33,8 @@ of its images, a Gaussian binomial in the span's rank.
 A sample drawn over F_p and read over F_{p^j} is fixed by Frobenius
 x -> x^p, which therefore permutes its subrepresentations over F_{p^j}
 and preserves everything the oracles look at.  The count paths use this;
-the listing paths, whose order seeded results rest on, do not.  A count
+the listing paths, whose order seeded results rest on, list every member
+of every orbit.  A count
 walk takes one subspace per Frobenius orbit while all it has chosen is
 Frobenius-fixed and weights it by the orbit's size, and the solver's
 count takes one source line per Frobenius orbit of each eliminant's
@@ -62,14 +63,16 @@ minors on the first chart only, over F[z] with t a power of z, reads
 each later chart's minors off them, and takes each resultant by the
 subresultant PRS over F[s].  With it, the
 irreducible factors of each eliminant over F_p are grouped by degree
-once per sample, and its roots in F_p found.  The root phase then runs
-per extension degree j and, in each group whose degree d divides j,
-takes one root in F_{p^j}, divides its factor out of the group and
-repeats: one root per Frobenius orbit.  A degeneracy found by the
-elimination holds at that j and every later one; one found while taking
-roots holds at its j only.  The dual-basis check counts each degree
-first and lists the subrepresentations only at a degree whose count is
-N.
+once per sample, and its roots in F_p found.  Each group of degree d
+has one root per Frobenius orbit taken once per sample, in GF(p, d), the
+field its orbits generate: take a root, divide its factor out of the
+group and repeat.  The root phase then runs per extension degree j and
+reads the roots of each group whose d divides j through an embedding of
+GF(p, d) in F_{p^j}.  A degeneracy found by the elimination holds at
+that j and every later one; one found while taking roots holds at its j
+only.  The dual-basis check counts each degree first and lists the
+subrepresentations only at a degree whose count is N, taking every
+conjugate of the count's roots in the order `poly_roots` lists them.
 """
 
 from __future__ import annotations
@@ -100,6 +103,7 @@ from .ffield import (
     poly_scale,
     poly_sub,
     poly_trim,
+    split_order,
 )
 from .quiver import Quiver, check_dimvector, check_instance, euler_form
 
@@ -541,8 +545,12 @@ def list_subreps(Q: Quiver, V: FFRep, beta, budget: int = 10**7) -> tuple:
 # subresultant PRS over F[s].  `_eliminate` does everything
 # before the first root over the field of the sample's entries;
 # `_rational_factors` groups its eliminants' factors over F_p by degree
-# once per sample; and `_kronecker_lines` takes the roots in whatever
-# extension V is read over, as the lines the walk starts from.
+# once per sample; `_orbit_roots` takes one root per Frobenius orbit of
+# each group, once per sample in the field the orbits generate, and
+# embeds them in whatever extension V is read over; and `_kronecker_lines`
+# turns the s-roots it is given into the lines the walk starts from: a
+# count's orbit roots, or a listing's every conjugate in `poly_roots`
+# order (`split_order`).
 
 _MAX_MINOR = 4  # minor size b + 1: t-degrees <= 4, z-degrees <= 20
 
@@ -691,7 +699,7 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
     None.  With two (s, t), u is the gcd of the resultants in t, and
     tpolys holds the nonzero minors, polynomials in t over F[s], to be
     specialized at each root of u; u may have repeated factors, and
-    poly_roots lists each root once.  Raises DegenerateSampleError when
+    each root is taken once.  Raises DegenerateSampleError when
     the solution set is positive-dimensional before any root is taken.
 
     The minors are computed once, on chart 0 (`_minor_polys`), and each
@@ -702,10 +710,10 @@ def _eliminate(Q: Quiver, V: FFRep, beta, src: int, tgt: int) -> list[tuple]:
     gcds of polynomials with coefficients in F_p are the same ints in F_p
     and in every F_{p^j} (GF's prime-subfield fast path).  So a
     representation sampled over F_p is eliminated once, and
-    `_kronecker_lines` finds the roots in each extension it is re-read
+    `_kronecker_lines` takes the roots in each extension it is re-read
     over: u then has F_p coefficients, so a count takes one root per
     Frobenius orbit from the parts of u's distinct-degree factorization
-    over F_p, and a listing takes all of them with poly_roots."""
+    over F_p (`_orbit_roots`), and a listing all their conjugates."""
     F = V.field
     one, zero = F.one, F.zero
     mats = V.mats
@@ -791,31 +799,49 @@ def _rational_factors(F, u: tuple) -> list[tuple[int, tuple]]:
     return out
 
 
-def _kronecker_lines(F, charts: list[tuple], factors: list | None = None) -> list[tuple]:
+def _orbit_roots(F, factors: list, found: dict) -> list[list[tuple]]:
+    """For each chart, one root in F of each irreducible factor of its u
+    whose degree d divides [F : F_p], as (s0, d) pairs, from the chart's
+    `_rational_factors` parts (d, h).  A part's roots are taken once per
+    sample, over GF(p, d), the field its orbits generate, by
+    `poly_orbit_roots`, and kept in `found` under (chart, part); a larger
+    F takes their images under `GF.embed`.  An image is a root in F of
+    the same F_p-irreducible factor, so it stands for the same orbit."""
+    out = []
+    for i, parts in enumerate(factors):
+        reps = []
+        for n, (d, h) in enumerate(parts):
+            if F.k % d:
+                continue
+            if (i, n) not in found:
+                # a root of a linear h is the same int in every field
+                found[i, n] = poly_orbit_roots(F if d in (1, F.k) else GF(F.p, d), h, d)
+            reps += [(F.embed(r, d), d) for r in found[i, n]]
+        out.append(reps)
+    return out
+
+
+def _kronecker_lines(F, charts: list[tuple], s_roots: list[list[tuple]]) -> list[tuple]:
     """Root phase of the solver: the lines over F (chart-normalized
     spanning vectors) whose image span has dimension at most beta(tgt),
     from the charts `_eliminate` computed over a subfield of F, as (line,
-    weight) pairs.  Raises DegenerateSampleError when a root s0 in F
-    leaves t free.
+    weight) pairs.  s_roots holds for each chart the (s0, weight) pairs
+    of the roots in F of its u to take, in order; each s0 gives the
+    t-roots (`poly_roots`) of the chart's minors specialized at it, with
+    its weight.  Raises DegenerateSampleError when an s0 leaves t free.
 
-    Without factors every line is listed, with weight 1.  With factors,
-    which holds for each chart the `_rational_factors` of its u (charts
-    eliminated over F_p), the s-roots are taken one per Frobenius orbit:
-    for each part (d, h) with d | [F : F_p], one root in F of each
-    irreducible factor of h (`poly_orbit_roots`), weighted by d.  That is
-    exact: the minors have F_p coefficients, so Frobenius maps the lines
-    over s0 onto the lines over each conjugate of s0 and keeps their image
-    ranks, and a vertical line over s0 lies over every conjugate as well."""
+    A count passes one root per Frobenius orbit, weighted by the orbit's
+    size (`_orbit_roots`).  That is exact: the minors have F_p
+    coefficients, so Frobenius maps the lines over s0 onto the lines over
+    each conjugate of s0 and keeps their image ranks, and a vertical line
+    over s0 lies over every conjugate as well.  A listing passes every
+    root, with weight 1."""
     points: list[tuple] = []
-    for i, (fixed, u, tpolys) in enumerate(charts):
+    for (fixed, u, tpolys), roots in zip(charts, s_roots):
         if u is None:
             points.append((fixed, 1))
             continue
-        if factors is None:
-            s_roots = [(s0, 1) for s0 in poly_roots(F, u)]
-        else:
-            s_roots = [(s0, d) for d, h in factors[i] if F.k % d == 0 for s0 in poly_orbit_roots(F, h, d)]
-        for s0, weight in s_roots:
+        for s0, weight in roots:
             if tpolys is None:
                 points.append(((*fixed, s0), weight))
                 continue
@@ -848,11 +874,14 @@ def _by_degree(Q: Quiver, V1: FFRep, beta, fields, budget: int, stats: dict | No
     first solves, and so does the distinct-degree factorization over F_p
     of its eliminants, from whose parts the counts take one root per
     Frobenius orbit; a degeneracy the elimination finds makes every later
-    degree None."""
+    degree None.  Each part's orbit roots are found once per sample
+    (`_orbit_roots`), and a listing takes all their conjugates in
+    `poly_roots` order (`split_order`)."""
     alpha = V1.dim
     kf = _kronecker_form(Q, beta, alpha)
     charts = None  # None before the first solve, False once found degenerate
     factors = None
+    found: dict = {}  # each factor part's orbit roots, over the field they generate
     for F in fields:
         V = FFRep(Q, F, alpha, V1.mats)
         points = _raw_point_count(Q, alpha, beta, F.q)
@@ -862,19 +891,30 @@ def _by_degree(Q: Quiver, V1: FFRep, beta, fields, budget: int, stats: dict | No
         elif kf is None:
             raise BudgetExceededError(points, budget)
         else:
-            count = None
+            count = orbits = None
             try:
                 if charts is None:
                     charts = _eliminate(Q, V1, beta, *kf)
                     factors = [() if u is None else _rational_factors(V1.field, u) for _, u, _ in charts]
                 if charts is not False:
-                    count = _walk_subreps(Q, V, beta, False, _kronecker_lines(F, charts, factors))[0]
+                    orbits = _orbit_roots(F, factors, found)
+                    count = _walk_subreps(Q, V, beta, False, _kronecker_lines(F, charts, orbits))[0]
             except DegenerateSampleError:
                 if charts is None:
                     charts = False
 
-            def listing(V=V):
-                return tuple(_walk_subreps(Q, V, beta, True, _kronecker_lines(V.field, charts))[1])
+            def listing(V=V, orbits=orbits):
+                # every conjugate of the count's roots, in poly_roots' order
+                F = V.field
+                s_roots = []
+                for reps in orbits:
+                    roots = []
+                    for s0, d in reps:
+                        for _ in range(d):
+                            roots.append(s0)
+                            s0 = F.frobenius(s0)
+                    s_roots.append([(s0, 1) for s0 in split_order(F, roots)])
+                return tuple(_walk_subreps(Q, V, beta, True, _kronecker_lines(F, charts, s_roots))[1])
         yield V, count, listing
 
 

@@ -27,6 +27,7 @@ from quivercount.ffield import (
     poly_scale,
     poly_sub,
     poly_trim,
+    split_order,
     _min_irreducible,
     _power,
 )
@@ -578,6 +579,47 @@ def test_poly_roots_split_matches_the_textbook_split(p, j):
         found = poly_roots(F, f)
         assert sorted(found) == sorted(roots)
         assert found == _roots_split_over_the_extension(F, f)
+
+
+@pytest.mark.parametrize("p,k", [(3, 4), (13, 2), (13, 4), (101, 2), (101, 3), (101, 4)])
+def test_split_order_replays_poly_roots(p, k):
+    # distinct root sets of 1..7 elements, two of them repeated in f and
+    # all handed over shuffled, come out in poly_roots' order: scanned up
+    # to GF.TABLE_LIMIT (GF(3^4), GF(13^2)) and split above it, where the
+    # textbook split lists them the same way
+    F = GF(p, k)
+    rng = random.Random(p * 10 + k)
+    for _ in range(20):
+        roots = rng.sample(range(F.q), rng.randint(1, 7))
+        linear = [(F.neg(r), F.one) for r in roots]
+        f = poly_scale(F, rng.randrange(1, F.q), _product(F, linear + linear[:2]))
+        rng.shuffle(roots)
+        replayed = split_order(F, roots)
+        assert replayed == poly_roots(F, f)
+        if F.q > GF.TABLE_LIMIT:
+            assert replayed == _roots_split_over_the_extension(F, f)
+    assert split_order(F, []) == []
+
+
+@pytest.mark.parametrize("p", [3, 13, 101])
+def test_embedding_is_an_injective_homomorphism_that_commutes_with_frobenius(p):
+    E, F = GF(p, 2), GF(p, 4)
+    image = [F.embed(a, 2) for a in E.elements()]
+    assert image[:p] == list(range(p))  # the identity on F_p
+    assert len(set(image)) == E.q
+    # E's generator goes to a root of its modulus
+    assert poly_eval(F, E.modulus, image[p]) == F.zero
+    rng = random.Random(p)
+    pairs = itertools.product(E.elements(), repeat=2) if p < 101 else ((E.sample(rng), E.sample(rng)) for _ in range(3000))
+    for a, b in pairs:
+        assert image[E.add(a, b)] == F.add(image[a], image[b])
+        assert image[E.mul(a, b)] == F.mul(image[a], image[b])
+    assert all(image[E.frobenius(a)] == F.frobenius(image[a]) for a in E.elements())
+    # over F_p and over F itself every element is its own image
+    assert [F.embed(a, 1) for a in range(p)] == list(range(p))
+    assert all(F.embed(a, 4) == a for a in rng.sample(range(F.q), 50))
+    with pytest.raises(ValueError):
+        GF(p, 3).embed(p, 2)
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (3, 4), (13, 2), (101, 2), (101, 3), (101, 4), (13, 4)])

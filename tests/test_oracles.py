@@ -7,7 +7,7 @@ from functools import reduce
 import pytest
 
 from quivercount import ffield, oracles
-from quivercount.ffield import GF, mat_det, mat_rank, mat_rref, mat_vec, poly_eval
+from quivercount.ffield import GF, mat_det, mat_rank, mat_rref, mat_vec, poly_eval, poly_roots
 from quivercount.oracles import (
     BasisReport,
     BudgetExceededError,
@@ -36,6 +36,13 @@ from quivercount.counting import NonzeroPairingError, random_instance, si_dimens
 from quivercount.lr import LREngine
 from quivercount.partitions import Rectangle, partitions_in_rectangle, size
 from quivercount.quiver import Quiver
+
+
+def _every_line(F, charts: list[tuple]) -> list[tuple]:
+    # the solver's lines over F from every root of each chart's u, with
+    # weight 1, split by poly_roots at each degree: the reference that the
+    # orbit path is checked against
+    return _kronecker_lines(F, charts, [[] if u is None else [(s0, 1) for s0 in poly_roots(F, u)] for _, u, _ in charts])
 
 
 def theta(m: int) -> Quiver:
@@ -561,7 +568,7 @@ def test_kronecker_solver_matches_enumeration():
         for seed in range(12):
             V = random_rep(Q, alpha, F5, seed)
             try:
-                fast = _walk_subreps(Q, V, beta, False, source=_kronecker_lines(F5, _eliminate(Q, V, beta, src, tgt)))[0]
+                fast = _walk_subreps(Q, V, beta, False, source=_every_line(F5, _eliminate(Q, V, beta, src, tgt)))[0]
             except DegenerateSampleError:
                 continue
             assert fast == enumerate_subreps(Q, V, beta), (Q.arrows, beta, alpha, seed)
@@ -576,7 +583,7 @@ def test_kronecker_solver_matches_enumeration_extension_field():
     for seed in range(6):
         V = random_rep(THETA4, (3, 3), F9, seed)
         try:
-            lines = _kronecker_lines(F9, _eliminate(THETA4, V, (1, 2), src, tgt))
+            lines = _every_line(F9, _eliminate(THETA4, V, (1, 2), src, tgt))
             fast = _walk_subreps(THETA4, V, (1, 2), False, source=lines)[0]
         except DegenerateSampleError:
             continue
@@ -774,15 +781,23 @@ def test_elimination_error_makes_every_extension_degenerate(monkeypatch):
     assert got.degenerate == 2 and got.modal is None and got.inconclusive
 
 
+def test_solve_case_per_trial_counts_pin():
+    # the oracles bench's solve case; only its degree 4 reads roots of
+    # degree-2 factors through the embedding of GF(101^2)
+    got = sampled_subrep_count(THETA4, (1, 2), (3, 3), 101, max_ext_degree=4, trials=4, seed=0)
+    assert got.method == "solve"
+    assert got.per_trial == ((0, 0, 0, 0), (1, 3, 4, 3), (0, 2, 0, 6), (1, 3, 4, 3))
+
+
 def test_root_phase_degeneracy_stays_with_its_field():
     # a two-coordinate chart whose eliminant s^2 - 2 has no root in F_5 and
     # two in F_25, where both minors, s^2 - 2 and (s^2 - 2) t, vanish for
     # every t: a vertical line over F_25 only
     u = (3, 0, 1)
     charts = [((1,), u, [[u], [(), u]])]
-    assert _kronecker_lines(GF(5), charts) == []
+    assert _every_line(GF(5), charts) == []
     with pytest.raises(DegenerateSampleError):
-        _kronecker_lines(GF(5, 2), charts)
+        _every_line(GF(5, 2), charts)
 
 
 @pytest.mark.parametrize(
@@ -958,6 +973,15 @@ def test_basis_builds_no_extension_field_it_does_not_reach():
     rep = verify_determinant_basis(THETA2, (1, 1), (2, 2), GF(101), seed=0)
     assert rep.extension_degree == 1
     assert ffield._field_data.cache_info().misses == 0
+    # stopping at degree 2, the solver builds neither GF(101^3) nor
+    # GF(101^4), nor the embedding of GF(101^2) in the latter: building
+    # them now misses the cache
+    rep = verify_determinant_basis(THETA4, (1, 2), (3, 3), GF(101), seed=3)
+    assert rep.passed and rep.extension_degree == 2
+    built = ffield._field_data.cache_info().misses
+    ffield._field_data(101, 3)
+    ffield._field_data(101, 4)
+    assert ffield._field_data.cache_info().misses == built + 2
 
 
 def test_basis_rejects_extension_base_field():
@@ -1247,17 +1271,19 @@ def test_orbit_weighted_solver_count_matches_the_listing():
         except DegenerateSampleError:
             continue
         factors = [() if u is None else oracles._rational_factors(V.field, u) for _, u, _ in charts]
+        found: dict = {}  # degree-2 orbit roots found at j = 2 serve j = 4
         for j in (1, 2, 3, 4):
             Vj = FFRep(Q, GF(V.field.p, j), V.dim, V.mats)
+            orbits = oracles._orbit_roots(Vj.field, factors, found)
             try:
-                every_line = _walk_subreps(Q, Vj, beta, False, source=_kronecker_lines(Vj.field, charts))[0]
+                every_line = _walk_subreps(Q, Vj, beta, False, source=_every_line(Vj.field, charts))[0]
             except DegenerateSampleError:
                 with pytest.raises(DegenerateSampleError):
-                    _kronecker_lines(Vj.field, charts, factors)
+                    _kronecker_lines(Vj.field, charts, orbits)
                 continue
-            assert _walk_subreps(Q, Vj, beta, False, source=_kronecker_lines(Vj.field, charts, factors))[0] == every_line
+            assert _walk_subreps(Q, Vj, beta, False, source=_kronecker_lines(Vj.field, charts, orbits))[0] == every_line
             if every_line <= 2000:
-                listed_here = _walk_subreps(Q, Vj, beta, True, source=_kronecker_lines(Vj.field, charts))[1]
+                listed_here = _walk_subreps(Q, Vj, beta, True, source=_every_line(Vj.field, charts))[1]
                 assert len(listed_here) == every_line
                 listed += 1
             checked += 1
